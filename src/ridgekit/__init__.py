@@ -60,6 +60,7 @@ from .bolts import (
     l,
     maximize_bolt,
     octagon_error,
+    polygon_error,
     sharp_bounds,
     stairlike_error,
     uc_best,
@@ -103,7 +104,8 @@ __all__ = [
     "l2_error",
     "AxisRect", "ClassViolated", "ClosedBolt", "Hexagon", "L", "Octagon",
     "StairPolygon", "ebolts", "golomb_lower_bound", "hexagon_error", "l",
-    "maximize_bolt", "octagon_error", "sharp_bounds", "stairlike_error",
+    "maximize_bolt", "octagon_error", "polygon_error", "sharp_bounds",
+    "stairlike_error",
     "uc_best", "vc_best",
     "DecompProblem", "DecompResult", "crosscheck_highorder", "decompose",
     "tabulate",

@@ -1,7 +1,8 @@
 """Approximation of bivariate functions by sums u(x) + v(y) on axis-parallel
 polygons: rectangle and bolt functionals, monotone-class error formulas with
-extremal pairs, hexagon/octagon/stairlike formulas, the bolt maximization
-process, e-bolts, sharp two-sided estimates, and grid lower bounds.
+extremal pairs, one e-bolt error formula for hexagons, octagons and stairlike
+polygons, the bolt maximization process, e-bolts, sharp two-sided estimates,
+and grid lower bounds.
 """
 
 from __future__ import annotations
@@ -51,6 +52,11 @@ class Hexagon:
         in_r2 = (a[0] <= x <= a[2]) and (b[0] <= y <= b[1])
         return in_r1 or in_r2
 
+    def rectangles(self):
+        a, b = self.a, self.b
+        return [AxisRect(a[0], a[1], b[0], b[2]),
+                AxisRect(a[0], a[2], b[0], b[1])]
+
 
 class Octagon:
     """Axis octagon, variant "A" (T-shape: three bottom cells plus a middle
@@ -92,6 +98,11 @@ class StairPolygon:
             raise ValueError("breakpoints must be strictly increasing")
         self.a, self.b = a, b
         self.N = len(a)
+
+    def rectangles(self):
+        a, b, N = self.a, self.b, self.N
+        return [AxisRect(a[i], a[i + 1], b[0], b[N - 1 - i])
+                for i in range(N - 1)]
 
 
 class ClosedBolt:
@@ -287,9 +298,7 @@ def hexagon_ebolts(H):
     a, b = H.a, H.b
     hexbolt = ClosedBolt([(a[0], b[0]), (a[0], b[2]), (a[1], b[2]),
                           (a[1], b[1]), (a[2], b[1]), (a[2], b[0])])
-    r1 = _rect_bolt(a[0], a[1], b[0], b[2])
-    r2 = _rect_bolt(a[0], a[2], b[0], b[1])
-    return [hexbolt, r1, r2]
+    return [hexbolt] + [_rect_bolt(*R.bounds) for R in H.rectangles()]
 
 
 def octagon_ebolts(Q):
@@ -337,7 +346,7 @@ def ebolts(P):
     if isinstance(P, StairPolygon):
         return stairlike_ebolts(P)
     if isinstance(P, AxisRect):
-        return [_rect_bolt(P.a1, P.b1, P.a2, P.b2)]
+        return [_rect_bolt(*P.bounds)]
     raise TypeError("unsupported polygon type")
 
 
@@ -356,60 +365,34 @@ def _monotone_on_grid(f, rects, grid_n=33, tol=None):
     return worst >= -tol, worst
 
 
-def hexagon_error(f, H, check=True, grid_n=33):
-    """Error over the hexagon: max |l| over its three e-bolts.
+def polygon_error(f, P, check=True, grid_n=33):
+    """Error over a hexagon, octagon or staircase: max |l| over ``ebolts(P)``.
 
-    Requires the nonnegative-difference class on the grid; on failure
-    returns the LP value from ``grid_minimax_oracle`` with a warning flag
-    instead (callers can inspect the dict).
+    The maximum is the error of the best u(x) + v(y) when f lies in the
+    nonnegative-difference class on every rectangle of ``P.rectangles()``.
+    With ``check`` that class is tested on a grid_n x grid_n grid of each
+    rectangle.  When the test fails, the result still carries the e-bolt
+    maximum as ``error`` (a lower bound of the true error, no longer the
+    error itself), flagged ``fallback: True`` with the most negative cell
+    difference as ``class_worst``.
+
+    Returns a dict: ``error``, the extremal ``bolt``, the evaluated
+    ``bolts`` and their ``values`` in the same order, and ``fallback``.
     """
-    a, b = H.a, H.b
-    rects = [AxisRect(a[0], a[1], b[0], b[2]), AxisRect(a[0], a[2], b[0], b[1])]
-    bolts = hexagon_ebolts(H)
+    bolts = ebolts(P)
     vals = [abs(l(f, p)) for p in bolts]
     best = int(np.argmax(vals))
-    result = {"error": vals[best], "bolt": bolts[best], "values": vals,
-              "fallback": False}
+    result = {"error": vals[best], "bolt": bolts[best], "bolts": bolts,
+              "values": vals, "fallback": False}
     if check:
-        ok, worst = _monotone_on_grid(f, rects, grid_n=grid_n)
+        ok, worst = _monotone_on_grid(f, P.rectangles(), grid_n=grid_n)
         if not ok:
             result["fallback"] = True
             result["class_worst"] = worst
     return result
 
 
-def octagon_error(f, Q, variant=None, check=True, grid_n=33):
-    """Error over an octagon (variant A or B): max |l| over its e-bolts."""
-    if variant is not None and variant != Q.variant:
-        raise ValueError("variant disagrees with the octagon's")
-    bolts = octagon_ebolts(Q)
-    vals = [abs(l(f, p)) for p in bolts]
-    best = int(np.argmax(vals))
-    result = {"error": vals[best], "bolt": bolts[best], "values": vals,
-              "fallback": False}
-    if check:
-        ok, worst = _monotone_on_grid(f, Q.rectangles(), grid_n=grid_n)
-        if not ok:
-            result["fallback"] = True
-            result["class_worst"] = worst
-    return result
-
-
-def stairlike_error(f, S, check=True, grid_n=33):
-    """Error over a staircase: max |l| over its maximal bolts."""
-    rects = [AxisRect(S.a[i], S.a[i + 1], S.b[0], S.b[S.N - 1 - i])
-             for i in range(S.N - 1)]
-    bolts = stairlike_ebolts(S)
-    vals = [abs(l(f, p)) for p in bolts]
-    best = int(np.argmax(vals))
-    result = {"error": vals[best], "bolt": bolts[best], "values": vals,
-              "fallback": False}
-    if check:
-        ok, worst = _monotone_on_grid(f, rects, grid_n=grid_n)
-        if not ok:
-            result["fallback"] = True
-            result["class_worst"] = worst
-    return result
+hexagon_error = octagon_error = stairlike_error = polygon_error
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Command-line front end: machine-readable JSON/CSV access to every module.
 
 Exit codes: 0 success, 1 domain error (a representation obstruction, a
-violated class hypothesis, ...), 2 usage error.
+violated class hypothesis, ...), 2 usage error (bad arguments, an input file
+that cannot be read).
 """
 
 import argparse
@@ -46,10 +47,8 @@ from .bolts import (
     Octagon,
     StairPolygon,
     golomb_lower_bound,
-    hexagon_error,
-    octagon_error,
+    polygon_error,
     sharp_bounds,
-    stairlike_error,
     uc_best,
     vc_best,
 )
@@ -99,17 +98,23 @@ def _digest(args, files):
     return h.hexdigest()[:16]
 
 
-def _emit(args, results, files=(), t0=None):
-    report = {
-        "schema": 1,
-        "version": __version__,
-        "command": " ".join(args._argv),
-        "inputs_digest": _digest(args, files),
-        "results": results,
-        "timing_seconds": round(time.perf_counter() - t0, 6) if t0 else None,
-    }
+def _print_report(args, **fields):
+    report = {"schema": 1, "version": __version__,
+              "command": " ".join(args._argv), **fields}
     print(json.dumps(report, sort_keys=True, indent=2))
+
+
+def _emit(args, results, files=(), t0=None):
+    _print_report(
+        args, inputs_digest=_digest(args, files), results=results,
+        timing_seconds=round(time.perf_counter() - t0, 6) if t0 else None)
     return 0
+
+
+def _emit_error(args, exc, code):
+    """The JSON error report of a domain error (1) or unreadable input (2)."""
+    _print_report(args, error={"type": type(exc).__name__, "message": str(exc)})
+    return code
 
 
 def _read_points(path):
@@ -252,26 +257,22 @@ def _cmd_bolts(args, t0):
     else:
         if args.shape == "hexagon":
             P = Hexagon(geom["a"], geom["b"])
-            rep = hexagon_error(f, P)
         elif args.shape in ("octagonA", "octagonB"):
             P = Octagon(geom["a"], geom["b"], args.shape[-1])
-            rep = octagon_error(f, P)
         else:
             P = StairPolygon(geom["a"], geom["b"])
-            rep = stairlike_error(f, P)
-        from .bolts import ebolts
+        rep = polygon_error(f, P)
         results.update({
             "error": float(rep["error"]),
             "bolts": [
                 {"points": [[float(p[0]), float(p[1])] for p in b.points],
                  "value": float(v)}
-                for b, v in zip(ebolts(P), rep["values"])
+                for b, v in zip(rep["bolts"], rep["values"])
             ],
-            "fallback": bool(rep.get("fallback", False)),
+            "fallback": rep["fallback"],
+            "extremal_bolt": [[float(p[0]), float(p[1])]
+                              for p in rep["bolt"].points],
         })
-        if rep.get("bolt") is not None:
-            results["extremal_bolt"] = [[float(p[0]), float(p[1])]
-                                        for p in rep["bolt"].points]
         if args.bounds and args.shape == "hexagon":
             bd = sharp_bounds(f, P)
             results["bounds"] = {
@@ -445,14 +446,9 @@ def main(argv=None):
     try:
         return args.func(args, t0)
     except DOMAIN_ERRORS as exc:
-        report = {
-            "schema": 1,
-            "version": __version__,
-            "command": " ".join(args._argv),
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
-        print(json.dumps(report, sort_keys=True, indent=2))
-        return 1
+        return _emit_error(args, exc, 1)
+    except OSError as exc:  # an input file that cannot be read
+        return _emit_error(args, exc, 2)
 
 
 if __name__ == "__main__":

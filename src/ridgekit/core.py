@@ -131,6 +131,41 @@ def dot(a, x):
     return sum(ai * xi for ai, xi in zip(a, x))
 
 
+def row_reduce(rows, ncols):
+    """Exact Gauss-Jordan elimination over Q.
+
+    Pivots are taken left to right in the first ``ncols`` columns; further
+    columns (a right-hand side, an identity block) are carried along.
+    Returns (reduced rows, {pivot column: row index}, det): the pivot rows
+    come first, each with a leading 1 and zeros above and below it, and
+    ``det`` is the determinant of the first ``ncols`` columns of a square
+    system (0 when those columns are dependent).
+    """
+    mat = [[Fraction(v) for v in row] for row in rows]
+    pivots = {}
+    det = Fraction(1)
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((j for j in range(rank, len(mat)) if mat[j][col]), None)
+        if piv is None:
+            det = Fraction(0)
+            continue
+        if piv != rank:
+            mat[rank], mat[piv] = mat[piv], mat[rank]
+            det = -det
+        lead = mat[rank][col]
+        det *= lead
+        if lead != 1:
+            mat[rank] = [v / lead for v in mat[rank]]
+        prow = mat[rank]
+        for j, row in enumerate(mat):
+            factor = row[col]
+            if factor and j != rank:
+                mat[j] = [a - factor * b if b else a for a, b in zip(row, prow)]
+        pivots[col] = rank
+    return mat, pivots, det
+
+
 def _read_csv_rows(path):
     rows = []
     with open(path) as fh:

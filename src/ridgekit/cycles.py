@@ -14,7 +14,7 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from .core import PointConfig, dot, rational
+from .core import dot, rational, row_reduce
 
 
 class CycleExists(ValueError):
@@ -54,67 +54,53 @@ def _apply(h, p):
     return dot(h, p)
 
 
+def _key_table(points, h):
+    """keys[i][j] = h_i(x_j), exact: every fiber value evaluated once."""
+    return [[_apply(hi, p) for p in points] for hi in h]
+
+
+def _group(keys, idx):
+    """Fibers of one h_i among the point indices ``idx``: value -> members."""
+    fib = {}
+    for j in idx:
+        fib.setdefault(keys[j], []).append(j)
+    return fib
+
+
 def fiberize(points, h):
     """Partition point indices into fibers of each h_i (exact equality).
 
     Returns a list (one entry per h_i) of dicts value -> sorted index list.
     """
-    maps = []
-    for hi in h:
-        fib = {}
-        for j, p in enumerate(points):
-            fib.setdefault(_apply(hi, p), []).append(j)
-        maps.append(fib)
-    return maps
-
-
-def _incidence_rows(points, h, subset=None):
-    """Rows of the fiber incidence system restricted to ``subset`` indices.
-
-    Row (i, fiber value) has entry 1 at each member point; a weight vector
-    lies in the nullspace iff it sums to zero on every fiber of every h_i.
-    """
-    idx = list(range(len(points))) if subset is None else list(subset)
     pts = list(points)
+    return [_group(keys, range(len(pts))) for keys in _key_table(pts, h)]
+
+
+def _incidence_rows(table, idx):
+    """Rows of the fiber incidence system restricted to the indices ``idx``.
+
+    Row (i, fiber value) has entry 1 in the column of each member point; a
+    weight vector lies in the nullspace iff it sums to zero on every fiber
+    of every h_i.
+    """
+    col = {j: c for c, j in enumerate(idx)}
     rows = []
-    for hi in h:
-        fib = {}
-        for col, j in enumerate(idx):
-            fib.setdefault(_apply(hi, pts[j]), []).append(col)
-        for members in fib.values():
-            row = [Fraction(0)] * len(idx)
-            for col in members:
-                row[col] = Fraction(1)
+    for keys in table:
+        for members in _group(keys, idx).values():
+            row = [0] * len(idx)
+            for j in members:
+                row[col[j]] = 1
             rows.append(row)
-    return rows, idx
+    return rows
 
 
 def rational_nullspace(rows, ncols):
     """Basis of the nullspace of a rational matrix, by exact elimination."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    pivots = {}  # col -> row index
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pr = mat[rank]
-        inv = 1 / pr[col]
-        mat[rank] = [v * inv for v in pr]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        pivots[col] = rank
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
+    mat, pivots, _ = row_reduce(rows, ncols)
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
         for col, r in pivots.items():
@@ -176,30 +162,28 @@ def has_cycle(points, h, certificate=True):
     canonical nullspace vector of the fiber incidence system.
     """
     pts = list(points)
-    rows, idx = _incidence_rows(pts, h)
-    basis = rational_nullspace(rows, len(idx))
+    return _find_cycle(pts, _key_table(pts, h), certificate)
+
+
+def _find_cycle(pts, table, certificate=True):
+    """``has_cycle`` on the key table of ``pts``."""
+    n = len(pts)
+    basis = rational_nullspace(_incidence_rows(table, range(n)), n)
     if not basis:
         return (False, None) if certificate else False
     if not certificate:
         return True
     vec = _canonical_cycle_vector(basis)
-    support = [idx[j] for j, w in enumerate(vec) if w != 0]
+    support = [j for j, w in enumerate(vec) if w != 0]
     weights = [w for w in vec if w != 0]
     return True, CycleCertificate(support, weights, pts)
 
 
-def _subset_is_taut(points, h, subset):
+def _subset_is_taut(table, subset):
     """Necessary condition for a full-support cycle: no point of the subset
     sits alone in any of its fibers (else its weight is forced to zero)."""
-    pts = list(points)
-    for hi in h:
-        fib = {}
-        for j in subset:
-            fib.setdefault(_apply(hi, pts[j]), []).append(j)
-        for members in fib.values():
-            if len(members) == 1:
-                return False
-    return True
+    return all(len(members) > 1 for keys in table
+               for members in _group(keys, subset).values())
 
 
 def minimal_cycles(points, h, cap=10):
@@ -215,6 +199,7 @@ def minimal_cycles(points, h, cap=10):
     cut the enumeration before all subsets were inspected.
     """
     pts = list(points)
+    table = _key_table(pts, h)
     n = len(pts)
     found = []
     supports = []
@@ -223,10 +208,9 @@ def minimal_cycles(points, h, cap=10):
         for subset in itertools.combinations(range(n), size):
             if any(s <= set(subset) for s in supports):
                 continue
-            if not _subset_is_taut(pts, h, subset):
+            if not _subset_is_taut(table, subset):
                 continue
-            rows, idx = _incidence_rows(pts, h, subset)
-            basis = rational_nullspace(rows, len(idx))
+            basis = rational_nullspace(_incidence_rows(table, subset), size)
             if not basis:
                 continue
             vec = integerize(basis[0])
@@ -266,19 +250,14 @@ def tau_closure(points, directions):
     has full column rank, so it carries no cycle (acceptance criterion 06).
     """
     pts = list(points)
+    table = _key_table(pts, directions)
     current = set(range(len(pts)))
     trace = [sorted(current)]
     while current:
         nxt = set(current)
-        for a in directions:
-            fib = {}
-            for j in current:
-                fib.setdefault(_apply(a, pts[j]), []).append(j)
-            keep = set()
-            for members in fib.values():
-                if len(members) >= 2:
-                    keep.update(members)
-            nxt &= keep
+        for keys in table:
+            nxt &= {j for members in _group(keys, current).values()
+                    if len(members) >= 2 for j in members}
         if nxt == current:
             break
         current = nxt
@@ -289,10 +268,6 @@ def tau_closure(points, directions):
 # ---------------------------------------------------------------------------
 # paths and orbits (two directions)
 
-def _fiber_keys(points, a):
-    return [dot(a, p) for p in points]
-
-
 def closed_path_search(points, a1, a2):
     """Find a closed path: distinct points p_1..p_{2n} alternating along
     level lines of a1 and a2 (wrapping around).  Returns the list of point
@@ -302,17 +277,10 @@ def closed_path_search(points, a1, a2):
     a1-fibers and a2-fibers; closed paths correspond to cycles there.
     """
     pts = list(points)
-    k1 = _fiber_keys(pts, a1)
-    k2 = _fiber_keys(pts, a2)
-    f1 = {}  # fiber value -> node id (side 1)
-    f2 = {}
-    for v in k1:
-        f1.setdefault(v, ("u", len(f1)))
-    for v in k2:
-        f2.setdefault(v, ("v", len(f2)))
-    adj = {}
+    k1, k2 = _key_table(pts, (a1, a2))
+    adj = {}  # fiber node (side, value) -> [(neighbour node, point index)]
     for j in range(len(pts)):
-        u, v = f1[k1[j]], f2[k2[j]]
+        u, v = (1, k1[j]), (2, k2[j])
         adj.setdefault(u, []).append((v, j))
         adj.setdefault(v, []).append((u, j))
     # DFS over fiber nodes; a back edge closes a cycle whose edges are the
@@ -365,18 +333,10 @@ def orbits(points, a1, a2):
             x = parent[x]
         return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for a in (a1, a2):
-        fib = {}
-        for j, p in enumerate(pts):
-            fib.setdefault(dot(a, p), []).append(j)
-        for members in fib.values():
+    for keys in _key_table(pts, (a1, a2)):
+        for members in _group(keys, range(len(pts))).values():
             for j in members[1:]:
-                union(members[0], j)
+                parent[find(j)] = find(members[0])
     groups = {}
     for j in range(len(pts)):
         groups.setdefault(find(j), []).append(j)
@@ -401,7 +361,8 @@ def solve_representation(points, h, f_values, anchor=0, anchor_values=None):
     pts = list(points)
     n = len(pts)
     r = len(h)
-    ok, cert = has_cycle(pts, h)
+    table = _key_table(pts, h)
+    ok, cert = _find_cycle(pts, table)
     if ok:
         raise CycleExists(cert)
     vals = [rational(v) for v in f_values]
@@ -413,55 +374,31 @@ def solve_representation(points, h, f_values, anchor=0, anchor_values=None):
     if len(anchor_values) != r - 1:
         raise ValueError("need r-1 anchor values")
 
-    # unknown columns: one per (i, fiber value)
+    # unknown columns: one per (i, fiber value); the last column is f
     col_of = {}
-    keys = []
-    for i, hi in enumerate(h):
-        for p in pts:
-            key = (i, _apply(hi, p))
-            if key not in col_of:
-                col_of[key] = len(keys)
-                keys.append(key)
-    m = len(keys)
-    rows, rhs = [], []
-    for j, p in enumerate(pts):
-        row = [Fraction(0)] * m
-        for i, hi in enumerate(h):
-            row[col_of[(i, _apply(hi, p))]] += 1
+    for i, keys in enumerate(table):
+        for v in keys:
+            col_of.setdefault((i, v), len(col_of))
+    m = len(col_of)
+    rows = []
+    for j in range(n):
+        row = [0] * (m + 1)
+        for i, keys in enumerate(table):
+            row[col_of[(i, keys[j])]] += 1
+        row[m] = vals[j]
         rows.append(row)
-        rhs.append(vals[j])
     for i in range(r - 1):
-        row = [Fraction(0)] * m
-        row[col_of[(i, _apply(h[i], pts[anchor]))]] = Fraction(1)
+        row = [0] * (m + 1)
+        row[col_of[(i, table[i][anchor])]] = 1
+        row[m] = anchor_values[i]
         rows.append(row)
-        rhs.append(anchor_values[i])
 
-    # exact Gauss elimination with back substitution; free unknowns -> 0
-    aug = [row + [b] for row, b in zip(rows, rhs)]
-    pivots = {}
-    rank = 0
-    for col in range(m):
-        piv = next((j for j in range(rank, len(aug)) if aug[j][col] != 0), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = 1 / aug[rank][col]
-        aug[rank] = [v * inv for v in aug[rank]]
-        for j in range(len(aug)):
-            if j != rank and aug[j][col] != 0:
-                factor = aug[j][col]
-                aug[j] = [a - factor * b for a, b in zip(aug[j], aug[rank])]
-        pivots[col] = rank
-        rank += 1
-    for j in range(rank, len(aug)):
-        if aug[j][m] != 0:
-            raise ArithmeticError("inconsistent system on a cycle-free set")
-
-    solution = [Fraction(0)] * m
-    for col, j in pivots.items():
-        solution[col] = aug[j][m]  # free columns are zero, so row value is it
-    free_count = m - rank
+    # free unknowns -> 0, so each pivot row's last entry is its unknown
+    reduced, pivots, _ = row_reduce(rows, m)
+    if any(row[m] != 0 for row in reduced[len(pivots):]):
+        raise ArithmeticError("inconsistent system on a cycle-free set")
+    solution = {col: reduced[row][m] for col, row in pivots.items()}
     tables = [dict() for _ in range(r)]
     for (i, value), col in col_of.items():
-        tables[i][value] = solution[col]
-    return tables, free_count
+        tables[i][value] = solution.get(col, Fraction(0))
+    return tables, m - len(pivots)

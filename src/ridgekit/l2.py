@@ -8,13 +8,11 @@ formula in terms of slice averages of the pulled-back function.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 from scipy.integrate import simpson
 
 from .core import (ScalarField, UnivariateTable, gauss_nodes, parse_vector,
-                   rational)
+                   row_reduce)
 
 
 class NotAnRSet(ValueError):
@@ -38,10 +36,14 @@ class RSetTransform:
             raise NotAnRSet(
                 "directions plus completion must form an n x n system")
         self.J = rows
-        self.detJ = _det_fraction(rows)
+        n = self.n
+        # reducing [J | I] leaves [I | J^{-1}] and yields det J on the way
+        reduced, _, self.detJ = row_reduce(
+            [list(row) + [int(i == j) for j in range(n)]
+             for i, row in enumerate(rows)], n)
         if self.detJ == 0:
             raise NotAnRSet("directions plus completion are dependent")
-        self.Jinv = _inv_fraction(rows, self.detJ)  # columns b^i as rows here
+        self.Jinv = [row[n:] for row in reduced]  # columns b^i as rows here
         ybox = [(float(lo), float(hi)) for lo, hi in ybox]
         if len(ybox) != self.n or any(lo >= hi for lo, hi in ybox):
             raise NotAnRSet("image must be a nondegenerate box Y_1 x ... x Y_n")
@@ -64,43 +66,6 @@ class RSetTransform:
         total = float(np.prod(widths))
         omit = [total / w for w in widths[: self.r]]
         return total, omit
-
-
-def _det_fraction(rows):
-    mat = [list(map(rational, r)) for r in rows]
-    n = len(mat)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((j for j in range(col, n) if mat[j][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        mat[col] = [v * inv for v in mat[col]]
-        for j in range(col + 1, n):
-            if mat[j][col] != 0:
-                factor = mat[j][col]
-                mat[j] = [a - factor * b for a, b in zip(mat[j], mat[col])]
-    return det
-
-
-def _inv_fraction(rows, det):
-    n = len(rows)
-    aug = [list(map(rational, rows[i])) + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(j for j in range(col, n) if aug[j][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for j in range(n):
-            if j != col and aug[j][col] != 0:
-                factor = aug[j][col]
-                aug[j] = [a - factor * b for a, b in zip(aug[j], aug[col])]
-    return [row[n:] for row in aug]
 
 
 def build_rset(directions, completion, ybox):

@@ -62,6 +62,15 @@ class TestDispatch:
         assert code == 1
         assert json.loads(out)["error"]["type"] == "CycleExists"
 
+    def test_missing_input_file_exits_2(self, capsys, tmp_path):
+        code, out = run(capsys, "cycles", "check",
+                        "--points", str(tmp_path / "missing.csv"),
+                        "--directions", str(tmp_path / "missing2.csv"))
+        assert code == 2
+        report = json.loads(out)
+        assert report["error"]["type"] == "FileNotFoundError"
+        assert "missing.csv" in report["error"]["message"]
+
     def test_deterministic_modulo_timing(self, capsys, square_csv,
                                          xy_dirs_csv):
         _, out1 = run(capsys, "cycles", "check",

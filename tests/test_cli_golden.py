@@ -1,0 +1,179 @@
+"""Golden CLI outputs: `cycles check`, `approx l2` and the polygon `bolts`
+commands, compared with reports recorded in ``tests/data/cli_golden.json``.
+
+Each case writes its input files to a temporary directory and runs
+``ridgekit.cli.main``.  The exit code and the ``results`` (or, on a domain
+error, ``error``) object are compared with the recording: strings, integers
+and booleans exactly, floats to a relative tolerance of 1e-12.  The
+``command`` and ``inputs_digest`` fields name temporary paths and
+``timing_seconds`` is a clock reading, so none of them is recorded.
+
+To re-record after an intended change of output::
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import io
+import json
+import math
+import os
+import sys
+import tempfile
+
+import pytest
+
+from ridgekit.cli import main
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                    "cli_golden.json")
+
+AXES2 = "1,0\n0,1\n"
+AXES3 = "1,0,0\n0,1,0\n0,0,1\n"
+
+
+def _csv(rows):
+    return "".join(",".join(str(v) for v in row) + "\n" for row in rows)
+
+
+def _cycles(points, dirs, fvals=None, flags=("--minimal", "--tau")):
+    files = {"points.csv": _csv(points), "dirs.csv": dirs}
+    argv = ["cycles", "check", "--points", "{points.csv}",
+            "--directions", "{dirs.csv}", *flags]
+    if fvals is not None:
+        files["f.csv"] = _csv([[v] for v in fvals])
+        argv += ["--solve", "{f.csv}"]
+    return files, argv
+
+
+def _l2(expr, ybox, extra=()):
+    files = {"dirs.csv": "0,2\n1,1\n", "ybox.json": json.dumps(ybox)}
+    argv = ["approx", "l2", "--expr", expr, "--dirs-file", "{dirs.csv}",
+            "--ybox", "{ybox.json}", "--nodes", "12", *extra]
+    return files, argv
+
+
+def _bolts(shape, expr, geom, extra=()):
+    files = {"geom.json": json.dumps(geom)}
+    return files, ["bolts", shape, "--expr", expr, "--geom", "{geom.json}",
+                   *extra]
+
+
+H = "1/2"
+# a cycle-free staircase, a 2x3 grid (nullity 2), a skew pair carrying a
+# 6-point grid of fibers and a tree along it, three directions in the
+# plane, the two seven-point sets of acceptance criterion 06, a 3-D tree
+# along three directions and a 3-D set along two directions
+STAIR = [(0, 0), (0, 1), (1, 1), (1, 3), (4, 3)]
+GRID23 = [(x, y) for x in (0, 1) for y in (0, 1, 2)]
+SKEW = "1,2\n1,-1\n"
+SKEW_GRID = [(0, 0), (2, -1), (1, 1), (3, 0), (2, 2), (4, 1), (7, 1)]
+SKEW_TREE = [(0, 0), (2, -1), (1, 1), (4, 1)]
+PLANE3 = "1,0\n0,1\n1,1\n"
+HEX6 = [(1, 0), (2, 0), (0, 1), (2, 1), (0, 2), (1, 2), (1, 1)]
+PLANE3_TREE = [(0, 0), (1, 0), (0, 2), (3, 1)]
+X7 = [(0, 0, H), (H, 0, 1), (0, 1, 0), (1, 0, 1), (1, 1, 0), (H, H, 0),
+      (H, H, H)]
+X7_PUB = [X7[0], (0, 0, 1)] + X7[2:]
+TREE3 = [(0, 0, 0), (1, 0, 0), (1, 2, 0), (1, 2, 3), (5, 2, 3)]
+SPACE2 = "1,0,0\n0,1,1\n"
+SPACE2_SET = [(0, 0, 0), (0, 1, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0),
+              (3, 3, 3)]
+
+HEX_GEOM = {"a": [0, 1, 2], "b": [0, 1, 2]}
+OCT_GEOM = {"a": [0, 1, 2, 3], "b": [0, 1, 2]}
+STAIR_GEOM = {"a": [0, 1, 2, 3], "b": [0, 1, 2, 3]}
+INSIDE = "x1*x2 + exp(x1/4)*x2"      # nonnegative mixed differences
+OUTSIDE = "sin(3*x1)*cos(2*x2)"      # fails the class check
+
+CASES = {
+    "cycles-stair-axes-solve": _cycles(STAIR, AXES2, [H, 3, -2, "7/3", 0]),
+    "cycles-grid23-axes": _cycles(GRID23, AXES2),
+    "cycles-grid23-axes-solve": _cycles(GRID23, AXES2, [1, 2, 3, 4, 5, 6]),
+    "cycles-skew-grid": _cycles(SKEW_GRID, SKEW),
+    "cycles-skew-tree-solve": _cycles(SKEW_TREE, SKEW, [1, "-5/2", 4, 0]),
+    "cycles-plane3-hex": _cycles(HEX6, PLANE3),
+    "cycles-plane3-tree-solve": _cycles(PLANE3_TREE, PLANE3,
+                                        ["2/3", -1, 5, 8]),
+    "cycles-x7-axes3-solve": _cycles(X7, AXES3, [1, 2, 3, 4, 5, 6, "1/7"]),
+    "cycles-x7pub-axes3": _cycles(X7_PUB, AXES3),
+    "cycles-tree3-axes3-solve": _cycles(TREE3, AXES3, [3, 1, 4, 1, "5/9"]),
+    "cycles-space2": _cycles(SPACE2_SET, SPACE2),
+    "cycles-space2-plain": _cycles(SPACE2_SET, SPACE2, flags=()),
+    "l2-skew": _l2("exp(x1*x2)", [[0, 1], [0, 1]]),
+    "l2-skew-box": _l2("cos(x1 - 2*x2) + x1^2*x2", [[-1, 2], [0, 3]]),
+    "bolts-hexagon-inside": _bolts("hexagon", INSIDE, HEX_GEOM,
+                                   extra=("--bounds",)),
+    "bolts-hexagon-outside": _bolts("hexagon", OUTSIDE, HEX_GEOM),
+    "bolts-octagonA-inside": _bolts("octagonA", INSIDE, OCT_GEOM),
+    "bolts-octagonA-outside": _bolts("octagonA", OUTSIDE, OCT_GEOM),
+    "bolts-octagonB-inside": _bolts("octagonB", INSIDE, OCT_GEOM),
+    "bolts-octagonB-outside": _bolts("octagonB", OUTSIDE, OCT_GEOM),
+    "bolts-stairs-inside": _bolts("stairs", INSIDE, STAIR_GEOM),
+    "bolts-stairs-outside": _bolts("stairs", OUTSIDE, STAIR_GEOM),
+}
+
+
+def run_case(name, workdir):
+    """Exit code and results (or error) object of one case."""
+    files, argv = CASES[name]
+    paths = {}
+    for fname, text in files.items():
+        path = os.path.join(workdir, fname)
+        with open(path, "w") as fh:
+            fh.write(text)
+        paths[fname] = path
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([paths[a[1:-1]] if a.startswith("{") else a for a in argv])
+    report = json.loads(out.getvalue())
+    return {"exit": code,
+            "results": report.get("results"),
+            "error": report.get("error")}
+
+
+def assert_same(got, want, where="$"):
+    if isinstance(want, float):
+        assert isinstance(got, float), f"{where}: {got!r} is not a float"
+        assert math.isclose(got, want, rel_tol=1e-12), \
+            f"{where}: {got!r} != {want!r}"
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), \
+            f"{where}: keys {sorted(got) if isinstance(got, dict) else got}"
+        for k in want:
+            assert_same(got[k], want[k], f"{where}.{k}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), \
+            f"{where}: length {len(got) if isinstance(got, list) else got}"
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same(g, w, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, \
+            f"{where}: {got!r} != {want!r}"
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(DATA) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_matches_recording(name, golden, tmp_path):
+    assert_same(run_case(name, str(tmp_path)), golden[name])
+
+
+def test_every_recording_has_a_case(golden):
+    assert sorted(golden) == sorted(CASES)
+
+
+if __name__ == "__main__":
+    recorded = {}
+    for case in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            recorded[case] = run_case(case, tmp)
+    os.makedirs(os.path.dirname(DATA), exist_ok=True)
+    with open(DATA, "w") as fh:
+        json.dump(recorded, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    sys.stdout.write(f"recorded {len(recorded)} cases in {DATA}\n")

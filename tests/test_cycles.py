@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from ridgekit.cycles import (
     has_cycle,
     minimal_cycles,
     orbits,
+    rational_nullspace,
     solve_representation,
     tau_closure,
 )
@@ -20,6 +22,32 @@ from ridgekit.cycles import (
 X = (1, 0)
 Y = (0, 1)
 SQUARE = [(0, 0), (0, 1), (1, 0), (1, 1)]
+E3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+def dot(a, p):
+    return sum(Fraction(ai) * Fraction(pi) for ai, pi in zip(a, p))
+
+
+def incidence(points, dirs):
+    """Fiber incidence matrix: one row per (direction, fiber value)."""
+    rows = []
+    for a in dirs:
+        values = sorted({dot(a, p) for p in points})
+        rows += [[int(dot(a, p) == v) for p in points] for v in values]
+    return rows
+
+
+# random subsets of {0..3}^2 along (1,0), (0,1), (1,1), and of {0..2}^3
+# along the coordinate directions
+KINDS = [([(x, y) for x in range(4) for y in range(4)], [X, Y, (1, 1)]),
+         ([(x, y, z) for x in range(3) for y in range(3) for z in range(3)],
+          E3)]
+random_sets = st.sampled_from(KINDS).flatmap(
+    lambda kind: st.tuples(
+        st.lists(st.sampled_from(kind[0]), min_size=1, max_size=len(kind[0]),
+                 unique=True),
+        st.just(kind[1])))
 
 
 class TestHasCycle:
@@ -54,6 +82,23 @@ class TestHasCycle:
         assert found
         fn = cycle_functional(cert, lambda x, y: x * 2.0 + np.sin(y), pts)
         assert abs(fn) <= 1e-12  # annihilates ridge sums
+
+    @given(random_sets)
+    @settings(max_examples=40, deadline=None)
+    def test_nullity_and_certificates_on_random_sets(self, case):
+        pts, dirs = case
+        rows = incidence(pts, dirs)
+        rank = sympy.Matrix(rows).rank()
+        assert len(rational_nullspace(rows, len(pts))) == len(pts) - rank
+        found, cert = has_cycle(pts, dirs)
+        assert found == (rank < len(pts))
+        if found:
+            for a in dirs:
+                sums = {}
+                for j, w in zip(cert.support, cert.weights):
+                    key = dot(a, pts[j])
+                    sums[key] = sums.get(key, 0) + w
+                assert all(v == 0 for v in sums.values())
 
 
 class TestMinimalCycles:
@@ -112,3 +157,20 @@ class TestSolveRepresentation:
         tables, _ = solve_representation(pts, [X, Y], fvals)
         for p, v in zip(pts, fvals):
             assert tables[0][Fraction(p[0])] + tables[1][Fraction(p[1])] == v
+        # a 3-D tree along three directions: each new point keeps one
+        # coordinate of an earlier point and takes fresh values in the other
+        # two, so the newest point sits alone in its x- or y-fiber, and
+        # peeling points newest first shows that the set carries no cycle
+        dirs = [(1, 0, 0), (0, 1, 0), (1, 1, 1)]
+        tree = [(0, 0, 0)]
+        fresh = iter(range(1, 100))
+        for _ in range(7):
+            q = rng.choice(tree)
+            keep = rng.randrange(3)
+            tree.append(tuple(q[i] if i == keep else next(fresh)
+                              for i in range(3)))
+        fvals = [Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+                 for _ in tree]
+        tables, _ = solve_representation(tree, dirs, fvals)
+        for p, v in zip(tree, fvals):
+            assert sum(tab[dot(a, p)] for tab, a in zip(tables, dirs)) == v

@@ -21,6 +21,16 @@ class TestBuildRSet:
         t = build_rset(DIRS, [], YBOX)
         assert float(t.detJ) == pytest.approx(1.0)
 
+    def test_transform_needing_a_row_swap_is_exact(self):
+        # the first column of J = [[0, 2], [1, 1]] has its pivot in row 2
+        t = build_rset([(0, 2), (1, 1)], [], [(0, 1), (0, 1)])
+        assert t.detJ == Fraction(-2)
+        assert isinstance(t.detJ, Fraction)
+        product = [[sum(t.Jinv[i][k] * t.J[k][j] for k in range(2))
+                    for j in range(2)] for i in range(2)]
+        assert product == [[1, 0], [0, 1]]
+        assert all(isinstance(v, Fraction) for row in t.Jinv for v in row)
+
     def test_singular_directions_rejected(self):
         with pytest.raises(NotAnRSet):
             build_rset([(1, 0), (1, 0)], [], [(0, 1), (0, 1)])
