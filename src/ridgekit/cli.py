@@ -304,7 +304,7 @@ def _cmd_smooth(args, t0):
 
 def _cmd_sigmoid_eval(args, t0):
     params = SigmoidParams(args.d, args.lam)
-    vals = [float(sigma(x, params)) for x in args.x]
+    vals = [float(v) for v in sigma(args.x, params)]
     results = {"sigma": vals[0] if len(vals) == 1 else vals}
     return _emit(args, results, (), t0)
 
@@ -313,8 +313,8 @@ def _cmd_sigmoid_table(args, t0):
     params = SigmoidParams(args.d, args.lam)
     xs = np.arange(args.start, args.stop + 1e-12, args.step)
     print("x,sigma")
-    for x in xs:
-        print(f"{float(x):g},{float(sigma(float(x), params)):.5f}")
+    for x, v in zip(xs, sigma(xs, params)):
+        print(f"{float(x):g},{float(v):.5f}")
     return 0
 
 
@@ -429,6 +429,19 @@ def _build_parser():
     return p
 
 
+def _attach_expr_values(argv):
+    """``--expr -x1^2`` as ``--expr=-x1^2``: argparse reads a separate
+    value with a leading minus as an option."""
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--expr" and tok.startswith("-") \
+                and not tok.startswith("--"):
+            out[-1] = f"--expr={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     threads = os.environ.get("RIDGEKIT_THREADS")
@@ -438,7 +451,7 @@ def main(argv=None):
             os.environ.setdefault(var, threads)
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_expr_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     args._argv = ["ridgekit"] + argv

@@ -12,6 +12,7 @@ suitable weights and (astronomically large, exactly represented) shifts.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -32,31 +33,69 @@ def _ln_big(n):
     return math.log(n >> shift) + shift * _LN2
 
 
+_RUNS = re.compile("1+|0+")
+
+
+def _index_terms(n):
+    """Canonical continued fraction of q_n, read from the binary runs of n.
+
+    The run lengths of n's binary digits, least significant first and
+    starting with the (possibly empty) run of ones, are the continued
+    fraction of the n-th Calkin-Wilf rational; a trailing run of 1 merges
+    into the term before it, as in _continued_fraction.  One pass over
+    bin(n), so linear in the bit length; that string takes a byte per bit,
+    which is why the encode side (_index_of_terms) builds none.
+    """
+    terms = [m.end() - m.start() for m in _RUNS.finditer(bin(n), 2)]
+    if not n & 1:
+        terms.append(0)
+    terms.reverse()
+    if len(terms) > 1 and terms[-1] == 1:
+        terms.pop()
+        terms[-1] += 1
+    return terms
+
+
+def _index_of_terms(terms, max_bits=300_000_000):
+    """Inverse of _index_terms: the index n whose binary runs are the
+    canonical continued fraction ``terms`` (no Fraction, no digit string)."""
+    if sum(terms) > max_bits:
+        raise OverflowError(
+            "Calkin-Wilf index would exceed the bit budget")
+    terms = list(terms)
+    if len(terms) % 2 == 0:
+        # need an odd number of run lengths (the leading binary run is
+        # always ones); split the final term
+        terms[-1] -= 1
+        terms.append(1)
+    # binary digits: terms[-1] ones, then terms[-2] zeros, ... down to
+    # terms[0] ones at the least significant end
+    n = 0
+    ones = True
+    for term in reversed(terms):
+        n <<= term
+        if ones:
+            n |= (1 << term) - 1
+        ones = not ones
+    return n
+
+
+def _terms_value(terms):
+    """The rational [c_0; c_1, ..., c_k], by integer recurrence."""
+    num, den = terms[-1], 1
+    for term in reversed(terms[:-1]):
+        num, den = term * num + den, num
+    return Fraction(num, den)
+
+
 def calkin_wilf(n):
     """n-th term (1-based) of the Calkin-Wilf enumeration of the positive
-    rationals, computed from the binary run lengths of n (no iteration)."""
+    rationals.  Its continued fraction is read off the binary runs of n in
+    one pass, run by run rather than bit by bit."""
     n = int(n)
     if n < 1:
         raise ValueError("index must be >= 1")
-    # run lengths of n's binary digits, least significant first, starting
-    # with the (possibly empty) run of ones, give the continued fraction
-    runs = []
-    bit = n & 1
-    if bit == 0:
-        runs.append(0)
-    while n:
-        cur = n & 1
-        count = 0
-        while n and (n & 1) == cur:
-            n >>= 1
-            count += 1
-        runs.append(count)
-        cur ^= 1
-    # evaluate [runs[0]; runs[1], runs[2], ...]
-    value = Fraction(runs[-1])
-    for term in reversed(runs[:-1]):
-        value = term + 1 / value
-    return value
+    return _terms_value(_index_terms(n))
 
 
 def _continued_fraction(q):
@@ -79,25 +118,7 @@ def _continued_fraction(q):
 
 def cw_index(q, max_bits=300_000_000):
     """Position of the positive rational q in the Calkin-Wilf sequence."""
-    terms = _continued_fraction(q)
-    if sum(terms) > max_bits:
-        raise OverflowError(
-            "Calkin-Wilf index would exceed the bit budget")
-    if len(terms) % 2 == 0:
-        # need an odd number of run lengths (the leading binary run is
-        # always ones); split the final term
-        terms[-1] -= 1
-        terms.append(1)
-    # binary digits: terms[-1] ones, then terms[-2] zeros, ... down to
-    # terms[0] ones at the least significant end
-    n = 0
-    ones = True
-    for term in reversed(terms):
-        n <<= term
-        if ones:
-            n |= (1 << term) - 1
-        ones = not ones
-    return n
+    return _index_of_terms(_continued_fraction(q), max_bits)
 
 
 def rational_enum(k):
@@ -108,7 +129,8 @@ def rational_enum(k):
         raise ValueError("index must be >= 0")
     if k == 0:
         return Fraction(0)
-    return calkin_wilf(k // 2) if k % 2 == 0 else -calkin_wilf((k + 1) // 2)
+    q = _terms_value(_index_terms((k + 1) // 2))
+    return q if k % 2 == 0 else -q
 
 
 def rational_index(r):
@@ -178,45 +200,44 @@ def monic_enum(n):
     indices (2, 1, 1), so q_n = [2; 1+1, 1+2] = [2; 2, 3] = 17/7, and
     n = 115 = 0b1110011, whose binary runs from the least significant end
     are 2, 2, 3.
+
+    The terms c_i are read straight off the binary runs of n, in one pass;
+    q_n itself is never formed.
     """
     n = int(n)
     if n < 1:
         raise ValueError("index must be >= 1")
     if n == 1:
         return MonicPoly([])
-    q = calkin_wilf(n)
-    terms = _continued_fraction(q)
+    terms = _index_terms(n)
     if len(terms) == 1:
-        return MonicPoly([rational_enum(terms[0] - 2)])       # degree 1
-    if len(terms) == 2:
-        return MonicPoly([rational_enum(terms[0]),
-                          rational_enum(terms[1] - 2)])       # degree 2
-    ks = [terms[0]] + [t - 1 for t in terms[1:-1]] + [terms[-1] - 2]
-    return MonicPoly([rational_enum(k) for k in ks])
+        ks = [terms[0] - 2]                                   # degree 1
+    elif len(terms) == 2:
+        ks = [terms[0], terms[1] - 2]                         # degree 2
+    else:
+        ks = [terms[0]] + [t - 1 for t in terms[1:-1]] + [terms[-1] - 2]
+    # coefficient indices repeat: decode each distinct one once
+    coeff = {k: rational_enum(k) for k in set(ks)}
+    return MonicPoly([coeff[k] for k in ks])
 
 
 def monic_index(p):
-    """Inverse of monic_enum (arbitrary precision; no iteration)."""
+    """Inverse of monic_enum (arbitrary precision; no iteration): the
+    coefficient indices become the continued-fraction terms of q_n, and
+    those the binary runs of n."""
     if not isinstance(p, MonicPoly):
         p = MonicPoly(p)
-    coeffs = p.coeffs
     if p.degree == 0:
         return 1
-    ks = [rational_index(c) for c in coeffs]
+    index = {c: rational_index(c) for c in set(p.coeffs)}
+    ks = [index[c] for c in p.coeffs]
     if p.degree == 1:
-        q = Fraction(ks[0] + 2)
-        if q < 1:
-            raise ValueError("polynomial is outside the enumeration")
-        return cw_index(q)
-    if p.degree == 2:
+        terms = [ks[0] + 2]
+    elif p.degree == 2:
         terms = [ks[0], ks[1] + 2]
     else:
         terms = [ks[0]] + [k + 1 for k in ks[1:-1]] + [ks[-1] + 2]
-    # continued fraction -> rational -> index
-    value = Fraction(terms[-1])
-    for term in reversed(terms[:-1]):
-        value = term + 1 / value
-    return cw_index(value)
+    return _index_of_terms(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +259,18 @@ class SigmoidParams:
     def M(self, n):
         """h((2n+1) d), valid for arbitrarily large integer n."""
         n = int(n)
-        if n.bit_length() > 40:
-            # log(2 n d + 1) ~ log(2n) + log(d) to double accuracy
-            lnval = _ln_big(2 * n) + math.log(self.d)
-            return 1.0 - self.lam_eff / (1.0 + lnval)
-        return 1.0 - self.lam_eff / (1.0 + math.log(2 * n * self.d + 1.0))
+        bits = n.bit_length()
+        if bits <= 40:
+            return 1.0 - self.lam_eff / (1.0 + math.log(2 * n * self.d + 1.0))
+        # log(2 n d + 1) ~ log(2n) + log(d) to double accuracy.  log(2n) is
+        # _ln_big(2 * n) without forming 2 * n: from 53 bits on, the same
+        # top 53 bits, read as n >> (bits - 53); below that 2 * n is small
+        if bits <= 52:
+            ln2n = math.log(2 * n)
+        else:
+            ln2n = math.log(n >> (bits - 53)) + (bits - 52) * _LN2
+        lnval = ln2n + math.log(self.d)
+        return 1.0 - self.lam_eff / (1.0 + lnval)
 
 
 def _segment_coeffs(n, params, poly=None):
@@ -357,7 +385,9 @@ class NetworkParams:
         self.a = float(a)
         self.b = float(b)
         self.params = params
-        self.poly = poly          # u_n, kept to avoid re-enumeration
+        # segment n's placement a_n + b_n u_n, kept so that evaluation does
+        # no big-integer work; u_n is enumerated only when not given
+        self.a_n, self.b_n, self.poly = _segment_coeffs(self.n, params, poly)
         self.theta2 = 2 * self.a - self.b
 
     @property
@@ -394,7 +424,7 @@ def eval_network(net, x):
         raise ValueError("x outside [a, b]")
     d = net.b - net.a
     t = (x - net.a) / d
-    seg = sigma_segment(t, net.n, net.params, poly=net.poly)
+    seg = net.a_n + net.b_n * net.poly(t)
     const = (1.0 + net.params.M(1)) / 2.0
     return net.c1 * seg + net.c2 * const
 

@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from ridgekit.cli import main
+from ridgekit.sigmoid import SigmoidParams, sigma
 
 
 @pytest.fixture
@@ -129,3 +131,64 @@ class TestDispatch:
         res = json.loads(out)["results"]
         assert res["residual"] <= 1e-6
         assert len(res["g_tables"]) == 2
+
+
+class TestSigmoidCommands:
+    """`sigmoid eval` and `sigmoid table` evaluate all their points in one
+    call to sigma; the values are those of sigma point by point."""
+
+    D, LAM = 1.5, 0.4
+
+    def points(self):
+        d = self.D
+        xs = [-4.0, 0.3 * d, d]                       # left tail, first plateau
+        for n in (1, 2, 20, 150, 999, 4321, 60_000, 200_000):
+            xs.append((2 * n - 0.6) * d)             # main segment
+        for n in (1, 5, 88, 1234, 199_999):
+            xs.append((2 * n + 0.3) * d)             # transition, left half
+            xs.append((2 * n + 0.85) * d)            # transition, right half
+        xs += [2 * 3 * d, 2 * 77 * d, (2 * 77 + 1) * d]  # segment ends
+        return [float(f"{x:.6f}") for x in xs]
+
+    def test_eval_matches_sigma_point_by_point(self, capsys):
+        xs = self.points()
+        assert len(xs) == 24
+        code, out = run(capsys, "sigmoid", "eval", "--d", str(self.D),
+                        "--lambda", str(self.LAM), "--x",
+                        *[repr(x) for x in xs])
+        assert code == 0
+        params = SigmoidParams(self.D, self.LAM)
+        assert json.loads(out)["results"]["sigma"] == \
+            [sigma(x, params) for x in xs]
+
+    def test_eval_of_one_point_is_a_scalar(self, capsys):
+        code, out = run(capsys, "sigmoid", "eval", "--d", str(self.D),
+                        "--lambda", str(self.LAM), "--x", "612.3")
+        assert code == 0
+        value = json.loads(out)["results"]["sigma"]
+        assert isinstance(value, float)
+        assert value == sigma(612.3, SigmoidParams(self.D, self.LAM))
+
+    def test_table_matches_the_row_by_row_loop(self, capsys):
+        start, stop, step = 2.9, 2.9 + 30.5 * 7.65, 7.65
+        code, out = run(capsys, "sigmoid", "table", "--d", str(self.D),
+                        "--lambda", str(self.LAM), "--from", str(start),
+                        "--to", str(stop), "--step", str(step))
+        assert code == 0
+        params = SigmoidParams(self.D, self.LAM)
+        xs = np.arange(start, stop + 1e-12, step)
+        want = ["x,sigma"] + [
+            f"{float(x):g},{float(sigma(float(x), params)):.5f}" for x in xs]
+        assert out.splitlines() == want
+        assert len(want) == 32
+
+
+def test_expr_with_a_leading_minus(capsys):
+    tail = ["--interval", "0", "1", "--eps", "0.01"]
+    code1, out1 = run(capsys, "sigmoid", "fit", "--expr", "-x1^2", *tail)
+    code2, out2 = run(capsys, "sigmoid", "fit", "--expr=-x1^2", *tail)
+    assert code1 == code2 == 0
+    r1, r2 = json.loads(out1), json.loads(out2)
+    assert r1["results"] == r2["results"]
+    assert r1["inputs_digest"] == r2["inputs_digest"]
+    assert r1["command"] == "ridgekit sigmoid fit --expr -x1^2 " + " ".join(tail)

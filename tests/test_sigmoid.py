@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,13 @@ from ridgekit.sigmoid import (
     rational_enum,
     rational_index,
     sigma,
+    sigma_segment,
+)
+from ridgekit.sigmoid import (
+    _continued_fraction,
+    _index_terms,
+    _ln_big,
+    _segment_coeffs,
 )
 from ridgekit.core import parse_expression
 
@@ -68,6 +76,57 @@ class TestEnumeration:
             cw_index(Fraction(10**40 + 1, 10**40), max_bits=1000)
 
 
+def tree_walk(n):
+    """q_n by walking the Calkin-Wilf tree bit by bit from the root 1/1:
+    a 0 bit goes to the left child a/(a+b), a 1 bit to the right child
+    (a+b)/b.  Independent of the run-length codec."""
+    a, b = 1, 1
+    for bit in bin(n)[3:]:
+        if bit == "0":
+            b += a
+        else:
+            a += b
+    return Fraction(a, b)
+
+
+def from_runs(runs):
+    """The integer whose binary runs, most significant first, have the
+    given lengths (starting with a run of ones)."""
+    return int("".join(("1", "0")[i % 2] * r for i, r in enumerate(runs)), 2)
+
+
+class TestRunLengthCodec:
+    def test_terms_of_every_small_index(self):
+        for n in range(1, 20_000):
+            q = tree_walk(n)
+            assert calkin_wilf(n) == q
+            assert _index_terms(n) == _continued_fraction(q)
+
+    @given(st.integers(64, 4096), st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_terms_of_random_large_indices(self, bits, seed):
+        n = random.Random(seed).getrandbits(bits) | (1 << (bits - 1))
+        q = tree_walk(n)
+        assert calkin_wilf(n) == q
+        assert _index_terms(n) == _continued_fraction(q)
+
+    @given(st.integers(1, 10**5), st.integers(0, 2**32))
+    @settings(max_examples=8, deadline=None)
+    def test_monic_round_trip_up_to_1e5_bits(self, bits, seed):
+        n = random.Random(seed).getrandbits(bits) | (1 << (bits - 1))
+        assert monic_index(monic_enum(n)) == n
+
+    @given(st.lists(st.integers(1, 20_000), min_size=1, max_size=12))
+    @settings(max_examples=20, deadline=None)
+    def test_monic_round_trip_with_long_runs(self, runs):
+        n = from_runs(runs)
+        assert monic_index(monic_enum(n)) == n
+
+    def test_signed_round_trip_of_every_small_index(self):
+        for k in range(5000):
+            assert rational_index(rational_enum(k)) == k
+
+
 class TestActivation:
     def test_limits(self):
         assert sigma(-2e6, P) < 1e-3
@@ -100,6 +159,40 @@ class TestActivation:
         xs = np.linspace(1.0, 50.0, 500)
         vals = sigma(xs, q)
         assert np.all(vals > q.h(xs)) and np.all(vals < 1.0)
+
+
+def reference_M(params, n):
+    """h((2n+1) d) as computed before, forming 2 * n."""
+    if n.bit_length() > 40:
+        lnval = _ln_big(2 * n) + math.log(params.d)
+        return 1.0 - params.lam_eff / (1.0 + lnval)
+    return 1.0 - params.lam_eff / (1.0 + math.log(2 * n * params.d + 1.0))
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("d,lam", [(2.0, 0.25), (0.5, 0.1), (3.0, 0.75)])
+    def test_M_from_the_bit_length(self, d, lam):
+        params = SigmoidParams(d, lam)
+        rng = random.Random(7)
+        for bits in list(range(38, 61)) + [10**3, 10**6]:
+            for n in (1 << (bits - 1), (1 << bits) - 1,
+                      rng.getrandbits(bits) | (1 << (bits - 1))):
+                assert params.M(n) == reference_M(params, n)
+
+    @pytest.mark.parametrize("expr,eps", [("x1^3 + x1^2 - 5*x1 + 3", 1e-9),
+                                          ("4*x1/(4+x1^2)", 0.6),
+                                          ("exp(x1)", 0.35), ("0", 0.01)])
+    def test_network_carries_its_segment_placement(self, expr, eps):
+        net, _ = fit_two_neuron(parse_expression(expr, 1), -1.0, 1.0, eps)
+        a_n, b_n, u = _segment_coeffs(net.n, net.params, net.poly)
+        assert (net.a_n, net.b_n) == (a_n, b_n)
+        assert net.poly == u == monic_enum(net.n)
+        xs = np.linspace(-1.0, 1.0, 41)
+        t = (xs + 1.0) / 2.0
+        want = net.c1 * sigma_segment(t, net.n, net.params, net.poly) \
+            + net.c2 * (1.0 + net.params.M(1)) / 2.0
+        assert np.array_equal(eval_network(net, xs), want)
+        assert [eval_network(net, x) for x in xs] == list(want)
 
 
 class TestFitting:
