@@ -10,9 +10,12 @@ the rationals.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import gcd
+
+import numpy as np
 
 from .core import dot, rational, row_reduce
 
@@ -128,31 +131,43 @@ def integerize(vec):
     return ints
 
 
+@functools.lru_cache(maxsize=None)
+def _coefficients(k):
+    """The 9^k - 1 nonzero coefficient vectors with entries in -4..4."""
+    grid = np.array(list(itertools.product(range(-4, 5), repeat=k)),
+                    dtype=np.int64)
+    grid = grid[grid.any(axis=1)]
+    grid.flags.writeable = False   # shared by every later call
+    return grid
+
+
 def _canonical_cycle_vector(basis):
     """Deterministic representative of the cycle space.
 
-    Searches small integer combinations of the basis for the vector with
-    the widest support, then the smallest total weight, then the
-    lexicographically greatest entries.  Falls back to the first basis
-    vector when the space is too large to enumerate.
+    Every combination of the integerized basis with coefficients in -4..4,
+    not all zero, is divided by the gcd of its entries and signed so that
+    its first nonzero entry is positive.  The one kept has the widest
+    support, then the smallest l1 norm, then the lexicographically greatest
+    entries.  The combinations are scored in one numpy pass: in int64 when
+    no entry or l1 norm can reach 2^63, else in Python ints.  Falls back to
+    the first basis vector when the space is too large to enumerate.
     """
     ints = [integerize(b) for b in basis]
     if len(ints) == 1 or len(ints) > 4:
         return ints[0]
-    best_key = None
-    best_vec = None
-    for coeffs in itertools.product(range(-4, 5), repeat=len(ints)):
-        if all(c == 0 for c in coeffs):
-            continue
-        vec = [sum(c * b[i] for c, b in zip(coeffs, ints))
-               for i in range(len(ints[0]))]
-        vec = integerize([Fraction(v) for v in vec])
-        support = sum(1 for v in vec if v != 0)
-        l1 = sum(abs(v) for v in vec)
-        key = (support, -l1, vec)
-        if best_key is None or key > best_key:
-            best_key, best_vec = key, vec
-    return best_vec
+    bound = 4 * len(ints[0]) * sum(max(abs(v) for v in b) for b in ints)
+    dtype = np.int64 if bound < 2**63 else object
+    vecs = _coefficients(len(ints)).astype(dtype) @ np.array(ints, dtype=dtype)
+    vecs //= np.gcd.reduce(vecs, axis=1)[:, None]
+    # v and -v are both rows, and the lexicographic rule below keeps the
+    # one whose first nonzero entry is positive: no sign pass is needed
+    support = (vecs != 0).sum(axis=1)
+    vecs = vecs[support == support.max()]
+    l1 = np.abs(vecs).sum(axis=1)
+    vecs = vecs[l1 == l1.min()]
+    for col in range(vecs.shape[1]):
+        vecs = vecs[vecs[:, col] == vecs[:, col].max()]
+    return [int(v) for v in vecs[0]]
 
 
 def has_cycle(points, h, certificate=True):
@@ -350,7 +365,8 @@ def solve_representation(points, h, f_values, anchor=0, anchor_values=None):
     """Solve sum_i g_i(h_i(x_j)) = f(x_j) exactly on the configuration.
 
     Anchoring: g_i(h_i(x_anchor)) = anchor_values[i] for i = 1..r-1 (the
-    last function absorbs the constant).  Requires a cycle-free
+    last function absorbs the constant); ``anchor`` is a point index in
+    0..n-1, and any other value raises ValueError.  Requires a cycle-free
     configuration; raises CycleExists otherwise.  Unknowns untouched by the
     equations (isolated fibers of a disconnected block) get the canonical
     value 0 and are reported.
@@ -360,6 +376,8 @@ def solve_representation(points, h, f_values, anchor=0, anchor_values=None):
     """
     pts = list(points)
     n = len(pts)
+    if not 0 <= anchor < n:
+        raise ValueError(f"anchor {anchor} is not a point index 0..{n - 1}")
     r = len(h)
     table = _key_table(pts, h)
     ok, cert = _find_cycle(pts, table)

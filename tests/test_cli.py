@@ -64,6 +64,21 @@ class TestDispatch:
         assert code == 1
         assert json.loads(out)["error"]["type"] == "CycleExists"
 
+    @pytest.mark.parametrize("anchor", ["7", "-1"])
+    def test_anchor_outside_the_points_exits_1(self, capsys, xy_dirs_csv,
+                                               tmp_path, anchor):
+        pts = tmp_path / "triangle.csv"
+        pts.write_text("0, 0\n0, 1\n1, 0\n")
+        fv = tmp_path / "f.csv"
+        fv.write_text("1\n2\n3\n")
+        code, out = run(capsys, "cycles", "check",
+                        "--points", str(pts), "--directions", xy_dirs_csv,
+                        "--solve", str(fv), "--anchor", anchor)
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValueError"
+        assert f"anchor {anchor} " in error["message"]
+
     def test_missing_input_file_exits_2(self, capsys, tmp_path):
         code, out = run(capsys, "cycles", "check",
                         "--points", str(tmp_path / "missing.csv"),

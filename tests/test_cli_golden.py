@@ -79,6 +79,11 @@ TREE3 = [(0, 0, 0), (1, 0, 0), (1, 2, 0), (1, 2, 3), (5, 2, 3)]
 SPACE2 = "1,0,0\n0,1,1\n"
 SPACE2_SET = [(0, 0, 0), (0, 1, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0),
               (3, 3, 3)]
+# without --minimal the report keeps the canonical has_cycle certificate:
+# grids of nullity 2, 3 and 4, and the six-point set of criterion 06
+GRID24 = [(x, y) for x in (0, 1) for y in (0, 1, 2, 3)]
+GRID33 = [(x, y) for x in (0, 1, 2) for y in (0, 1, 2)]
+L6 = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1), (0, 1, 1)]
 
 HEX_GEOM = {"a": [0, 1, 2], "b": [0, 1, 2]}
 OCT_GEOM = {"a": [0, 1, 2, 3], "b": [0, 1, 2]}
@@ -100,6 +105,10 @@ CASES = {
     "cycles-tree3-axes3-solve": _cycles(TREE3, AXES3, [3, 1, 4, 1, "5/9"]),
     "cycles-space2": _cycles(SPACE2_SET, SPACE2),
     "cycles-space2-plain": _cycles(SPACE2_SET, SPACE2, flags=()),
+    "cycles-grid23-axes-plain": _cycles(GRID23, AXES2, flags=()),
+    "cycles-grid24-axes-plain": _cycles(GRID24, AXES2, flags=()),
+    "cycles-grid33-axes-plain": _cycles(GRID33, AXES2, flags=()),
+    "cycles-l6-axes3-plain": _cycles(L6, AXES3, flags=()),
     "l2-skew": _l2("exp(x1*x2)", [[0, 1], [0, 1]]),
     "l2-skew-box": _l2("cos(x1 - 2*x2) + x1^2*x2", [[-1, 2], [0, 3]]),
     "bolts-hexagon-inside": _bolts("hexagon", INSIDE, HEX_GEOM,

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 
 from ridgekit.cycles import (
     CycleExists,
+    _canonical_cycle_vector,
     closed_path_search,
     cycle_functional,
     has_cycle,
+    integerize,
     minimal_cycles,
     orbits,
     rational_nullspace,
@@ -99,6 +102,69 @@ class TestHasCycle:
                     key = dot(a, pts[j])
                     sums[key] = sums.get(key, 0) + w
                 assert all(v == 0 for v in sums.values())
+
+
+def canonical_cycle_vector_oracle(basis):
+    """The certificate search as one Python loop over the coefficient
+    vectors: the reference that ``_canonical_cycle_vector`` must match."""
+    ints = [integerize(b) for b in basis]
+    if len(ints) == 1 or len(ints) > 4:
+        return ints[0]
+    best_key = None
+    best_vec = None
+    for coeffs in itertools.product(range(-4, 5), repeat=len(ints)):
+        if all(c == 0 for c in coeffs):
+            continue
+        vec = [sum(c * b[i] for c, b in zip(coeffs, ints))
+               for i in range(len(ints[0]))]
+        vec = integerize([Fraction(v) for v in vec])
+        support = sum(1 for v in vec if v != 0)
+        l1 = sum(abs(v) for v in vec)
+        key = (support, -l1, vec)
+        if best_key is None or key > best_key:
+            best_key, best_vec = key, vec
+    return best_vec
+
+
+@st.composite
+def nullspace_bases(draw):
+    """Bases shaped like ``rational_nullspace`` output: k = 2..4 vectors,
+    each 1 in its own free column and 0 in the other free columns.  The
+    other entries are small (ties between candidates), rational, or large
+    enough that the search must leave int64."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(k + 1, 7))
+    free = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k,
+                         unique=True))
+    entry = st.one_of(st.integers(-2, 2),
+                      st.fractions(-5, 5, max_denominator=6),
+                      st.integers(-2**80, 2**80))
+    basis = []
+    for i in range(k):
+        vec = [Fraction(draw(entry)) for _ in range(n)]
+        for j, col in enumerate(free):
+            vec[col] = Fraction(int(i == j))
+        basis.append(vec)
+    return basis
+
+
+# in int64, 4*(1, 0, BIG) + 4*(0, 1, BIG) would wrap to (4, 4, 8), and its
+# reduced form (1, 1, 2) would win on l1
+BIG = 2**61 + 1
+WIDE_BASIS = [[Fraction(1), Fraction(0), Fraction(BIG)],
+              [Fraction(0), Fraction(1), Fraction(BIG)]]
+
+
+class TestCanonicalCycleVector:
+    @given(nullspace_bases())
+    @settings(max_examples=20, deadline=None)
+    def test_matches_the_loop_over_coefficients(self, basis):
+        assert _canonical_cycle_vector(basis) == \
+            canonical_cycle_vector_oracle(basis)
+
+    def test_entries_beyond_int64_stay_exact(self):
+        assert _canonical_cycle_vector(WIDE_BASIS) == [2, -1, BIG] == \
+            canonical_cycle_vector_oracle(WIDE_BASIS)
 
 
 class TestMinimalCycles:
