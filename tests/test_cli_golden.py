@@ -1,5 +1,6 @@
-"""Golden CLI outputs: `cycles check`, `approx l2` and the polygon `bolts`
-commands, compared with reports recorded in ``tests/data/cli_golden.json``.
+"""Golden CLI outputs: `cycles check`, `approx uniform`, `approx l2` and the
+`bolts` commands, compared with reports recorded in
+``tests/data/cli_golden.json``.
 
 Each case writes its input files to a temporary directory and runs
 ``ridgekit.cli.main``.  The exit code and the ``results`` (or, on a domain
@@ -46,8 +47,14 @@ def _cycles(points, dirs, fvals=None, flags=("--minimal", "--tau")):
     return files, argv
 
 
-def _l2(expr, ybox, extra=()):
-    files = {"dirs.csv": "0,2\n1,1\n", "ybox.json": json.dumps(ybox)}
+def _uniform(expr, dirs, bounds, extra=()):
+    return {}, ["approx", "uniform", "--expr", expr,
+                "--dirs", *map(str, dirs), "--bounds", *map(str, bounds),
+                *extra]
+
+
+def _l2(expr, ybox, extra=(), dirs="0,2\n1,1\n"):
+    files = {"dirs.csv": dirs, "ybox.json": json.dumps(ybox)}
     argv = ["approx", "l2", "--expr", expr, "--dirs-file", "{dirs.csv}",
             "--ybox", "{ybox.json}", "--nodes", "12", *extra]
     return files, argv
@@ -90,6 +97,16 @@ OCT_GEOM = {"a": [0, 1, 2, 3], "b": [0, 1, 2]}
 STAIR_GEOM = {"a": [0, 1, 2, 3], "b": [0, 1, 2, 3]}
 INSIDE = "x1*x2 + exp(x1/4)*x2"      # nonnegative mixed differences
 OUTSIDE = "sin(3*x1)*cos(2*x2)"      # fails the class check
+# the closed form along the axes and along the skew pair y1 = 2*x1 + x2,
+# y2 = x1 - x2 (a positive mixed derivative in y), the LP fallback along
+# the axes, and the V and U classes of a rectangle split at its midpoint
+UNI_AXES = "x1*x2 + 0.5*exp(0.3*x1 + 0.2*x2)"
+UNI_SKEW = ("1.3*(2*x1 + x2)*(x1 - x2)"
+            " + 0.4*exp(0.5*(2*x1 + x2) + 0.3*(x1 - x2))")
+UNI_LP = "0.9*sin(3*x1 + 0.4)*cos(4*x2)"
+RECT_GEOM = {"rect": [-0.5, 1.0, 0.0, 1.5]}
+RECT_V = "1.2*x2*sin(pi*(x1 + 0.5)/1.5) + 0.3*sin(x1) - 0.2*x2^2"
+RECT_U = "(-0.8)*x2*sin(pi*(x1 + 0.5)/1.5) + 0.3*sin(x1) - 0.2*x2^2"
 
 CASES = {
     "cycles-stair-axes-solve": _cycles(STAIR, AXES2, [H, 3, -2, "7/3", 0]),
@@ -111,6 +128,17 @@ CASES = {
     "cycles-l6-axes3-plain": _cycles(L6, AXES3, flags=()),
     "l2-skew": _l2("exp(x1*x2)", [[0, 1], [0, 1]]),
     "l2-skew-box": _l2("cos(x1 - 2*x2) + x1^2*x2", [[-1, 2], [0, 3]]),
+    "l2-weighted-1d": _l2("exp(x1)", [[0, 1]], dirs="1\n",
+                          extra=("--weights", "1+x1")),
+    "uniform-axes-closed": _uniform(UNI_AXES, (1, 0, 0, 1), (0, 1, -0.5, 1.5)),
+    "uniform-skew-closed-verify": _uniform(
+        UNI_SKEW, (2, 1, 1, -1), (-0.5, 1, 0, 1.2),
+        extra=("--verify", "--ds-iters", "10")),
+    "uniform-axes-lp": _uniform(UNI_LP, (1, 0, 0, 1), (-0.6, 0.5, -0.7, 0.4)),
+    "bolts-rect-V": _bolts("rect", RECT_V, RECT_GEOM,
+                           extra=("--class", "V", "--c", "0.25")),
+    "bolts-rect-U": _bolts("rect", RECT_U, RECT_GEOM,
+                           extra=("--class", "U", "--c", "0.25")),
     "bolts-hexagon-inside": _bolts("hexagon", INSIDE, HEX_GEOM,
                                    extra=("--bounds",)),
     "bolts-hexagon-outside": _bolts("hexagon", OUTSIDE, HEX_GEOM),
