@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 
-from .core import UnivariateTable
+from .core import UnivariateTable, centred_differences, double_differences
 
 
 class ClassViolated(ValueError):
@@ -158,14 +158,6 @@ def l(f, bolt):
 # ---------------------------------------------------------------------------
 # monotone classes on a rectangle split at x = c
 
-def _cell_differences(f, xs, ys):
-    """D[i,j] = double difference of f over cell [xs[i],xs[i+1]] x
-    [ys[j],ys[j+1]]; additive, so sub-rectangle signs reduce to cell signs."""
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    F = np.asarray(f(X, Y), dtype=float)
-    return F[1:, 1:] + F[:-1, :-1] - F[1:, :-1] - F[:-1, 1:]
-
-
 def class_check(f, R, c, which, grid_n=33, tol=None):
     """Grid check of the V_c / U_c sign conditions on R split at x = c.
 
@@ -181,26 +173,23 @@ def class_check(f, R, c, which, grid_n=33, tol=None):
         raise ValueError("U-class needs c in [a1, b1)")
     if which not in ("V", "U"):
         raise ValueError("which must be 'V' or 'U'")
-    xs_left = np.linspace(a1, c, grid_n) if c > a1 else np.array([a1])
-    xs_right = np.linspace(c, b1, grid_n) if c < b1 else np.array([b1])
     ys = np.linspace(a2, b2, grid_n)
     if tol is None:
         scale = max(abs(float(f(x, y)))
                     for x in (a1, c, b1) for y in (a2, b2))
         tol = 1e-10 * (1.0 + scale)
 
-    left = _cell_differences(f, xs_left, ys) if len(xs_left) > 1 else None
-    right = _cell_differences(f, xs_right, ys) if len(xs_right) > 1 else None
-    strips = _cell_differences(f, np.array([a1, b1]), ys)
-
-    sign_left = 1.0 if which == "V" else -1.0
+    # double differences are additive, so sub-rectangle signs reduce to
+    # cell signs
+    sign = 1.0 if which == "V" else -1.0
     failures = []
-    if left is not None and np.min(sign_left * left) < -tol:
-        failures.append(("left", float(np.min(sign_left * left))))
-    if right is not None and np.min(-sign_left * right) < -tol:
-        failures.append(("right", float(np.min(-sign_left * right))))
-    if np.min(strips) < -tol:
-        failures.append(("strips", float(np.min(strips))))
+    for name, xs, s in [("left", np.linspace(a1, c, grid_n), sign),
+                        ("right", np.linspace(c, b1, grid_n), -sign),
+                        ("strips", np.array([a1, b1]), 1.0)]:
+        if xs[0] < xs[-1]:
+            worst = float(np.min(s * double_differences(f, xs, ys)))
+            if worst < -tol:
+                failures.append((name, worst))
     return {"passed": not failures, "failures": failures, "tol": tol,
             "which": which, "c": c}
 
@@ -263,12 +252,9 @@ def _monotone_best(f, R, c, which, check, grid_n, table_n):
         return 0.5 * (np.asarray(f(xl, y), dtype=float)
                       + np.asarray(f(xh, y), dtype=float) - const)
 
-    phi0.table = UnivariateTable(
-        np.linspace(a1, b1, table_n),
-        np.asarray(f(np.linspace(a1, b1, table_n), np.full(table_n, y0)),
-                   dtype=float))
-    psi0.table = UnivariateTable(np.linspace(a2, b2, table_n),
-                                 psi0(np.linspace(a2, b2, table_n)))
+    xs, ys = np.linspace(a1, b1, table_n), np.linspace(a2, b2, table_n)
+    phi0.table = UnivariateTable(xs, phi0(xs))
+    psi0.table = UnivariateTable(ys, psi0(ys))
     return error, phi0, psi0, y0
 
 
@@ -357,7 +343,7 @@ def _monotone_on_grid(f, rects, grid_n=33, tol=None):
     for R in rects:
         xs = np.linspace(R.a1, R.b1, grid_n)
         ys = np.linspace(R.a2, R.b2, grid_n)
-        worst = min(worst, float(np.min(_cell_differences(f, xs, ys))))
+        worst = min(worst, float(np.min(double_differences(f, xs, ys))))
     if tol is None:
         scale = max(abs(float(f(R.a1, R.a2))) + abs(float(f(R.b1, R.b2)))
                     for R in rects)
@@ -419,6 +405,27 @@ def _prune(points):
     return pts
 
 
+def _reanchor(pts, axis, low, anchor):
+    """Move every unit (two successive points sharing coordinate ``axis``)
+    along ``axis``: to ``low`` when a + unit (even index) moves up or a -
+    unit moves down in the other coordinate, else to ``anchor`` of the
+    unit's upper end."""
+    out = list(pts)
+    n = len(pts)
+    for k in range(n):
+        j = (k + 1) % n
+        if pts[k][axis] != pts[j][axis]:
+            continue
+        si, sj = pts[k][1 - axis], pts[j][1 - axis]
+        positive = (k % 2 == 0)
+        if (sj > si) if positive else (sj < si):
+            v = low
+        else:
+            v = anchor(si if positive else sj)
+        out[k], out[j] = ((v, si), (v, sj)) if axis == 0 else ((si, v), (sj, v))
+    return _prune(out)
+
+
 def maximize_bolt(f, H, p):
     """One pass of the vertical/horizontal re-anchoring process on a bolt
     of the hexagon.  For f in the nonnegative-difference class the
@@ -430,59 +437,12 @@ def maximize_bolt(f, H, p):
     pts = list(p.points if isinstance(p, ClosedBolt) else p)
     if l(f, pts) < 0:
         pts = pts[1:] + pts[:1]  # rotate so the functional starts >= 0
-
-    def high_anchor(y):
-        # tallest admissible column for a segment whose top reaches y
-        return a2 if y > b2 else a3
-
-    # vertical units: consecutive pairs sharing x; even index = + sign
-    out = list(pts)
-    n = len(pts)
-    for k in range(n):
-        j = (k + 1) % n
-        if pts[k][0] != pts[j][0]:
-            continue
-        yi, yj = pts[k][1], pts[j][1]
-        positive = (k % 2 == 0)
-        if positive and yj > yi:
-            x = a1
-        elif positive and yj < yi:
-            x = high_anchor(yi)
-        elif not positive and yj < yi:
-            x = a1
-        else:  # negative sign, moving up
-            x = high_anchor(yj)
-        out[k] = (x, yi)
-        out[j] = (x, yj)
-    out = _prune(out)
-    if len(out) < 4:
-        return ClosedBolt(p.points if isinstance(p, ClosedBolt) else p)
-
-    # horizontal units on the updated bolt; x now lies in {a1, a2, a3}
-    def wide_anchor(x):
-        # highest admissible row for a segment whose right end is at x
-        return b2 if x == a3 else b3
-
-    pts = out
-    n = len(pts)
-    out = list(pts)
-    for k in range(n):
-        j = (k + 1) % n
-        if pts[k][1] != pts[j][1]:
-            continue
-        xi, xj = pts[k][0], pts[j][0]
-        positive = (k % 2 == 0)
-        if positive and xj > xi:
-            y = b1
-        elif positive and xj < xi:
-            y = wide_anchor(xi)
-        elif not positive and xj < xi:
-            y = b1
-        else:
-            y = wide_anchor(xj)
-        out[k] = (xi, y)
-        out[j] = (xj, y)
-    out = _prune(out)
+    # vertical units go to the tallest admissible column for their top;
+    # then horizontal units, with x now in {a1, a2, a3}, to the highest
+    # admissible row for their right end
+    out = _reanchor(pts, 0, a1, lambda y: a2 if y > b2 else a3)
+    if len(out) >= 4:
+        out = _reanchor(out, 1, b1, lambda x: b2 if x == a3 else b3)
     if len(out) < 4:
         return ClosedBolt(p.points if isinstance(p, ClosedBolt) else p)
     return ClosedBolt(out)
@@ -532,11 +492,8 @@ def sharp_bounds(f, H, grid_n=65):
     xs = np.linspace(a1, a3, grid_n)
     ys = np.linspace(b1, b3, grid_n)
     h = min(xs[1] - xs[0], ys[1] - ys[0]) / 4.0
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
     inside = np.array([[H.contains(x, y) for y in ys] for x in xs])
-    mixed = (np.asarray(f(X + h, Y + h)) - np.asarray(f(X + h, Y - h))
-             - np.asarray(f(X - h, Y + h)) + np.asarray(f(X - h, Y - h))) \
-        / (4.0 * h * h)
+    mixed = centred_differences(f, xs, ys, h, h) / (4.0 * h * h)
     B = float(np.max(np.abs(np.where(inside, mixed, 0.0))))
     upper = B * C + 1.5 * (B * hex_l_g - hex_l_f)
     return {"lower": A, "upper": upper, "B": B, "C": C,

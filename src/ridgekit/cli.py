@@ -19,7 +19,9 @@ from . import __version__
 from .core import (
     DirectionSet,
     PointConfig,
+    UnivariateTable,
     _read_csv_rows,
+    grid_minimax_oracle,
     parse_expression,
     rational,
 )
@@ -37,6 +39,7 @@ from .uniform import (
     ParallelogramDomain,
     best_uniform,
     diliberto_straus,
+    pullback,
     verify_extremal,
 )
 from .l2 import NotAnRSet, best_l2, build_rset
@@ -78,12 +81,6 @@ def _table(tab, stride=1):
         "knots": [float(t) for t in tab.knots[::stride]],
         "values": [float(v) for v in tab.values[::stride]],
     }
-
-
-def _sample(fn, lo, hi, n=201):
-    ts = np.linspace(float(lo), float(hi), n)
-    return {"knots": [float(t) for t in ts],
-            "values": [float(fn(t)) for t in ts]}
 
 
 def _digest(args, files):
@@ -178,25 +175,23 @@ def _cmd_approx_uniform(args, t0):
     dom = ParallelogramDomain(a, b, c1, d1, c2, d2)
     try:
         pair = best_uniform(f, dom, check=True)
+        sample = UnivariateTable.sample
         results = {
             "error": pair.error,
             "method": "closed form",
-            "g1_table": _sample(pair.g1, dom.c1, dom.d1),
-            "g2_table": _sample(pair.g2, dom.c2, dom.d2),
+            "g1_table": _table(sample(pair.g1, dom.c1, dom.d1)),
+            "g2_table": _table(sample(pair.g2, dom.c2, dom.d2)),
         }
         if args.verify:
             rep = verify_extremal(f, pair, dom)
             results["witness_path"] = rep.get("witness")
             results["verified"] = rep["verdict"]
     except HypothesisViolated:
-        from .core import grid_minimax_oracle
-        n = 41
-        y1 = np.linspace(dom.c1, dom.d1, n)
-        y2 = np.linspace(dom.c2, dom.d2, n)
-        Y1, Y2 = np.meshgrid(y1, y2, indexing="ij")
-        X, Y = dom.to_xy(Y1, Y2)
-        pts = np.column_stack([X.ravel(), Y.ravel()])
-        err = grid_minimax_oracle(f, [a, b], pts)
+        # the LP on the pulled-back grid, along the axes of (y1, y2): each
+        # fiber is one grid row or column, whatever the directions
+        g = dom.grid(41)
+        pts = np.column_stack([g.Y1.ravel(), g.Y2.ravel()])
+        err = grid_minimax_oracle(pullback(f, dom), [(1, 0), (0, 1)], pts)
         results = {"error": float(err), "method": "numerical (no closed form)"}
     if args.ds_iters:
         norms, tables = diliberto_straus(f, dom, iters=args.ds_iters)

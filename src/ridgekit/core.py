@@ -501,6 +501,17 @@ def gauss_nodes(lo, hi, n):
     return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
 
 
+def gauss_grid(box, nodes):
+    """Tensor Gauss-Legendre mesh (``indexing="ij"``) and weight grid on a
+    box; a box of no axes gives no mesh and the weight 1."""
+    axes, wgrid = [], np.ones(())
+    for lo, hi in box:
+        x, w = gauss_nodes(lo, hi, nodes)
+        axes.append(x)
+        wgrid = np.multiply.outer(wgrid, w)
+    return list(np.meshgrid(*axes, indexing="ij")), wgrid
+
+
 def tensor_quadrature(f, box, nodes_per_axis):
     """Tensor Gauss-Legendre approximation of the integral of f over a box.
 
@@ -509,19 +520,37 @@ def tensor_quadrature(f, box, nodes_per_axis):
     """
     if nodes_per_axis < 2:
         raise ValueError("nodes_per_axis must be >= 2")
-    axes, weights = [], []
-    for lo, hi in box:
-        if not float(lo) < float(hi):
-            raise ValueError("box bounds must satisfy lo < hi")
-        x, w = gauss_nodes(lo, hi, nodes_per_axis)
-        axes.append(x)
-        weights.append(w)
-    grids = np.meshgrid(*axes, indexing="ij")
-    vals = np.asarray(f(*grids), float)
-    wgrid = weights[0]
-    for w in weights[1:]:
-        wgrid = np.multiply.outer(wgrid, w)
-    return float(np.sum(vals * wgrid))
+    if not all(float(lo) < float(hi) for lo, hi in box):
+        raise ValueError("box bounds must satisfy lo < hi")
+    mesh, wgrid = gauss_grid(box, nodes_per_axis)
+    return float(np.sum(np.asarray(f(*mesh), float) * wgrid))
+
+
+# ---------------------------------------------------------------------------
+# second differences
+
+def double_differences(f, xs, ys):
+    """Double differences of f over the cells of the tensor grid xs x ys:
+    D[i, j] = ((F11 - F10) - F01) + F00 with F11 = f(xs[i+1], ys[j+1]),
+    F10 = f(xs[i+1], ys[j]), F01 = f(xs[i], ys[j+1]), F00 = f(xs[i], ys[j]).
+
+    A double difference is additive over cells, and over a cell of sides
+    hx, hy it is hx * hy times the mixed partial of f at a point inside.
+    """
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    F = np.asarray(f(X, Y), dtype=float)
+    return ((F[1:, 1:] - F[1:, :-1]) - F[:-1, 1:]) + F[:-1, :-1]
+
+
+def centred_differences(f, xs, ys, hx, hy):
+    """Double differences of f over the cells [x-hx, x+hx] x [y-hy, y+hy]
+    centred at the nodes of xs x ys (one array entry per node)."""
+
+    def spread(t, h):
+        t = np.asarray(t, dtype=float)
+        return np.column_stack([t - h, t + h]).ravel()
+
+    return double_differences(f, spread(xs, hx), spread(ys, hy))[::2, ::2]
 
 
 # ---------------------------------------------------------------------------
@@ -532,11 +561,16 @@ def grid_minimax_oracle(f, directions, grid, return_tables=False):
     over ridge sums with the given directions, as a linear program.
 
     One variable per distinct fiber value per direction plus the error
-    variable; fibers are grouped by exact rational comparison of a.x.
+    variable.  Fibers are grouped by equality of a.x computed in the points'
+    own arithmetic: exact for ``Fraction`` points, but float points on one
+    level line of a skew direction can round to different values of a.x
+    and split the fiber, which relaxes the LP.  On a float grid, pass the
+    values pulled back to the directions' own coordinates, with the axes
+    as directions, so that each fiber is one grid row or column.
     """
     pts = list(grid)
     n = len(pts)
-    # fiber values per direction, grouped exactly over Q
+    # fiber values per direction, grouped by equality of a.x
     var_index = {}  # (i_dir, fiber_value) -> column
     cols = []
     for i, a in enumerate(directions):

@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import simpson
 
-from .core import (ScalarField, UnivariateTable, gauss_nodes, parse_vector,
-                   row_reduce)
+from .core import (ScalarField, UnivariateTable, gauss_grid, gauss_nodes,
+                   parse_vector, row_reduce)
 
 
 class NotAnRSet(ValueError):
@@ -94,51 +94,23 @@ class L2Solution:
 
 def _slice_average(fstar, t, j, yj_values, nodes):
     """Average of f* over Y^(j) as a function of y_j (Gauss quadrature)."""
-    n = t.n
-    grids, weights = [], []
-    for k in range(n):
-        if k == j:
-            continue
-        lo, hi = t.ybox[k]
-        xk, wk = gauss_nodes(lo, hi, nodes)
-        grids.append(xk)
-        weights.append(wk)
-    mesh = np.meshgrid(*grids, indexing="ij") if grids else []
-    # outer product of the per-axis weight vectors
-    wgrid = np.ones([len(g) for g in grids]) if grids else np.array(1.0)
-    for axis, w in enumerate(weights):
-        shape = [1] * len(weights)
-        shape[axis] = -1
-        wgrid = wgrid * w.reshape(shape)
-    vol = float(np.prod([t.ybox[k][1] - t.ybox[k][0] for k in range(n) if k != j]))
+    box = t.ybox[:j] + t.ybox[j + 1:]
+    mesh, wgrid = gauss_grid(box, nodes)
+    vol = float(np.prod([hi - lo for lo, hi in box]))
     out = np.empty(len(yj_values))
     for idx, yj in enumerate(yj_values):
-        args = []
-        gi = 0
-        for k in range(n):
-            if k == j:
-                args.append(np.full_like(wgrid, yj) if grids else yj)
-            else:
-                args.append(mesh[gi])
-                gi += 1
+        args = mesh[:j] + [np.full_like(wgrid, yj)] + mesh[j:]
         vals = np.asarray(fstar(*args), dtype=float)
-        out[idx] = float(np.sum(vals * wgrid)) / vol if grids else float(vals)
+        out[idx] = float(np.sum(vals * wgrid)) / vol
     return out
 
 
-def _box_integral(fn, box, nodes):
-    grids, weights = [], []
-    for lo, hi in box:
-        xk, wk = gauss_nodes(lo, hi, nodes)
-        grids.append(xk)
-        weights.append(wk)
-    mesh = np.meshgrid(*grids, indexing="ij")
-    wgrid = np.ones([len(g) for g in grids])
-    for axis, w in enumerate(weights):
-        shape = [1] * len(weights)
-        shape[axis] = -1
-        wgrid = wgrid * w.reshape(shape)
-    return float(np.sum(np.asarray(fn(*mesh), dtype=float) * wgrid))
+def _integrals(fn, box, nodes):
+    """Integrals of fn and fn^2 over the box (tensor Gauss-Legendre), from
+    one evaluation of fn."""
+    mesh, wgrid = gauss_grid(box, nodes)
+    vals = np.asarray(fn(*mesh), dtype=float)
+    return float(np.sum(vals * wgrid)), float(np.sum(vals**2 * wgrid))
 
 
 def best_l2(f, t, weights=None, nodes=24, damping=0.5, max_iter=500, tol=1e-10):
@@ -155,7 +127,7 @@ def best_l2(f, t, weights=None, nodes=24, damping=0.5, max_iter=500, tol=1e-10):
     table_n = 129
     knot_sets = [np.linspace(*t.ybox[j], table_n) for j in range(r)]
 
-    A = _box_integral(fstar, t.ybox, nodes)
+    A, norm_sq = _integrals(fstar, t.ybox, nodes)
     slice_avgs = [_slice_average(fstar, t, j, knot_sets[j], nodes)
                   for j in range(r)]
 
@@ -166,13 +138,12 @@ def best_l2(f, t, weights=None, nodes=24, damping=0.5, max_iter=500, tol=1e-10):
             if j == 0:
                 vals -= (r - 1) * A / total_vol
             comps.append(UnivariateTable(knot_sets[j], vals))
-        err = l2_error(f, t, nodes=nodes)
+        err = _closed_form_error(fstar, t, nodes, A, norm_sq)
         diagnostics = {
             "A": A,
             "detJ": float(t.detJ),
             "slice_averages": slice_avgs,
-            "fstar_norm_sq": _box_integral(
-                lambda *ys: np.asarray(fstar(*ys)) ** 2, t.ybox, nodes),
+            "fstar_norm_sq": norm_sq,
             # ||f_i*||^2 over Y, with f_i* = |Y^(i)| x slice average in y_i
             "fi_norm_sq": [
                 float(omit_vols[j] ** 3
@@ -219,17 +190,16 @@ def best_l2(f, t, weights=None, nodes=24, damping=0.5, max_iter=500, tol=1e-10):
 
     tabs = component_field(comps)
 
-    def resid_sq(*xs):
+    def resid(*xs):
         acc = np.asarray(f(*xs), dtype=float).copy()
         for i in range(r):
             yi = sum(float(t.J[i][k]) * np.asarray(xs[k]) for k in range(t.n))
             acc = acc - np.asarray(weights[i](*xs)) * tabs[i](yi)
-        return acc**2
+        return acc
 
     # residual norm back in x-coordinates via the y-box and Jacobian
-    err_sq = _box_integral(
-        lambda *ys: np.asarray(t.pullback(ScalarField(t.n, resid_sq))(*ys)),
-        t.ybox, nodes) / abs(float(t.detJ))
+    err_sq = _integrals(t.pullback(ScalarField(t.n, resid)), t.ybox,
+                        nodes)[1] / abs(float(t.detJ))
     diagnostics = {"A": A, "detJ": float(t.detJ), "iterations": it + 1}
     return L2Solution(tabs, max(err_sq, 0.0) ** 0.5, diagnostics, t)
 
@@ -242,13 +212,14 @@ def l2_error(f, t, nodes=24):
     over all of Y.
     """
     fstar = t.pullback(f)
-    r = t.r
+    return _closed_form_error(fstar, t, nodes, *_integrals(fstar, t.ybox, nodes))
+
+
+def _closed_form_error(fstar, t, nodes, A, norm_sq):
+    """l2_error from the pullback f* and its integrals A and ||f*||^2."""
     total_vol, omit_vols = t.volumes()
-    A = _box_integral(fstar, t.ybox, nodes)
-    norm_sq = _box_integral(lambda *ys: np.asarray(fstar(*ys)) ** 2,
-                            t.ybox, nodes)
-    radicand = norm_sq + (r - 1) * A**2 / total_vol
-    for j in range(r):
+    radicand = norm_sq + (t.r - 1) * A**2 / total_vol
+    for j in range(t.r):
         lo, hi = t.ybox[j]
         yj, wj = gauss_nodes(lo, hi, nodes)
         fbar = _slice_average(fstar, t, j, yj, nodes) * omit_vols[j]

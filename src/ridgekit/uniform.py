@@ -9,9 +9,13 @@ y1 = a.x, y2 = b.x.  The module also implements the classical alternating
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 
-from .core import ScalarField, UnivariateTable, RidgeSum, grid_minimax_oracle
+from .core import ScalarField, UnivariateTable, RidgeSum, centred_differences
+
+PulledBackGrid = namedtuple("PulledBackGrid", "y1 y2 Y1 Y2 X Y")
 
 
 class HypothesisViolated(ValueError):
@@ -43,6 +47,15 @@ class ParallelogramDomain:
         x = (y1 * b[1] - y2 * a[1]) / det
         y = (y2 * a[0] - y1 * b[0]) / det
         return x, y
+
+    def grid(self, n):
+        """The n x n grid of [c1,d1] x [c2,d2]: axes y1, y2, the mesh Y1, Y2
+        (``indexing="ij"``, so row i is the fiber y1 = y1[i]) and its image
+        X, Y in x-space."""
+        y1 = np.linspace(self.c1, self.d1, n)
+        y2 = np.linspace(self.c2, self.d2, n)
+        Y1, Y2 = np.meshgrid(y1, y2, indexing="ij")
+        return PulledBackGrid(y1, y2, Y1, Y2, *self.to_xy(Y1, Y2))
 
     def corners(self):
         """Images in x-space of the 4 corners of [c1,d1] x [c2,d2]."""
@@ -85,35 +98,23 @@ def mixed_condition_check(f, dom, grid_n=21, tol=None):
     """Check the second-order hypothesis behind the closed forms.
 
     Requires D12*(a1*b2 + a2*b1) - D11*a2*b2 - D22*a1*b1 >= -tol on a grid,
-    where Dij are second partials of f.  Equivalent to the mixed second
-    partial of the pullback being nonnegative.  Returns a dict verdict.
+    where Dij are second partials of f.  That quantity is det^2 times the
+    mixed partial of the pullback f1(y1, y2), which is measured here by the
+    double difference of f1 over a cell of sides 2*k1, 2*k2 (an eighth of
+    the grid spacing each way) centred at each node.  Returns a dict
+    verdict.
     """
-    a, b = dom.a, dom.b
-    y1 = np.linspace(dom.c1, dom.d1, grid_n)
-    y2 = np.linspace(dom.c2, dom.d2, grid_n)
-    Y1, Y2 = np.meshgrid(y1, y2, indexing="ij")
-    X, Y = dom.to_xy(Y1, Y2)
-    span = max(X.max() - X.min(), Y.max() - Y.min(), 1e-9)
-    h = span / grid_n / 8.0
-
-    def d11(x, y):
-        return (f(x + h, y) - 2.0 * f(x, y) + f(x - h, y)) / h**2
-
-    def d22(x, y):
-        return (f(x, y + h) - 2.0 * f(x, y) + f(x, y - h)) / h**2
-
-    def d12(x, y):
-        return (f(x + h, y + h) - f(x + h, y - h)
-                - f(x - h, y + h) + f(x - h, y - h)) / (4.0 * h**2)
-
-    expr = (d12(X, Y) * (a[0] * b[1] + a[1] * b[0])
-            - d11(X, Y) * a[1] * b[1] - d22(X, Y) * a[0] * b[0])
+    g = dom.grid(grid_n)
+    k1 = (dom.d1 - dom.c1) / (grid_n - 1) / 8.0
+    k2 = (dom.d2 - dom.c2) / (grid_n - 1) / 8.0
+    expr = (centred_differences(pullback(f, dom), g.y1, g.y2, k1, k2)
+            * (dom.det**2 / (4.0 * k1 * k2)))
     if tol is None:
-        fmax = float(np.max(np.abs(f(X, Y))))
+        fmax = float(np.max(np.abs(f(g.X, g.Y))))
         tol = 1e-8 * (1.0 + fmax)
     worst = int(np.argmin(expr))
     wv = float(expr.flat[worst])
-    wp = (float(X.flat[worst]), float(Y.flat[worst]))
+    wp = (float(g.X.flat[worst]), float(g.Y.flat[worst]))
     return {
         "passed": bool(wv >= -tol),
         "worst_value": wv,
@@ -171,10 +172,8 @@ def verify_extremal(f, candidate, dom, grid_n=33, tol=1e-6, max_len=64):
     Returns a dict with the verdict and, when found, the witness path in
     x-coordinates.
     """
-    y1 = np.linspace(dom.c1, dom.d1, grid_n)
-    y2 = np.linspace(dom.c2, dom.d2, grid_n)
-    Y1, Y2 = np.meshgrid(y1, y2, indexing="ij")
-    X, Y = dom.to_xy(Y1, Y2)
+    g = dom.grid(grid_n)
+    X, Y = g.X, g.Y
     resid = np.asarray(f(X, Y), dtype=float) - np.asarray(candidate(X, Y), dtype=float)
     norm = float(np.max(np.abs(resid)))
     if norm <= tol:
@@ -231,7 +230,7 @@ def verify_extremal(f, candidate, dom, grid_n=33, tol=1e-6, max_len=64):
             break
 
     if witness:
-        pts = [tuple(map(float, dom.to_xy(y1[i], y2[j]))) for (i, j, _) in witness]
+        pts = [(float(X[i, j]), float(Y[i, j])) for (i, j, _) in witness]
         return {"verdict": "extremal", "norm": norm, "witness": pts,
                 "longest_path": len(witness)}
     return {"verdict": "no witness found at this resolution", "norm": norm,
@@ -246,10 +245,8 @@ def diliberto_straus(f, dom, iters=100, grid_n=41):
     norms[k] = sup-norm after k sweeps (norms[0] is ||f||) and tables are
     the accumulated g1, g2 as univariate tables in y1, y2.
     """
-    y1 = np.linspace(dom.c1, dom.d1, grid_n)
-    y2 = np.linspace(dom.c2, dom.d2, grid_n)
-    Y1, Y2 = np.meshgrid(y1, y2, indexing="ij")
-    X, Y = dom.to_xy(Y1, Y2)
+    g = dom.grid(grid_n)
+    y1, y2, X, Y = g.y1, g.y2, g.X, g.Y
     resid = np.asarray(f(X, Y), dtype=float).copy()
     g1 = np.zeros(grid_n)
     g2 = np.zeros(grid_n)

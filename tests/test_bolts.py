@@ -74,6 +74,43 @@ class TestRectangleClasses:
             vc_best(lambda x, y: -xy(x, y), AxisRect(0, 1, 0, 1), c=1.0)
 
 
+def x2_times(g):
+    return lambda x, y: np.asarray(y) * g(np.asarray(x))
+
+
+class TestClassCheck:
+    # x2*g(x1) has cell double differences (y'-y)*(g(x')-g(x)): signed as
+    # g' on the two sides of c, and as g(b1) - g(a1) on full-width strips
+    SIN = staticmethod(x2_times(lambda x: np.sin(np.pi * x)))
+
+    def test_v_class_passes(self):
+        v = class_check(self.SIN, AxisRect(0, 0.9, 0, 1), 0.5, "V")
+        assert v["passed"] and v["failures"] == []
+        assert v["which"] == "V" and v["c"] == 0.5
+
+    def test_u_class_passes(self):
+        neg = x2_times(lambda x: -np.sin(np.pi * x))
+        v = class_check(neg, AxisRect(0.1, 1, 0, 1), 0.5, "U")
+        assert v["passed"] and v["failures"] == []
+
+    @pytest.mark.parametrize("rect,c,side", [
+        ((0, 0.9, 0, 1), 0.7, "left"),     # sin falls on (0.5, 0.7)
+        ((0, 0.9, 0, 1), 0.3, "right"),    # sin rises on (0.3, 0.5)
+        ((0, 1.2, 0, 1), 0.5, "strips"),   # sin(1.2*pi) < sin(0)
+    ])
+    def test_each_side_fails_alone(self, rect, c, side):
+        v = class_check(self.SIN, AxisRect(*rect), c, "V")
+        assert not v["passed"]
+        assert [name for name, _ in v["failures"]] == [side]
+        assert v["failures"][0][1] < -v["tol"]
+
+    @pytest.mark.parametrize("which,c", [("V", 0.0), ("V", 1.5),
+                                         ("U", 1.0), ("U", -0.5)])
+    def test_split_outside_the_rectangle_raises(self, which, c):
+        with pytest.raises(ValueError):
+            class_check(xy, AxisRect(0, 1, 0, 1), c, which)
+
+
 class TestPolygons:
     HEX = Hexagon((0, 1, 2), (0, 1, 2))
 
@@ -101,8 +138,43 @@ class TestPolygons:
         err = hexagon_error(xy, self.HEX)["error"]
         assert bd["lower"] - 1e-12 <= err <= bd["upper"] + 1e-12
 
+    @pytest.mark.parametrize("f", [
+        xy,
+        lambda x, y: np.sin(3 * x) * np.cos(2 * y),
+        lambda x, y: x * y + np.exp(x / 4) * y,
+    ])
+    @pytest.mark.parametrize("H", [HEX, Hexagon((-1, 0.3, 2), (0, 0.5, 1.7))])
+    def test_sharp_bounds_b_is_the_four_point_stencil(self, f, H):
+        # the stencil sharp_bounds used before the shared kernel, in its
+        # own order of operations: B must be equal, not merely close
+        grid_n = 65
+        xs = np.linspace(H.a[0], H.a[2], grid_n)
+        ys = np.linspace(H.b[0], H.b[2], grid_n)
+        h = min(xs[1] - xs[0], ys[1] - ys[0]) / 4.0
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        inside = np.array([[H.contains(x, y) for y in ys] for x in xs])
+        mixed = (np.asarray(f(X + h, Y + h)) - np.asarray(f(X + h, Y - h))
+                 - np.asarray(f(X - h, Y + h))
+                 + np.asarray(f(X - h, Y - h))) / (4.0 * h * h)
+        want = float(np.max(np.abs(np.where(inside, mixed, 0.0))))
+        assert sharp_bounds(f, H, grid_n=grid_n)["B"] == want
+
 
 class TestMaximizeBolt:
+    @pytest.mark.parametrize("bolt,want", [
+        ([(0.5, 0.25), (0.5, 1.5), (0.75, 1.5), (0.75, 0.5), (1.5, 0.5),
+          (1.5, 0.25)],
+         [(0.0, 0.0), (0.0, 2.0), (1.0, 2.0), (1.0, 1.0), (2.0, 1.0),
+          (2.0, 0.0)]),
+        # l < 0 at the start: the bolt is rotated by one point first
+        ([(1.5, 0.25), (1.5, 0.75), (0.25, 0.75), (0.25, 0.25)],
+         [(2.0, 1.0), (0.0, 1.0), (0.0, 0.0), (2.0, 0.0)]),
+    ])
+    def test_reanchors_onto_the_lattice(self, bolt, want):
+        H = Hexagon((0, 1, 2), (0, 1, 2))
+        f = lambda x, y: x * y + np.exp(x / 4) * y
+        assert maximize_bolt(f, H, ClosedBolt(bolt)).points == want
+
     def test_never_decreases_functional(self):
         H = Hexagon((0, 1, 2), (0, 1, 2))
         rng = np.random.default_rng(7)

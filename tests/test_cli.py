@@ -207,3 +207,25 @@ def test_expr_with_a_leading_minus(capsys):
     assert r1["results"] == r2["results"]
     assert r1["inputs_digest"] == r2["inputs_digest"]
     assert r1["command"] == "ridgekit sigmoid fit --expr -x1^2 " + " ".join(tail)
+
+
+def test_skew_lp_fallback_reaches_the_rectangle_bound(capsys):
+    # along (2,1), (1,-1) the float images of one fiber's grid points give
+    # different values of a.x; the LP must still see whole fibers, so its
+    # value is at least the largest rectangle functional on the same grid
+    code, out = run(capsys, "approx", "uniform",
+                    "--expr", "0.738*sin(5*x1 + 0.13)*cos(5*x2)",
+                    "--dirs", "2", "1", "1", "-1",
+                    "--bounds", "0", "1", "0", "1")
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert res["method"] == "numerical (no closed form)"
+    Y1, Y2 = np.meshgrid(np.linspace(0, 1, 41), np.linspace(0, 1, 41),
+                         indexing="ij")
+    X, Y = (Y1 * -1 - Y2 * 1) / -3, (Y2 * 2 - Y1 * 1) / -3
+    F = 0.738 * np.sin(5 * X + 0.13) * np.cos(5 * Y)
+    # |F[i,j] + F[k,l] - F[i,l] - F[k,j]| / 4, maximised over l, j per (i, k)
+    D = F[:, None, :] - F[None, :, :]
+    rect = float(np.max(D.max(axis=2) - D.min(axis=2))) / 4
+    assert rect == pytest.approx(0.255549, abs=1e-6)
+    assert res["error"] >= rect - 1e-9

@@ -11,6 +11,9 @@ from ridgekit.core import (
     PointConfig,
     RidgeSum,
     UnivariateTable,
+    centred_differences,
+    double_differences,
+    gauss_grid,
     grid_minimax_oracle,
     parse_expression,
     parse_vector,
@@ -110,7 +113,43 @@ class TestRidgeSum:
         assert rs(2.0, 0.5) == pytest.approx(4.0 + math.sin(0.5))
 
 
+class TestDoubleDifferences:
+    def test_cells_of_a_product_carry_their_area(self):
+        xs = np.array([0.0, 0.5, 2.0])
+        ys = np.array([1.0, 1.25, 2.0, 4.0])
+        D = double_differences(lambda x, y: x * y, xs, ys)
+        assert D.shape == (2, 3)
+        assert np.allclose(D, np.outer(np.diff(xs), np.diff(ys)))
+
+    def test_stencil_order(self):
+        # ((F11 - F10) - F01) + F00, left to right, with no reassociation
+        F = {(0, 0): 0.1, (0, 1): 1e16, (1, 0): 1.0, (1, 1): 1e16}
+        D = double_differences(lambda x, y: np.vectorize(
+            lambda i, j: F[int(i), int(j)])(x, y), [0, 1], [0, 1])
+        assert D[0, 0] == ((1e16 - 1.0) - 1e16) + 0.1
+
+    def test_additive_sums_vanish(self):
+        xs = np.linspace(-1, 1, 7)
+        D = double_differences(lambda x, y: np.sin(x) + y**2, xs, xs)
+        assert np.max(np.abs(D)) <= 1e-15
+
+    def test_centred_cells_around_nodes(self):
+        xs, ys = np.array([0.0, 1.0]), np.array([2.0, 3.0, 5.0])
+        D = centred_differences(lambda x, y: x * y * y, xs, ys, 0.1, 0.2)
+        # over [x-hx, x+hx] x [y-hy, y+hy]: 2*hx * ((y+hy)^2 - (y-hy)^2)
+        want = np.outer(np.full(2, 0.2), 4 * 0.2 * ys)
+        assert D.shape == (2, 3) and np.allclose(D, want)
+
+
 class TestQuadratureAndOracle:
+    def test_gauss_grid_weights_and_mesh(self):
+        mesh, w = gauss_grid([(0.0, 1.0), (-1.0, 3.0), (2.0, 2.5)], 3)
+        assert len(mesh) == 3 and w.shape == mesh[0].shape == (3, 3, 3)
+        assert float(np.sum(w)) == pytest.approx(2.0, abs=1e-14)
+        assert float(np.sum(w * mesh[1])) == pytest.approx(2.0, abs=1e-14)
+        mesh, w = gauss_grid([], 4)
+        assert mesh == [] and w.shape == () and float(w) == 1.0
+
     def test_tensor_quadrature_exact_for_polynomials(self):
         val = tensor_quadrature(lambda x, y: x * x * y,
                                 [(0.0, 1.0), (0.0, 2.0)], 8)
