@@ -85,13 +85,9 @@ class ExtremalPair:
 
 
 def pullback(f, dom):
-    """f1(y1, y2) = f evaluated at the x solving a.x=y1, b.x=y2."""
-
-    def f1(y1, y2):
-        x, y = dom.to_xy(np.asarray(y1, dtype=float), np.asarray(y2, dtype=float))
-        return f(x, y)
-
-    return ScalarField(2, lambda y1, y2: f1(y1, y2))
+    """f1(y1, y2) = f evaluated at the x solving a.x=y1, b.x=y2, for
+    scalars or numpy arrays y1, y2."""
+    return ScalarField(2, lambda y1, y2: f(*dom.to_xy(y1, y2)))
 
 
 def mixed_condition_check(f, dom, grid_n=21, tol=None):

@@ -9,6 +9,7 @@ from ridgekit.bolts import (
     L,
     Octagon,
     StairPolygon,
+    _prune,
     class_check,
     ebolts,
     golomb_lower_bound,
@@ -192,6 +193,105 @@ class TestMaximizeBolt:
             q = maximize_bolt(xy, H, random_bolt(H, rng))
             best = max(best, abs(l(xy, q)))
         assert best == pytest.approx(hexagon_error(xy, H)["error"], abs=1e-9)
+
+
+def maximize_bolt_oracle(f, H, p):
+    """``maximize_bolt`` as two passes, vertical then horizontal, written
+    out separately: the reference for the shared re-anchoring pass."""
+    a1, a2, a3 = H.a
+    b1, b2, b3 = H.b
+    pts = list(p.points if isinstance(p, ClosedBolt) else p)
+    if l(f, pts) < 0:
+        pts = pts[1:] + pts[:1]  # rotate so the functional starts >= 0
+
+    def high_anchor(y):
+        # tallest admissible column for a segment whose top reaches y
+        return a2 if y > b2 else a3
+
+    # vertical units: consecutive pairs sharing x; even index = + sign
+    out = list(pts)
+    n = len(pts)
+    for k in range(n):
+        j = (k + 1) % n
+        if pts[k][0] != pts[j][0]:
+            continue
+        yi, yj = pts[k][1], pts[j][1]
+        positive = (k % 2 == 0)
+        if positive and yj > yi:
+            x = a1
+        elif positive and yj < yi:
+            x = high_anchor(yi)
+        elif not positive and yj < yi:
+            x = a1
+        else:  # negative sign, moving up
+            x = high_anchor(yj)
+        out[k] = (x, yi)
+        out[j] = (x, yj)
+    out = _prune(out)
+    if len(out) < 4:
+        return ClosedBolt(p.points if isinstance(p, ClosedBolt) else p)
+
+    # horizontal units on the updated bolt; x now lies in {a1, a2, a3}
+    def wide_anchor(x):
+        # highest admissible row for a segment whose right end is at x
+        return b2 if x == a3 else b3
+
+    pts = out
+    n = len(pts)
+    out = list(pts)
+    for k in range(n):
+        j = (k + 1) % n
+        if pts[k][1] != pts[j][1]:
+            continue
+        xi, xj = pts[k][0], pts[j][0]
+        positive = (k % 2 == 0)
+        if positive and xj > xi:
+            y = b1
+        elif positive and xj < xi:
+            y = wide_anchor(xi)
+        elif not positive and xj < xi:
+            y = b1
+        else:
+            y = wide_anchor(xj)
+        out[k] = (xi, y)
+        out[j] = (xj, y)
+    out = _prune(out)
+    if len(out) < 4:
+        return ClosedBolt(p.points if isinstance(p, ClosedBolt) else p)
+    return ClosedBolt(out)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).points
+    except ValueError as exc:
+        return repr(exc)
+
+
+def test_maximize_bolt_matches_the_two_pass_oracle():
+    rng = np.random.default_rng(11)
+    fs = [xy, lambda x, y: np.sin(3 * x) * np.cos(2 * y),
+          lambda x, y: -xy(x, y)]
+    compared = 0
+    for trial in range(300):
+        if trial % 3:
+            a, b = np.sort(rng.uniform(0, 3, 3)), np.sort(rng.uniform(0, 3, 3))
+        else:
+            a, b = (0.0, 1.0, 2.0), (0.0, 1.0, 2.0)
+        H = Hexagon(a, b)
+        p = random_bolt(H, rng, max_pairs=2 + trial % 4)
+        pts = list(p.points)
+        if trial % 5 == 0:
+            # snap coordinates onto the lattice: units that share both
+            # coordinates, collapse or leave the hexagon
+            pts = [(H.a[int(rng.integers(3))], y) if rng.random() < 0.5
+                   else (x, H.b[int(rng.integers(3))]) for x, y in pts]
+        f = fs[trial % len(fs)]
+        for bolt in (pts, p):
+            want = _outcome(maximize_bolt_oracle, f, H, bolt)
+            assert _outcome(maximize_bolt, f, H, bolt) == want
+            compared += 1
+    assert compared == 600
 
 
 class TestGolomb:
