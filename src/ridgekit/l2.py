@@ -95,6 +95,8 @@ class L2Solution:
 def _slice_average(fstar, t, j, yj_values, nodes):
     """Average of f* over Y^(j) as a function of y_j (Gauss quadrature)."""
     box = t.ybox[:j] + t.ybox[j + 1:]
+    if not box:  # one axis: the average over no other axes is the value
+        return np.array([float(fstar(yj)) for yj in yj_values])
     mesh, wgrid = gauss_grid(box, nodes)
     vol = float(np.prod([hi - lo for lo, hi in box]))
     out = np.empty(len(yj_values))
