@@ -6,6 +6,7 @@ that cannot be read).
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -338,6 +339,7 @@ def _cmd_sigmoid_fit(args, t0):
 # ---------------------------------------------------------------------------
 # parser
 
+@functools.cache
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="ridgekit",

@@ -13,7 +13,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
 
 
 # ---------------------------------------------------------------------------
@@ -568,28 +567,25 @@ def grid_minimax_oracle(f, directions, grid, return_tables=False):
     values pulled back to the directions' own coordinates, with the axes
     as directions, so that each fiber is one grid row or column.
     """
+    from scipy.optimize import linprog
     pts = list(grid)
     n = len(pts)
-    # fiber values per direction, grouped by equality of a.x
+    # fiber values per direction, grouped by equality of a.x; point_cols[i]
+    # holds each point's column for direction i
     var_index = {}  # (i_dir, fiber_value) -> column
-    cols = []
-    for i, a in enumerate(directions):
-        for p in pts:
-            key = (i, dot(a, p))
-            if key not in var_index:
-                var_index[key] = len(cols)
-                cols.append(key)
-    m = len(cols)
+    point_cols = [[var_index.setdefault((i, dot(a, p)), len(var_index))
+                   for p in pts]
+                  for i, a in enumerate(directions)]
+    m = len(var_index)
     # variables: [g_0 ... g_{m-1}, t]; minimize t
     # constraints: sum_i g_{fiber_i(x)} - t <= f(x) and -sum - t <= -f(x)
     A = np.zeros((2 * n, m + 1))
     b = np.zeros(2 * n)
     for j, p in enumerate(pts):
         fx = float(f(*[float(c) for c in p]))
-        for i, a in enumerate(directions):
-            col = var_index[(i, dot(a, p))]
-            A[2 * j, col] += 1.0
-            A[2 * j + 1, col] -= 1.0
+        for cols in point_cols:
+            A[2 * j, cols[j]] += 1.0
+            A[2 * j + 1, cols[j]] -= 1.0
         A[2 * j, m] = -1.0
         A[2 * j + 1, m] = -1.0
         b[2 * j] = fx
@@ -602,8 +598,8 @@ def grid_minimax_oracle(f, directions, grid, return_tables=False):
         raise RuntimeError(f"minimax LP failed: {res.message}")
     if return_tables:
         tables = []
-        for i, a in enumerate(directions):
-            fib = sorted({dot(a, p) for p in pts})
+        for i in range(len(directions)):
+            fib = sorted(v for (k, v) in var_index if k == i)
             knots = [float(v) for v in fib]
             vals = [res.x[var_index[(i, v)]] for v in fib]
             tables.append((knots, vals))

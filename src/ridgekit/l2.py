@@ -9,7 +9,6 @@ formula in terms of slice averages of the pulled-back function.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .core import (ScalarField, UnivariateTable, gauss_grid, gauss_nodes,
                    parse_vector, row_reduce)
@@ -134,6 +133,7 @@ def best_l2(f, t, weights=None, nodes=24, damping=0.5, max_iter=500, tol=1e-10):
                   for j in range(r)]
 
     if weights is None:
+        from scipy.integrate import simpson
         comps = []
         for j in range(r):
             vals = slice_avgs[j].copy()
@@ -163,6 +163,12 @@ def best_l2(f, t, weights=None, nodes=24, damping=0.5, max_iter=500, tol=1e-10):
     def component_field(vals):
         return [UnivariateTable(knot_sets[j], vals[j]) for j in range(r)]
 
+    # the denominators, slice averages of w_j*^2, never change: computed once
+    dens = []
+    for j, w in enumerate(wstars[:r]):
+        wsq = ScalarField(t.n, lambda *ys: np.asarray(w(*ys)) ** 2)
+        dens.append(_slice_average(wsq, t, j, knot_sets[j], nodes))
+
     for it in range(max_iter):
         delta = 0.0
         for j in range(r):
@@ -177,10 +183,7 @@ def best_l2(f, t, weights=None, nodes=24, damping=0.5, max_iter=500, tol=1e-10):
 
             num = _slice_average(ScalarField(t.n, resid_times_wj), t, j,
                                  knot_sets[j], nodes)
-            den = _slice_average(
-                ScalarField(t.n, lambda *ys: np.asarray(wstars[j](*ys)) ** 2),
-                t, j, knot_sets[j], nodes)
-            new = num / den
+            new = num / dens[j]
             step = damping * (new - comps[j])
             delta = max(delta, float(np.max(np.abs(step))))
             comps[j] = comps[j] + step

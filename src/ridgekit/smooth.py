@@ -11,7 +11,6 @@ numerically (4th-order central differences + cubic-spline quadrature).
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .core import UnivariateTable
 
@@ -110,6 +109,7 @@ class _Spline1D:
     """Cubic spline with an anchored antiderivative."""
 
     def __init__(self, grid, values):
+        from scipy.interpolate import CubicSpline
         self.grid = grid
         self.spline = CubicSpline(grid, values)
 

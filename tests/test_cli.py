@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from ridgekit.cli import main
+import ridgekit
+from ridgekit.cli import _build_parser, main
 from ridgekit.sigmoid import SigmoidParams, sigma
 
 
@@ -229,3 +233,66 @@ def test_skew_lp_fallback_reaches_the_rectangle_bound(capsys):
     rect = float(np.max(D.max(axis=2) - D.min(axis=2))) / 4
     assert rect == pytest.approx(0.255549, abs=1e-6)
     assert res["error"] >= rect - 1e-9
+
+
+def test_cached_parser_carries_no_state_between_calls(capsys, square_csv,
+                                                      xy_dirs_csv, tmp_path):
+    # one parser serves every main() call of a process: options given to one
+    # call (flags, --weights, a usage error, --version) must not reach the
+    # next, so each report equals the report of the same argv run first
+    dirs = tmp_path / "dirs.csv"
+    dirs.write_text("1\n")
+    ybox = tmp_path / "ybox.json"
+    ybox.write_text("[[0, 1]]")
+    cycles = ["cycles", "check", "--points", square_csv,
+              "--directions", xy_dirs_csv]
+    l2 = ["approx", "l2", "--expr", "exp(x1)", "--dirs-file", str(dirs),
+          "--ybox", str(ybox), "--nodes", "12"]
+    argvs = [
+        cycles + ["--minimal", "--tau"],
+        cycles,
+        l2 + ["--weights", "1+x1"],
+        l2,
+        cycles + ["--frobnicate"],
+        ["--version"],
+        ["sigmoid", "eval", "--d", "2", "--lambda", "0.25", "--x", "6.0"],
+    ]
+
+    def report(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        if out.startswith("{"):
+            out = json.loads(out)
+            out.pop("timing_seconds")
+        return code, out, err
+
+    _build_parser.cache_clear()
+    in_sequence = [report(argv) for argv in argvs]
+    assert _build_parser.cache_info().misses == 1
+    assert [r[0] for r in in_sequence] == [0, 0, 0, 0, 2, 0, 0]
+    for argv, got in zip(argvs, in_sequence):
+        _build_parser.cache_clear()
+        assert got == report(argv), argv
+
+
+def test_cheap_commands_never_load_scipy(square_csv, xy_dirs_csv):
+    # cycles and sigmoid never call scipy, so a process that runs only them
+    # must not pay its import time and memory
+    script = (
+        "import sys\n"
+        "from ridgekit.cli import main\n"
+        f"assert main(['cycles', 'check', '--points', {square_csv!r},"
+        f" '--directions', {xy_dirs_csv!r}]) == 0\n"
+        "assert main(['sigmoid', 'eval', '--d', '2', '--lambda', '0.25',"
+        " '--x', '6.0']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),"
+        " file=sys.stderr)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ridgekit.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "[]"

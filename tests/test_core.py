@@ -162,6 +162,26 @@ class TestQuadratureAndOracle:
         err = grid_minimax_oracle(lambda x, y: x * y, [(1, 0), (0, 1)], pts)
         assert err == pytest.approx(0.25, abs=5e-3)
 
+    def test_minimax_oracle_tables_attain_the_error(self):
+        # one table per direction, knotted at that direction's fiber values;
+        # the ridge sum they define attains the LP error on the grid
+        pts = [(Fraction(i, 3), Fraction(j, 3))
+               for i in range(4) for j in range(4)]
+        dirs = [(1, 0), (1, 1), (1, -1)]
+        f = lambda x, y: np.sin(3 * x) * np.cos(2 * y)
+        err, tables = grid_minimax_oracle(f, dirs, pts, return_tables=True)
+        assert len(tables) == len(dirs)
+        for a, (knots, _) in zip(dirs, tables):
+            assert knots == sorted({float(a[0] * x + a[1] * y)
+                                    for x, y in pts})
+        worst = max(
+            abs(f(float(x), float(y)) - sum(
+                vals[knots.index(float(a[0] * x + a[1] * y))]
+                for a, (knots, vals) in zip(dirs, tables)))
+            for x, y in pts)
+        assert err > 0.01
+        assert worst == pytest.approx(err, abs=1e-7)
+
     def test_minimax_oracle_zero_for_ridge_input(self):
         xs = np.linspace(0, 1, 11)
         pts = np.array([(x, y) for x in xs for y in xs])

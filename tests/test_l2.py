@@ -80,6 +80,29 @@ class TestBestL2:
         weighted = best_l2(f, t, weights=ones, nodes=16)
         assert weighted.error == pytest.approx(base.error, abs=1e-8)
 
+    def test_weighted_components_satisfy_their_fixed_point(self):
+        # at convergence g_j = avg_j((f* - w_i g_i) w_j) / avg_j(w_j^2), the
+        # averages over the other axis; two different weights, so each
+        # component must be divided by its own weight's denominator
+        t = build_rset([(1, 0), (0, 1)], [], [(0, 1), (0, 1)])
+        f = lambda x, y: np.asarray(x) * np.asarray(y) + np.sin(x)
+        w = [lambda x, y: 1 + np.asarray(x) + 0 * np.asarray(y),
+             lambda x, y: 2 + np.asarray(y) + 0 * np.asarray(x)]
+        sol = best_l2(f, t, weights=w, nodes=8, tol=1e-4)
+        s, ws = np.polynomial.legendre.leggauss(8)
+        s, ws = (s + 1) / 2, ws / 2
+        for j in range(2):
+            i = 1 - j
+            yj = sol.components[j].knots
+            Yj, S = np.meshgrid(yj, s, indexing="ij")
+            X, Y = (Yj, S) if j == 0 else (S, Yj)
+            ys = (X, Y)
+            resid = f(X, Y) - w[i](X, Y) * sol.components[i](ys[i])
+            num = (resid * w[j](X, Y)) @ ws
+            den = (w[j](X, Y) ** 2) @ ws
+            assert np.max(np.abs(num / den - sol.components[j].values)) \
+                <= 1e-3
+
     def test_four_dim_diagnostics(self):
         t = build_rset(DIRS, [], YBOX)
         sol = best_l2(product4, t, nodes=16)
