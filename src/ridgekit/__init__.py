@@ -7,6 +7,17 @@ decompositions, and an algorithmically constructed universal sigmoidal
 activation with a two-neuron network fitter.
 """
 
+import os
+
+# OpenBLAS, MKL and OpenMP read their thread counts once, when numpy loads
+# them, so RIDGEKIT_THREADS is copied into their variables before any of
+# the imports below loads numpy
+_threads = os.environ.get("RIDGEKIT_THREADS")
+if _threads:
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                 "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, _threads)
+
 from .core import (
     DirectionSet,
     PointConfig,

@@ -441,11 +441,6 @@ def _attach_expr_values(argv):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    threads = os.environ.get("RIDGEKIT_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     parser = _build_parser()
     try:
         args = parser.parse_args(_attach_expr_values(argv))

@@ -404,31 +404,6 @@ class ScalarField:
 
         return cls(dim, fn)
 
-    def to_sympy(self):
-        """Convert an AST-backed field to a sympy expression in x1..xd."""
-        import sympy as sp
-        if self.ast is None:
-            raise ValueError("only expression-backed fields convert to sympy")
-        syms = sp.symbols(f"x1:{self.dim + 1}")
-        funcs = {"sin": sp.sin, "cos": sp.cos, "exp": sp.exp,
-                 "log": sp.log, "abs": sp.Abs, "sqrt": sp.sqrt}
-
-        def conv(node):
-            op = node[0]
-            if op == "const":
-                return sp.nsimplify(sp.Rational(Fraction(node[1]).limit_denominator(10**12)))
-            if op == "var":
-                return syms[node[1]]
-            if op == "neg":
-                return -conv(node[1])
-            if op == "call":
-                return funcs[node[1]](conv(node[2]))
-            a, b = conv(node[1]), conv(node[2])
-            return {"+": a + b, "-": a - b, "*": a * b,
-                    "/": a / b, "^": a ** b}[op]
-
-        return conv(self.ast), syms
-
 
 def parse_expression(text, dim):
     """Parse ``text`` over variables x1..xd into an evaluable ScalarField."""

@@ -495,11 +495,19 @@ def fit_two_neuron(f, a, b, eps, max_degree=30, grid_n=1001):
     """Two-neuron approximation of f on [a, b] to accuracy eps.
 
     Rescale to g(t) = f(a + (b-a)t) on [0,1]; find a polynomial p with
-    rational coefficients within eps/2 of g (exact coefficients when f is
-    itself polynomial with rational coefficients, else Chebyshev
-    interpolation + simplest-rational rounding); the monic normalization
-    p/p0 picks the segment index n, and the weights place that segment's
-    copy of p back through the activation.
+    rational coefficients within eps/2 of g; the monic normalization p/p0
+    picks the segment index n, and the weights place that segment's copy
+    of p back through the activation.
+
+    When f is a parsed expression in x1 that is a polynomial, p starts
+    from g's exact coefficients.  Polynomial means: constants, x1, unary
+    minus, +, - and *, plus division by a subexpression whose exact value
+    is a nonzero constant and ^ by one whose exact value is an integer
+    (negative only on a nonzero constant base).  Each literal v (pi and e
+    too) is read as Fraction(v).limit_denominator(10**12).  Every other
+    target, any function call, division by x1, x1^0.5 and plain callables
+    among them, is fitted by Chebyshev interpolation and simplest-rational
+    rounding instead.
 
     n, and with it theta1 = b - 2n(b-a), is set by the chosen polynomial,
     not by eps: eps only bounds the error, and any other rational
@@ -549,28 +557,105 @@ def fit_two_neuron(f, a, b, eps, max_degree=30, grid_n=1001):
 
 
 def _exact_poly_coeffs(f, a, b):
-    """Exact rational coefficients of g(t) = f(a + (b-a)t) when f carries a
-    polynomial expression with rational coefficients; None otherwise."""
+    """Exact rational coefficients of g(t) = f(a + (b-a)t), constant term
+    first and with no trailing zeros ([0] for the zero polynomial), when f
+    carries a univariate polynomial expression; None otherwise.
+
+    The expression counts as polynomial when it is built from constants,
+    x1, unary minus, +, - and * alone, with two more forms: p/q where q
+    reads as a nonzero constant, and p^k where k reads as an integer
+    constant (k < 0 only when p reads as a nonzero constant).  "Reads as a
+    constant" is decided on the exact coefficients, so x1/(x1-x1+2) is
+    x1/2.  Anything else gives None: any function call (even sqrt(4)),
+    division by a non-constant (even x1*x1/x1), a non-integer or symbolic
+    exponent.  Each literal v, pi and e included, is read as the rational
+    Fraction(v).limit_denominator(10**12).
+    """
     ast = getattr(f, "ast", None)
-    if ast is None:
+    if ast is None or f.dim != 1:
         return None
-    try:
-        import sympy
-        expr, syms = f.to_sympy()
-        if len(syms) != 1:
-            return None
-        t = sympy.Symbol("t")
-        g = sympy.expand(expr.subs(syms[0], rational(a) + (rational(b)
-                                                           - rational(a)) * t))
-        poly = sympy.Poly(g, t)
-        if not all(c.is_Rational for c in poly.all_coeffs()):
-            return None
-        coeffs = [Fraction(int(c.p), int(c.q))
-                  for c in reversed(poly.all_coeffs())]
-        return coeffs
-    except Exception:
-        # non-polynomial expressions, symbolic failures: fall back
+    a, b = rational(a), rational(b)
+    return _read_poly(ast, _trim([a, b - a]))
+
+
+def _read_poly(node, x):
+    """Coefficients, in powers of t, of the AST ``node`` with x1 the
+    polynomial ``x``; None where the node is not a polynomial."""
+    op = node[0]
+    if op == "const":
+        return [Fraction(node[1]).limit_denominator(10**12)]
+    if op == "var":
+        return x
+    if op == "call":
         return None
+    p = _read_poly(node[1], x)
+    if p is None:
+        return None
+    if op == "neg":
+        return [-c for c in p]
+    q = _read_poly(node[2], x)
+    if q is None:
+        return None
+    if op == "+":
+        return _poly_add(p, q)
+    if op == "-":
+        return _poly_add(p, [-c for c in q])
+    if op == "*":
+        return _poly_mul(p, q)
+    if len(q) > 1:
+        return None                  # divisor or exponent not a constant
+    c = q[0]
+    if op == "/":
+        return None if c == 0 else [v / c for v in p]
+    if c.denominator != 1:
+        return None
+    if c < 0:
+        if len(p) > 1 or p[0] == 0:
+            return None
+        return [p[0] ** int(c)]
+    return _poly_pow(p, int(c))
+
+
+def _trim(p):
+    while len(p) > 1 and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_add(p, q):
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, c in enumerate(q):
+        out[i] += c
+    return _trim(out)
+
+
+def _poly_mul(p, q):
+    """p*q, convolved in integers over the common denominators."""
+    dp = math.lcm(*(c.denominator for c in p))
+    dq = math.lcm(*(c.denominator for c in q))
+    qs = [d.numerator * (dq // d.denominator) for d in q]
+    out = [0] * (len(p) + len(q) - 1)
+    for i, c in enumerate(p):
+        c = c.numerator * (dp // c.denominator)
+        if c:
+            for j, d in enumerate(qs):
+                out[i + j] += c * d
+    den = dp * dq
+    return _trim([Fraction(c, den) for c in out])
+
+
+def _poly_pow(p, k):
+    """p^k for an integer k >= 0, by repeated squaring."""
+    out = [Fraction(1)]
+    while k:
+        if k & 1:
+            out = _poly_mul(out, p)
+        k >>= 1
+        if k:
+            p = _poly_mul(p, p)
+    return out
 
 
 def _taylor_truncate(coeffs, eps, tgrid, g_vals):

@@ -295,3 +295,51 @@ def test_cheap_commands_never_load_scipy(square_csv, xy_dirs_csv):
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _python(script, **env_vars):
+    """Run ``script`` in a fresh interpreter that imports this checkout's
+    ridgekit; ``env_vars`` set (a string) or unset (None) variables."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ridgekit.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    for name, value in env_vars.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_sigmoid_fit_never_loads_sympy():
+    # polynomial targets are read exactly without computer algebra, and
+    # the others go straight to Chebyshev interpolation
+    script = (
+        "import sys\n"
+        "from ridgekit.cli import main\n"
+        "for expr, eps in (('x1^3 + x1^2 - 5*x1 + 3', '1e-9'),"
+        " ('sin(x1)', '0.1')):\n"
+        "    assert main(['sigmoid', 'fit', '--expr', expr,"
+        " '--interval', '-1', '1', '--eps', eps]) == 0\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'sympy']\n"
+        "assert not loaded, sorted(loaded)[:5]\n"
+    )
+    proc = _python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert '"n": "115"' in proc.stdout
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts threads in /proc/self/task")
+def test_ridgekit_threads_pins_blas_threads():
+    # OpenBLAS reads its thread count when numpy loads it, so the variable
+    # must be copied before `import ridgekit.cli` imports numpy
+    script = ("import os\n"
+              "import ridgekit.cli\n"
+              "print(len(os.listdir('/proc/self/task')))\n")
+    proc = _python(script, RIDGEKIT_THREADS="1", OMP_NUM_THREADS=None,
+                   OPENBLAS_NUM_THREADS=None, MKL_NUM_THREADS=None)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"

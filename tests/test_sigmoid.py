@@ -1,9 +1,11 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,11 +25,12 @@ from ridgekit.sigmoid import (
 )
 from ridgekit.sigmoid import (
     _continued_fraction,
+    _exact_poly_coeffs,
     _index_terms,
     _ln_big,
     _segment_coeffs,
 )
-from ridgekit.core import parse_expression
+from ridgekit.core import format_ast, parse_expression, rational
 
 P = SigmoidParams(2.0, 0.25)
 
@@ -234,6 +237,174 @@ class TestFitting:
         net, _ = fit_two_neuron(f, 0.0, 1.0, 0.5)
         with pytest.raises(ValueError):
             eval_network(net, 2.0)
+
+
+def to_sympy_oracle(field):
+    """The former ScalarField.to_sympy: an AST-backed field as a sympy
+    expression in x1..xd."""
+    import sympy as sp
+    if field.ast is None:
+        raise ValueError("only expression-backed fields convert to sympy")
+    syms = sp.symbols(f"x1:{field.dim + 1}")
+    funcs = {"sin": sp.sin, "cos": sp.cos, "exp": sp.exp,
+             "log": sp.log, "abs": sp.Abs, "sqrt": sp.sqrt}
+
+    def conv(node):
+        op = node[0]
+        if op == "const":
+            return sp.nsimplify(sp.Rational(Fraction(node[1]).limit_denominator(10**12)))
+        if op == "var":
+            return syms[node[1]]
+        if op == "neg":
+            return -conv(node[1])
+        if op == "call":
+            return funcs[node[1]](conv(node[2]))
+        a, b = conv(node[1]), conv(node[2])
+        return {"+": a + b, "-": a - b, "*": a * b,
+                "/": a / b, "^": a ** b}[op]
+
+    return conv(field.ast), syms
+
+
+def exact_poly_coeffs_oracle(f, a, b):
+    """The former sigmoid._exact_poly_coeffs, which read the coefficients
+    through sympy."""
+    ast = getattr(f, "ast", None)
+    if ast is None:
+        return None
+    try:
+        expr, syms = to_sympy_oracle(f)
+        if len(syms) != 1:
+            return None
+        t = sympy.Symbol("t")
+        g = sympy.expand(expr.subs(syms[0], rational(a) + (rational(b)
+                                                           - rational(a)) * t))
+        poly = sympy.Poly(g, t)
+        if not all(c.is_Rational for c in poly.all_coeffs()):
+            return None
+        coeffs = [Fraction(int(c.p), int(c.q))
+                  for c in reversed(poly.all_coeffs())]
+        return coeffs
+    except Exception:
+        # non-polynomial expressions, symbolic failures: fall back
+        return None
+
+
+_DECIMALS = st.sampled_from(["0.5", "0.25", "0.1", "1.5", "2.75", "0.3",
+                             "0.001", "12.5"]).map(float)
+# divisors: products and quotients of nonzero literals, never zero
+_NONZERO = st.recursive(
+    st.one_of(st.integers(1, 9).map(float), _DECIMALS).map(
+        lambda v: ("const", v)),
+    lambda sub: st.one_of(
+        sub.map(lambda n: ("neg", n)),
+        st.tuples(st.sampled_from("*/"), sub, sub)),
+    max_leaves=3)
+_CONSTANTS = st.recursive(
+    st.one_of(st.just(0.0), st.integers(1, 9).map(float), _DECIMALS).map(
+        lambda v: ("const", v)),
+    lambda sub: st.one_of(
+        sub.map(lambda n: ("neg", n)),
+        st.tuples(st.sampled_from("+-*"), sub, sub),
+        st.tuples(st.just("/"), sub, _NONZERO)),
+    max_leaves=4)
+
+
+def _polynomial_nodes(sub):
+    return st.one_of(
+        sub.map(lambda n: ("neg", n)),
+        st.tuples(st.sampled_from("+-*"), sub, sub),
+        st.tuples(st.just("/"), sub, _NONZERO),
+        st.tuples(st.just("^"), sub,
+                  st.integers(0, 6).map(lambda k: ("const", float(k)))))
+
+
+def _degree_bound(node):
+    op = node[0]
+    if op in ("const", "var"):
+        return 1 if op == "var" else 0
+    if op in ("neg", "/"):
+        return _degree_bound(node[1])
+    if op == "^":
+        return _degree_bound(node[1]) * int(node[2][1])
+    left, right = _degree_bound(node[1]), _degree_bound(node[2])
+    return left + right if op == "*" else max(left, right)
+
+
+# nested powers would reach degree 6^k, slow for sympy and the reader alike
+POLYNOMIAL_ASTS = st.recursive(
+    st.one_of(st.just(("var", 0)), _CONSTANTS), _polynomial_nodes,
+    max_leaves=8).filter(lambda ast: _degree_bound(ast) <= 40)
+ENDPOINTS = st.one_of(st.integers(-12, 12).map(lambda k: k / 4),
+                      st.sampled_from([0.1, 1 / 3, -2.2]))
+
+
+class TestExactPolynomialReader:
+    @settings(max_examples=150, deadline=None)
+    @given(POLYNOMIAL_ASTS, ENDPOINTS, ENDPOINTS)
+    def test_matches_the_sympy_path(self, ast, a, b):
+        if a == b:
+            return
+        a, b = min(a, b), max(a, b)
+        f = parse_expression(format_ast(ast), 1)
+        assert _exact_poly_coeffs(f, a, b) == \
+            exact_poly_coeffs_oracle(f, a, b)
+
+    @pytest.mark.parametrize("expr", [
+        "exp(x1)", "1/(2+x1)", "4*x1/(4+x1^2)", "x1^0.5", "x1^x1", "abs(x1)",
+        "x1/0", "x1^-1", "0^-1", "x1^(1/2)"])
+    def test_non_polynomials_read_as_none(self, expr):
+        f = parse_expression(expr, 1)
+        assert _exact_poly_coeffs(f, -1.0, 1.0) is None
+        assert exact_poly_coeffs_oracle(f, -1.0, 1.0) is None
+
+    @pytest.mark.parametrize("expr,want", [
+        ("x1/(x1 - x1 + 2)", [Fraction(-1, 2), Fraction(1)]),
+        ("x1^(x1 - x1 + 3)", [Fraction(-1), Fraction(6), Fraction(-12),
+                              Fraction(8)]),
+        ("2^-2*x1", [Fraction(-1, 4), Fraction(1, 2)]),
+        ("x1^0", [Fraction(1)]), ("x1 - x1", [Fraction(0)]),
+        ("0^0", [Fraction(1)])])
+    def test_constant_divisors_and_exponents_are_read_exactly(self, expr,
+                                                              want):
+        f = parse_expression(expr, 1)
+        assert _exact_poly_coeffs(f, -1.0, 1.0) == want
+        assert exact_poly_coeffs_oracle(f, -1.0, 1.0) == want
+
+    @pytest.mark.parametrize("expr,sympy_reads", [
+        ("x1*x1/x1", [Fraction(1, 2), 1]), ("sqrt(4)*x1", [1, 2])])
+    def test_no_cancellation_through_division_or_calls(self, expr,
+                                                       sympy_reads):
+        # sympy cancels x1*x1/x1 to x1 and sqrt(4) to 2; the reader does
+        # not, and the fit takes the Chebyshev path for both
+        f = parse_expression(expr, 1)
+        assert _exact_poly_coeffs(f, 0.5, 1.5) is None
+        assert exact_poly_coeffs_oracle(f, 0.5, 1.5) == sympy_reads
+        net, achieved = fit_two_neuron(f, 0.5, 1.5, 1e-6)
+        assert achieved <= 1e-6
+
+    def test_literals_are_read_as_rationals(self):
+        # every literal is Fraction(v).limit_denominator(10**12), e and
+        # 1.4142135623730951 too, where sympy's nsimplify saw E and sqrt(2)
+        for expr, v in (("e*x1", math.e), ("1.4142135623730951*x1", 2**0.5),
+                        ("pi*x1", math.pi)):
+            f = parse_expression(expr, 1)
+            c = Fraction(v).limit_denominator(10**12)
+            assert _exact_poly_coeffs(f, 0.0, 1.0) == [0, c]
+
+    def test_high_power_is_exact_and_fast(self):
+        f = parse_expression("x1^200", 1)
+        start = time.perf_counter()
+        coeffs = _exact_poly_coeffs(f, -1.0, 1.0)
+        elapsed = time.perf_counter() - start
+        # (2t - 1)^200 by the binomial theorem
+        assert coeffs == [math.comb(200, k) * 2**k * (-1) ** (200 - k)
+                          for k in range(201)]
+        assert elapsed < 0.26
+
+    def test_multivariate_and_plain_callables_read_as_none(self):
+        assert _exact_poly_coeffs(parse_expression("x1", 2), 0.0, 1.0) is None
+        assert _exact_poly_coeffs(lambda x: x, 0.0, 1.0) is None
 
 
 class TestMonicPoly:
