@@ -33,7 +33,7 @@ def main() -> None:
 
     report = verify_extremal(f, result, dom)
     print("extremal certificate verdict:", report["verdict"])
-    print("alternating extremal path length:", report["longest_path"])
+    print("alternating extremal path length:", len(report["witness"]))
 
     norms, _tables = diliberto_straus(f, dom, iters=100, grid_n=41)
     print("Diliberto-Straus residual after 100 sweeps:", round(norms[-1], 6))

@@ -25,6 +25,7 @@ from .core import (
     ScalarField,
     UnivariateTable,
     grid_minimax_oracle,
+    max_cycle_mean,
     parse_expression,
     parse_vector,
     rational,
@@ -103,8 +104,8 @@ __version__ = "1.0.0"
 
 __all__ = [
     "DirectionSet", "PointConfig", "RidgeSum", "ScalarField",
-    "UnivariateTable", "grid_minimax_oracle", "parse_expression",
-    "parse_vector", "rational",
+    "UnivariateTable", "grid_minimax_oracle", "max_cycle_mean",
+    "parse_expression", "parse_vector", "rational",
     "CycleCertificate", "CycleExists", "closed_path_search",
     "cycle_functional", "has_cycle", "minimal_cycles", "orbits",
     "solve_representation", "tau_closure",

@@ -11,7 +11,8 @@ import itertools
 
 import numpy as np
 
-from .core import UnivariateTable, centred_differences, double_differences
+from .core import (UnivariateTable, centred_differences, double_differences,
+                   max_cycle_mean)
 
 
 class ClassViolated(ValueError):
@@ -351,16 +352,33 @@ def _monotone_on_grid(f, rects, grid_n=33, tol=None):
     return worst >= -tol, worst
 
 
+def _grid_minimax(f, rects, grid_n):
+    """Exact minimax error of f by sums u(x) + v(y) on the points in the
+    union of ``rects`` of the grid_n x grid_n grid of their bounding box,
+    and a critical cycle as a bolt (None when the error is 0)."""
+    xs = np.linspace(min(R.a1 for R in rects), max(R.b1 for R in rects), grid_n)
+    ys = np.linspace(min(R.a2 for R in rects), max(R.b2 for R in rects), grid_n)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    inside = np.any([(R.a1 <= X) & (X <= R.b1) & (R.a2 <= Y) & (Y <= R.b2)
+                     for R in rects], axis=0)
+    rows, cols = np.nonzero(inside)
+    err, cycle = max_cycle_mean(rows, cols, f(X[inside], Y[inside]))
+    pts = [(xs[rows[k]], ys[cols[k]]) for k in cycle]
+    return err, ClosedBolt(pts) if pts else None
+
+
 def polygon_error(f, P, check=True, grid_n=33):
     """Error over a hexagon, octagon or staircase: max |l| over ``ebolts(P)``.
 
     The maximum is the error of the best u(x) + v(y) when f lies in the
     nonnegative-difference class on every rectangle of ``P.rectangles()``.
     With ``check`` that class is tested on a grid_n x grid_n grid of each
-    rectangle.  When the test fails, the result still carries the e-bolt
-    maximum as ``error`` (a lower bound of the true error, no longer the
-    error itself), flagged ``fallback: True`` with the most negative cell
-    difference as ``class_worst``.
+    rectangle.  When the test fails, ``error`` is the larger of two lower
+    bounds of the true error: the e-bolt maximum and the exact minimax
+    error on the points of a grid_n x grid_n grid that lie in P.  The
+    result is then flagged ``fallback: True``, with the most negative cell
+    difference as ``class_worst``; when the grid value is the larger, the
+    extremal ``bolt`` is its critical cycle on the grid.
 
     Returns a dict: ``error``, the extremal ``bolt``, the evaluated
     ``bolts`` and their ``values`` in the same order, and ``fallback``.
@@ -371,10 +389,13 @@ def polygon_error(f, P, check=True, grid_n=33):
     result = {"error": vals[best], "bolt": bolts[best], "bolts": bolts,
               "values": vals, "fallback": False}
     if check:
-        ok, worst = _monotone_on_grid(f, P.rectangles(), grid_n=grid_n)
+        rects = P.rectangles()
+        ok, worst = _monotone_on_grid(f, rects, grid_n=grid_n)
         if not ok:
-            result["fallback"] = True
-            result["class_worst"] = worst
+            result.update(fallback=True, class_worst=worst)
+            err, bolt = _grid_minimax(f, rects, grid_n)
+            if err > result["error"]:
+                result["error"], result["bolt"] = err, bolt
     return result
 
 
@@ -507,48 +528,12 @@ def golomb_lower_bound(f, points, cap=10, budget=200_000):
     """Best lower bound from minimal projection cycles on a finite set.
 
     For coordinate projections in the plane, minimal projection cycles are
-    simple cycles of the bipartite graph (x-values, y-values, points as
-    edges), carrying alternating +-1 weights; the normalized functional is
-    exactly |l(f, cycle)|.  DFS enumerates simple cycles up to ``cap``
-    points within an expansion budget.
+    the simple cycles of the fiber graph of ``core.max_cycle_mean``, and the
+    largest normalized functional |l(f, cycle)| over them is its maximum
+    cycle mean: the exact minimax error of f by sums u(x) + v(y) on the set.
+    ``cap`` and ``budget`` are ignored; they stay for existing callers.
     """
-    pts = [(float(p[0]), float(p[1])) for p in
-           (points.as_array() if hasattr(points, "as_array") else points)]
-    xids, yids = {}, {}
-    for (x, y) in pts:
-        xids.setdefault(x, len(xids))
-        yids.setdefault(y, len(yids))
-    edges = [(("x", xids[x]), ("y", yids[y]), k) for k, (x, y) in enumerate(pts)]
-    adj = {}
-    for u, v, k in edges:
-        adj.setdefault(u, []).append((v, k))
-        adj.setdefault(v, []).append((u, k))
-
-    best = 0.0
-    steps = 0
-    nodes = sorted(adj, key=lambda t: (t[0], t[1]))
-    for start_idx, start in enumerate(nodes):
-        # only cycles whose smallest node is `start` (dedupe)
-        allowed = set(nodes[start_idx:])
-        stack = [(start, None, [start], [])]
-        while stack:
-            steps += 1
-            if steps > budget:
-                break
-            node, in_edge, path, used = stack.pop()
-            for (nbr, edge) in adj[node]:
-                if edge == in_edge or edge in used or nbr not in allowed:
-                    continue
-                if nbr == start and len(used) >= 3:
-                    cycle_pts = [pts[e] for e in used + [edge]]
-                    if len(cycle_pts) <= cap:
-                        best = max(best, abs(l(f, cycle_pts)))
-                    continue
-                if nbr in path:
-                    continue
-                if len(used) + 1 >= cap:
-                    continue
-                stack.append((nbr, edge, path + [nbr], used + [edge]))
-        if steps > budget:
-            break
-    return best
+    pts = np.array(points.as_array() if hasattr(points, "as_array")
+                   else points, dtype=float).reshape(-1, 2)
+    vals = [float(f(x, y)) for x, y in pts]
+    return max_cycle_mean(pts[:, 0], pts[:, 1], vals)[0]

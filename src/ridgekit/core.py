@@ -528,6 +528,61 @@ def centred_differences(f, xs, ys, hx, hy):
 
 
 # ---------------------------------------------------------------------------
+# two-direction minimax on a finite set: the maximum cycle mean
+
+def max_cycle_mean(rows, cols, values):
+    """Exact discrete minimax error e* = min max_p |f(p) - u(row p) - v(col p)|
+    over a finite point set, and one critical cycle.
+
+    Each point p is an edge row -> column of weight f(p) and an edge
+    column -> row of weight -f(p) of the bipartite fiber graph, and e* is
+    its maximum cycle mean (Karp 1978): with D_k(v) the heaviest walk of k
+    edges to node v and n nodes, e* = max_v min_k (D_n(v) - D_k(v)) / (n-k),
+    and every cycle on the heaviest n-edge walk to the maximizing v is
+    critical.  Such a cycle is a closed bolt p1, q1, p2, ... (p_k, q_k share
+    a column, q_k, p_(k+1) a row) with alternating mean
+    (f(p1) - f(q1) + f(p2) - ...) / length = e*; an acyclic graph gives 0.
+
+    ``rows`` and ``cols`` label the points' fibers (a grid passes its raveled
+    indices) and ``values`` are the f(p).  Returns (e*, the critical cycle
+    as point indices from a + point, empty when e* = 0).
+    """
+    _, r = np.unique(rows, return_inverse=True)
+    _, c = np.unique(cols, return_inverse=True)
+    f = np.asarray(values, dtype=float).ravel()
+    npts = f.size
+    if npts == 0:
+        return 0.0, []
+    nrows = int(r.max()) + 1
+    n = nrows + int(c.max()) + 1
+    src = np.concatenate([r, nrows + c])
+    dst = np.concatenate([nrows + c, r])
+    w = np.concatenate([f, -f])
+    # edges grouped by their end node, so one reduceat gives each D_k
+    order = np.argsort(dst, kind="stable")
+    starts = np.searchsorted(dst[order], np.arange(n + 1))
+    src_in, w_in = src[order], w[order]
+    D = np.empty((n + 1, n))
+    D[0] = 0.0
+    for k in range(1, n + 1):
+        D[k] = np.maximum.reduceat(D[k - 1, src_in] + w_in, starts[:-1])
+    means = ((D[n] - D[:n]) / (n - np.arange(n))[:, None]).min(axis=0)
+    # walk back from the maximizing node until a node repeats
+    walk, edges = [int(np.argmax(means))], []
+    for k in range(n, 0, -1):
+        into = order[starts[walk[-1]]:starts[walk[-1] + 1]]
+        edges.append(int(into[np.argmax(D[k - 1, src[into]] + w[into])]))
+        walk.append(int(src[edges[-1]]))
+        if walk[-1] in walk[:-1]:
+            break
+    cycle = edges[walk.index(walk[-1]):][::-1]
+    if cycle[0] >= npts:
+        cycle = cycle[1:] + cycle[:1]
+    err = float(np.mean(w[cycle]))
+    return (err, [e % npts for e in cycle]) if err > 0.0 else (0.0, [])
+
+
+# ---------------------------------------------------------------------------
 # grid minimax LP oracle
 
 def grid_minimax_oracle(f, directions, grid, return_tables=False):

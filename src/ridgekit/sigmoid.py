@@ -523,6 +523,10 @@ def fit_two_neuron(f, a, b, eps, max_degree=30, grid_n=1001):
     params = SigmoidParams(d, 0.25)
     tgrid = np.linspace(0.0, 1.0, grid_n)
     g_vals = np.asarray(f(a + d * tgrid), dtype=float)
+    bad = np.flatnonzero(~np.isfinite(g_vals))
+    if bad.size:
+        raise ValueError(
+            f"target is not finite at x = {float(a + d * tgrid[bad[0]])!r}")
 
     exact = _exact_poly_coeffs(f, a, b)
     if exact is not None:

@@ -13,7 +13,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .core import ScalarField, UnivariateTable, RidgeSum, centred_differences
+from .core import (ScalarField, UnivariateTable, RidgeSum, centred_differences,
+                   max_cycle_mean)
 
 PulledBackGrid = namedtuple("PulledBackGrid", "y1 y2 Y1 Y2 X Y")
 
@@ -125,14 +126,14 @@ def best_uniform(f, dom, check=True, grid_n=21):
     error = (f1(c1,c2) + f1(d1,d2) - f1(c1,d2) - f1(d1,c2)) / 4 for the
     pullback f1; the extremal pair mixes f1 along the edges of the
     pulled-back rectangle.  Raises HypothesisViolated when the check
-    fails (use grid_minimax_oracle then).
+    fails (use core.max_cycle_mean on a pulled-back grid then).
     """
     if check:
         verdict = mixed_condition_check(f, dom, grid_n=grid_n)
         if not verdict["passed"]:
             raise HypothesisViolated(
                 "second-order hypothesis fails; no closed form "
-                "(fall back to grid_minimax_oracle)",
+                "(fall back to the grid minimax error, core.max_cycle_mean)",
                 worst_point=verdict["worst_point"],
                 worst_value=verdict["worst_value"],
             )
@@ -160,77 +161,31 @@ def best_uniform(f, dom, check=True, grid_n=21):
 
 
 def verify_extremal(f, candidate, dom, grid_n=33, tol=1e-6, max_len=64):
-    """Look for a closed alternating path on which f - candidate hits
-    +/- its sup-norm with alternating signs.
+    """Check a candidate pair against the exact minimax error e* of f on
+    the pulled-back grid_n x grid_n grid (``core.max_cycle_mean``, with the
+    constant-y1 fibers as rows and the constant-y2 fibers as columns).
 
-    The search runs on the pulled-back grid; path steps alternate between
-    constant-y1 and constant-y2 moves among near-extremal residual points.
-    Returns a dict with the verdict and, when found, the witness path in
-    x-coordinates.
+    The pair is extremal when the sup-norm of f - candidate on the grid is
+    at most e* + tol; the witness is then the critical cycle, a closed
+    alternating path in x-coordinates on which f - candidate takes +/- its
+    norm in turn (None when e* = 0).  Otherwise the verdict says the pair is
+    not best on the grid and gives e*.  ``max_len`` is ignored; it stays
+    for existing callers.
+
+    Returns a dict: ``verdict``, ``norm``, ``grid_error`` (e*), ``witness``.
     """
     g = dom.grid(grid_n)
-    X, Y = g.X, g.Y
-    resid = np.asarray(f(X, Y), dtype=float) - np.asarray(candidate(X, Y), dtype=float)
+    F = np.broadcast_to(np.asarray(f(g.X, g.Y), dtype=float), g.X.shape)
+    resid = F - np.asarray(candidate(g.X, g.Y), dtype=float)
     norm = float(np.max(np.abs(resid)))
-    if norm <= tol:
-        return {"verdict": "extremal (zero residual)", "norm": norm,
-                "witness": None, "longest_path": 0}
-
-    plus = set(zip(*np.where(resid >= norm - tol)))
-    minus = set(zip(*np.where(resid <= -norm + tol)))
-
-    # nodes: (i, j, sign); edges connect opposite signs sharing a row (same
-    # i: constant y1 fiber) or a column (same j); a closed alternating walk
-    # of even length that strictly alternates row/column moves is a witness.
-    nodes = [(i, j, +1) for (i, j) in plus] + [(i, j, -1) for (i, j) in minus]
-    index = {node: k for k, node in enumerate(nodes)}
-
-    def neighbors(node, move):
-        i, j, s = node
-        for (a, b, t) in nodes:
-            if t != -s:
-                continue
-            if move == "row" and a == i and b != j:
-                yield (a, b, t)
-            if move == "col" and b == j and a != i:
-                yield (a, b, t)
-
-    best_len = 0
-    witness = None
-    for start in nodes:
-        if start[2] != +1:
-            continue
-        # DFS alternating row/col moves, seeking a return to start
-        stack = [(start, "row", [start])]
-        seen_states = set()
-        while stack and witness is None:
-            node, move, path = stack.pop()
-            if len(path) > max_len:
-                best_len = max(best_len, len(path))
-                continue
-            for nxt in neighbors(node, move):
-                nxt_move = "col" if move == "row" else "row"
-                if nxt == start and len(path) >= 4 and len(path) % 2 == 0:
-                    # closing edge must differ in move-type from the first
-                    witness = path
-                    break
-                if nxt in path:
-                    continue
-                state = (index[nxt], nxt_move, len(path) + 1)
-                if state in seen_states:
-                    continue
-                seen_states.add(state)
-                best_len = max(best_len, len(path) + 1)
-                stack.append((nxt, nxt_move, path + [nxt]))
-        if witness:
-            break
-
-    if witness:
-        pts = [(float(X[i, j]), float(Y[i, j])) for (i, j, _) in witness]
-        return {"verdict": "extremal", "norm": norm, "witness": pts,
-                "longest_path": len(witness)}
-    return {"verdict": "no witness found at this resolution", "norm": norm,
-            "witness": None, "longest_path": best_len}
+    err, cycle = max_cycle_mean(*np.indices(F.shape).reshape(2, -1), F)
+    verdict = "extremal"
+    if norm > err + tol:
+        verdict, cycle = (f"not best on the grid: norm {norm:.6g} exceeds "
+                          f"the grid minimax error {err:.6g}"), []
+    witness = [(float(g.X.flat[k]), float(g.Y.flat[k])) for k in cycle]
+    return {"verdict": verdict, "norm": norm, "grid_error": err,
+            "witness": witness or None}
 
 
 def diliberto_straus(f, dom, iters=100, grid_n=41):

@@ -17,6 +17,7 @@ from ridgekit.bolts import (
     l,
     maximize_bolt,
     octagon_error,
+    polygon_error,
     random_bolt,
     sharp_bounds,
     stairlike_error,
@@ -161,6 +162,32 @@ class TestPolygons:
         assert sharp_bounds(f, H, grid_n=grid_n)["B"] == want
 
 
+    @pytest.mark.parametrize("P", [
+        HEX, Octagon((0, 1, 2, 3), (0, 1, 2), "A"),
+        Octagon((0, 1, 2, 3), (0, 1, 2), "B"),
+        StairPolygon((0, 1, 2, 3), (0, 1, 2, 3))])
+    def test_failed_class_check_reports_the_grid_minimax(self, P):
+        # outside the class the e-bolts miss most of the error: on the
+        # hexagon they reach 0.0989 where the grid minimax is 0.7071
+        f = lambda x, y: np.sin(3 * x) * np.cos(2 * y)
+        rep = polygon_error(f, P)
+        assert rep["fallback"]
+        assert rep["error"] > max(rep["values"])
+        assert l(f, rep["bolt"]) == pytest.approx(rep["error"], rel=1e-12)
+        rects = P.rectangles()
+        xs = np.linspace(min(R.a1 for R in rects), max(R.b1 for R in rects),
+                         33)
+        ys = np.linspace(min(R.a2 for R in rects), max(R.b2 for R in rects),
+                         33)
+        pts = [(x, y) for x in xs for y in ys
+               if any(R.a1 <= x <= R.b1 and R.a2 <= y <= R.b2
+                      for R in rects)]
+        lp = grid_minimax_oracle(f, [(1, 0), (0, 1)], pts)
+        assert rep["error"] == pytest.approx(lp, rel=1e-9)
+        if P is self.HEX:
+            assert rep["error"] == pytest.approx(0.7071, abs=1e-4)
+
+
 class TestMaximizeBolt:
     @pytest.mark.parametrize("bolt,want", [
         ([(0.5, 0.25), (0.5, 1.5), (0.75, 1.5), (0.75, 0.5), (1.5, 0.5),
@@ -302,3 +329,81 @@ class TestGolomb:
         gl = golomb_lower_bound(xy, pts)
         assert gl <= lp + 1e-9
         assert gl > 0
+
+
+def golomb_dfs_oracle(f, points, cap=10, budget=200_000):
+    """The former golomb_lower_bound: the largest |l| over simple cycles
+    of the fiber graph up to ``cap`` points, found by a DFS that stops
+    after ``budget`` expansions."""
+    pts = [(float(p[0]), float(p[1])) for p in
+           (points.as_array() if hasattr(points, "as_array") else points)]
+    xids, yids = {}, {}
+    for (x, y) in pts:
+        xids.setdefault(x, len(xids))
+        yids.setdefault(y, len(yids))
+    edges = [(("x", xids[x]), ("y", yids[y]), k) for k, (x, y) in enumerate(pts)]
+    adj = {}
+    for u, v, k in edges:
+        adj.setdefault(u, []).append((v, k))
+        adj.setdefault(v, []).append((u, k))
+
+    best = 0.0
+    steps = 0
+    nodes = sorted(adj, key=lambda t: (t[0], t[1]))
+    for start_idx, start in enumerate(nodes):
+        # only cycles whose smallest node is `start` (dedupe)
+        allowed = set(nodes[start_idx:])
+        stack = [(start, None, [start], [])]
+        while stack:
+            steps += 1
+            if steps > budget:
+                break
+            node, in_edge, path, used = stack.pop()
+            for (nbr, edge) in adj[node]:
+                if edge == in_edge or edge in used or nbr not in allowed:
+                    continue
+                if nbr == start and len(used) >= 3:
+                    cycle_pts = [pts[e] for e in used + [edge]]
+                    if len(cycle_pts) <= cap:
+                        best = max(best, abs(l(f, cycle_pts)))
+                    continue
+                if nbr in path:
+                    continue
+                if len(used) + 1 >= cap:
+                    continue
+                stack.append((nbr, edge, path + [nbr], used + [edge]))
+        if steps > budget:
+            break
+    return best
+
+
+class TestGolombKernel:
+    SIN = staticmethod(lambda x, y: np.sin(3 * x) * np.cos(2 * y))
+
+    def test_never_below_the_cycle_search(self):
+        rng = np.random.default_rng(11)
+        for trial in range(30):
+            pts = sorted({(float(rng.integers(5)), float(rng.integers(5)))
+                          for _ in range(int(rng.integers(4, 20)))})
+            f = (self.SIN, xy, lambda x, y: np.cos(x * y + x))[trial % 3]
+            dfs = golomb_dfs_oracle(f, pts, budget=20_000)
+            assert dfs <= golomb_lower_bound(f, pts) + 1e-12
+
+    def test_equals_an_exhaustive_cycle_search(self):
+        # every simple cycle of the 3x3 grid has at most 6 points
+        pts = [(x, y) for x in range(3) for y in range(3)]
+        assert golomb_lower_bound(self.SIN, pts) == pytest.approx(
+            golomb_dfs_oracle(self.SIN, pts, cap=9), rel=1e-12)
+
+    def test_grows_with_the_set_and_equals_the_lp(self):
+        # the former cycle search ran out of budget on {0..5}^2 and gave
+        # 0.3604, below its own 0.3922 on the {0..4}^2 subset
+        small = [(x, y) for x in range(5) for y in range(5)]
+        big = [(x, y) for x in range(6) for y in range(6)]
+        g4 = golomb_lower_bound(self.SIN, small)
+        g5 = golomb_lower_bound(self.SIN, big)
+        assert g4 == pytest.approx(0.392199, abs=1e-6)
+        assert g5 >= g4
+        assert g5 == pytest.approx(0.545680, abs=1e-6)
+        lp = grid_minimax_oracle(self.SIN, [(1, 0), (0, 1)], big)
+        assert g5 == pytest.approx(lp, rel=1e-12)

@@ -297,6 +297,33 @@ def test_cheap_commands_never_load_scipy(square_csv, xy_dirs_csv):
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_non_finite_fit_target_is_a_domain_error(capsys):
+    # x1*x1/x1 is NaN at the grid's midpoint x = 0
+    code, out = run(capsys, "sigmoid", "fit", "--expr", "x1*x1/x1",
+                    "--interval", "-1", "1", "--eps", "0.1")
+    assert code == 1
+    report = json.loads(out, parse_constant=lambda name: pytest.fail(name))
+    assert report["error"]["type"] == "ValueError"
+    assert "not finite" in report["error"]["message"]
+
+
+def test_verify_reports_a_closed_form_that_is_not_best(capsys):
+    # the oscillation vanishes at the nodes of the hypothesis check, so the
+    # closed form of x1*x2 is taken; on the verification grid its norm is
+    # 0.488 against the grid minimax 0.293
+    code, out = run(capsys, "approx", "uniform", "--expr",
+                    "x1*x2 + 0.1*cos(20*pi*x1)*cos(20*pi*x2)",
+                    "--dirs", "1", "0", "0", "1",
+                    "--bounds", "0", "1", "0", "1", "--verify")
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert res["method"] == "closed form"
+    assert res["verified"].startswith("not best on the grid")
+    assert "0.488295" in res["verified"] and "0.292582" in res["verified"]
+    assert res["witness_path"] is None
+
+
 def _python(script, **env_vars):
     """Run ``script`` in a fresh interpreter that imports this checkout's
     ridgekit; ``env_vars`` set (a string) or unset (None) variables."""
@@ -343,3 +370,33 @@ def test_ridgekit_threads_pins_blas_threads():
                    OPENBLAS_NUM_THREADS=None, MKL_NUM_THREADS=None)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1"
+
+
+def test_uniform_fallback_verify_and_golomb_never_load_scipy(tmp_path):
+    # the grid minimax of these three paths is the maximum cycle mean, so a
+    # process without scipy runs them all
+    geom = tmp_path / "hex.json"
+    geom.write_text('{"a": [0, 1, 2], "b": [0, 1, 2]}')
+    pts = tmp_path / "pts.csv"
+    pts.write_text("".join(f"{x},{y}\n" for x in range(4) for y in range(4)))
+    script = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from ridgekit.cli import main\n"
+        "def results(*argv):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        assert main(argv) == 0\n"
+        "    return json.loads(out.getvalue())['results']\n"
+        "uniform = ('approx', 'uniform', '--dirs', '1', '0', '0', '1',"
+        " '--bounds', '0', '1', '0', '1', '--expr')\n"
+        "res = results(*uniform, 'sin(3*x1)*cos(4*x2)')\n"
+        "assert res['method'] == 'numerical (no closed form)', res\n"
+        "assert results(*uniform, 'x1*x2', '--verify')['verified'] =="
+        " 'extremal'\n"
+        "res = results('bolts', 'hexagon', '--expr', 'sin(3*x1)*cos(2*x2)',"
+        f" '--geom', {str(geom)!r}, '--golomb', {str(pts)!r})\n"
+        "assert res['golomb_lower_bound'] > 0, res\n"
+    )
+    proc = _python(script)
+    assert proc.returncode == 0, proc.stderr

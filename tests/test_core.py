@@ -15,6 +15,7 @@ from ridgekit.core import (
     double_differences,
     gauss_grid,
     grid_minimax_oracle,
+    max_cycle_mean,
     parse_expression,
     parse_vector,
     rational,
@@ -188,3 +189,79 @@ class TestQuadratureAndOracle:
         err = grid_minimax_oracle(lambda x, y: x + np.sin(y),
                                   [(1, 0), (0, 1)], pts)
         assert abs(err) <= 1e-9
+
+
+def _tabulated_lp(pts, vals):
+    """grid_minimax_oracle along the axes on integer points with the given
+    values."""
+    table = dict(zip(pts, vals))
+    return grid_minimax_oracle(lambda x, y: table[(int(x), int(y))],
+                               [(1, 0), (0, 1)], pts)
+
+
+def _forest(data):
+    """A set whose fiber graph is acyclic: each new point shares its row or
+    its column with an earlier point and opens a fresh fiber for the
+    other."""
+    pts = [(0, 0)]
+    rows, cols = 1, 1
+    for _ in range(data.draw(st.integers(0, 12))):
+        x, y = data.draw(st.sampled_from(pts))
+        if data.draw(st.booleans()):
+            pts.append((x, cols))
+            cols += 1
+        else:
+            pts.append((rows, y))
+            rows += 1
+    return pts
+
+
+class TestMaxCycleMean:
+    def check(self, pts, vals):
+        err, cycle = max_cycle_mean([p[0] for p in pts], [p[1] for p in pts],
+                                    vals)
+        lp = _tabulated_lp(pts, vals)
+        assert err == pytest.approx(lp, rel=1e-12, abs=1e-12)
+        if err == 0.0:
+            assert cycle == []
+            return err
+        # a closed bolt: distinct points, a shared column then a shared row
+        # in turn, whose alternating mean is the error
+        assert len(cycle) >= 4 and len(set(cycle)) == len(cycle)
+        for k, i in enumerate(cycle):
+            j = cycle[(k + 1) % len(cycle)]
+            assert pts[i][1 - k % 2] == pts[j][1 - k % 2]
+        alt = sum((-1) ** k * vals[i] for k, i in enumerate(cycle))
+        assert alt / len(cycle) == pytest.approx(err, rel=1e-12)
+        return err
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_matches_the_lp_on_scattered_sets(self, data):
+        pts = data.draw(st.lists(st.tuples(st.integers(0, 6),
+                                           st.integers(0, 6)),
+                                 min_size=1, max_size=30, unique=True))
+        vals = data.draw(st.lists(st.floats(-10, 10), min_size=len(pts),
+                                  max_size=len(pts)))
+        self.check(pts, vals)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.data())
+    def test_matches_the_lp_on_grids_with_ties(self, n1, n2, data):
+        pts = [(i, j) for i in range(n1) for j in range(n2)]
+        vals = data.draw(st.lists(st.integers(-2, 2).map(float),
+                                  min_size=len(pts), max_size=len(pts)))
+        self.check(pts, vals)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_forests_give_zero(self, data):
+        pts = _forest(data)
+        vals = data.draw(st.lists(st.floats(-10, 10), min_size=len(pts),
+                                  max_size=len(pts)))
+        assert self.check(pts, vals) == 0.0
+
+    def test_raveled_grid_of_a_ridge_sum_gives_zero(self):
+        F = np.sin(np.arange(5.0))[:, None] + np.arange(7.0)[None, :] ** 2
+        err, cycle = max_cycle_mean(*np.indices(F.shape).reshape(2, -1), F)
+        assert err == pytest.approx(0.0, abs=1e-12)

@@ -66,6 +66,16 @@ class TestVerifyExtremal:
         if rep["witness"] is not None:
             assert len(rep["witness"]) >= 4 and len(rep["witness"]) % 2 == 0
 
+    def test_witness_alternates_at_the_norm(self):
+        f = lambda x, y: xy(x, y) + 0.3 * np.exp(np.asarray(x) * 0.5)
+        pair = best_uniform(f, UNIT)
+        rep = verify_extremal(f, pair, UNIT)
+        assert rep["verdict"] == "extremal"
+        assert rep["grid_error"] == pytest.approx(pair.error, rel=1e-12)
+        resid = [float(f(x, y) - pair(x, y)) for x, y in rep["witness"]]
+        want = [(-1) ** k * rep["norm"] for k in range(len(resid))]
+        assert resid == pytest.approx(want, rel=1e-9)
+
 
 class TestDilibertoStraus:
     def test_norms_nonincreasing_and_converge(self):
