@@ -14,6 +14,9 @@ import numpy as np
 from .core import (UnivariateTable, centred_differences, double_differences,
                    max_cycle_mean)
 
+CHECK_N = 33    # nodes per axis of the class checks and the grid fallback
+TABLE_N = 257   # knots of the extremal pair's tables
+
 
 class ClassViolated(ValueError):
     """The monotonicity-class hypothesis failed on the grid."""
@@ -33,6 +36,9 @@ class AxisRect:
     @property
     def bounds(self):
         return (self.a1, self.b1, self.a2, self.b2)
+
+    def rectangles(self):
+        return [self]
 
 
 class Hexagon:
@@ -130,9 +136,6 @@ class ClosedBolt:
             raise ValueError("bolt moves must alternate vertical/horizontal")
         self.points = pts
 
-    def rotate(self, k=1):
-        return ClosedBolt(self.points[k:] + self.points[:k])
-
     def __len__(self):
         return len(self.points)
 
@@ -159,12 +162,14 @@ def l(f, bolt):
 # ---------------------------------------------------------------------------
 # monotone classes on a rectangle split at x = c
 
-def class_check(f, R, c, which, grid_n=33, tol=None):
+def class_check(f, R, c, which):
     """Grid check of the V_c / U_c sign conditions on R split at x = c.
 
     V_c: cell differences >= 0 left of c, <= 0 right of c, and >= 0 on
     full-width horizontal strips.  U_c swaps the one-sided signs (strips
-    stay >= 0).  Returns a verdict dict.
+    stay >= 0).  Each side of c is a 33 x 33 grid and the strips span the
+    full width at the same 33 heights; a cell fails below -1e-10 * (1 +
+    the largest |f| at the split's corners).  Returns a verdict dict.
     """
     a1, b1, a2, b2 = R.bounds
     c = float(c)
@@ -174,18 +179,16 @@ def class_check(f, R, c, which, grid_n=33, tol=None):
         raise ValueError("U-class needs c in [a1, b1)")
     if which not in ("V", "U"):
         raise ValueError("which must be 'V' or 'U'")
-    ys = np.linspace(a2, b2, grid_n)
-    if tol is None:
-        scale = max(abs(float(f(x, y)))
-                    for x in (a1, c, b1) for y in (a2, b2))
-        tol = 1e-10 * (1.0 + scale)
+    ys = np.linspace(a2, b2, CHECK_N)
+    scale = max(abs(float(f(x, y))) for x in (a1, c, b1) for y in (a2, b2))
+    tol = 1e-10 * (1.0 + scale)
 
     # double differences are additive, so sub-rectangle signs reduce to
     # cell signs
     sign = 1.0 if which == "V" else -1.0
     failures = []
-    for name, xs, s in [("left", np.linspace(a1, c, grid_n), sign),
-                        ("right", np.linspace(c, b1, grid_n), -sign),
+    for name, xs, s in [("left", np.linspace(a1, c, CHECK_N), sign),
+                        ("right", np.linspace(c, b1, CHECK_N), -sign),
                         ("strips", np.array([a1, b1]), 1.0)]:
         if xs[0] < xs[-1]:
             worst = float(np.min(s * double_differences(f, xs, ys)))
@@ -206,27 +209,29 @@ def _bisect_half_level(g, lo, hi, target, iters=80):
     return hi
 
 
-def vc_best(f, R, c, check=True, grid_n=33, table_n=257):
+def vc_best(f, R, c):
     """Error and extremal pair for the class with >= 0 differences left of c.
 
     error = L(f, [a1,c] x [a2,b2]); the split height y0 solves
     L(f, [a1,c] x [a2,y]) = error/2; the extremal pair is
-    phi0(x) = f(x, y0), psi0(y) = (f(a1,y)+f(c,y)-f(a1,y0)-f(c,y0))/2.
+    phi0(x) = f(x, y0), psi0(y) = (f(a1,y)+f(c,y)-f(a1,y0)-f(c,y0))/2,
+    each with a 257-knot ``table``.  Raises ClassViolated when
+    ``class_check`` (33 x 33 grids) fails.
     """
-    return _monotone_best(f, R, c, "V", check, grid_n, table_n)
+    return _monotone_best(f, R, c, "V")
 
 
-def uc_best(f, R, c, check=True, grid_n=33, table_n=257):
+def uc_best(f, R, c):
     """Mirror-image class: differences <= 0 left of c, >= 0 right;
-    error = L(f, [c,b1] x [a2,b2]) with the analogous extremal pair."""
-    return _monotone_best(f, R, c, "U", check, grid_n, table_n)
+    error = L(f, [c,b1] x [a2,b2]) with the analogous extremal pair, checked
+    and tabulated as in ``vc_best``."""
+    return _monotone_best(f, R, c, "U")
 
 
-def _monotone_best(f, R, c, which, check, grid_n, table_n):
-    if check:
-        verdict = class_check(f, R, c, which, grid_n=grid_n)
-        if not verdict["passed"]:
-            raise ClassViolated(f"{which}-class check failed", verdict)
+def _monotone_best(f, R, c, which):
+    verdict = class_check(f, R, c, which)
+    if not verdict["passed"]:
+        raise ClassViolated(f"{which}-class check failed", verdict)
     a1, b1, a2, b2 = R.bounds
     c = float(c)
     if which == "V":
@@ -253,7 +258,7 @@ def _monotone_best(f, R, c, which, check, grid_n, table_n):
         return 0.5 * (np.asarray(f(xl, y), dtype=float)
                       + np.asarray(f(xh, y), dtype=float) - const)
 
-    xs, ys = np.linspace(a1, b1, table_n), np.linspace(a2, b2, table_n)
+    xs, ys = np.linspace(a1, b1, TABLE_N), np.linspace(a2, b2, TABLE_N)
     phi0.table = UnivariateTable(xs, phi0(xs))
     psi0.table = UnivariateTable(ys, psi0(ys))
     return error, phi0, psi0, y0
@@ -337,45 +342,54 @@ def ebolts(P):
     raise TypeError("unsupported polygon type")
 
 
-def _monotone_on_grid(f, rects, grid_n=33, tol=None):
-    """Grid certificate that all cell double differences are >= -tol on
-    every constituent rectangle (membership in the monotone class)."""
+def _monotone_on_grid(f, rects):
+    """Grid certificate that all cell double differences on a 33 x 33 grid
+    of every constituent rectangle are >= -1e-10 * (1 + the largest
+    |f(a1, a2)| + |f(b1, b2)| of a rectangle): membership in the monotone
+    class."""
     worst = np.inf
     for R in rects:
-        xs = np.linspace(R.a1, R.b1, grid_n)
-        ys = np.linspace(R.a2, R.b2, grid_n)
+        xs = np.linspace(R.a1, R.b1, CHECK_N)
+        ys = np.linspace(R.a2, R.b2, CHECK_N)
         worst = min(worst, float(np.min(double_differences(f, xs, ys))))
-    if tol is None:
-        scale = max(abs(float(f(R.a1, R.a2))) + abs(float(f(R.b1, R.b2)))
-                    for R in rects)
-        tol = 1e-10 * (1.0 + scale)
-    return worst >= -tol, worst
+    scale = max(abs(float(f(R.a1, R.a2))) + abs(float(f(R.b1, R.b2)))
+                for R in rects)
+    return worst >= -1e-10 * (1.0 + scale), worst
 
 
-def _grid_minimax(f, rects, grid_n):
-    """Exact minimax error of f by sums u(x) + v(y) on the points in the
-    union of ``rects`` of the grid_n x grid_n grid of their bounding box,
-    and a critical cycle as a bolt (None when the error is 0)."""
-    xs = np.linspace(min(R.a1 for R in rects), max(R.b1 for R in rects), grid_n)
-    ys = np.linspace(min(R.a2 for R in rects), max(R.b2 for R in rects), grid_n)
+def _union_grid(rects, n):
+    """The n x n grid of the bounding box of ``rects``: its axes xs, ys,
+    the mesh X, Y (``indexing="ij"``) and the mask of the nodes that lie in
+    the union of the rectangles."""
+    xs = np.linspace(min(R.a1 for R in rects), max(R.b1 for R in rects), n)
+    ys = np.linspace(min(R.a2 for R in rects), max(R.b2 for R in rects), n)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     inside = np.any([(R.a1 <= X) & (X <= R.b1) & (R.a2 <= Y) & (Y <= R.b2)
                      for R in rects], axis=0)
+    return xs, ys, X, Y, inside
+
+
+def _grid_minimax(f, rects):
+    """Exact minimax error of f by sums u(x) + v(y) on the points in the
+    union of ``rects`` of the 33 x 33 grid of their bounding box, and a
+    critical cycle as a bolt (None when the error is 0)."""
+    xs, ys, X, Y, inside = _union_grid(rects, CHECK_N)
     rows, cols = np.nonzero(inside)
     err, cycle = max_cycle_mean(rows, cols, f(X[inside], Y[inside]))
     pts = [(xs[rows[k]], ys[cols[k]]) for k in cycle]
     return err, ClosedBolt(pts) if pts else None
 
 
-def polygon_error(f, P, check=True, grid_n=33):
-    """Error over a hexagon, octagon or staircase: max |l| over ``ebolts(P)``.
+def polygon_error(f, P):
+    """Error over a rectangle, hexagon, octagon or staircase: max |l| over
+    ``ebolts(P)``.
 
     The maximum is the error of the best u(x) + v(y) when f lies in the
     nonnegative-difference class on every rectangle of ``P.rectangles()``.
-    With ``check`` that class is tested on a grid_n x grid_n grid of each
-    rectangle.  When the test fails, ``error`` is the larger of two lower
-    bounds of the true error: the e-bolt maximum and the exact minimax
-    error on the points of a grid_n x grid_n grid that lie in P.  The
+    That class is tested on a 33 x 33 grid of each rectangle.  When the
+    test fails, ``error`` is the larger of two lower bounds of the true
+    error: the e-bolt maximum and the exact minimax error on the points of
+    the 33 x 33 grid of P's bounding box that lie in P.  The
     result is then flagged ``fallback: True``, with the most negative cell
     difference as ``class_worst``; when the grid value is the larger, the
     extremal ``bolt`` is its critical cycle on the grid.
@@ -388,14 +402,13 @@ def polygon_error(f, P, check=True, grid_n=33):
     best = int(np.argmax(vals))
     result = {"error": vals[best], "bolt": bolts[best], "bolts": bolts,
               "values": vals, "fallback": False}
-    if check:
-        rects = P.rectangles()
-        ok, worst = _monotone_on_grid(f, rects, grid_n=grid_n)
-        if not ok:
-            result.update(fallback=True, class_worst=worst)
-            err, bolt = _grid_minimax(f, rects, grid_n)
-            if err > result["error"]:
-                result["error"], result["bolt"] = err, bolt
+    rects = P.rectangles()
+    ok, worst = _monotone_on_grid(f, rects)
+    if not ok:
+        result.update(fallback=True, class_worst=worst)
+        err, bolt = _grid_minimax(f, rects)
+        if err > result["error"]:
+            result["error"], result["bolt"] = err, bolt
     return result
 
 
@@ -508,12 +521,8 @@ def sharp_bounds(f, H, grid_n=65):
     hex_l_f = abs(l(f, bolts[0]))
     hex_l_g = abs(l(g, bolts[0]))
 
-    a1, a2, a3 = H.a
-    b1, b2, b3 = H.b
-    xs = np.linspace(a1, a3, grid_n)
-    ys = np.linspace(b1, b3, grid_n)
+    xs, ys, _, _, inside = _union_grid(H.rectangles(), grid_n)
     h = min(xs[1] - xs[0], ys[1] - ys[0]) / 4.0
-    inside = np.array([[H.contains(x, y) for y in ys] for x in xs])
     mixed = centred_differences(f, xs, ys, h, h) / (4.0 * h * h)
     B = float(np.max(np.abs(np.where(inside, mixed, 0.0))))
     upper = B * C + 1.5 * (B * hex_l_g - hex_l_f)
@@ -524,14 +533,13 @@ def sharp_bounds(f, H, grid_n=65):
 # ---------------------------------------------------------------------------
 # Golomb-style lower bound on finite grids
 
-def golomb_lower_bound(f, points, cap=10, budget=200_000):
+def golomb_lower_bound(f, points):
     """Best lower bound from minimal projection cycles on a finite set.
 
     For coordinate projections in the plane, minimal projection cycles are
     the simple cycles of the fiber graph of ``core.max_cycle_mean``, and the
     largest normalized functional |l(f, cycle)| over them is its maximum
     cycle mean: the exact minimax error of f by sums u(x) + v(y) on the set.
-    ``cap`` and ``budget`` are ignored; they stay for existing callers.
     """
     pts = np.array(points.as_array() if hasattr(points, "as_array")
                    else points, dtype=float).reshape(-1, 2)

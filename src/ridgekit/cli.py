@@ -114,25 +114,13 @@ def _emit_error(args, exc, code):
     return code
 
 
-def _read_points(path):
-    rows = _read_csv_rows(path)
-    dim = len(rows[0])
-    return PointConfig(dim, rows)
-
-
-def _read_dirs(path, dim):
-    rows = _read_csv_rows(path)
-    return DirectionSet(dim, rows)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 def _cmd_cycles_check(args, t0):
-    points = _read_points(args.points)
-    dirs = _read_dirs(args.directions, points.dim)
-    h = list(dirs)
-    found, cert = has_cycle(points, h, certificate=True)
+    points = PointConfig.from_csv(args.points)
+    h = list(DirectionSet.from_csv(args.directions, dim=points.dim))
+    found, cert = has_cycle(points, h)
     results = {"has_cycle": found, "certificates": []}
     if cert is not None:
         results["certificates"].append({
@@ -174,7 +162,7 @@ def _cmd_approx_uniform(args, t0):
     c1, d1, c2, d2 = args.bounds
     dom = ParallelogramDomain(a, b, c1, d1, c2, d2)
     try:
-        pair = best_uniform(f, dom, check=True)
+        pair = best_uniform(f, dom)
         sample = UnivariateTable.sample
         results = {
             "error": pair.error,
@@ -240,7 +228,7 @@ def _cmd_bolts(args, t0):
         if args.cls is None:
             raise ValueError("rect requires --class V|U and --c")
         fn = vc_best if args.cls == "V" else uc_best
-        err, phi0, psi0, y0 = fn(f, R, args.c, check=True)
+        err, phi0, psi0, y0 = fn(f, R, args.c)
         results.update({
             "error": float(err),
             "y0": float(y0),

@@ -361,8 +361,8 @@ def format_ast(node):
 
 
 class ScalarField:
-    """An evaluable d-variate function: parsed expression, wrapped callable,
-    or sampled grid with multilinear interpolation."""
+    """An evaluable d-variate function: a parsed expression or a wrapped
+    callable."""
 
     def __init__(self, dim, fn, ast=None):
         self.dim = int(dim)
@@ -382,27 +382,6 @@ class ScalarField:
     def from_expression(cls, text, dim):
         ast = _Parser(text, dim).parse()
         return cls(dim, lambda *xs: _eval_ast(ast, xs), ast=ast)
-
-    @classmethod
-    def from_callable(cls, fn, dim):
-        return cls(dim, fn)
-
-    @classmethod
-    def from_grid(cls, axes, values):
-        """Sampled tensor grid with multilinear interpolation."""
-        from scipy.interpolate import RegularGridInterpolator
-        interp = RegularGridInterpolator(
-            [np.asarray(a, float) for a in axes], np.asarray(values, float),
-            method="linear")
-        dim = len(axes)
-
-        def fn(*xs):
-            pts = np.broadcast_arrays(*[np.asarray(x, float) for x in xs])
-            flat = np.stack([p.ravel() for p in pts], axis=-1)
-            out = interp(flat)
-            return out.reshape(pts[0].shape) if pts[0].shape else float(out[0])
-
-        return cls(dim, fn)
 
 
 def parse_expression(text, dim):
@@ -434,8 +413,9 @@ class UnivariateTable:
         return float(out) if out.ndim == 0 else out
 
     @classmethod
-    def sample(cls, fn, lo, hi, n=201):
-        ts = np.linspace(float(lo), float(hi), n)
+    def sample(cls, fn, lo, hi):
+        """The table of fn at 201 equally spaced knots of [lo, hi]."""
+        ts = np.linspace(float(lo), float(hi), 201)
         return cls(ts, np.array([float(fn(t)) for t in ts]))
 
 
@@ -460,9 +440,6 @@ class RidgeSum:
             arg = sum(float(ai) * xi for ai, xi in zip(a, xs))
             total = total + g(arg)
         return total
-
-    def as_field(self):
-        return ScalarField(self.dim, self.__call__)
 
 
 # ---------------------------------------------------------------------------

@@ -70,15 +70,6 @@ def _group(keys, idx):
     return fib
 
 
-def fiberize(points, h):
-    """Partition point indices into fibers of each h_i (exact equality).
-
-    Returns a list (one entry per h_i) of dicts value -> sorted index list.
-    """
-    pts = list(points)
-    return [_group(keys, range(len(pts))) for keys in _key_table(pts, h)]
-
-
 def _incidence_rows(table, idx):
     """Rows of the fiber incidence system restricted to the indices ``idx``.
 
@@ -170,24 +161,22 @@ def _canonical_cycle_vector(basis):
     return [int(v) for v in vecs[0]]
 
 
-def has_cycle(points, h, certificate=True):
+def has_cycle(points, h):
     """Decide whether the configuration carries a cycle.
 
     Returns (False, None) or (True, CycleCertificate) built from a
     canonical nullspace vector of the fiber incidence system.
     """
     pts = list(points)
-    return _find_cycle(pts, _key_table(pts, h), certificate)
+    return _find_cycle(pts, _key_table(pts, h))
 
 
-def _find_cycle(pts, table, certificate=True):
+def _find_cycle(pts, table):
     """``has_cycle`` on the key table of ``pts``."""
     n = len(pts)
     basis = rational_nullspace(_incidence_rows(table, range(n)), n)
     if not basis:
-        return (False, None) if certificate else False
-    if not certificate:
-        return True
+        return False, None
     vec = _canonical_cycle_vector(basis)
     support = [j for j, w in enumerate(vec) if w != 0]
     weights = [w for w in vec if w != 0]
@@ -361,15 +350,15 @@ def orbits(points, a1, a2):
 # ---------------------------------------------------------------------------
 # representation solver
 
-def solve_representation(points, h, f_values, anchor=0, anchor_values=None):
+def solve_representation(points, h, f_values, anchor=0):
     """Solve sum_i g_i(h_i(x_j)) = f(x_j) exactly on the configuration.
 
-    Anchoring: g_i(h_i(x_anchor)) = anchor_values[i] for i = 1..r-1 (the
-    last function absorbs the constant); ``anchor`` is a point index in
-    0..n-1, and any other value raises ValueError.  Requires a cycle-free
-    configuration; raises CycleExists otherwise.  Unknowns untouched by the
-    equations (isolated fibers of a disconnected block) get the canonical
-    value 0 and are reported.
+    Anchoring: g_i(h_i(x_anchor)) = 0 for i = 1..r-1 (the last function
+    absorbs the constant); ``anchor`` is a point index in 0..n-1, and any
+    other value raises ValueError.  Requires a cycle-free configuration;
+    raises CycleExists otherwise.  Unknowns untouched by the equations
+    (isolated fibers of a disconnected block) get the canonical value 0 and
+    are reported.
 
     Returns (tables, free_count) where tables[i] is a dict fiber-value ->
     Fraction.
@@ -386,11 +375,6 @@ def solve_representation(points, h, f_values, anchor=0, anchor_values=None):
     vals = [rational(v) for v in f_values]
     if len(vals) != n:
         raise ValueError("need one f value per point")
-    if anchor_values is None:
-        anchor_values = [Fraction(0)] * (r - 1)
-    anchor_values = [rational(v) for v in anchor_values]
-    if len(anchor_values) != r - 1:
-        raise ValueError("need r-1 anchor values")
 
     # unknown columns: one per (i, fiber value); the last column is f
     col_of = {}
@@ -408,7 +392,6 @@ def solve_representation(points, h, f_values, anchor=0, anchor_values=None):
     for i in range(r - 1):
         row = [0] * (m + 1)
         row[col_of[(i, table[i][anchor])]] = 1
-        row[m] = anchor_values[i]
         rows.append(row)
 
     # free unknowns -> 0, so each pivot row's last entry is its unknown

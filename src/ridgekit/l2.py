@@ -14,6 +14,10 @@ from .core import (ScalarField, UnivariateTable, gauss_grid, gauss_nodes,
                    parse_vector, row_reduce)
 
 
+DAMPING = 0.5     # step factor of the weighted fixed-point iteration
+MAX_ITER = 500    # sweeps before the weighted iteration gives up
+
+
 class NotAnRSet(ValueError):
     pass
 
@@ -73,13 +77,19 @@ def build_rset(directions, completion, ybox):
 
 
 class L2Solution:
-    """Components g_j(y_j), the L2 error, and the integral diagnostics."""
+    """Components g_j(y_j), the L2 error, and the integral diagnostics.
 
-    def __init__(self, components, error, diagnostics, transform):
+    The approximant is sum_j g_j(a_j . x), or sum_j w_j(x) g_j(a_j . x)
+    with the weights w_j of a weighted fit.
+    """
+
+    def __init__(self, components, error, diagnostics, transform,
+                 weights=None):
         self.components = components  # list of UnivariateTable in y_j
         self.error = float(error)
         self.diagnostics = diagnostics
         self.transform = transform
+        self.weights = weights
 
     def __call__(self, *xs):
         t = self.transform
@@ -87,7 +97,10 @@ class L2Solution:
         total = 0.0
         for j, g in enumerate(self.components):
             yj = sum(float(t.J[j][k]) * xs[k] for k in range(t.n))
-            total = total + g(yj)
+            term = g(yj)
+            if self.weights is not None:
+                term = np.asarray(self.weights[j](*xs)) * term
+            total = total + term
         return total
 
 
@@ -114,13 +127,14 @@ def _integrals(fn, box, nodes):
     return float(np.sum(vals * wgrid)), float(np.sum(vals**2 * wgrid))
 
 
-def best_l2(f, t, weights=None, nodes=24, damping=0.5, max_iter=500, tol=1e-10):
+def best_l2(f, t, weights=None, nodes=24, tol=1e-10):
     """Best L2 ridge-sum approximant over the transform's directions.
 
     Unweighted: direct slice-average formulas (the first component absorbs
-    the mean correction).  Weighted: damped fixed-point iteration of the
-    orthogonality identities; raises ArithmeticError when the iteration
-    fails to settle within the budget.
+    the mean correction).  Weighted: fixed-point iteration of the
+    orthogonality identities, each step damped by 0.5, until no component
+    moves by ``tol``; raises ArithmeticError when it has not settled after
+    500 sweeps.
     """
     fstar = t.pullback(f)
     r = t.r
@@ -169,7 +183,7 @@ def best_l2(f, t, weights=None, nodes=24, damping=0.5, max_iter=500, tol=1e-10):
         wsq = ScalarField(t.n, lambda *ys: np.asarray(w(*ys)) ** 2)
         dens.append(_slice_average(wsq, t, j, knot_sets[j], nodes))
 
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         delta = 0.0
         for j in range(r):
             tabs = component_field(comps)
@@ -184,7 +198,7 @@ def best_l2(f, t, weights=None, nodes=24, damping=0.5, max_iter=500, tol=1e-10):
             num = _slice_average(ScalarField(t.n, resid_times_wj), t, j,
                                  knot_sets[j], nodes)
             new = num / dens[j]
-            step = damping * (new - comps[j])
+            step = DAMPING * (new - comps[j])
             delta = max(delta, float(np.max(np.abs(step))))
             comps[j] = comps[j] + step
         if delta < tol:
@@ -206,7 +220,7 @@ def best_l2(f, t, weights=None, nodes=24, damping=0.5, max_iter=500, tol=1e-10):
     err_sq = _integrals(t.pullback(ScalarField(t.n, resid)), t.ybox,
                         nodes)[1] / abs(float(t.detJ))
     diagnostics = {"A": A, "detJ": float(t.detJ), "iterations": it + 1}
-    return L2Solution(tabs, max(err_sq, 0.0) ** 0.5, diagnostics, t)
+    return L2Solution(tabs, max(err_sq, 0.0) ** 0.5, diagnostics, t, weights)
 
 
 def l2_error(f, t, nodes=24):

@@ -20,6 +20,8 @@ import numpy as np
 from .core import rational
 
 _LN2 = math.log(2.0)
+FIT_GRID_N = 1001   # nodes of the grid on which a fit's error is measured
+MAX_DEGREE = 30     # highest Chebyshev degree tried for a non-polynomial
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +406,9 @@ class NetworkParams:
         t = abs(t)
         return (_ln_big(t.numerator) - _ln_big(t.denominator)) / math.log(10)
 
-    def theta1_decimal(self, digits=4):
-        """Scientific-notation string of theta1 (huge values supported)."""
+    def theta1_decimal(self):
+        """Scientific-notation string of theta1 with 4 decimals in the
+        mantissa (huge values supported)."""
         t = self.theta1_exact
         if t == 0:
             return "0"
@@ -413,7 +416,7 @@ class NetworkParams:
         l10 = self.theta1_log10()
         e = math.floor(l10)
         mant = 10.0 ** (l10 - e)
-        return f"{sign}{mant:.{digits}f}e{e:+d}"
+        return f"{sign}{mant:.4f}e{e:+d}"
 
 
 def eval_network(net, x):
@@ -491,7 +494,7 @@ def _poly_sup_dev(coeffs, g_vals, tgrid):
     return float(np.max(np.abs(vals - g_vals)))
 
 
-def fit_two_neuron(f, a, b, eps, max_degree=30, grid_n=1001):
+def fit_two_neuron(f, a, b, eps):
     """Two-neuron approximation of f on [a, b] to accuracy eps.
 
     Rescale to g(t) = f(a + (b-a)t) on [0,1]; find a polynomial p with
@@ -506,8 +509,9 @@ def fit_two_neuron(f, a, b, eps, max_degree=30, grid_n=1001):
     (negative only on a nonzero constant base).  Each literal v (pi and e
     too) is read as Fraction(v).limit_denominator(10**12).  Every other
     target, any function call, division by x1, x1^0.5 and plain callables
-    among them, is fitted by Chebyshev interpolation and simplest-rational
-    rounding instead.
+    among them, is fitted by Chebyshev interpolation of degree up to 30 and
+    simplest-rational rounding instead.  The error is measured on 1001
+    equally spaced points of [a, b].
 
     n, and with it theta1 = b - 2n(b-a), is set by the chosen polynomial,
     not by eps: eps only bounds the error, and any other rational
@@ -521,7 +525,7 @@ def fit_two_neuron(f, a, b, eps, max_degree=30, grid_n=1001):
         raise ValueError("need a < b")
     d = b - a
     params = SigmoidParams(d, 0.25)
-    tgrid = np.linspace(0.0, 1.0, grid_n)
+    tgrid = np.linspace(0.0, 1.0, FIT_GRID_N)
     g_vals = np.asarray(f(a + d * tgrid), dtype=float)
     bad = np.flatnonzero(~np.isfinite(g_vals))
     if bad.size:
@@ -533,7 +537,7 @@ def fit_two_neuron(f, a, b, eps, max_degree=30, grid_n=1001):
         raw = _taylor_truncate(exact, eps, tgrid, g_vals)
         coeffs = _finalize_coeffs(raw, eps, tgrid, g_vals)
     else:
-        coeffs = _chebyshev_rational(f, a, b, eps, tgrid, g_vals, max_degree)
+        coeffs = _chebyshev_rational(f, a, b, eps, tgrid, g_vals)
     if coeffs is None:
         raise ArithmeticError(
             "polynomial budget exhausted before reaching eps/2")
@@ -716,12 +720,12 @@ def _finalize_coeffs(raw, eps, tgrid, g_vals, max_bits=200_000_000):
     return None
 
 
-def _chebyshev_rational(f, a, b, eps, tgrid, g_vals, max_degree):
+def _chebyshev_rational(f, a, b, eps, tgrid, g_vals):
     """Chebyshev interpolant of adaptive degree, coefficients rationalized
     as simply as the budget allows; returns power-basis Fractions."""
     from numpy.polynomial import chebyshev as C
     from numpy.polynomial import polynomial as P
-    for deg in range(1, max_degree + 1):
+    for deg in range(1, MAX_DEGREE + 1):
         k = np.arange(deg + 1)
         s_nodes = np.cos((2 * k + 1) * np.pi / (2 * (deg + 1)))  # in [-1,1]
         t_nodes = 0.5 + 0.5 * s_nodes

@@ -14,6 +14,9 @@ import numpy as np
 
 from .core import UnivariateTable
 
+GRID_M = 401    # spline knots on the master interval [-T, T]
+VERIFY_N = 41   # nodes per axis of the grid the residual is measured on
+
 
 class DecompProblem:
     def __init__(self, f, directions, box, order=None):
@@ -137,21 +140,22 @@ class _AnchoredAnti:
         return _Spline1D(self.grid, vals).antiderivative(factor, anchor)
 
 
-def decompose(problem, fd_step=None, grid_m=401, anchor=0.0, verify_n=41):
-    """Ridge generators for f on the working box, plus the sup residual.
+def decompose(problem, fd_step=None, anchor=0.0):
+    """Ridge generators for f on the working box, plus the sup residual on
+    a 41 x 41 grid of the box.
 
-    fd_step defaults to 1e-3 times the box diameter.  The antiderivative
-    chains are anchored at ``anchor``; different anchors change each
-    generator by a polynomial of degree <= n-2 only.
+    fd_step defaults to 1e-3 times the longer side of the box; the
+    generators are splines on 401 knots.  The antiderivative chains are
+    anchored at ``anchor``; different anchors change each generator by a
+    polynomial of degree <= n-2 only.
     """
     n = problem.n
     data = normalize(problem)
     fstar = data["fstar"]
     units, scales, perps = data["units"], data["scales"], data["perps"]
     (x0, x1), (y0, y1) = problem.box
-    box_size = max(x1 - x0, y1 - y0)
     if fd_step is None:
-        fd_step = 1e-3 * box_size
+        fd_step = 1e-3 * max(x1 - x0, y1 - y0)
     h = float(fd_step)
 
     # master interval: covers u = a_{n-1}.x, v = a_n.x and all contracted
@@ -165,7 +169,7 @@ def decompose(problem, fd_step=None, grid_m=401, anchor=0.0, verify_n=41):
         a, b = dirs[p]
         T = max(T, max(abs(a * x + b * y) / scales[p] for x, y in corners))
     T = 1.1 * T + 1.0
-    tgrid = np.linspace(-T, T, grid_m)
+    tgrid = np.linspace(-T, T, GRID_M)
 
     if n == 2:
         g1 = lambda t: np.asarray(fstar(np.asarray(t, dtype=float),
@@ -221,9 +225,8 @@ def decompose(problem, fd_step=None, grid_m=401, anchor=0.0, verify_n=41):
         comps.append(h_chain[1][n - 1])
         comps.append(h_chain[2][n - 1])
 
-    xs = np.linspace(x0, x1, verify_n)
-    ys = np.linspace(y0, y1, verify_n)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    X, Y = np.meshgrid(np.linspace(x0, x1, VERIFY_N),
+                       np.linspace(y0, y1, VERIFY_N), indexing="ij")
     result = DecompResult(comps, dirs, 0.0,
                           meta={"fd_step": h, "anchor": anchor, "T": T})
     resid = np.asarray(problem.f(X, Y), dtype=float) - np.asarray(result(X, Y))
@@ -235,21 +238,20 @@ def _perp(v):
     return (-v[1], v[0])
 
 
-def crosscheck_highorder(problem, fd_step=None, grid_m=401, verify_n=41):
+def crosscheck_highorder(problem):
     """Independent decomposition for s >= n-1: isolate each generator's
     (n-1)-th derivative by differentiating perpendicular to all other
     directions, then integrate n-1 times.  Generators agree with
     ``decompose`` only up to a polynomial of degree <= n-2 per term; the
-    reported residual is computed after removing the best-fit bivariate
-    polynomial of total degree <= n-2.
+    reported residual, on a 41 x 41 grid of the box, is computed after
+    removing the best-fit bivariate polynomial of total degree <= n-2.
+    The difference step is 1e-3 times the longer side of the box and each
+    spline has 401 knots.
     """
     n = problem.n
     dirs = problem.directions
     (x0, x1), (y0, y1) = problem.box
-    box_size = max(x1 - x0, y1 - y0)
-    if fd_step is None:
-        fd_step = 1e-3 * box_size
-    h = float(fd_step)
+    h = 1e-3 * max(x1 - x0, y1 - y0)
     corners = [(x, y) for x in (x0, x1) for y in (y0, y1)]
 
     comps = []
@@ -265,7 +267,7 @@ def crosscheck_highorder(problem, fd_step=None, grid_m=401, verify_n=41):
             factor *= c[0] * ar + c[1] * br
         sr = float(np.hypot(ar, br))
         T = 1.1 * max(abs(ar * x + br * y) for x, y in corners) / sr + 1.0
-        tgrid = np.linspace(-T, T, grid_m)
+        tgrid = np.linspace(-T, T, GRID_M)
         D = _directional_derivative(problem.f, perp_dirs, h)
         # sample along the line t * (ar, br)/sr: argument a_r x + b_r y = sr*t
         vals = np.asarray(D(tgrid * ar / sr, tgrid * br / sr), dtype=float)
@@ -279,9 +281,8 @@ def crosscheck_highorder(problem, fd_step=None, grid_m=401, verify_n=41):
         comps.append(lambda z, _c=chain, _sr=sr, _m=sr**(n - 1):
                      _m * _c(np.asarray(z) / _sr))
 
-    xs = np.linspace(x0, x1, verify_n)
-    ys = np.linspace(y0, y1, verify_n)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    X, Y = np.meshgrid(np.linspace(x0, x1, VERIFY_N),
+                       np.linspace(y0, y1, VERIFY_N), indexing="ij")
     result = DecompResult(comps, dirs, 0.0, meta={"fd_step": h})
     resid = (np.asarray(problem.f(X, Y), dtype=float)
              - np.asarray(result(X, Y), dtype=float))

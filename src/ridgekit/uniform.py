@@ -13,10 +13,14 @@ from collections import namedtuple
 
 import numpy as np
 
-from .core import (ScalarField, UnivariateTable, RidgeSum, centred_differences,
+from .core import (ScalarField, UnivariateTable, centred_differences,
                    max_cycle_mean)
 
 PulledBackGrid = namedtuple("PulledBackGrid", "y1 y2 Y1 Y2 X Y")
+
+CHECK_N = 21        # nodes per axis of the hypothesis check
+VERIFY_N = 33       # nodes per axis of verify_extremal's grid
+VERIFY_TOL = 1e-6   # slack of verify_extremal's norm against e*
 
 
 class HypothesisViolated(ValueError):
@@ -58,12 +62,6 @@ class ParallelogramDomain:
         Y1, Y2 = np.meshgrid(y1, y2, indexing="ij")
         return PulledBackGrid(y1, y2, Y1, Y2, *self.to_xy(Y1, Y2))
 
-    def corners(self):
-        """Images in x-space of the 4 corners of [c1,d1] x [c2,d2]."""
-        return [self.to_xy(y1, y2)
-                for (y1, y2) in [(self.c1, self.c2), (self.d1, self.c2),
-                                 (self.d1, self.d2), (self.c1, self.d2)]]
-
 
 class ExtremalPair:
     """Best ridge-sum approximant g1(a.x) + g2(b.x) with its error."""
@@ -80,10 +78,6 @@ class ExtremalPair:
         y2 = dom.b[0] * np.asarray(x) + dom.b[1] * np.asarray(y)
         return self.g1(y1) + self.g2(y2)
 
-    def as_ridge_sum(self):
-        dom = self.domain
-        return RidgeSum([(dom.a, self.g1), (dom.b, self.g2)], dim=2)
-
 
 def pullback(f, dom):
     """f1(y1, y2) = f evaluated at the x solving a.x=y1, b.x=y2, for
@@ -91,24 +85,24 @@ def pullback(f, dom):
     return ScalarField(2, lambda y1, y2: f(*dom.to_xy(y1, y2)))
 
 
-def mixed_condition_check(f, dom, grid_n=21, tol=None):
+def mixed_condition_check(f, dom):
     """Check the second-order hypothesis behind the closed forms.
 
-    Requires D12*(a1*b2 + a2*b1) - D11*a2*b2 - D22*a1*b1 >= -tol on a grid,
-    where Dij are second partials of f.  That quantity is det^2 times the
-    mixed partial of the pullback f1(y1, y2), which is measured here by the
-    double difference of f1 over a cell of sides 2*k1, 2*k2 (an eighth of
-    the grid spacing each way) centred at each node.  Returns a dict
-    verdict.
+    Requires D12*(a1*b2 + a2*b1) - D11*a2*b2 - D22*a1*b1 >= -tol at the
+    nodes of the pulled-back 21 x 21 grid, where Dij are second partials of
+    f and tol = 1e-8 * (1 + max |f| on the grid).  That quantity is det^2
+    times the mixed partial of the pullback f1(y1, y2), which is measured
+    here by the double difference of f1 over a cell of sides 2*k1, 2*k2 (an
+    eighth of the grid spacing each way) centred at each node.  Returns a
+    dict verdict.
     """
-    g = dom.grid(grid_n)
-    k1 = (dom.d1 - dom.c1) / (grid_n - 1) / 8.0
-    k2 = (dom.d2 - dom.c2) / (grid_n - 1) / 8.0
+    g = dom.grid(CHECK_N)
+    k1 = (dom.d1 - dom.c1) / (CHECK_N - 1) / 8.0
+    k2 = (dom.d2 - dom.c2) / (CHECK_N - 1) / 8.0
     expr = (centred_differences(pullback(f, dom), g.y1, g.y2, k1, k2)
             * (dom.det**2 / (4.0 * k1 * k2)))
-    if tol is None:
-        fmax = float(np.max(np.abs(f(g.X, g.Y))))
-        tol = 1e-8 * (1.0 + fmax)
+    fmax = float(np.max(np.abs(f(g.X, g.Y))))
+    tol = 1e-8 * (1.0 + fmax)
     worst = int(np.argmin(expr))
     wv = float(expr.flat[worst])
     wp = (float(g.X.flat[worst]), float(g.Y.flat[worst]))
@@ -120,23 +114,23 @@ def mixed_condition_check(f, dom, grid_n=21, tol=None):
     }
 
 
-def best_uniform(f, dom, check=True, grid_n=21):
+def best_uniform(f, dom):
     """Closed-form Chebyshev error and extremal pair on the domain.
 
     error = (f1(c1,c2) + f1(d1,d2) - f1(c1,d2) - f1(d1,c2)) / 4 for the
     pullback f1; the extremal pair mixes f1 along the edges of the
-    pulled-back rectangle.  Raises HypothesisViolated when the check
+    pulled-back rectangle.  The hypothesis is checked first, on the 21 x 21
+    grid of ``mixed_condition_check``; raises HypothesisViolated when it
     fails (use core.max_cycle_mean on a pulled-back grid then).
     """
-    if check:
-        verdict = mixed_condition_check(f, dom, grid_n=grid_n)
-        if not verdict["passed"]:
-            raise HypothesisViolated(
-                "second-order hypothesis fails; no closed form "
-                "(fall back to the grid minimax error, core.max_cycle_mean)",
-                worst_point=verdict["worst_point"],
-                worst_value=verdict["worst_value"],
-            )
+    verdict = mixed_condition_check(f, dom)
+    if not verdict["passed"]:
+        raise HypothesisViolated(
+            "second-order hypothesis fails; no closed form "
+            "(fall back to the grid minimax error, core.max_cycle_mean)",
+            worst_point=verdict["worst_point"],
+            worst_value=verdict["worst_value"],
+        )
     f1 = pullback(f, dom)
     c1, d1, c2, d2 = dom.c1, dom.d1, dom.c2, dom.d2
     fcc = float(f1(c1, c2))
@@ -160,27 +154,26 @@ def best_uniform(f, dom, check=True, grid_n=21):
     return ExtremalPair(g1, g2, error, dom)
 
 
-def verify_extremal(f, candidate, dom, grid_n=33, tol=1e-6, max_len=64):
+def verify_extremal(f, candidate, dom):
     """Check a candidate pair against the exact minimax error e* of f on
-    the pulled-back grid_n x grid_n grid (``core.max_cycle_mean``, with the
+    the pulled-back 33 x 33 grid (``core.max_cycle_mean``, with the
     constant-y1 fibers as rows and the constant-y2 fibers as columns).
 
     The pair is extremal when the sup-norm of f - candidate on the grid is
-    at most e* + tol; the witness is then the critical cycle, a closed
+    at most e* + 1e-6; the witness is then the critical cycle, a closed
     alternating path in x-coordinates on which f - candidate takes +/- its
     norm in turn (None when e* = 0).  Otherwise the verdict says the pair is
-    not best on the grid and gives e*.  ``max_len`` is ignored; it stays
-    for existing callers.
+    not best on the grid and gives e*.
 
     Returns a dict: ``verdict``, ``norm``, ``grid_error`` (e*), ``witness``.
     """
-    g = dom.grid(grid_n)
+    g = dom.grid(VERIFY_N)
     F = np.broadcast_to(np.asarray(f(g.X, g.Y), dtype=float), g.X.shape)
     resid = F - np.asarray(candidate(g.X, g.Y), dtype=float)
     norm = float(np.max(np.abs(resid)))
     err, cycle = max_cycle_mean(*np.indices(F.shape).reshape(2, -1), F)
     verdict = "extremal"
-    if norm > err + tol:
+    if norm > err + VERIFY_TOL:
         verdict, cycle = (f"not best on the grid: norm {norm:.6g} exceeds "
                           f"the grid minimax error {err:.6g}"), []
     witness = [(float(g.X.flat[k]), float(g.Y.flat[k])) for k in cycle]

@@ -187,6 +187,22 @@ class TestPolygons:
         if P is self.HEX:
             assert rep["error"] == pytest.approx(0.7071, abs=1e-4)
 
+    def test_rectangle_is_a_one_rectangle_polygon(self):
+        # xy lies in the class on the square: its error is L(xy) = 1/4;
+        # sin(3x)cos(2y) does not, and falls back to the grid minimax
+        R = AxisRect(0, 1, 0, 1)
+        rep = polygon_error(xy, R)
+        assert rep["error"] == pytest.approx(0.25, rel=1e-12)
+        assert not rep["fallback"]
+        f = lambda x, y: np.sin(3 * x) * np.cos(2 * y)
+        rep = polygon_error(f, R)
+        assert rep["fallback"]
+        g = np.linspace(0, 1, 33)
+        lp = grid_minimax_oracle(f, [(1, 0), (0, 1)],
+                                 [(x, y) for x in g for y in g])
+        assert rep["error"] == pytest.approx(lp, rel=1e-9)
+        assert l(f, rep["bolt"]) == pytest.approx(rep["error"], rel=1e-12)
+
 
 class TestMaximizeBolt:
     @pytest.mark.parametrize("bolt,want", [

@@ -103,6 +103,26 @@ class TestBestL2:
             assert np.max(np.abs(num / den - sol.components[j].values)) \
                 <= 1e-3
 
+    def test_weighted_solution_is_the_weighted_sum(self):
+        # a weighted fit approximates f by sum_j w_j(x) g_j(a_j . x): that
+        # is the function the solution evaluates, and its L2 distance from
+        # f on the error's own quadrature grid is the reported error
+        t = build_rset([(1, 0), (0, 1)], [], [(0, 1), (0, 1)])
+        f = lambda x, y: (np.asarray(x) + 2 * np.asarray(y) ** 2
+                          + np.asarray(x) * np.asarray(y))
+        w = [lambda x, y: 1 + np.asarray(x) + 0 * np.asarray(y),
+             lambda x, y: 1 + np.asarray(y) + 0 * np.asarray(x)]
+        sol = best_l2(f, t, weights=w, nodes=8, tol=1e-4)
+        g1, g2 = sol.components
+        want = w[0](0.3, 0.7) * g1(0.3) + w[1](0.3, 0.7) * g2(0.7)
+        assert sol(0.3, 0.7) == pytest.approx(want, rel=1e-12)
+        assert sol(0.3, 0.7) == pytest.approx(1.52999, abs=1e-5)
+        s, ws = np.polynomial.legendre.leggauss(8)
+        s, ws = (s + 1) / 2, ws / 2
+        X, Y = np.meshgrid(s, s, indexing="ij")
+        err_sq = ws @ (f(X, Y) - sol(X, Y)) ** 2 @ ws
+        assert math.sqrt(err_sq) == pytest.approx(sol.error, rel=1e-9)
+
     def test_four_dim_diagnostics(self):
         t = build_rset(DIRS, [], YBOX)
         sol = best_l2(product4, t, nodes=16)
