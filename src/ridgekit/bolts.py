@@ -518,8 +518,7 @@ def sharp_bounds(f, H, grid_n=65):
     gvals = [abs(l(g, p)) for p in bolts]
     A = max(fvals)
     C = max(gvals)
-    hex_l_f = abs(l(f, bolts[0]))
-    hex_l_g = abs(l(g, bolts[0]))
+    hex_l_f, hex_l_g = fvals[0], gvals[0]  # hexagon_ebolts puts it first
 
     xs, ys, _, _, inside = _union_grid(H.rectangles(), grid_n)
     h = min(xs[1] - xs[0], ys[1] - ys[0]) / 4.0

@@ -416,7 +416,7 @@ class UnivariateTable:
     def sample(cls, fn, lo, hi):
         """The table of fn at 201 equally spaced knots of [lo, hi]."""
         ts = np.linspace(float(lo), float(hi), 201)
-        return cls(ts, np.array([float(fn(t)) for t in ts]))
+        return cls(ts, np.broadcast_to(np.asarray(fn(ts), float), ts.shape))
 
 
 class RidgeSum:

@@ -104,19 +104,23 @@ class L2Solution:
         return total
 
 
-def _slice_average(fstar, t, j, yj_values, nodes):
-    """Average of f* over Y^(j) as a function of y_j (Gauss quadrature)."""
+def _slice_grid(t, j, yj_values, nodes):
+    """The Gauss points of Y^(j) at every y_j at once: the y-coordinates,
+    broadcast to shape ``(len(yj_values),) + mesh``, the weight grid and
+    |Y^(j)|."""
     box = t.ybox[:j] + t.ybox[j + 1:]
-    if not box:  # one axis: the average over no other axes is the value
-        return np.array([float(fstar(yj)) for yj in yj_values])
     mesh, wgrid = gauss_grid(box, nodes)
-    vol = float(np.prod([hi - lo for lo, hi in box]))
-    out = np.empty(len(yj_values))
-    for idx, yj in enumerate(yj_values):
-        args = mesh[:j] + [np.full_like(wgrid, yj)] + mesh[j:]
-        vals = np.asarray(fstar(*args), dtype=float)
-        out[idx] = float(np.sum(vals * wgrid)) / vol
-    return out
+    yj = np.reshape(yj_values, (-1,) + (1,) * wgrid.ndim)
+    ys = np.broadcast_arrays(*[m[None] for m in mesh[:j]], yj,
+                             *[m[None] for m in mesh[j:]])
+    return ys, wgrid, float(np.prod([hi - lo for lo, hi in box]))
+
+
+def _average(vals, grid):
+    """Averages over Y^(j), one per y_j, of values on a slice grid."""
+    ys, wgrid, vol = grid
+    vals = np.broadcast_to(np.asarray(vals, dtype=float), ys[0].shape)
+    return np.sum((vals * wgrid).reshape(len(vals), -1), axis=1) / vol
 
 
 def _integrals(fn, box, nodes):
@@ -130,74 +134,58 @@ def _integrals(fn, box, nodes):
 def best_l2(f, t, weights=None, nodes=24, tol=1e-10):
     """Best L2 ridge-sum approximant over the transform's directions.
 
-    Unweighted: direct slice-average formulas (the first component absorbs
-    the mean correction).  Weighted: fixed-point iteration of the
-    orthogonality identities, each step damped by 0.5, until no component
-    moves by ``tol``; raises ArithmeticError when it has not settled after
-    500 sweeps.
+    Components are tables at 129 knots of Y_j, from Gauss slice averages
+    over Y^(j) (``nodes`` per axis).  Unweighted: direct slice-average
+    formulas (the first component absorbs the mean correction).  Weighted:
+    fixed-point iteration of the orthogonality identities, each step
+    damped by 0.5, until no component moves by ``tol``; raises
+    ArithmeticError when it has not settled after 500 sweeps.
     """
     fstar = t.pullback(f)
     r = t.r
     total_vol, omit_vols = t.volumes()
     table_n = 129
     knot_sets = [np.linspace(*t.ybox[j], table_n) for j in range(r)]
+    grids = [_slice_grid(t, j, knot_sets[j], nodes) for j in range(r)]
 
     A, norm_sq = _integrals(fstar, t.ybox, nodes)
-    slice_avgs = [_slice_average(fstar, t, j, knot_sets[j], nodes)
-                  for j in range(r)]
 
     if weights is None:
-        from scipy.integrate import simpson
+        slice_avgs = [_average(fstar(*g[0]), g) for g in grids]
         comps = []
         for j in range(r):
             vals = slice_avgs[j].copy()
             if j == 0:
                 vals -= (r - 1) * A / total_vol
             comps.append(UnivariateTable(knot_sets[j], vals))
-        err = _closed_form_error(fstar, t, nodes, A, norm_sq)
+        err, fi_norm_sq = _closed_form_error(fstar, t, nodes, A, norm_sq)
         diagnostics = {
             "A": A,
             "detJ": float(t.detJ),
             "slice_averages": slice_avgs,
             "fstar_norm_sq": norm_sq,
-            # ||f_i*||^2 over Y, with f_i* = |Y^(i)| x slice average in y_i
-            "fi_norm_sq": [
-                float(omit_vols[j] ** 3
-                      * simpson(slice_avgs[j] ** 2, x=knot_sets[j]))
-                for j in range(r)
-            ],
+            "fi_norm_sq": fi_norm_sq,
         }
         return L2Solution(comps, err, diagnostics, t)
 
     # weighted path: g_j <- (slice avg of (f* - sum_{i!=j} w_i* g_i) w_j*)
-    #                       / (slice avg of w_j*^2), damped
-    wstars = [t.pullback(w) for w in weights]
+    #                       / (slice avg of w_j*^2), damped; f* and the w_i*
+    # are evaluated once, so a sweep only looks up the g_i on the grids
+    wstars = [t.pullback(w) for w in weights[:r]]
+    fvals = [fstar(*g[0]) for g in grids]
+    wvals = [[w(*g[0]) for w in wstars] for g in grids]
+    dens = [_average(wvals[j][j] ** 2, g) for j, g in enumerate(grids)]
     comps = [np.zeros(table_n) for _ in range(r)]
-
-    def component_field(vals):
-        return [UnivariateTable(knot_sets[j], vals[j]) for j in range(r)]
-
-    # the denominators, slice averages of w_j*^2, never change: computed once
-    dens = []
-    for j, w in enumerate(wstars[:r]):
-        wsq = ScalarField(t.n, lambda *ys: np.asarray(w(*ys)) ** 2)
-        dens.append(_slice_average(wsq, t, j, knot_sets[j], nodes))
 
     for it in range(MAX_ITER):
         delta = 0.0
-        for j in range(r):
-            tabs = component_field(comps)
-
-            def resid_times_wj(*ys):
-                acc = np.asarray(fstar(*ys), dtype=float).copy()
-                for i in range(r):
-                    if i != j:
-                        acc = acc - np.asarray(wstars[i](*ys)) * tabs[i](ys[i])
-                return acc * np.asarray(wstars[j](*ys))
-
-            num = _slice_average(ScalarField(t.n, resid_times_wj), t, j,
-                                 knot_sets[j], nodes)
-            new = num / dens[j]
+        for j, grid in enumerate(grids):
+            acc = fvals[j]
+            for i in range(r):
+                if i != j:
+                    gi = np.interp(grid[0][i], knot_sets[i], comps[i])
+                    acc = acc - wvals[j][i] * gi
+            new = _average(acc * wvals[j][j], grid) / dens[j]
             step = DAMPING * (new - comps[j])
             delta = max(delta, float(np.max(np.abs(step))))
             comps[j] = comps[j] + step
@@ -207,7 +195,7 @@ def best_l2(f, t, weights=None, nodes=24, tol=1e-10):
         raise ArithmeticError(
             f"weighted iteration did not settle (last change {delta:.3e})")
 
-    tabs = component_field(comps)
+    tabs = [UnivariateTable(knot_sets[j], comps[j]) for j in range(r)]
 
     def resid(*xs):
         acc = np.asarray(f(*xs), dtype=float).copy()
@@ -231,19 +219,25 @@ def l2_error(f, t, nodes=24):
     over all of Y.
     """
     fstar = t.pullback(f)
-    return _closed_form_error(fstar, t, nodes, *_integrals(fstar, t.ybox, nodes))
+    return _closed_form_error(fstar, t, nodes,
+                              *_integrals(fstar, t.ybox, nodes))[0]
 
 
 def _closed_form_error(fstar, t, nodes, A, norm_sq):
-    """l2_error from the pullback f* and its integrals A and ||f*||^2."""
+    """(l2_error, fi_norm_sq) from the pullback f* and its integrals A and
+    ||f*||^2, with fbar_j at the Gauss nodes y_k of Y_j and fi_norm_sq[j]
+    = ||fbar_j||^2 over Y = |Y^(j)| sum_k fbar_j(y_k)^2 w_k."""
     total_vol, omit_vols = t.volumes()
     radicand = norm_sq + (t.r - 1) * A**2 / total_vol
+    fi_norm_sq = []
     for j in range(t.r):
-        lo, hi = t.ybox[j]
-        yj, wj = gauss_nodes(lo, hi, nodes)
-        fbar = _slice_average(fstar, t, j, yj, nodes) * omit_vols[j]
-        radicand -= float(np.sum(fbar**2 * wj)) / omit_vols[j]
+        yj, wj = gauss_nodes(*t.ybox[j], nodes)
+        grid = _slice_grid(t, j, yj, nodes)
+        fbar = _average(fstar(*grid[0]), grid) * omit_vols[j]
+        fbar_sq = float(np.sum(fbar**2 * wj))
+        radicand -= fbar_sq / omit_vols[j]
+        fi_norm_sq.append(omit_vols[j] * fbar_sq)
     if radicand < -1e-12:
         raise ArithmeticError(
             f"negative radicand {radicand:.3e}: quadrature failure")
-    return (max(radicand, 0.0) / abs(float(t.detJ))) ** 0.5
+    return (max(radicand, 0.0) / abs(float(t.detJ))) ** 0.5, fi_norm_sq

@@ -275,9 +275,15 @@ def test_cached_parser_carries_no_state_between_calls(capsys, square_csv,
         assert got == report(argv), argv
 
 
-def test_cheap_commands_never_load_scipy(square_csv, xy_dirs_csv):
-    # cycles and sigmoid never call scipy, so a process that runs only them
-    # must not pay its import time and memory
+def test_cheap_commands_never_load_scipy(square_csv, xy_dirs_csv, tmp_path):
+    # cycles, sigmoid and approx l2 never call scipy, so a process that runs
+    # only them must not pay its import time and memory
+    square = tmp_path / "square.json"
+    square.write_text("[[0, 1], [0, 1]]")
+    line_dir = tmp_path / "line.csv"
+    line_dir.write_text("1\n")
+    unit = tmp_path / "unit.json"
+    unit.write_text("[[0, 1]]")
     script = (
         "import sys\n"
         "from ridgekit.cli import main\n"
@@ -285,6 +291,11 @@ def test_cheap_commands_never_load_scipy(square_csv, xy_dirs_csv):
         f" '--directions', {xy_dirs_csv!r}]) == 0\n"
         "assert main(['sigmoid', 'eval', '--d', '2', '--lambda', '0.25',"
         " '--x', '6.0']) == 0\n"
+        "assert main(['approx', 'l2', '--expr', 'exp(x1*x2)', '--dirs-file',"
+        f" {xy_dirs_csv!r}, '--ybox', {str(square)!r}, '--nodes', '8']) == 0\n"
+        "assert main(['approx', 'l2', '--expr', 'exp(x1)', '--dirs-file',"
+        f" {str(line_dir)!r}, '--ybox', {str(unit)!r}, '--nodes', '8',"
+        " '--weights', '1+x1']) == 0\n"
         "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
         "assert not loaded, sorted(loaded)[:5]\n"
     )

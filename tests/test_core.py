@@ -107,6 +107,14 @@ class TestUnivariateTable:
         with pytest.raises(ValueError):
             UnivariateTable([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
 
+    def test_sample_calls_fn_on_all_knots_at_once(self):
+        # one array call; a constant fn gives a scalar, spread to every knot
+        t = UnivariateTable.sample(np.sin, 0.0, 2.0)
+        assert len(t.knots) == 201
+        assert np.array_equal(t.values, np.sin(t.knots))
+        assert np.array_equal(UnivariateTable.sample(lambda s: 2.5, 0, 1).values,
+                              np.full(201, 2.5))
+
 
 class TestRidgeSum:
     def test_evaluates_sum_of_ridge_terms(self):

@@ -123,6 +123,28 @@ class TestBestL2:
         err_sq = ws @ (f(X, Y) - sol(X, Y)) ** 2 @ ws
         assert math.sqrt(err_sq) == pytest.approx(sol.error, rel=1e-9)
 
+    def test_weighted_iteration_that_does_not_settle_raises(self):
+        # with these weights the damped sweeps keep moving by about 1e-6
+        # and never reach tol; the reported last change pins the trajectory
+        # of all 500 sweeps.  ROADMAP item 6 will change this behaviour: the
+        # iteration is to stop once it stalls, or return a labelled answer
+        t = build_rset([(1, 0), (0, 1)], [], [(0, 1), (0, 1)])
+        f = lambda x, y: np.exp(np.asarray(x) * np.asarray(y))
+        w = [lambda x, y: 1 + np.asarray(x) + 0 * np.asarray(y),
+             lambda x, y: 1 + np.asarray(y) + 0 * np.asarray(x)]
+        with pytest.raises(ArithmeticError,
+                           match=r"did not settle \(last change 7\.551e-07\)"):
+            best_l2(f, t, weights=w)
+
+    def test_fi_norm_sq_on_a_box_of_non_unit_volume(self):
+        # f* = y1 on [0, 2] x [0, 3]: fbar_1 = 3 y1 and fbar_2 = 2, so
+        # ||fbar_1||^2 = 9 * 8/3 * 3 and ||fbar_2||^2 = 4 * 6 over Y
+        t = build_rset([(1, 0), (0, 1)], [], [(0, 2), (0, 3)])
+        sol = best_l2(lambda x, y: np.asarray(x) + 0 * np.asarray(y), t,
+                      nodes=8)
+        assert sol.diagnostics["fi_norm_sq"] == pytest.approx([72, 24],
+                                                              rel=1e-12)
+
     def test_four_dim_diagnostics(self):
         t = build_rset(DIRS, [], YBOX)
         sol = best_l2(product4, t, nodes=16)
