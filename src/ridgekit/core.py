@@ -1,9 +1,11 @@
 """Shared exact arithmetic, expression parsing, grids, quadrature and
 evaluable-function abstractions.
 
-Exact rationals (``fractions.Fraction``) back everything combinatorial:
-deciding whether two points lie on the same level line of a direction is
-ill-posed in floating point, so all fiber logic upstream works over Q.
+Exact rationals back everything combinatorial: deciding whether two points
+lie on the same level line of a direction is ill-posed in floating point,
+so all fiber logic upstream works over Q.  Inputs are read as
+``fractions.Fraction``; elimination (``bareiss``, ``row_reduce``) is
+fraction-free over the integers, and results leave it as Fractions again.
 Approximation numerics (quadrature, LP oracles) use IEEE doubles.
 """
 
@@ -130,39 +132,77 @@ def dot(a, x):
     return sum(ai * xi for ai, xi in zip(a, x))
 
 
-def row_reduce(rows, ncols):
-    """Exact Gauss-Jordan elimination over Q.
+def bareiss(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) in integers.
 
+    Each row of rationals is first scaled to integers by the lcm of its
+    denominators, which changes neither the pivots nor the reduced rows.
     Pivots are taken left to right in the first ``ncols`` columns; further
-    columns (a right-hand side, an identity block) are carried along.
-    Returns (reduced rows, {pivot column: row index}, det): the pivot rows
-    come first, each with a leading 1 and zeros above and below it, and
-    ``det`` is the determinant of the first ``ncols`` columns of a square
-    system (0 when those columns are dependent).
+    columns are carried along.  Each step multiplies every other row by the
+    new pivot p, subtracts the pivot row times the row's entry in the pivot
+    column, and divides by the previous pivot; the division is exact, since
+    every entry stays a minor of the scaled matrix.
+
+    Returns (integer rows, {pivot column: row index}, last pivot, det).
+    The pivot rows come first, each with the last pivot in its own pivot
+    column and zeros in the other pivot columns, so that a pivot row
+    divided by the last pivot is its reduced row.  The other rows are
+    nonzero multiples of their reduced rows.  ``det`` is the determinant
+    (a Fraction) of the first ``ncols`` columns of the pivot rows, ± the
+    last pivot over the scales; 0 when those columns are dependent.
     """
-    mat = [[Fraction(v) for v in row] for row in rows]
+    mat, scales = [], []
+    for row in rows:
+        row = [v if type(v) is int else Fraction(v) for v in row]
+        scale = math.lcm(*(v.denominator for v in row))
+        mat.append([v.numerator * (scale // v.denominator) for v in row])
+        scales.append(scale)
     pivots = {}
-    det = Fraction(1)
+    last, sign = 1, 1
     for col in range(ncols):
         rank = len(pivots)
         piv = next((j for j in range(rank, len(mat)) if mat[j][col]), None)
         if piv is None:
-            det = Fraction(0)
             continue
         if piv != rank:
             mat[rank], mat[piv] = mat[piv], mat[rank]
-            det = -det
-        lead = mat[rank][col]
-        det *= lead
-        if lead != 1:
-            mat[rank] = [v / lead for v in mat[rank]]
+            scales[rank], scales[piv] = scales[piv], scales[rank]
+            sign = -sign
         prow = mat[rank]
+        p = prow[col]
         for j, row in enumerate(mat):
-            factor = row[col]
-            if factor and j != rank:
-                mat[j] = [a - factor * b if b else a for a, b in zip(row, prow)]
+            if j == rank:
+                continue
+            f = row[col]
+            if f:
+                mat[j] = [(p * a - f * b) // last for a, b in zip(row, prow)]
+            elif p != last:
+                mat[j] = [p * a // last for a in row]
         pivots[col] = rank
-    return mat, pivots, det
+        last = p
+    if len(pivots) < ncols:
+        return mat, pivots, last, Fraction(0)
+    return mat, pivots, last, Fraction(sign * last, math.prod(scales[:ncols]))
+
+
+def row_reduce(rows, ncols):
+    """Exact Gauss-Jordan elimination over Q, done fraction-free in
+    integers by ``bareiss``.
+
+    Pivots are taken left to right in the first ``ncols`` columns; further
+    columns (a right-hand side, an identity block) are carried along.
+    Returns (reduced rows, {pivot column: row index}, det), all Fractions:
+    the pivot rows come first, each with a leading 1 and zeros above and
+    below it, and ``det`` is the determinant of the first ``ncols`` columns
+    of a square system (0 when those columns are dependent).  The other
+    rows are zero in the pivot columns and equal to the rows a division
+    by each pivot would leave only up to a nonzero factor: whether such a
+    row is zero is all they tell.
+    """
+    mat, pivots, last, det = bareiss(rows, ncols)
+    rank = len(pivots)
+    return ([[Fraction(v, last) for v in row] for row in mat[:rank]]
+            + [[Fraction(v) for v in row] for row in mat[rank:]]), pivots, det
 
 
 def _read_csv_rows(path):
@@ -345,6 +385,11 @@ def _eval_ast(node, xs):
     raise AssertionError(op)
 
 
+def _has_var(node):
+    return node[0] == "var" or any(
+        isinstance(child, tuple) and _has_var(child) for child in node[1:])
+
+
 def format_ast(node):
     """Pretty-print an AST back to the grammar (parse(format(ast)) == ast)."""
     op = node[0]
@@ -381,7 +426,17 @@ class ScalarField:
     @classmethod
     def from_expression(cls, text, dim):
         ast = _Parser(text, dim).parse()
-        return cls(dim, lambda *xs: _eval_ast(ast, xs), ast=ast)
+        if _has_var(ast):
+            return cls(dim, lambda *xs: _eval_ast(ast, xs), ast=ast)
+
+        def constant(*xs):
+            # broadcast to the arguments' shape, as an expression in the
+            # variables would be; scalar arguments give a scalar
+            shape = np.broadcast_shapes(*(np.shape(x) for x in xs))
+            value = _eval_ast(ast, xs)
+            return np.full(shape, value) if shape else value
+
+        return cls(dim, constant, ast=ast)
 
 
 def parse_expression(text, dim):

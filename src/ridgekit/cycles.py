@@ -13,11 +13,11 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
-from .core import dot, rational, row_reduce
+from .core import bareiss, rational
 
 
 class CycleExists(ValueError):
@@ -50,16 +50,32 @@ class CycleCertificate:
         return f"CycleCertificate(support={self.support}, weights={self.weights})"
 
 
-def _apply(h, p):
-    """Evaluate a direction (vector) or callable at a point, exactly."""
-    if callable(h):
-        return rational(h(p))
-    return dot(h, p)
-
-
 def _key_table(points, h):
-    """keys[i][j] = h_i(x_j), exact: every fiber value evaluated once."""
-    return [[_apply(hi, p) for p in points] for hi in h]
+    """Fiber values as integers, every one computed once.
+
+    Returns (keys, scales) with keys[i][j] = scales[i] * h_i(x_j): one
+    common denominator per h_i, so that fibers group and hash as ints.
+    Point coordinates and directions are read exactly with ``rational``; a
+    callable h_i gets the point as given and its value is read exactly.
+    """
+    pts = [[rational(c) for c in p] for p in points]
+    den = lcm(*(c.denominator for p in pts for c in p))
+    ipts = [[c.numerator * (den // c.denominator) for c in p] for p in pts]
+    table, scales = [], []
+    for hi in h:
+        if callable(hi):
+            vals = [rational(hi(p)) for p in points]
+            scale = lcm(*(v.denominator for v in vals))
+            keys = [v.numerator * (scale // v.denominator) for v in vals]
+        else:
+            a = [rational(c) for c in hi]
+            e = lcm(*(c.denominator for c in a))
+            ia = [c.numerator * (e // c.denominator) for c in a]
+            keys = [sum(ak * xk for ak, xk in zip(ia, p)) for p in ipts]
+            scale = den * e
+        table.append(keys)
+        scales.append(scale)
+    return table, scales
 
 
 def _group(keys, idx):
@@ -89,17 +105,28 @@ def _incidence_rows(table, idx):
 
 
 def rational_nullspace(rows, ncols):
-    """Basis of the nullspace of a rational matrix, by exact elimination."""
-    mat, pivots, _ = row_reduce(rows, ncols)
+    """Basis of the nullspace of a rational matrix, by fraction-free
+    elimination: one primitive integer vector per free column, its first
+    nonzero entry positive.
+
+    Each is the reduced-row-echelon basis vector of its free column, read
+    off the integer pivot rows of ``bareiss`` (the last pivot in the free
+    column, minus the pivot rows' entries in the pivot columns) and divided
+    by its gcd.
+    """
+    mat, pivots, last, _ = bareiss(rows, ncols)
     basis = []
     for fc in range(ncols):
         if fc in pivots:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
+        vec = [0] * ncols
+        vec[fc] = last
         for col, r in pivots.items():
             vec[col] = -mat[r][fc]
-        basis.append(vec)
+        g = gcd(*vec)
+        if next(v for v in vec if v) < 0:
+            g = -g
+        basis.append([v // g for v in vec])
     return basis
 
 
@@ -143,9 +170,9 @@ def _canonical_cycle_vector(basis):
     no entry or l1 norm can reach 2^63, else in Python ints.  Falls back to
     the first basis vector when the space is too large to enumerate.
     """
+    if len(basis) == 1 or len(basis) > 4:
+        return integerize(basis[0])
     ints = [integerize(b) for b in basis]
-    if len(ints) == 1 or len(ints) > 4:
-        return ints[0]
     bound = 4 * len(ints[0]) * sum(max(abs(v) for v in b) for b in ints)
     dtype = np.int64 if bound < 2**63 else object
     vecs = _coefficients(len(ints)).astype(dtype) @ np.array(ints, dtype=dtype)
@@ -168,7 +195,7 @@ def has_cycle(points, h):
     canonical nullspace vector of the fiber incidence system.
     """
     pts = list(points)
-    return _find_cycle(pts, _key_table(pts, h))
+    return _find_cycle(pts, _key_table(pts, h)[0])
 
 
 def _find_cycle(pts, table):
@@ -203,7 +230,7 @@ def minimal_cycles(points, h, cap=10):
     cut the enumeration before all subsets were inspected.
     """
     pts = list(points)
-    table = _key_table(pts, h)
+    table, _ = _key_table(pts, h)
     n = len(pts)
     found = []
     supports = []
@@ -217,7 +244,7 @@ def minimal_cycles(points, h, cap=10):
             basis = rational_nullspace(_incidence_rows(table, subset), size)
             if not basis:
                 continue
-            vec = integerize(basis[0])
+            vec = basis[0]
             if any(w == 0 for w in vec):
                 continue  # support smaller than subset; found at its own size
             supports.append(set(subset))
@@ -254,7 +281,7 @@ def tau_closure(points, directions):
     has full column rank, so it carries no cycle (acceptance criterion 06).
     """
     pts = list(points)
-    table = _key_table(pts, directions)
+    table, _ = _key_table(pts, directions)
     current = set(range(len(pts)))
     trace = [sorted(current)]
     while current:
@@ -281,7 +308,7 @@ def closed_path_search(points, a1, a2):
     a1-fibers and a2-fibers; closed paths correspond to cycles there.
     """
     pts = list(points)
-    k1, k2 = _key_table(pts, (a1, a2))
+    (k1, k2), _ = _key_table(pts, (a1, a2))
     adj = {}  # fiber node (side, value) -> [(neighbour node, point index)]
     for j in range(len(pts)):
         u, v = (1, k1[j]), (2, k2[j])
@@ -337,7 +364,7 @@ def orbits(points, a1, a2):
             x = parent[x]
         return x
 
-    for keys in _key_table(pts, (a1, a2)):
+    for keys in _key_table(pts, (a1, a2))[0]:
         for members in _group(keys, range(len(pts))).values():
             for j in members[1:]:
                 parent[find(j)] = find(members[0])
@@ -368,7 +395,7 @@ def solve_representation(points, h, f_values, anchor=0):
     if not 0 <= anchor < n:
         raise ValueError(f"anchor {anchor} is not a point index 0..{n - 1}")
     r = len(h)
-    table = _key_table(pts, h)
+    table, scales = _key_table(pts, h)
     ok, cert = _find_cycle(pts, table)
     if ok:
         raise CycleExists(cert)
@@ -394,12 +421,13 @@ def solve_representation(points, h, f_values, anchor=0):
         row[col_of[(i, table[i][anchor])]] = 1
         rows.append(row)
 
-    # free unknowns -> 0, so each pivot row's last entry is its unknown
-    reduced, pivots, _ = row_reduce(rows, m)
+    # free unknowns -> 0, so each pivot row's last entry over the last
+    # pivot is its unknown
+    reduced, pivots, last, _ = bareiss(rows, m)
     if any(row[m] != 0 for row in reduced[len(pivots):]):
         raise ArithmeticError("inconsistent system on a cycle-free set")
-    solution = {col: reduced[row][m] for col, row in pivots.items()}
     tables = [dict() for _ in range(r)]
-    for (i, value), col in col_of.items():
-        tables[i][value] = solution.get(col, Fraction(0))
+    for (i, key), col in col_of.items():
+        value = reduced[pivots[col]][m] if col in pivots else 0
+        tables[i][Fraction(key, scales[i])] = Fraction(value, last)
     return tables, m - len(pivots)

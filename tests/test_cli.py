@@ -411,3 +411,31 @@ def test_uniform_fallback_verify_and_golomb_never_load_scipy(tmp_path):
     )
     proc = _python(script)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("verify", [[], ["--verify"]])
+def test_approx_uniform_of_a_constant_target(capsys, verify):
+    # an expression without a variable evaluates like one with a zero term
+    # in it: broadcast to the grid, not a lone scalar
+    reports = []
+    for expr in ["2", "2+0*x1"]:
+        code, out = run(capsys, "approx", "uniform", "--expr", expr,
+                        "--dirs", "1", "0", "0", "1",
+                        "--bounds", "0", "1", "0", "1", *verify)
+        assert code == 0
+        reports.append(json.loads(out)["results"])
+    assert reports[0] == reports[1]
+    assert reports[0]["error"] == 0.0
+
+
+def test_smooth_decompose_of_a_constant_target(capsys, tmp_path):
+    dirs = tmp_path / "dirs3.csv"
+    dirs.write_text("1, 0\n0, 1\n1, 1\n")
+    reports = []
+    for expr in ["2", "2+0*x1"]:
+        code, out = run(capsys, "smooth", "decompose", "--expr", expr,
+                        "--dirs", str(dirs), "--box", "-1", "1", "-1", "1",
+                        "--crosscheck")
+        assert code == 0
+        reports.append(json.loads(out)["results"])
+    assert reports[0] == reports[1]

@@ -19,6 +19,7 @@ from ridgekit.core import (
     parse_expression,
     parse_vector,
     rational,
+    row_reduce,
     tensor_quadrature,
 )
 
@@ -84,6 +85,14 @@ class TestExpressions:
     def test_unknown_variable_rejected(self):
         with pytest.raises(ValueError):
             parse_expression("x3", 2)
+
+    def test_constant_broadcasts_like_an_expression(self):
+        f, g = parse_expression("2*pi", 2), parse_expression("2*pi + 0*x1 + 0*x2", 2)
+        assert f(0.5, 1.0) == g(0.5, 1.0) == 2 * math.pi
+        assert np.ndim(f(0.5, 1.0)) == 0
+        xs, ys = np.zeros((3, 1)), np.ones(4)
+        assert np.array_equal(f(xs, ys), g(xs, ys))
+        assert f(xs, ys).shape == (3, 4)
 
     @given(st.floats(-3, 3), st.floats(-3, 3))
     @settings(max_examples=50)
@@ -273,3 +282,84 @@ class TestMaxCycleMean:
         F = np.sin(np.arange(5.0))[:, None] + np.arange(7.0)[None, :] ** 2
         err, cycle = max_cycle_mean(*np.indices(F.shape).reshape(2, -1), F)
         assert err == pytest.approx(0.0, abs=1e-12)
+
+
+def fraction_row_reduce(rows, ncols):
+    """Gauss-Jordan elimination in Fractions, the reference that the
+    fraction-free ``row_reduce`` must match."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    pivots = {}
+    det = Fraction(1)
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((j for j in range(rank, len(mat)) if mat[j][col]), None)
+        if piv is None:
+            det = Fraction(0)
+            continue
+        if piv != rank:
+            mat[rank], mat[piv] = mat[piv], mat[rank]
+            det = -det
+        lead = mat[rank][col]
+        det *= lead
+        if lead != 1:
+            mat[rank] = [v / lead for v in mat[rank]]
+        prow = mat[rank]
+        for j, row in enumerate(mat):
+            factor = row[col]
+            if factor and j != rank:
+                mat[j] = [a - factor * b if b else a for a, b in zip(row, prow)]
+        pivots[col] = rank
+    return mat, pivots, det
+
+
+@st.composite
+def rational_matrices(draw):
+    """(rows, ncols): square or rectangular, with up to three carried
+    columns, rows and columns that are combinations of earlier ones, and
+    entries that are small, rational or beyond 2^63."""
+    entry = st.one_of(st.integers(-2, 2),
+                      st.fractions(-5, 5, max_denominator=7),
+                      st.integers(-2**70, 2**70))
+    ncols = draw(st.integers(1, 5))
+    nrows = ncols if draw(st.booleans()) else draw(st.integers(1, 6))
+    width = ncols + draw(st.integers(0, 3))
+    rows = [[draw(entry) for _ in range(width)] for _ in range(nrows)]
+    coeff = st.integers(-2, 2)
+    for i in range(1, nrows):
+        if draw(st.booleans()):
+            cs = [draw(coeff) for _ in range(i)]
+            rows[i] = [sum(c * rows[k][j] for k, c in enumerate(cs))
+                       for j in range(width)]
+    for j in range(1, width):
+        if draw(st.booleans()):
+            cs = [draw(coeff) for _ in range(j)]
+            for row in rows:
+                row[j] = sum(c * row[k] for k, c in enumerate(cs))
+    return rows, ncols
+
+
+class TestRowReduce:
+    @given(rational_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_fraction_elimination(self, case):
+        rows, ncols = case
+        got, pivots, det = row_reduce(rows, ncols)
+        want, want_pivots, want_det = fraction_row_reduce(rows, ncols)
+        rank = len(pivots)
+        assert pivots == want_pivots
+        assert got[:rank] == want[:rank]
+        assert [[v == 0 for v in row] for row in got[rank:]] == \
+            [[v == 0 for v in row] for row in want[rank:]]
+        assert all(isinstance(v, Fraction) for row in got for v in row)
+        if len(rows) == ncols:
+            assert det == want_det
+
+    def test_inverse_and_determinant_of_a_rational_system(self):
+        rows = [[Fraction(1, 2), 3, 1, 0], [Fraction(2, 3), Fraction(-1, 7), 0, 1]]
+        reduced, pivots, det = row_reduce(rows, 2)
+        assert pivots == {0: 0, 1: 1}
+        assert det == Fraction(1, 2) * Fraction(-1, 7) - 3 * Fraction(2, 3)
+        inv = [row[2:] for row in reduced]
+        for i in range(2):
+            for j in range(2):
+                assert sum(rows[i][k] * inv[k][j] for k in range(2)) == (i == j)

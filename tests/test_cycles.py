@@ -8,6 +8,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ridgekit import cycles
+from ridgekit.core import dot as core_dot
+from ridgekit.core import rational
 from ridgekit.cycles import (
     CycleExists,
     _canonical_cycle_vector,
@@ -240,3 +243,72 @@ class TestSolveRepresentation:
         tables, _ = solve_representation(tree, dirs, fvals)
         for p, v in zip(tree, fvals):
             assert sum(tab[dot(a, p)] for tab, a in zip(tables, dirs)) == v
+
+
+# two directions with denominators 2, 3 and 7, the points of a 4 x 4 grid in
+# their own coordinates (fiber values i/3 and j/7), and a callable third
+# direction whose fiber values are (i + j)/3
+A1 = (Fraction(1, 2), Fraction(1, 3))
+A2 = (Fraction(2, 7), Fraction(-1))
+
+
+def from_fibers(u, v):
+    """The point x with A1.x = u and A2.x = v."""
+    det = A1[0] * A2[1] - A1[1] * A2[0]
+    return ((u * A2[1] - A1[1] * v) / det, (A1[0] * v - u * A2[0]) / det)
+
+
+RATIONAL_GRID = [from_fibers(Fraction(i, 3), Fraction(j, 7))
+                 for i in range(4) for j in range(4)]
+RATIONAL_DIRS = [A1, A2, lambda p: p[0] * 7 / 6 - 2 * p[1]]
+
+
+def dot_key_table(points, h):
+    """Fiber values as ``core.dot`` (or the callable) gives them, unscaled:
+    the reference for the integer keys."""
+    return ([[rational(hi(p)) if callable(hi) else core_dot(hi, p)
+              for p in points] for hi in h], [1] * len(h))
+
+
+def cert_data(cert):
+    return None if cert is None else (cert.support, cert.weights)
+
+
+class TestRationalFibers:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_integer_keys_match_dot_keys(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        # with the third direction, only large subsets carry cycles
+        dirs = RATIONAL_DIRS[:2 + seed % 2]
+        pts = rng.sample(RATIONAL_GRID, rng.randint(7, 10) + 4 * (seed % 2))
+
+        def answers():
+            found, cert = has_cycle(pts, dirs)
+            certs, exhausted = minimal_cycles(pts, dirs, cap=6)
+            return (found, cert_data(cert),
+                    [cert_data(c) for c in certs], exhausted,
+                    tau_closure(pts, dirs))
+
+        got = answers()
+        monkeypatch.setattr(cycles, "_key_table", dot_key_table)
+        assert got == answers()
+
+    def test_tables_match_dot_keys(self, monkeypatch):
+        stairs = [from_fibers(Fraction(i, 3), Fraction(j, 7))
+                  for i, j in [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)]]
+        fvals = [Fraction(k * k - 3, 7) for k in range(len(stairs))]
+        tables, free = solve_representation(stairs, RATIONAL_DIRS, fvals)
+        for p, v in zip(stairs, fvals):
+            assert sum(tab[rational(h(p)) if callable(h) else core_dot(h, p)]
+                       for tab, h in zip(tables, RATIONAL_DIRS)) == v
+        monkeypatch.setattr(cycles, "_key_table", dot_key_table)
+        assert (tables, free) == solve_representation(
+            stairs, RATIONAL_DIRS, fvals)
+
+    def test_float_coordinates_are_read_exactly(self):
+        # 1e16 + 1.0 rounds to 1e16 in floats, which would put both points
+        # on one level line of (1, 1); read exactly, they are on two
+        pts = [(1e16, 1.0), (1e16, 0.0)]
+        assert 1e16 + 1.0 == 1e16 + 0.0
+        assert orbits(pts, (1, 1), (0, 1)) == [[0], [1]]
+        assert has_cycle(pts, [(1, 1), (1, 0)]) == (False, None)
