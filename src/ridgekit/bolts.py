@@ -267,50 +267,35 @@ def _monotone_best(f, R, c, which):
 # ---------------------------------------------------------------------------
 # hexagons, octagons, stairlike polygons
 
-def _rect_bolt(x1, x2, y1, y2):
-    return ClosedBolt([(x1, y1), (x1, y2), (x2, y2), (x2, y1)])
-
-
-def _stair_bolt(acoords, bcoords):
-    """Bolt of the staircase with column right-edges ``acoords[1:]`` and
-    descending heights ``bcoords``; acoords[0] is the common left edge."""
-    floor = bcoords[-1]
-    heights = bcoords[:-1]
-    pts = [(acoords[0], floor)]  # bottom-left corner
+def _skyline(xs, heights, floor):
+    """Bolt around the columns xs[k]..xs[k + 1] of height heights[k] over
+    the floor, from the bottom-left corner clockwise."""
+    pts = [(xs[0], floor)]
     for k, h in enumerate(heights):
-        pts.append((pts[-1][0], h))
-        pts.append((acoords[k + 1], h))
-    pts.append((acoords[-1], floor))
-    return ClosedBolt(pts)
+        pts += [(xs[k], h), (xs[k + 1], h)]
+    return ClosedBolt(pts + [(xs[-1], floor)])
 
 
 def hexagon_ebolts(H):
     """The three bolts carrying the hexagon error: the full hexagon and the
     two maximal rectangles."""
     a, b = H.a, H.b
-    hexbolt = ClosedBolt([(a[0], b[0]), (a[0], b[2]), (a[1], b[2]),
-                          (a[1], b[1]), (a[2], b[1]), (a[2], b[0])])
-    return [hexbolt] + [_rect_bolt(*R.bounds) for R in H.rectangles()]
+    return [_skyline(a, [b[2], b[1]], b[0]),
+            _skyline(a[:2], [b[2]], b[0]),
+            _skyline([a[0], a[2]], [b[1]], b[0])]
 
 
 def octagon_ebolts(Q):
     a, b = Q.a, Q.b
     if Q.variant == "A":
-        q = ClosedBolt([(a[0], b[0]), (a[0], b[1]), (a[1], b[1]), (a[1], b[2]),
-                        (a[2], b[2]), (a[2], b[1]), (a[3], b[1]), (a[3], b[0])])
-        r123 = _rect_bolt(a[0], a[3], b[0], b[1])
-        r124 = ClosedBolt([(a[0], b[0]), (a[0], b[1]), (a[1], b[1]),
-                           (a[1], b[2]), (a[2], b[2]), (a[2], b[0])])
-        r234 = ClosedBolt([(a[1], b[0]), (a[1], b[2]), (a[2], b[2]),
-                           (a[2], b[1]), (a[3], b[1]), (a[3], b[0])])
-        r24 = _rect_bolt(a[1], a[2], b[0], b[2])
-        return [q, r123, r124, r234, r24]
-    r = _rect_bolt(a[0], a[3], b[0], b[2])
-    r12 = ClosedBolt([(a[0], b[0]), (a[0], b[2]), (a[1], b[2]),
-                      (a[1], b[1]), (a[3], b[1]), (a[3], b[0])])
-    r13 = ClosedBolt([(a[0], b[0]), (a[0], b[1]), (a[2], b[1]),
-                      (a[2], b[2]), (a[3], b[2]), (a[3], b[0])])
-    return [r, r12, r13]
+        return [_skyline(a, [b[1], b[2], b[1]], b[0]),
+                _skyline([a[0], a[3]], [b[1]], b[0]),
+                _skyline(a[:3], [b[1], b[2]], b[0]),
+                _skyline(a[1:], [b[2], b[1]], b[0]),
+                _skyline([a[1], a[2]], [b[2]], b[0])]
+    return [_skyline([a[0], a[3]], [b[2]], b[0]),
+            _skyline([a[0], a[1], a[3]], [b[2], b[1]], b[0]),
+            _skyline([a[0], a[2], a[3]], [b[1], b[2]], b[0])]
 
 
 def stairlike_ebolts(S):
@@ -323,9 +308,8 @@ def stairlike_ebolts(S):
     for size in range(1, N):
         for subset in itertools.combinations(range(1, N), size):
             # steps i in subset: column out to a[i], height b[N - i]
-            acoords = [a[0]] + [a[i] for i in subset]
-            heights = [b[N - i] for i in subset]
-            bolts.append(_stair_bolt(acoords, heights + [b[0]]))
+            bolts.append(_skyline([a[0]] + [a[i] for i in subset],
+                                  [b[N - i] for i in subset], b[0]))
     return bolts
 
 
@@ -338,7 +322,7 @@ def ebolts(P):
     if isinstance(P, StairPolygon):
         return stairlike_ebolts(P)
     if isinstance(P, AxisRect):
-        return [_rect_bolt(*P.bounds)]
+        return [_skyline([P.a1, P.b1], [P.b2], P.a2)]
     raise TypeError("unsupported polygon type")
 
 

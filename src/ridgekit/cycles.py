@@ -395,13 +395,10 @@ def solve_representation(points, h, f_values, anchor=0):
     if not 0 <= anchor < n:
         raise ValueError(f"anchor {anchor} is not a point index 0..{n - 1}")
     r = len(h)
-    table, scales = _key_table(pts, h)
-    ok, cert = _find_cycle(pts, table)
-    if ok:
-        raise CycleExists(cert)
     vals = [rational(v) for v in f_values]
     if len(vals) != n:
         raise ValueError("need one f value per point")
+    table, scales = _key_table(pts, h)
 
     # unknown columns: one per (i, fiber value); the last column is f
     col_of = {}
@@ -421,11 +418,13 @@ def solve_representation(points, h, f_values, anchor=0):
         row[col_of[(i, table[i][anchor])]] = 1
         rows.append(row)
 
+    # the anchor rows are independent of the point rows, so a row left
+    # without a pivot is a dependency among the points: a cycle
+    reduced, pivots, last, _ = bareiss(rows, m)
+    if len(pivots) < len(rows):
+        raise CycleExists(_find_cycle(pts, table)[1])
     # free unknowns -> 0, so each pivot row's last entry over the last
     # pivot is its unknown
-    reduced, pivots, last, _ = bareiss(rows, m)
-    if any(row[m] != 0 for row in reduced[len(pivots):]):
-        raise ArithmeticError("inconsistent system on a cycle-free set")
     tables = [dict() for _ in range(r)]
     for (i, key), col in col_of.items():
         value = reduced[pivots[col]][m] if col in pivots else 0

@@ -14,10 +14,6 @@ from .core import (ScalarField, UnivariateTable, gauss_grid, gauss_nodes,
                    parse_vector, row_reduce)
 
 
-DAMPING = 0.5     # step factor of the weighted fixed-point iteration
-MAX_ITER = 500    # sweeps before the weighted iteration gives up
-
-
 class NotAnRSet(ValueError):
     pass
 
@@ -131,15 +127,22 @@ def _integrals(fn, box, nodes):
     return float(np.sum(vals * wgrid)), float(np.sum(vals**2 * wgrid))
 
 
-def best_l2(f, t, weights=None, nodes=24, tol=1e-10):
+def best_l2(f, t, weights=None, nodes=24):
     """Best L2 ridge-sum approximant over the transform's directions.
 
     Components are tables at 129 knots of Y_j, from Gauss slice averages
     over Y^(j) (``nodes`` per axis).  Unweighted: direct slice-average
-    formulas (the first component absorbs the mean correction).  Weighted:
-    fixed-point iteration of the orthogonality identities, each step
-    damped by 0.5, until no component moves by ``tol``; raises
-    ArithmeticError when it has not settled after 500 sweeps.
+    formulas (the first component absorbs the mean correction).  Weighted,
+    one weight per direction: one least-squares solve of the orthogonality
+    identities at every knot y_k of every Y_j,
+
+        avg_k(w_j*^2) g_j(y_k) + sum_{i != j} avg_k(w_j* w_i* g_i(y_i))
+            = avg_k(f* w_j*),
+
+    with avg_k the average over Y^(j) at y_j = y_k and g_i interpolated
+    linearly between knots.  Where a weight vanishes on a slice the system
+    is singular and the minimum-norm solution is taken; its numerical rank
+    is ``diagnostics["rank"]``.
     """
     fstar = t.pullback(f)
     r = t.r
@@ -168,33 +171,29 @@ def best_l2(f, t, weights=None, nodes=24, tol=1e-10):
         }
         return L2Solution(comps, err, diagnostics, t)
 
-    # weighted path: g_j <- (slice avg of (f* - sum_{i!=j} w_i* g_i) w_j*)
-    #                       / (slice avg of w_j*^2), damped; f* and the w_i*
-    # are evaluated once, so a sweep only looks up the g_i on the grids
-    wstars = [t.pullback(w) for w in weights[:r]]
-    fvals = [fstar(*g[0]) for g in grids]
-    wvals = [[w(*g[0]) for w in wstars] for g in grids]
-    dens = [_average(wvals[j][j] ** 2, g) for j, g in enumerate(grids)]
-    comps = [np.zeros(table_n) for _ in range(r)]
-
-    for it in range(MAX_ITER):
-        delta = 0.0
-        for j, grid in enumerate(grids):
-            acc = fvals[j]
-            for i in range(r):
-                if i != j:
-                    gi = np.interp(grid[0][i], knot_sets[i], comps[i])
-                    acc = acc - wvals[j][i] * gi
-            new = _average(acc * wvals[j][j], grid) / dens[j]
-            step = DAMPING * (new - comps[j])
-            delta = max(delta, float(np.max(np.abs(step))))
-            comps[j] = comps[j] + step
-        if delta < tol:
-            break
-    else:
-        raise ArithmeticError(
-            f"weighted iteration did not settle (last change {delta:.3e})")
-
+    if len(weights) != r:
+        raise ValueError(f"need one weight per direction: {r}, not "
+                         f"{len(weights)}")
+    wstars = [t.pullback(w) for w in weights]
+    mat = np.zeros((r, table_n, r, table_n))
+    rhs = np.zeros((r, table_n))
+    for j, grid in enumerate(grids):
+        ys, wgrid, vol = grid
+        wv = [np.broadcast_to(w(*ys), ys[0].shape) for w in wstars]
+        rhs[j] = _average(fstar(*ys) * wv[j], grid)
+        mat[j, :, j] = np.diag(_average(wv[j] ** 2, grid))
+        for i in set(range(r)) - {j}:
+            # each grid point's two hat weights in y_i, on knots m and m + 1
+            kn = knot_sets[i]
+            m = np.searchsorted(kn[1:-1], ys[i], "right")
+            theta = (ys[i] - kn[m]) / (kn[m + 1] - kn[m])
+            c = wv[j] * wv[i] * wgrid / vol
+            k = np.indices(m.shape)[0]
+            np.add.at(mat[j, :, i], (k, m), c * (1 - theta))
+            np.add.at(mat[j, :, i], (k, m + 1), c * theta)
+    sol, _, rank, _ = np.linalg.lstsq(mat.reshape(r * table_n, -1),
+                                      rhs.ravel(), rcond=None)
+    comps = sol.reshape(r, table_n)
     tabs = [UnivariateTable(knot_sets[j], comps[j]) for j in range(r)]
 
     def resid(*xs):
@@ -207,7 +206,7 @@ def best_l2(f, t, weights=None, nodes=24, tol=1e-10):
     # residual norm back in x-coordinates via the y-box and Jacobian
     err_sq = _integrals(t.pullback(ScalarField(t.n, resid)), t.ybox,
                         nodes)[1] / abs(float(t.detJ))
-    diagnostics = {"A": A, "detJ": float(t.detJ), "iterations": it + 1}
+    diagnostics = {"A": A, "detJ": float(t.detJ), "rank": int(rank)}
     return L2Solution(tabs, max(err_sq, 0.0) ** 0.5, diagnostics, t, weights)
 
 

@@ -319,6 +319,39 @@ def test_non_finite_fit_target_is_a_domain_error(capsys):
     assert "not finite" in report["error"]["message"]
 
 
+def test_weighted_l2_takes_one_weight_per_direction(capsys, xy_dirs_csv,
+                                                    tmp_path):
+    # one weight too few or too many is a domain error, not a traceback or
+    # a silently dropped weight
+    ybox = tmp_path / "ybox.json"
+    ybox.write_text("[[0, 1], [0, 1]]")
+    l2 = ["approx", "l2", "--expr", "x1*x2", "--dirs-file", xy_dirs_csv,
+          "--ybox", str(ybox), "--nodes", "8", "--weights"]
+    for weights in (["1+x1"], ["1+x1", "1+x2", "2"]):
+        code, out = run(capsys, *l2, *weights)
+        assert code == 1
+        report = json.loads(out)
+        assert report["error"]["type"] == "ValueError"
+        assert "one weight per direction" in report["error"]["message"]
+
+
+def test_weight_vanishing_at_a_knot_reports_finite_values(capsys, tmp_path):
+    # the weight x1 is 0 at the knot 0 of [0, 1]: every table value and the
+    # error are finite numbers, so the report is valid JSON
+    dirs = tmp_path / "dirs.csv"
+    dirs.write_text("1\n")
+    ybox = tmp_path / "ybox.json"
+    ybox.write_text("[[0, 1]]")
+    code, out = run(capsys, "approx", "l2", "--expr", "exp(x1)",
+                    "--dirs-file", str(dirs), "--ybox", str(ybox),
+                    "--nodes", "8", "--weights", "x1")
+    assert code == 0
+    res = json.loads(out, parse_constant=lambda name: pytest.fail(name))
+    res = res["results"]
+    assert res["error"] == pytest.approx(0.00931, abs=1e-5)
+    assert res["diagnostics"]["rank"] == 128
+
+
 def test_verify_reports_a_closed_form_that_is_not_best(capsys):
     # the oscillation vanishes at the nodes of the hypothesis check, so the
     # closed form of x1*x2 is taken; on the verification grid its norm is

@@ -199,6 +199,17 @@ class TestTauAndPaths:
         assert obs == [[0, 1], [2, 3]]
 
 
+# integer sets of up to 10 points in 2-D and 3-D along 1 to 3 directions,
+# parallel and repeated ones included
+@st.composite
+def point_sets(draw):
+    dim = draw(st.integers(2, 3))
+    small = st.tuples(*[st.integers(-2, 2)] * dim)
+    pts = draw(st.lists(small, min_size=1, max_size=10, unique=True))
+    dirs = draw(st.lists(small.filter(any), min_size=1, max_size=3))
+    return pts, dirs
+
+
 class TestSolveRepresentation:
     def test_exact_on_cycle_free_set(self):
         pts = [(0, 0), (0, 1), (1, 1), (2, 2)]
@@ -211,6 +222,27 @@ class TestSolveRepresentation:
     def test_raises_on_cycle(self):
         with pytest.raises(CycleExists):
             solve_representation(SQUARE, [X, Y], [0, 0, 0, 1])
+
+    def test_wrong_number_of_values_is_reported_before_a_cycle(self):
+        with pytest.raises(ValueError, match="one f value per point"):
+            solve_representation(SQUARE, [X, Y], [0, 0, 1])
+
+    @given(point_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_raises_exactly_when_has_cycle_finds_one(self, case):
+        # the solve decides cycle-freeness from its own elimination; it
+        # must agree with has_cycle and attach the same certificate
+        pts, dirs = case
+        found, cert = has_cycle(pts, dirs)
+        fvals = [Fraction(k * k - 3, 7) for k in range(len(pts))]
+        if found:
+            with pytest.raises(CycleExists) as exc:
+                solve_representation(pts, dirs, fvals)
+            assert cert_data(exc.value.certificate) == cert_data(cert)
+            return
+        tables, _ = solve_representation(pts, dirs, fvals)
+        for p, v in zip(pts, fvals):
+            assert sum(tab[dot(a, p)] for tab, a in zip(tables, dirs)) == v
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
