@@ -9,6 +9,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -96,9 +97,30 @@ def _digest(args, files):
 
 
 def _print_report(args, **fields):
+    """Print the JSON report; a NaN or infinity in it, which strict JSON
+    cannot carry, is a domain error that names its field."""
     report = {"schema": 1, "version": __version__,
               "command": " ".join(args._argv), **fields}
-    print(json.dumps(report, sort_keys=True, indent=2))
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        field = _non_finite_field(report)
+        raise ValueError(f"{field} is not finite") from None
+    print(text)
+
+
+def _non_finite_field(value, path=""):
+    """The dotted path of the first NaN or infinity in a report, or None."""
+    if isinstance(value, dict):
+        items = [(f"{path}.{k}" if path else k, v)
+                 for k, v in sorted(value.items())]
+    elif isinstance(value, (list, tuple)):
+        items = [(f"{path}[{i}]", v) for i, v in enumerate(value)]
+    else:
+        finite = not isinstance(value, float) or math.isfinite(value)
+        return None if finite else path
+    return next(filter(None, (_non_finite_field(v, p) for p, v in items)),
+                None)
 
 
 def _emit(args, results, files=(), t0=None):
@@ -278,6 +300,7 @@ def _cmd_smooth(args, t0):
     results = {
         "residual": result.residual,
         "g_tables": [_table(t, stride=4) for t in tables],
+        "derivatives": result.meta["derivatives"],
     }
     if args.crosscheck:
         check = crosscheck_highorder(problem)

@@ -6,11 +6,13 @@ lie on the same level line of a direction is ill-posed in floating point,
 so all fiber logic upstream works over Q.  Inputs are read as
 ``fractions.Fraction``; elimination (``bareiss``, ``row_reduce``) is
 fraction-free over the integers, and results leave it as Fractions again.
-Approximation numerics (quadrature, LP oracles) use IEEE doubles.
+Approximation numerics (quadrature, Taylor jets, LP oracles) use IEEE
+doubles.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -442,6 +444,197 @@ class ScalarField:
 def parse_expression(text, dim):
     """Parse ``text`` over variables x1..xd into an evaluable ScalarField."""
     return ScalarField.from_expression(text, dim)
+
+
+# ---------------------------------------------------------------------------
+# Taylor jets: exact mixed directional derivatives of an expression
+#
+# A jet over k directions l_1..l_k holds one coefficient per subset S of
+# them, stacked along axis 0 with S as a bitmask: it is f(x + sum e_i l_i)
+# with e_i^2 = 0, so the coefficient of prod_{i in S} e_i is D_S f(x)
+# (Griewank & Walther, "Evaluating Derivatives", 2nd ed., SIAM 2008, ch. 13;
+# Fike & Alonso, AIAA 2011-886).  A subtree without variables stays a plain
+# number, evaluated as ``_eval_ast`` would.
+
+def jet(ast, xs, dirs):
+    """Mixed directional derivatives of the expression ``ast`` at points.
+
+    ``xs`` holds the d coordinates of the points (arrays that broadcast
+    together, or numbers) and ``dirs`` the k direction vectors, each of
+    length d.  Returns an array of shape (2**k,) + the points' shape whose
+    entry S (a bitmask over the directions) is the derivative of f along
+    the directions in S: entry 0 is f and entry -1 is D_{l_1}...D_{l_k} f.
+    Every derivative is exact up to rounding, with no step size.
+
+    Raises ValueError, naming the operation and a point, where a jet does
+    not exist: a division by 0, log of a value <= 0, a negative base under
+    sqrt or a non-integer power, or abs, sqrt or a non-integer power at 0
+    along a direction in which its argument moves.
+    """
+    xs = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in xs))
+    dirs = [[float(c) for c in l] for l in dirs]
+    ctx = (xs, dirs, 1 << len(dirs))
+    out = _jet_node(ast, ctx)
+    if np.ndim(out) == 0:  # a constant: broadcast like a variable's jet
+        return _constant_jet(out, (ctx[2],) + xs[0].shape)
+    return out
+
+
+def _constant_jet(value, shape):
+    out = np.zeros(shape)
+    out[0] = value
+    return out
+
+
+def _jet_node(node, ctx):
+    op = node[0]
+    if op == "const":
+        return node[1]
+    if op == "var":
+        xs, dirs, size = ctx
+        out = np.zeros((size,) + xs[0].shape)
+        out[0] = xs[node[1]]
+        for i, l in enumerate(dirs):
+            out[1 << i] = l[node[1]]
+        return out
+    if op == "neg":
+        return -_jet_node(node[1], ctx)
+    if op == "call":
+        a = _jet_node(node[2], ctx)
+        return _FUNCS[node[1]](a) if np.ndim(a) == 0 \
+            else _jet_call(node[1], a, ctx)
+    a, b = _jet_node(node[1], ctx), _jet_node(node[2], ctx)
+    if np.ndim(a) == 0 and np.ndim(b) == 0:
+        return _eval_ast((op, ("const", a), ("const", b)), ())
+    if op in "+-":
+        if op == "-":
+            b = -b
+        if np.ndim(a) == 0:
+            a, b = b, a
+        if np.ndim(b) != 0:
+            return a + b
+        out = a.copy()
+        out[0] += b
+        return out
+    if op == "*":
+        return _jet_times(a, b)
+    if op == "/":
+        if np.ndim(b) == 0 and b != 0:
+            return a / b
+        if np.ndim(b) == 0:
+            b = _constant_jet(b, a.shape)
+        return _jet_times(a, _jet_series(b, _power_derivatives(b, -1, ctx)))
+    if np.ndim(b) == 0:
+        return _jet_series(a, _power_derivatives(a, b, ctx))
+    # a variable exponent: a^b = exp(b log a)
+    if np.ndim(a) == 0:
+        a = _constant_jet(a, b.shape)
+    _refuse(a[0] <= 0, ctx, "'^' with a variable exponent and a base <= 0")
+    return _jet_call("exp", _jet_mul(b, _jet_call("log", a, ctx)), ctx)
+
+
+@functools.cache
+def _subset_products(size):
+    """Index arrays (T, S minus T) over every T within S, grouped by S, and
+    the start of each group: c[S] = sum over T of a[T] * b[S minus T]."""
+    left, right, starts = [], [], []
+    for s in range(size):
+        starts.append(len(left))
+        t = s
+        while True:
+            left.append(t)
+            right.append(s ^ t)
+            if t == 0:
+                break
+            t = (t - 1) & s
+    return np.array(left), np.array(right), np.array(starts)
+
+
+def _jet_mul(a, b):
+    left, right, starts = _subset_products(a.shape[0])
+    return np.add.reduceat(a[left] * b[right], starts, axis=0)
+
+
+def _jet_times(a, b):
+    """The product of two jets, or of a jet and a number."""
+    return a * b if np.ndim(a) == 0 or np.ndim(b) == 0 else _jet_mul(a, b)
+
+
+def _jet_series(a, derivs):
+    """f(a) from f's derivatives f^(m)(a0), m = 0..len-1, at the value a0
+    of the jet a: f(a0 + N) = sum_m f^(m)(a0) N^m / m!, where N^m = 0 for
+    m > k; derivatives past the list's end are 0."""
+    nil = a.copy()
+    nil[0] = 0.0
+    out = np.zeros_like(a)
+    out[0] = derivs[0]
+    power = nil
+    for m in range(1, len(derivs)):
+        if m > 1:
+            power = _jet_mul(power, nil)
+        out += (derivs[m] / math.factorial(m)) * power
+    return out
+
+
+def _order(a):
+    return a.shape[0].bit_length() - 1
+
+
+def _moving(a):
+    """Points at which the jet's argument moves along some direction."""
+    return np.any(a[1:] != 0, axis=0)
+
+
+def _refuse(mask, ctx, what):
+    if np.any(mask):
+        i = np.unravel_index(np.argmax(mask), mask.shape)
+        point = ", ".join(f"{float(x[i]):.6g}" for x in ctx[0])
+        raise ValueError(f"no Taylor jet at x = ({point}): {what}")
+
+
+def _power_derivatives(a, b, ctx):
+    """Derivatives of t^b at the jet's value, b a constant.  An integer
+    power's derivatives vanish past its degree and are never formed, so
+    0^n never meets 0 * inf."""
+    a0, k = a[0], _order(a)
+    if float(b).is_integer():
+        n = int(b)
+        if n < 0:
+            _refuse(a0 == 0, ctx, "division by 0")
+        return [math.prod(range(n - m + 1, n + 1)) * a0 ** (n - m)
+                for m in range((k if n < 0 else min(k, n)) + 1)]
+    what = "sqrt" if b == 0.5 else "a non-integer power"
+    _refuse(a0 < 0, ctx, f"{what} of a negative value")
+    _refuse((a0 == 0) & (_moving(a) | (b < 0)), ctx, f"{what} at 0")
+    # where a0 = 0 the argument does not move, so the terms past m = 0
+    # vanish; any finite base keeps them from forming 0 * inf
+    base = np.where(a0 == 0, 1.0, a0)
+    falling = 1.0
+    derivs = [a0 ** b]
+    for m in range(1, k + 1):
+        falling *= b - m + 1
+        derivs.append(falling * base ** (b - m))
+    return derivs
+
+
+def _jet_call(name, a, ctx):
+    a0, k = a[0], _order(a)
+    if name in ("sin", "cos"):
+        s, c = np.sin(a0), np.cos(a0)
+        cycle = [s, c, -s, -c] if name == "sin" else [c, -s, -c, s]
+        derivs = [cycle[m % 4] for m in range(k + 1)]
+    elif name == "exp":
+        derivs = [np.exp(a0)] * (k + 1)
+    elif name == "log":
+        _refuse(a0 <= 0, ctx, "log of a value <= 0")
+        derivs = [np.log(a0)] + [(-1) ** (m - 1) * math.factorial(m - 1)
+                                 / a0 ** m for m in range(1, k + 1)]
+    elif name == "sqrt":
+        return _jet_series(a, _power_derivatives(a, 0.5, ctx))
+    else:  # abs
+        _refuse((a0 == 0) & _moving(a), ctx, "abs at 0")
+        derivs = [np.abs(a0), np.sign(a0)]
+    return _jet_series(a, derivs[:k + 1])
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,23 @@ directions and f is C^s with s >= n-2, smooth generators g_i can be built
 explicitly: change coordinates so the last two directions become e1, e2,
 then peel the terms off with a chain of directional derivatives (order
 n-2) and anchored antiderivatives.  This module realizes that chain
-numerically (4th-order central differences + cubic-spline quadrature).
+numerically.  The mixed derivatives are exact Taylor jets of the
+expression (``core.jet``) when f is a parsed expression, and nested
+4th-order central differences when it is a plain callable.  Each link of
+a chain is a Chebyshev series interpolating its samples on a line through
+the centre of the box, over the range its argument takes on the box, and
+its antiderivatives are exact.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .core import UnivariateTable
+from .core import UnivariateTable, jet
 
-GRID_M = 401    # spline knots on the master interval [-T, T]
+CHEB_DEG = 40   # degree of each chain's Chebyshev series
 VERIFY_N = 41   # nodes per axis of the grid the residual is measured on
 
 
@@ -64,8 +71,8 @@ def normalize(problem):
     unit perpendiculars, with the last two directions mapped to e1, e2.
 
     Returns a dict with fstar(u, v), per-p unit vectors (ahat_p, bhat_p),
-    scales s_p (so that ahat_p u + bhat_p v = (a_p x + b_p y)/s_p), and the
-    perpendiculars l_p.
+    scales s_p (so that ahat_p u + bhat_p v = (a_p x + b_p y)/s_p), the
+    perpendiculars l_p, and the matrix M with (x, y) = M (u, v).
     """
     dirs = problem.directions
     n = problem.n
@@ -88,8 +95,9 @@ def normalize(problem):
         units.append((at / s, bt / s))
         scales.append(s)
         perps.append((bt / s, -at / s))
+    M = np.array([[bn, -bn1], [-an, an1]]) / D
     return {"fstar": fstar, "units": units, "scales": scales,
-            "perps": perps, "det": D}
+            "perps": perps, "det": D, "M": M}
 
 
 def _directional_derivative(fn, directions, h):
@@ -108,127 +116,168 @@ def _directional_derivative(fn, directions, h):
     return d
 
 
-class _Spline1D:
-    """Cubic spline with an anchored antiderivative."""
-
-    def __init__(self, grid, values):
-        from scipy.interpolate import CubicSpline
-        self.grid = grid
-        self.spline = CubicSpline(grid, values)
-
-    def __call__(self, t):
-        return self.spline(t)
-
-    def antiderivative(self, factor, anchor):
-        anti = self.spline.antiderivative()
-        return _AnchoredAnti(anti, float(anti(anchor)), factor, self.grid)
-
-
-class _AnchoredAnti:
-    def __init__(self, anti, shift, factor, grid):
-        self.anti = anti
-        self.shift = shift
-        self.factor = factor
-        self.grid = grid
-
-    def __call__(self, t):
-        return self.factor * (self.anti(t) - self.shift)
-
-    def antiderivative(self, factor, anchor):
-        # resample, then spline again (keeps the implementation uniform)
-        vals = self(self.grid)
-        return _Spline1D(self.grid, vals).antiderivative(factor, anchor)
-
-
-def decompose(problem, fd_step=None, anchor=0.0):
-    """Ridge generators for f on the working box, plus the sup residual on
-    a 41 x 41 grid of the box.
-
-    fd_step defaults to 1e-3 times the longer side of the box; the
-    generators are splines on 401 knots.  The antiderivative chains are
-    anchored at ``anchor``; different anchors change each generator by a
-    polynomial of degree <= n-2 only.
-    """
-    n = problem.n
-    data = normalize(problem)
-    fstar = data["fstar"]
-    units, scales, perps = data["units"], data["scales"], data["perps"]
-    (x0, x1), (y0, y1) = problem.box
+def _differentiator(problem, fd_step):
+    """(derivative, meta): derivative(x, y, dirs) is the mixed derivative of
+    f along the vectors dirs at the points (x, y).  It is an exact Taylor
+    jet when f carries an expression AST, and nested central differences
+    of step fd_step (by default 1e-3 times the longer side of the box) for
+    a plain callable; meta says which."""
+    ast = getattr(problem.f, "ast", None)
+    if ast is not None:
+        def derivative(x, y, dirs):
+            return jet(ast, (x, y), dirs)[-1]
+        return derivative, {"derivatives": "jet"}
     if fd_step is None:
+        (x0, x1), (y0, y1) = problem.box
         fd_step = 1e-3 * max(x1 - x0, y1 - y0)
     h = float(fd_step)
 
-    # master interval: covers u = a_{n-1}.x, v = a_n.x and all contracted
-    # arguments passed between the chains
-    corners = [(x, y) for x in (x0, x1) for y in (y0, y1)]
+    def stencil(x, y, dirs):
+        d = _directional_derivative(problem.f, dirs, h)(x, y)
+        return np.broadcast_to(np.asarray(d, dtype=float), np.shape(x))
+
+    return stencil, {"derivatives": "stencil", "fd_step": h}
+
+
+def _box_centre(problem):
+    """The centre of the box and its half-sides, as arrays."""
+    (x0, x1), (y0, y1) = problem.box
+    return (np.array([(x0 + x1) / 2, (y0 + y1) / 2]),
+            np.array([(x1 - x0) / 2, (y1 - y0) / 2]))
+
+
+@functools.cache
+def _interpolation():
+    """The Chebyshev points of the first kind on [-1, 1], and the matrix
+    that takes values there to the coefficients of the interpolating
+    series (discrete orthogonality of T_0..T_CHEB_DEG on those points)."""
+    from numpy.polynomial.chebyshev import chebpts1, chebvander
+    x = chebpts1(CHEB_DEG + 1)
+    m = chebvander(x, CHEB_DEG).T * (2.0 / (CHEB_DEG + 1))
+    m[0] /= 2
+    return x, m
+
+
+def _diagonal(w, half):
+    """(d, r): the half-diagonal of the box towards the corner where w . x
+    is largest, scaled so that w . d = 1, and r = that largest w . x less
+    its value at the centre.  The line centre + s d, |s| <= r, runs between
+    opposite corners and w . x takes all of its range on the box there."""
+    d = half * np.where(w < 0, -1.0, 1.0)
+    r = float(w @ d)
+    return d / r, r
+
+
+def _nodes(mid, r):
+    """The interpolation points on [mid - r, mid + r]."""
+    return mid + r * _interpolation()[0]
+
+
+def _series(values, mid, r):
+    """The Chebyshev series on [mid - r, mid + r] through values at
+    _nodes(mid, r)."""
+    from numpy.polynomial import Chebyshev
+    return Chebyshev(_interpolation()[1] @ values, domain=[mid - r, mid + r])
+
+
+def _chopped(G):
+    """G without the trailing coefficients below rounding of its largest,
+    which change none of its values but cost time in each evaluation."""
+    return G.trim(np.finfo(float).eps * np.max(np.abs(G.coef)))
+
+
+def decompose(problem, fd_step=None, anchor=None):
+    """Ridge generators for f on the working box, plus the sup residual on
+    a 41 x 41 grid of the box.
+
+    Each generator is a Chebyshev series over the range its argument takes
+    on the box.  The two chains of the last two directions are sampled on
+    the lines through the centre of the box along which only their own
+    argument changes, which can leave the box; every other chain on a
+    diagonal of the box.  Derivatives come from ``_differentiator``: exact
+    jets for a parsed expression, and differences of step ``fd_step`` for
+    a plain callable.  Each antiderivative vanishes at ``anchor``, or,
+    when it is None, at the midpoint of its chain's interval; different
+    anchors change each generator by a polynomial of degree <= n-2 only.
+    """
+    n = problem.n
+    data = normalize(problem)
+    units, scales, perps = data["units"], data["scales"], data["perps"]
+    M = data["M"]
     dirs = problem.directions
-    T = 0.0
-    for (a, b) in dirs[-2:]:
-        T = max(T, max(abs(a * x + b * y) for x, y in corners))
-    for p in range(n - 2):
-        a, b = dirs[p]
-        T = max(T, max(abs(a * x + b * y) / scales[p] for x, y in corners))
-    T = 1.1 * T + 1.0
-    tgrid = np.linspace(-T, T, GRID_M)
+    (x0, x1), (y0, y1) = problem.box
+    centre, half = _box_centre(problem)
+    A = np.array(dirs[-2:])    # (u, v) = A @ (x, y)
+    c = A @ centre
+    derivative, meta = _differentiator(problem, fd_step)
 
     if n == 2:
-        g1 = lambda t: np.asarray(fstar(np.asarray(t, dtype=float),
-                                        np.zeros_like(np.asarray(t, dtype=float))))
-        f00 = float(fstar(0.0, 0.0))
-        g2 = lambda t: np.asarray(fstar(np.zeros_like(np.asarray(t, dtype=float)),
-                                        np.asarray(t, dtype=float))) - f00
+        fstar = data["fstar"]
+        base = float(fstar(*c))
+
+        def g1(t):
+            t = np.asarray(t, dtype=float)
+            return np.asarray(fstar(t, np.full_like(t, c[1])))
+
+        def g2(t):
+            t = np.asarray(t, dtype=float)
+            return np.asarray(fstar(np.full_like(t, c[0]), t)) - base
+
         comps = [g1, g2]
     else:
-        Dfull = _directional_derivative(fstar, perps, h)
+        lines = [tuple(M @ l) for l in perps]   # the l_p in (x, y)
 
-        # h-chains: the two axis-aligned generators
-        zeros = np.zeros_like(tgrid)
-        h1 = _Spline1D(tgrid, np.asarray(Dfull(tgrid, zeros), dtype=float))
-        base = float(Dfull(0.0, 0.0))
-        h2 = _Spline1D(tgrid,
-                       np.asarray(Dfull(zeros, tgrid), dtype=float) - base)
-        h_chain = {1: {1: h1}, 2: {1: h2}}
-        e = {1: (1.0, 0.0), 2: (0.0, 1.0)}
-        for i in (1, 2):
+        def antiderivative(G, dotp, mid):
+            return G.integ(lbnd=mid if anchor is None else anchor) / dotp
+
+        # h-chains: the two axis-aligned generators, from one sampling of
+        # the lines v = v_c and u = u_c over the box's ranges of u and v
+        r1, r2 = (float(np.abs(a) @ half) for a in A)
+        t1, t2 = _nodes(c[0], r1), _nodes(c[1], r2)
+        uv = np.concatenate([np.stack([t1, np.full_like(t1, c[1])]),
+                             np.stack([np.full_like(t2, c[0]), t2]),
+                             c[:, None]], axis=1)
+        vals = derivative(*(M @ uv), lines)
+        m = len(t1)
+        h_chain = [{1: _series(vals[:m], c[0], r1)},
+                   {1: _series(vals[m:2 * m] - vals[-1], c[1], r2)}]
+        for i in (0, 1):
             for k in range(1, n - 1):
-                lk = perps[k - 1]
-                dotp = e[i][0] * lk[0] + e[i][1] * lk[1]
-                h_chain[i][k + 1] = h_chain[i][k].antiderivative(1.0 / dotp,
-                                                                anchor)
+                h_chain[i][k + 1] = antiderivative(h_chain[i][k],
+                                                   perps[k - 1][i], c[i])
 
-        # phi-chains: one per remaining direction, built in index order
+        # phi-chains: one per remaining direction, built in index order,
+        # each sampled on the diagonal of the box along which its argument
+        # takes its whole range, so that every chain it subtracts is
+        # evaluated within the box's range of its own argument
         phi = {}
         for p in range(1, n - 1):  # p = 1..n-2
-            up = units[p - 1]
-            Dp = _directional_derivative(fstar, perps[p:], h)
-            args1 = up[0] * tgrid
-            args2 = up[1] * tgrid
-            vals = np.asarray(Dp(args1, args2), dtype=float)
-            vals -= np.asarray(h_chain[1][p + 1](args1), dtype=float)
-            vals -= np.asarray(h_chain[2][p + 1](args2), dtype=float)
+            up = np.array(units[p - 1])
+            mid = float(up @ c)
+            d, r = _diagonal(A.T @ up, half)
+            t = _nodes(mid, r)
+            xy = centre[:, None] + np.outer(d, t - mid)
+            uv = A @ xy
+            vals = derivative(*xy, lines[p:])
+            vals = vals - h_chain[0][p + 1](uv[0]) - h_chain[1][p + 1](uv[1])
             for j in range(1, p):
-                uj = units[j - 1]
-                cosang = uj[0] * up[0] + uj[1] * up[1]
-                vals -= np.asarray(phi[j][p - j + 1](cosang * tgrid),
-                                   dtype=float)
-            phi[p] = {1: _Spline1D(tgrid, vals)}
+                vals = vals - phi[j][p - j + 1](np.array(units[j - 1]) @ uv)
+            phi[p] = {1: _series(vals, mid, r)}
             for k in range(1, n - p - 1):
-                lk = perps[k + p - 1]
-                dotp = up[0] * lk[0] + up[1] * lk[1]
-                phi[p][k + 1] = phi[p][k].antiderivative(1.0 / dotp, anchor)
+                phi[p][k + 1] = antiderivative(phi[p][k],
+                                               up @ perps[k + p - 1], mid)
 
         comps = []
         for p in range(1, n - 1):
-            G = phi[p][n - p - 1]
+            G = _chopped(phi[p][n - p - 1])
             s = scales[p - 1]
             comps.append(lambda t, _G=G, _s=s: _G(np.asarray(t) / _s))
-        comps.append(h_chain[1][n - 1])
-        comps.append(h_chain[2][n - 1])
+        comps.append(_chopped(h_chain[0][n - 1]))
+        comps.append(_chopped(h_chain[1][n - 1]))
 
     X, Y = np.meshgrid(np.linspace(x0, x1, VERIFY_N),
                        np.linspace(y0, y1, VERIFY_N), indexing="ij")
-    result = DecompResult(comps, dirs, 0.0,
-                          meta={"fd_step": h, "anchor": anchor, "T": T})
+    result = DecompResult(comps, dirs, 0.0, meta={**meta, "anchor": anchor})
     resid = np.asarray(problem.f(X, Y), dtype=float) - np.asarray(result(X, Y))
     result.residual = float(np.max(np.abs(resid)))
     return result
@@ -245,14 +294,16 @@ def crosscheck_highorder(problem):
     ``decompose`` only up to a polynomial of degree <= n-2 per term; the
     reported residual, on a 41 x 41 grid of the box, is computed after
     removing the best-fit bivariate polynomial of total degree <= n-2.
-    The difference step is 1e-3 times the longer side of the box and each
-    spline has 401 knots.
+    Derivatives are taken as in ``decompose`` (differences of step 1e-3
+    times the longer side of the box for a plain callable), and each
+    generator is a Chebyshev series over its argument's range on the box,
+    sampled on a diagonal of the box.
     """
     n = problem.n
     dirs = problem.directions
     (x0, x1), (y0, y1) = problem.box
-    h = 1e-3 * max(x1 - x0, y1 - y0)
-    corners = [(x, y) for x in (x0, x1) for y in (y0, y1)]
+    derivative, meta = _differentiator(problem, None)
+    centre, half = _box_centre(problem)
 
     comps = []
     for r, (ar, br) in enumerate(dirs):
@@ -265,17 +316,18 @@ def crosscheck_highorder(problem):
             c = (c[0] / norm, c[1] / norm)
             perp_dirs.append(c)
             factor *= c[0] * ar + c[1] * br
-        sr = float(np.hypot(ar, br))
-        T = 1.1 * max(abs(ar * x + br * y) for x, y in corners) / sr + 1.0
-        tgrid = np.linspace(-T, T, GRID_M)
-        D = _directional_derivative(problem.f, perp_dirs, h)
-        # sample along the line t * (ar, br)/sr: argument a_r x + b_r y = sr*t
-        vals = np.asarray(D(tgrid * ar / sr, tgrid * br / sr), dtype=float)
         if abs(factor) < 1e-14:
             raise ValueError("degenerate perpendicular system")
-        chain = _Spline1D(tgrid, vals / factor)
-        for _ in range(n - 1):
-            chain = chain.antiderivative(1.0, 0.0)
+        sr = float(np.hypot(ar, br))
+        unit = np.array([ar, br]) / sr
+        mid = float(unit @ centre)
+        d, rad = _diagonal(unit, half)
+        t = _nodes(mid, rad)
+        # the diagonal on which unit . (x, y) = t, so the argument
+        # a_r x + b_r y is sr*t
+        X, Y = centre[:, None] + np.outer(d, t - mid)
+        chain = _series(derivative(X, Y, perp_dirs) / factor, mid, rad)
+        chain = _chopped(chain.integ(n - 1, lbnd=mid))
         # chain(t) integrates g_r^{(n-1)}(sr*t) n-1 times in t, which is
         # g_r(sr*t)/sr^{n-1} up to a low-degree polynomial
         comps.append(lambda z, _c=chain, _sr=sr, _m=sr**(n - 1):
@@ -283,7 +335,7 @@ def crosscheck_highorder(problem):
 
     X, Y = np.meshgrid(np.linspace(x0, x1, VERIFY_N),
                        np.linspace(y0, y1, VERIFY_N), indexing="ij")
-    result = DecompResult(comps, dirs, 0.0, meta={"fd_step": h})
+    result = DecompResult(comps, dirs, 0.0, meta=meta)
     resid = (np.asarray(problem.f(X, Y), dtype=float)
              - np.asarray(result(X, Y), dtype=float))
     # remove the degree-(n-2) polynomial ambiguity before reporting

@@ -472,3 +472,46 @@ def test_smooth_decompose_of_a_constant_target(capsys, tmp_path):
         assert code == 0
         reports.append(json.loads(out)["results"])
     assert reports[0] == reports[1]
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero encountered")
+def test_smooth_decompose_non_finite_result_is_a_domain_error(capsys,
+                                                              tmp_path):
+    # 1/(x1+1) is infinite on the box's edge x1 = -1, where the residual
+    # is measured: no report may print Infinity or NaN, which strict JSON
+    # does not have
+    dirs = tmp_path / "dirs3.csv"
+    dirs.write_text("1, 0\n0, 1\n1, 1\n")
+    code, out = run(capsys, "smooth", "decompose", "--expr", "1/(x1+1)",
+                    "--dirs", str(dirs), "--box", "-1", "1", "-1", "1",
+                    "--crosscheck")
+    assert code == 1
+    report = json.loads(out, parse_constant=lambda name: pytest.fail(name))
+    assert report["error"] == {
+        "type": "ValueError",
+        "message": "results.convergence_study.residual is not finite"}
+
+
+def test_smooth_decompose_reports_jet_derivatives_and_no_scipy(tmp_path):
+    # an expression is differentiated by its Taylor jets, and the chains
+    # are Chebyshev series: six directions with the cross-check recover
+    # T5 to rounding in a process where scipy cannot be imported
+    dirs = tmp_path / "dirs6.csv"
+    dirs.write_text("1, 0\n0, 1\n1, 1\n1, -1\n1, 2\n2, -1\n")
+    t5 = ("sin(x1) + x2^3 + exp(0.5*(x1+x2)) + cos(x1-x2)"
+          " + (x1+2*x2)^2/(5+x1+2*x2)")
+    script = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from ridgekit.cli import main\n"
+        f"assert main(['smooth', 'decompose', '--expr', {t5!r}, '--dirs',"
+        f" {str(dirs)!r}, '--box', '-1', '1', '-1', '1',"
+        " '--crosscheck']) == 0\n"
+    )
+    proc = _python(script)
+    assert proc.returncode == 0, proc.stderr
+    res = json.loads(proc.stdout)["results"]
+    assert res["derivatives"] == "jet"
+    assert "fd_step" not in res
+    assert res["residual"] <= 1e-8
+    assert res["convergence_study"]["residual"] <= 1e-8

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ridgekit.core import parse_expression
 from ridgekit.smooth import (
     DecompProblem,
     crosscheck_highorder,
@@ -77,3 +78,56 @@ class TestDiagnostics:
         problem = DecompProblem(three_term, DIRS3, BOX)
         report = crosscheck_highorder(problem)
         assert report.residual <= 1e-5
+
+
+# a ridge sum along five directions, with a pole at x1 + 2*x2 = -5 off the
+# box [-1, 1]^2
+T5 = ("sin(x1) + x2^3 + exp(0.5*(x1+x2)) + cos(x1-x2)"
+      " + (x1+2*x2)^2/(5+x1+2*x2)")
+T5_DIRS = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0), (1.0, 2.0)]
+
+
+class TestJetDerivatives:
+    @pytest.mark.parametrize("extra", [[], [(2.0, -1.0)]])
+    def test_t5_is_recovered_to_rounding(self, extra):
+        # a sixth direction, (2, -1), carries a zero term
+        problem = DecompProblem(parse_expression(T5, 2), T5_DIRS + extra, BOX)
+        assert decompose(problem).residual <= 1e-8
+        assert crosscheck_highorder(problem).residual <= 1e-8
+
+    def test_meta_says_how_the_derivatives_were_taken(self):
+        expr = parse_expression("sin(x1) + x2^3 + exp(0.5*(x1+x2))", 2)
+        problem = DecompProblem(expr, DIRS3, BOX)
+        result = decompose(problem)
+        assert result.meta == {"derivatives": "jet", "anchor": None}
+        assert crosscheck_highorder(problem).meta == {"derivatives": "jet"}
+        plain = decompose(DecompProblem(three_term, DIRS3, BOX), fd_step=1e-3)
+        assert plain.meta == {"derivatives": "stencil", "fd_step": 1e-3,
+                              "anchor": None}
+
+    def test_jet_and_stencil_give_the_same_generators(self):
+        expr = parse_expression("sin(x1) + x2^3 + exp(0.5*(x1+x2))", 2)
+        jets = decompose(DecompProblem(expr, DIRS3, BOX))
+        stencil = decompose(DecompProblem(three_term, DIRS3, BOX))
+        ts = np.linspace(-1.0, 1.0, 41)
+        for g_jet, g_stencil in zip(jets.components, stencil.components):
+            assert float(np.max(np.abs(g_jet(ts) - g_stencil(ts)))) <= 1e-6
+
+    def test_samples_stay_in_the_box(self):
+        # log(x1) is undefined for x1 <= 0, left of the box [0.25, 1.25]^2.
+        # The cross-check samples each line on a diagonal of the box, and
+        # so does decompose, but for the lines of its last two directions,
+        # which run along the axes here
+        expr = parse_expression("log(x1) + x2^3 + exp(0.5*(x1+x2))", 2)
+        box = ((0.25, 1.25), (0.25, 1.25))
+        check = crosscheck_highorder(DecompProblem(expr, DIRS3, box))
+        assert check.residual <= 1e-8
+        dirs = [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0)]
+        assert decompose(DecompProblem(expr, dirs, box)).residual <= 1e-8
+
+    def test_generators_on_a_box_away_from_the_origin(self):
+        # each chain is anchored inside its own interval, not at 0
+        expr = parse_expression("sin(x1) + x2^3 + exp(0.5*(x1+x2))", 2)
+        problem = DecompProblem(expr, DIRS3, ((2.0, 3.0), (4.0, 5.5)))
+        assert decompose(problem).residual <= 1e-8
+        assert crosscheck_highorder(problem).residual <= 1e-8
