@@ -66,6 +66,7 @@ DOMAIN_ERRORS = (
     NotAnRSet,
     ArithmeticError,
     ValueError,
+    Warning,    # raised as an exception under ``python -W error``
 )
 
 
@@ -294,7 +295,7 @@ def _cmd_smooth(args, t0):
     dirs = [tuple(float(v) for v in row) for row in _read_csv_rows(args.dirs)]
     f = parse_expression(args.expr, 2)
     box = ((args.box[0], args.box[1]), (args.box[2], args.box[3]))
-    problem = DecompProblem(f, dirs, box, order=args.order)
+    problem = DecompProblem(f, dirs, box)
     result = decompose(problem)
     tables = tabulate(result, problem)
     results = {
@@ -407,7 +408,6 @@ def _build_parser():
     sd = ssub.add_parser("decompose")
     sd.add_argument("--expr", required=True)
     sd.add_argument("--dirs", required=True)
-    sd.add_argument("--order", type=int, default=None)
     sd.add_argument("--box", nargs=4, type=float, required=True,
                     metavar=("X0", "X1", "Y0", "Y1"))
     sd.add_argument("--crosscheck", action="store_true")

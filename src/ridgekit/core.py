@@ -711,20 +711,6 @@ def gauss_grid(box, nodes):
     return list(np.meshgrid(*axes, indexing="ij")), wgrid
 
 
-def tensor_quadrature(f, box, nodes_per_axis):
-    """Tensor Gauss-Legendre approximation of the integral of f over a box.
-
-    Exact (to rounding) for polynomials of degree <= 2*nodes-1 per axis;
-    deterministic for fixed inputs.
-    """
-    if nodes_per_axis < 2:
-        raise ValueError("nodes_per_axis must be >= 2")
-    if not all(float(lo) < float(hi) for lo, hi in box):
-        raise ValueError("box bounds must satisfy lo < hi")
-    mesh, wgrid = gauss_grid(box, nodes_per_axis)
-    return float(np.sum(np.asarray(f(*mesh), float) * wgrid))
-
-
 # ---------------------------------------------------------------------------
 # second differences
 

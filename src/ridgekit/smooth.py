@@ -2,15 +2,20 @@
 
 If f(x,y) = sum_{i=1}^n g_i(a_i x + b_i y) with pairwise independent
 directions and f is C^s with s >= n-2, smooth generators g_i can be built
-explicitly: change coordinates so the last two directions become e1, e2,
-then peel the terms off with a chain of directional derivatives (order
-n-2) and anchored antiderivatives.  This module realizes that chain
-numerically.  The mixed derivatives are exact Taylor jets of the
-expression (``core.jet``) when f is a parsed expression, and nested
-4th-order central differences when it is a plain callable.  Each link of
-a chain is a Chebyshev series interpolating its samples on a line through
-the centre of the box, over the range its argument takes on the box, and
-its antiderivatives are exact.
+explicitly, and this module builds them numerically in the coordinates of
+the box.  With l_k the unit perpendicular of a_k, a derivative along the
+l_k for k in a set K kills the terms of K and takes each other term
+g_i(a_i . x) to (prod_{k in K} a_i . l_k) g_i^(|K|)(a_i . x), so a chain of
+such derivatives (order n-2) isolates the last two terms, and anchored
+antiderivatives then peel the terms off one at a time.  The mixed
+derivatives are exact Taylor jets of the expression (``core.jet``) when f
+is a parsed expression, and nested 4th-order central differences when it
+is a plain callable.  Each link of a chain is a Chebyshev series in its
+generator's own argument a_i . x, interpolating its samples on a line
+through the centre of the box over the range that argument takes on the
+box, and its antiderivatives are exact.  Each antiderivative vanishes at
+the centre value a_i . c of its argument, or at a given anchor; the
+generators are unique only up to polynomials of degree <= n-2 in any case.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ VERIFY_N = 41   # nodes per axis of the grid the residual is measured on
 
 
 class DecompProblem:
-    def __init__(self, f, directions, box, order=None):
+    def __init__(self, f, directions, box):
         self.f = f
         dirs = [(float(a), float(b)) for a, b in directions]
         if len(dirs) < 2:
@@ -45,9 +50,6 @@ class DecompProblem:
         if not (x0 < x1 and y0 < y1):
             raise ValueError("degenerate box")
         self.box = ((float(x0), float(x1)), (float(y0), float(y1)))
-        self.order = self.n - 2 if order is None else int(order)
-        if self.order < self.n - 2:
-            raise ValueError("smoothness order must be at least n-2")
 
 
 class DecompResult:
@@ -64,40 +66,6 @@ class DecompResult:
         for (a, b), g in zip(self.directions, self.components):
             total = total + g(a * x + b * y)
         return total
-
-
-def normalize(problem):
-    """Transformed data: pullback f*, unit in-plane directions, and their
-    unit perpendiculars, with the last two directions mapped to e1, e2.
-
-    Returns a dict with fstar(u, v), per-p unit vectors (ahat_p, bhat_p),
-    scales s_p (so that ahat_p u + bhat_p v = (a_p x + b_p y)/s_p), the
-    perpendiculars l_p, and the matrix M with (x, y) = M (u, v).
-    """
-    dirs = problem.directions
-    n = problem.n
-    (an1, bn1), (an, bn) = dirs[-2], dirs[-1]
-    D = an1 * bn - an * bn1  # nonzero: directions independent
-
-    f = problem.f
-
-    def fstar(u, v):
-        x = (bn * u - bn1 * v) / D
-        y = (an1 * v - an * u) / D
-        return f(x, y)
-
-    units, scales, perps = [], [], []
-    for p in range(n - 2):
-        ap, bp = dirs[p]
-        at = (ap * bn - an * bp) / D
-        bt = (an1 * bp - ap * bn1) / D
-        s = float(np.hypot(at, bt))
-        units.append((at / s, bt / s))
-        scales.append(s)
-        perps.append((bt / s, -at / s))
-    M = np.array([[bn, -bn1], [-an, an1]]) / D
-    return {"fstar": fstar, "units": units, "scales": scales,
-            "perps": perps, "det": D, "M": M}
 
 
 def _directional_derivative(fn, directions, h):
@@ -139,11 +107,19 @@ def _differentiator(problem, fd_step):
     return stencil, {"derivatives": "stencil", "fd_step": h}
 
 
-def _box_centre(problem):
-    """The centre of the box and its half-sides, as arrays."""
+def _frame(problem):
+    """(A, L, centre, half, mid, rad): the directions a_i as the rows of A,
+    their unit perpendiculars l_i = (-a_i2, a_i1)/|a_i| as the rows of L,
+    the centre and half-sides of the box, and the centre value
+    mid_i = a_i . centre and half-range rad_i = |a_i| . half of each
+    argument on the box.  A derivative along l_k takes g_i(a_i . x) to
+    (a_i . l_k) g_i'(a_i . x)."""
+    A = np.array(problem.directions)
+    L = np.stack([-A[:, 1], A[:, 0]], axis=1) / np.hypot(*A.T)[:, None]
     (x0, x1), (y0, y1) = problem.box
-    return (np.array([(x0 + x1) / 2, (y0 + y1) / 2]),
-            np.array([(x1 - x0) / 2, (y1 - y0) / 2]))
+    centre = np.array([(x0 + x1) / 2, (y0 + y1) / 2])
+    half = np.array([(x1 - x0) / 2, (y1 - y0) / 2])
+    return A, L, centre, half, A @ centre, np.abs(A) @ half
 
 
 @functools.cache
@@ -158,26 +134,52 @@ def _interpolation():
     return x, m
 
 
-def _diagonal(w, half):
-    """(d, r): the half-diagonal of the box towards the corner where w . x
-    is largest, scaled so that w . d = 1, and r = that largest w . x less
-    its value at the centre.  The line centre + s d, |s| <= r, runs between
-    opposite corners and w . x takes all of its range on the box there."""
-    d = half * np.where(w < 0, -1.0, 1.0)
-    r = float(w @ d)
-    return d / r, r
+def _diagonal(a, half):
+    """The half-diagonal of the box towards the corner where a . x is
+    largest, scaled so that a . d = 1.  The line centre + s d runs between
+    opposite corners for |s| <= |a| . half, and a . x takes all of its
+    range on the box there."""
+    d = half * np.where(a < 0, -1.0, 1.0)
+    return d / (a @ d)
 
 
-def _nodes(mid, r):
-    """The interpolation points on [mid - r, mid + r]."""
-    return mid + r * _interpolation()[0]
+def _line(centre, d, s):
+    """The points centre + s d, as coordinate arrays of the shape of s."""
+    return centre[0] + d[0] * s, centre[1] + d[1] * s
 
 
-def _series(values, mid, r):
-    """The Chebyshev series on [mid - r, mid + r] through values at
-    _nodes(mid, r)."""
+def _offsets(rad):
+    """The interpolation points of an interval of half-width rad, less its
+    midpoint."""
+    return rad * _interpolation()[0]
+
+
+def _series(values, mid, rad):
+    """The Chebyshev series on [mid - rad, mid + rad] through values at
+    mid + _offsets(rad)."""
     from numpy.polynomial import Chebyshev
-    return Chebyshev(_interpolation()[1] @ values, domain=[mid - r, mid + r])
+    return Chebyshev(_interpolation()[1] @ values,
+                     domain=[mid - rad, mid + rad])
+
+
+def _chain(first, a, perps, mid, anchor=None):
+    """The links of one generator's chain, from the generator back to first.
+
+    first is a series in the argument a . x of the part of f's derivative
+    along perps that belongs to this generator; link k is the same for the
+    derivative along the last k of perps.  Each link is the antiderivative
+    of the next, divided by a . l for the perpendicular l it undoes, and
+    vanishes at anchor (at mid when anchor is None).  The integration runs
+    on the coefficients, in first's window variable off + scl (a . x), so
+    that each link is built as a series only once."""
+    from numpy.polynomial import Chebyshev
+    from numpy.polynomial.chebyshev import chebint
+    off, scl = first.mapparms()
+    lbnd = off + scl * (mid if anchor is None else anchor)
+    coefs = [first.coef]
+    for l in perps:
+        coefs.append(chebint(coefs[-1], lbnd=lbnd, scl=1 / (scl * (a @ l))))
+    return [Chebyshev(c, domain=first.domain) for c in coefs[::-1]]
 
 
 def _chopped(G):
@@ -186,105 +188,89 @@ def _chopped(G):
     return G.trim(np.finfo(float).eps * np.max(np.abs(G.coef)))
 
 
-def decompose(problem, fd_step=None, anchor=None):
-    """Ridge generators for f on the working box, plus the sup residual on
-    a 41 x 41 grid of the box.
-
-    Each generator is a Chebyshev series over the range its argument takes
-    on the box.  The two chains of the last two directions are sampled on
-    the lines through the centre of the box along which only their own
-    argument changes, which can leave the box; every other chain on a
-    diagonal of the box.  Derivatives come from ``_differentiator``: exact
-    jets for a parsed expression, and differences of step ``fd_step`` for
-    a plain callable.  Each antiderivative vanishes at ``anchor``, or,
-    when it is None, at the midpoint of its chain's interval; different
-    anchors change each generator by a polynomial of degree <= n-2 only.
-    """
-    n = problem.n
-    data = normalize(problem)
-    units, scales, perps = data["units"], data["scales"], data["perps"]
-    M = data["M"]
-    dirs = problem.directions
+def _residual(problem, comps, meta, deg=None):
+    """The DecompResult of comps, with the sup of f less their sum on a
+    41 x 41 grid of the box; with deg, after removing the best-fit
+    bivariate polynomial of total degree <= deg from that difference."""
     (x0, x1), (y0, y1) = problem.box
-    centre, half = _box_centre(problem)
-    A = np.array(dirs[-2:])    # (u, v) = A @ (x, y)
-    c = A @ centre
-    derivative, meta = _differentiator(problem, fd_step)
-
-    if n == 2:
-        fstar = data["fstar"]
-        base = float(fstar(*c))
-
-        def g1(t):
-            t = np.asarray(t, dtype=float)
-            return np.asarray(fstar(t, np.full_like(t, c[1])))
-
-        def g2(t):
-            t = np.asarray(t, dtype=float)
-            return np.asarray(fstar(np.full_like(t, c[0]), t)) - base
-
-        comps = [g1, g2]
-    else:
-        lines = [tuple(M @ l) for l in perps]   # the l_p in (x, y)
-
-        def antiderivative(G, dotp, mid):
-            return G.integ(lbnd=mid if anchor is None else anchor) / dotp
-
-        # h-chains: the two axis-aligned generators, from one sampling of
-        # the lines v = v_c and u = u_c over the box's ranges of u and v
-        r1, r2 = (float(np.abs(a) @ half) for a in A)
-        t1, t2 = _nodes(c[0], r1), _nodes(c[1], r2)
-        uv = np.concatenate([np.stack([t1, np.full_like(t1, c[1])]),
-                             np.stack([np.full_like(t2, c[0]), t2]),
-                             c[:, None]], axis=1)
-        vals = derivative(*(M @ uv), lines)
-        m = len(t1)
-        h_chain = [{1: _series(vals[:m], c[0], r1)},
-                   {1: _series(vals[m:2 * m] - vals[-1], c[1], r2)}]
-        for i in (0, 1):
-            for k in range(1, n - 1):
-                h_chain[i][k + 1] = antiderivative(h_chain[i][k],
-                                                   perps[k - 1][i], c[i])
-
-        # phi-chains: one per remaining direction, built in index order,
-        # each sampled on the diagonal of the box along which its argument
-        # takes its whole range, so that every chain it subtracts is
-        # evaluated within the box's range of its own argument
-        phi = {}
-        for p in range(1, n - 1):  # p = 1..n-2
-            up = np.array(units[p - 1])
-            mid = float(up @ c)
-            d, r = _diagonal(A.T @ up, half)
-            t = _nodes(mid, r)
-            xy = centre[:, None] + np.outer(d, t - mid)
-            uv = A @ xy
-            vals = derivative(*xy, lines[p:])
-            vals = vals - h_chain[0][p + 1](uv[0]) - h_chain[1][p + 1](uv[1])
-            for j in range(1, p):
-                vals = vals - phi[j][p - j + 1](np.array(units[j - 1]) @ uv)
-            phi[p] = {1: _series(vals, mid, r)}
-            for k in range(1, n - p - 1):
-                phi[p][k + 1] = antiderivative(phi[p][k],
-                                               up @ perps[k + p - 1], mid)
-
-        comps = []
-        for p in range(1, n - 1):
-            G = _chopped(phi[p][n - p - 1])
-            s = scales[p - 1]
-            comps.append(lambda t, _G=G, _s=s: _G(np.asarray(t) / _s))
-        comps.append(_chopped(h_chain[0][n - 1]))
-        comps.append(_chopped(h_chain[1][n - 1]))
-
     X, Y = np.meshgrid(np.linspace(x0, x1, VERIFY_N),
                        np.linspace(y0, y1, VERIFY_N), indexing="ij")
-    result = DecompResult(comps, dirs, 0.0, meta={**meta, "anchor": anchor})
-    resid = np.asarray(problem.f(X, Y), dtype=float) - np.asarray(result(X, Y))
+    result = DecompResult(comps, problem.directions, 0.0, meta=meta)
+    resid = (np.asarray(problem.f(X, Y), dtype=float)
+             - np.asarray(result(X, Y), dtype=float))
+    if deg is not None:
+        cols = [X.ravel()**i * Y.ravel()**j
+                for i in range(deg + 1) for j in range(deg + 1 - i)]
+        Amat = np.stack(cols, axis=1)
+        coef, *_ = np.linalg.lstsq(Amat, resid.ravel(), rcond=None)
+        resid = resid - (Amat @ coef).reshape(resid.shape)
     result.residual = float(np.max(np.abs(resid)))
     return result
 
 
-def _perp(v):
-    return (-v[1], v[0])
+def decompose(problem, fd_step=None, anchor=None):
+    """Ridge generators for f on the working box, plus the sup residual on
+    a 41 x 41 grid of the box.
+
+    Each generator g_i is a Chebyshev series in its own argument a_i . x,
+    over the range that argument takes on the box.  The chains of the last
+    two directions are sampled on the lines through the centre of the box
+    along which only their own argument changes, which can leave the box;
+    every other chain on a diagonal of the box.  With two directions, f
+    itself is evaluated on those two lines.  Derivatives come from
+    ``_differentiator``: exact jets for a parsed expression, and
+    differences of step ``fd_step`` for a plain callable.  Each
+    antiderivative vanishes where its generator's argument a_i . x equals
+    ``anchor``, or, when it is None, the argument's value at the centre of
+    the box; different anchors change each generator by a polynomial of
+    degree <= n-2 only.
+    """
+    n = problem.n
+    A, L, centre, half, mid, rad = _frame(problem)
+    derivative, meta = _differentiator(problem, fd_step)
+    P = n - 2   # the last two directions are P and P + 1
+    # the lines through the centre on which only a_P . x, resp. only
+    # a_{P+1} . x, changes: it changes by s at centre + s along[i]
+    along = {P: L[P + 1] / (A[P] @ L[P + 1]),
+             P + 1: L[P] / (A[P + 1] @ L[P])}
+
+    if n == 2:
+        f = problem.f
+        base = {0: 0.0, 1: float(f(*centre))}
+
+        def on_line(t, i):
+            s = np.asarray(t, dtype=float) - mid[i]
+            return np.asarray(f(*_line(centre, along[i], s))) - base[i]
+
+        comps = [functools.partial(on_line, i=i) for i in (0, 1)]
+    else:
+        perps = list(L[:P])
+        # the last two chains, from one sampling of their two lines and
+        # the centre, whose value both lines carry: it stays in chain P
+        xy = np.concatenate(
+            [np.stack(_line(centre, along[i], _offsets(rad[i])))
+             for i in (P, P + 1)] + [centre[:, None]], axis=1)
+        vals = derivative(*xy, perps)
+        m = CHEB_DEG + 1
+        chains = {i: _chain(_series(v, mid[i], rad[i]), A[i], perps, mid[i],
+                            anchor)
+                  for i, v in ((P, vals[:m]), (P + 1, vals[m:-1] - vals[-1]))}
+
+        # every other chain, in index order, sampled on the diagonal of
+        # the box along which its argument takes its whole range, so that
+        # every chain it subtracts is evaluated within the box's range of
+        # its own argument
+        for p in range(P):
+            x, y = _line(centre, _diagonal(A[p], half), _offsets(rad[p]))
+            vals = derivative(x, y, perps[p + 1:])
+            k = P - 1 - p   # the order of that derivative
+            for i, links in chains.items():
+                vals = vals - links[k](A[i, 0] * x + A[i, 1] * y)
+            chains[p] = _chain(_series(vals, mid[p], rad[p]), A[p],
+                               perps[p + 1:], mid[p], anchor)
+        comps = [_chopped(chains[i][0]) for i in range(n)]
+
+    return _residual(problem, comps, {**meta, "anchor": anchor})
 
 
 def crosscheck_highorder(problem):
@@ -296,60 +282,21 @@ def crosscheck_highorder(problem):
     removing the best-fit bivariate polynomial of total degree <= n-2.
     Derivatives are taken as in ``decompose`` (differences of step 1e-3
     times the longer side of the box for a plain callable), and each
-    generator is a Chebyshev series over its argument's range on the box,
-    sampled on a diagonal of the box.
+    generator is a Chebyshev series in its own argument over that
+    argument's range on the box, sampled on a diagonal of the box.
     """
     n = problem.n
-    dirs = problem.directions
-    (x0, x1), (y0, y1) = problem.box
+    A, L, centre, half, mid, rad = _frame(problem)
     derivative, meta = _differentiator(problem, None)
-    centre, half = _box_centre(problem)
-
     comps = []
-    for r, (ar, br) in enumerate(dirs):
-        others = [dirs[j] for j in range(n) if j != r]
-        perp_dirs = []
-        factor = 1.0
-        for (aj, bj) in others:
-            c = _perp((aj, bj))
-            norm = float(np.hypot(*c))
-            c = (c[0] / norm, c[1] / norm)
-            perp_dirs.append(c)
-            factor *= c[0] * ar + c[1] * br
-        if abs(factor) < 1e-14:
+    for i in range(n):
+        others = [L[j] for j in range(n) if j != i]
+        if abs(np.prod([A[i] @ l for l in others])) < 1e-14:
             raise ValueError("degenerate perpendicular system")
-        sr = float(np.hypot(ar, br))
-        unit = np.array([ar, br]) / sr
-        mid = float(unit @ centre)
-        d, rad = _diagonal(unit, half)
-        t = _nodes(mid, rad)
-        # the diagonal on which unit . (x, y) = t, so the argument
-        # a_r x + b_r y is sr*t
-        X, Y = centre[:, None] + np.outer(d, t - mid)
-        chain = _series(derivative(X, Y, perp_dirs) / factor, mid, rad)
-        chain = _chopped(chain.integ(n - 1, lbnd=mid))
-        # chain(t) integrates g_r^{(n-1)}(sr*t) n-1 times in t, which is
-        # g_r(sr*t)/sr^{n-1} up to a low-degree polynomial
-        comps.append(lambda z, _c=chain, _sr=sr, _m=sr**(n - 1):
-                     _m * _c(np.asarray(z) / _sr))
-
-    X, Y = np.meshgrid(np.linspace(x0, x1, VERIFY_N),
-                       np.linspace(y0, y1, VERIFY_N), indexing="ij")
-    result = DecompResult(comps, dirs, 0.0, meta=meta)
-    resid = (np.asarray(problem.f(X, Y), dtype=float)
-             - np.asarray(result(X, Y), dtype=float))
-    # remove the degree-(n-2) polynomial ambiguity before reporting
-    deg = max(n - 2, 0)
-    cols = []
-    for i in range(deg + 1):
-        for j in range(deg + 1 - i):
-            cols.append((X.ravel()**i) * (Y.ravel()**j))
-    if cols:
-        Amat = np.stack(cols, axis=1)
-        coef, *_ = np.linalg.lstsq(Amat, resid.ravel(), rcond=None)
-        resid = resid - (Amat @ coef).reshape(resid.shape)
-    result.residual = float(np.max(np.abs(resid)))
-    return result
+        x, y = _line(centre, _diagonal(A[i], half), _offsets(rad[i]))
+        first = _series(derivative(x, y, others), mid[i], rad[i])
+        comps.append(_chopped(_chain(first, A[i], others, mid[i])[0]))
+    return _residual(problem, comps, meta, deg=n - 2)
 
 
 def tabulate(result, problem, table_n=257):

@@ -515,3 +515,24 @@ def test_smooth_decompose_reports_jet_derivatives_and_no_scipy(tmp_path):
     assert "fd_step" not in res
     assert res["residual"] <= 1e-8
     assert res["convergence_study"]["residual"] <= 1e-8
+
+
+def test_warning_raised_as_an_error_is_a_domain_error(tmp_path):
+    # with RuntimeWarning as an error, as CI runs the CLI demo, numpy's
+    # divide by zero on the residual grid is raised, not printed: the CLI
+    # reports it as JSON with exit 1, not a traceback
+    dirs = tmp_path / "dirs3.csv"
+    dirs.write_text("1, 0\n0, 1\n1, 1\n")
+    script = (
+        "import sys\n"
+        "from ridgekit.cli import main\n"
+        "sys.exit(main(['smooth', 'decompose', '--expr', '1/(x1+1)',"
+        f" '--dirs', {str(dirs)!r}, '--box', '-1', '1', '-1', '1',"
+        " '--crosscheck']))\n"
+    )
+    proc = _python(script, PYTHONWARNINGS="error::RuntimeWarning")
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["error"]["type"] == "RuntimeWarning"
+    assert "divide by zero" in report["error"]["message"]

@@ -20,7 +20,6 @@ from ridgekit.core import (
     parse_vector,
     rational,
     row_reduce,
-    tensor_quadrature,
 )
 
 
@@ -167,11 +166,6 @@ class TestQuadratureAndOracle:
         assert float(np.sum(w * mesh[1])) == pytest.approx(2.0, abs=1e-14)
         mesh, w = gauss_grid([], 4)
         assert mesh == [] and w.shape == () and float(w) == 1.0
-
-    def test_tensor_quadrature_exact_for_polynomials(self):
-        val = tensor_quadrature(lambda x, y: x * x * y,
-                                [(0.0, 1.0), (0.0, 2.0)], 8)
-        assert val == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_minimax_oracle_on_separable_function(self):
         # xy on the unit-square grid: best error by sums g(x)+h(y) is 1/4

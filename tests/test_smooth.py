@@ -63,6 +63,20 @@ class TestDecompose:
             coef = np.polyfit(ts, diff, 1)
             assert float(np.max(np.abs(diff - np.polyval(coef, ts)))) <= 1e-6
 
+    def test_anchor_is_read_in_each_generators_own_argument(self):
+        # every generator built by at least one antiderivative vanishes
+        # where its own argument a_i . x equals the anchor; with four
+        # directions that is all but g_2 (index 1), which is sampled
+        # directly
+        expr = parse_expression("exp(x1+2*x2) + sin(x1+x2) + cos(2*x1-x2)"
+                                " + (x1-x2)^3", 2)
+        dirs = [(1.0, 2.0), (2.0, -1.0), (1.0, 1.0), (1.0, -1.0)]
+        problem = DecompProblem(expr, dirs, ((-0.5, 0.5), (-0.25, 0.75)))
+        result = decompose(problem, anchor=0.3)
+        assert result.residual <= 1e-8
+        for i in (0, 2, 3):
+            assert abs(float(result.components[i](0.3))) <= 1e-12
+
 
 class TestDiagnostics:
     def test_tabulate_matches_components(self):
