@@ -20,6 +20,25 @@ EOF
 ridgekit cycles check --points "$work/square.csv" \
     --directions "$work/dirs2.csv" --minimal
 
+# --- cycles: values interpolated exactly on a staircase, its coordinates
+# written as fractions, decimals and exponents ---
+cat > "$work/stairs.csv" <<EOF
+0,0
+1/2,0
+5e-1,3/4
+1.25,0.75
+1.25E0,2
+EOF
+cat > "$work/stairs-f.csv" <<EOF
+1
+-0.5
+2/3
+1e1
+-7/4
+EOF
+ridgekit cycles check --points "$work/stairs.csv" \
+    --directions "$work/dirs2.csv" --solve "$work/stairs-f.csv"
+
 # --- uniform approximation of xy on the unit square ---
 ridgekit approx uniform --expr "x1*x2" --dirs 1 0 0 1 \
     --bounds 0 1 0 1 --verify

@@ -8,12 +8,11 @@ that cannot be read).
 import argparse
 import functools
 import hashlib
+import io
 import json
 import math
-import os
 import sys
 import time
-from fractions import Fraction
 
 import numpy as np
 
@@ -22,10 +21,10 @@ from .core import (
     DirectionSet,
     PointConfig,
     UnivariateTable,
+    _frac,
     _read_csv_rows,
     max_cycle_mean,
     parse_expression,
-    rational,
 )
 from .cycles import (
     CycleExists,
@@ -73,11 +72,6 @@ DOMAIN_ERRORS = (
 # ---------------------------------------------------------------------------
 # serialization helpers
 
-def _frac(v):
-    f = Fraction(v)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def _table(tab, stride=1):
     return {
         "knots": [float(t) for t in tab.knots[::stride]],
@@ -85,15 +79,31 @@ def _table(tab, stride=1):
     }
 
 
-def _digest(args, files):
+def _read_input(args, path):
+    """The bytes of an input file, kept for the digest of the report."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    args._inputs.append(data)
+    return data
+
+
+def _read_rows(args, path):
+    return _read_csv_rows(_read_input(args, path), path)
+
+
+def _read_json(args, path):
+    return json.load(io.TextIOWrapper(io.BytesIO(_read_input(args, path))))
+
+
+def _digest(args):
+    """A hash of the options and of the input files, in the order the
+    command read them."""
     h = hashlib.sha256()
     flags = sorted((k, v) for k, v in vars(args).items()
-                   if k not in ("func", "_argv"))
+                   if k not in ("func", "_argv", "_inputs"))
     h.update(repr(flags).encode())
-    for path in files:
-        if path and os.path.exists(path):
-            with open(path, "rb") as fh:
-                h.update(fh.read())
+    for data in args._inputs:
+        h.update(data)
     return h.hexdigest()[:16]
 
 
@@ -124,10 +134,10 @@ def _non_finite_field(value, path=""):
                 None)
 
 
-def _emit(args, results, files=(), t0=None):
+def _emit(args, results, t0):
     _print_report(
-        args, inputs_digest=_digest(args, files), results=results,
-        timing_seconds=round(time.perf_counter() - t0, 6) if t0 else None)
+        args, inputs_digest=_digest(args), results=results,
+        timing_seconds=round(time.perf_counter() - t0, 6))
     return 0
 
 
@@ -141,8 +151,9 @@ def _emit_error(args, exc, code):
 # subcommands
 
 def _cmd_cycles_check(args, t0):
-    points = PointConfig.from_csv(args.points)
-    h = list(DirectionSet.from_csv(args.directions, dim=points.dim))
+    rows = _read_rows(args, args.points)
+    points = PointConfig(len(rows[0]), rows)
+    h = list(DirectionSet(points.dim, _read_rows(args, args.directions)))
     found, cert = has_cycle(points, h)
     results = {"has_cycle": found, "certificates": []}
     if cert is not None:
@@ -165,7 +176,7 @@ def _cmd_cycles_check(args, t0):
             path = closed_path_search(points, h[0], h[1])
             results["closed_path"] = path
     if args.solve:
-        fvals = [row[0] for row in _read_csv_rows(args.solve)]
+        fvals = [row[0] for row in _read_rows(args, args.solve)]
         tables, free = solve_representation(points, h, fvals, anchor=args.anchor)
         results["representation"] = {
             "free_unknowns": free,
@@ -174,8 +185,7 @@ def _cmd_cycles_check(args, t0):
                 for tab in tables
             ],
         }
-    files = [args.points, args.directions, args.solve]
-    return _emit(args, results, files, t0)
+    return _emit(args, results, t0)
 
 
 def _cmd_approx_uniform(args, t0):
@@ -209,17 +219,17 @@ def _cmd_approx_uniform(args, t0):
         results["ds_norms"] = [float(v) for v in norms]
         results["ds_g1_table"] = _table(tables[0])
         results["ds_g2_table"] = _table(tables[1])
-    return _emit(args, results, (), t0)
+    return _emit(args, results, t0)
 
 
 def _cmd_approx_l2(args, t0):
-    dirs = _read_csv_rows(args.dirs_file)
+    dirs = _read_rows(args, args.dirs_file)
     comp = []
-    if args.completion_file and os.path.getsize(args.completion_file):
-        comp = _read_csv_rows(args.completion_file)
-    with open(args.ybox) as fh:
-        ybox = json.load(fh)
-    ybox = [tuple(b) for b in ybox]
+    if args.completion_file:
+        data = _read_input(args, args.completion_file)
+        if data:
+            comp = _read_csv_rows(data, args.completion_file)
+    ybox = [tuple(b) for b in _read_json(args, args.ybox)]
     n = len(dirs[0])
     f = parse_expression(args.expr, n)
     t = build_rset(dirs, comp, ybox)
@@ -236,13 +246,11 @@ def _cmd_approx_l2(args, t0):
             if np.isscalar(v)
         },
     }
-    files = [args.dirs_file, args.completion_file, args.ybox]
-    return _emit(args, results, files, t0)
+    return _emit(args, results, t0)
 
 
 def _cmd_bolts(args, t0):
-    with open(args.geom) as fh:
-        geom = json.load(fh)
+    geom = _read_json(args, args.geom)
     n = 2
     f = parse_expression(args.expr, n)
     results = {}
@@ -286,13 +294,13 @@ def _cmd_bolts(args, t0):
                 "upper": float(bd["upper"]),
             }
     if args.golomb:
-        pts = _read_csv_rows(args.golomb)
+        pts = _read_rows(args, args.golomb)
         results["golomb_lower_bound"] = float(golomb_lower_bound(f, pts))
-    return _emit(args, results, [args.geom, args.golomb], t0)
+    return _emit(args, results, t0)
 
 
 def _cmd_smooth(args, t0):
-    dirs = [tuple(float(v) for v in row) for row in _read_csv_rows(args.dirs)]
+    dirs = [tuple(float(v) for v in row) for row in _read_rows(args, args.dirs)]
     f = parse_expression(args.expr, 2)
     box = ((args.box[0], args.box[1]), (args.box[2], args.box[3]))
     problem = DecompProblem(f, dirs, box)
@@ -306,14 +314,14 @@ def _cmd_smooth(args, t0):
     if args.crosscheck:
         check = crosscheck_highorder(problem)
         results["convergence_study"] = {"residual": check.residual}
-    return _emit(args, results, [args.dirs], t0)
+    return _emit(args, results, t0)
 
 
 def _cmd_sigmoid_eval(args, t0):
     params = SigmoidParams(args.d, args.lam)
     vals = [float(v) for v in sigma(args.x, params)]
     results = {"sigma": vals[0] if len(vals) == 1 else vals}
-    return _emit(args, results, (), t0)
+    return _emit(args, results, t0)
 
 
 def _cmd_sigmoid_table(args, t0):
@@ -344,7 +352,7 @@ def _cmd_sigmoid_fit(args, t0):
         "theta2": _frac(net.theta2),
         "achieved_error": float(achieved),
     }
-    return _emit(args, results, (), t0)
+    return _emit(args, results, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +465,7 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     args._argv = ["ridgekit"] + argv
+    args._inputs = []
     t0 = time.perf_counter()
     try:
         return args.func(args, t0)

@@ -3,9 +3,13 @@ evaluable-function abstractions.
 
 Exact rationals back everything combinatorial: deciding whether two points
 lie on the same level line of a direction is ill-posed in floating point,
-so all fiber logic upstream works over Q.  Inputs are read as
-``fractions.Fraction``; elimination (``bareiss``, ``row_reduce``) is
-fraction-free over the integers, and results leave it as Fractions again.
+so all fiber logic upstream works over Q.  Each input coordinate is read
+once and exactly: an integer literal as an int, any other number as a
+``fractions.Fraction``.  ``PointConfig`` and ``DirectionSet`` also hold
+their coordinates as integers over one common denominator, which the fiber
+logic reads directly; elimination (``bareiss``, ``row_reduce``) is
+fraction-free over the integers, and Fractions appear again only in
+results.
 Approximation numerics (quadrature, Taylor jets, LP oracles) use IEEE
 doubles.
 """
@@ -13,6 +17,7 @@ doubles.
 from __future__ import annotations
 
 import functools
+import io
 import math
 from fractions import Fraction
 
@@ -21,6 +26,22 @@ import numpy as np
 
 # ---------------------------------------------------------------------------
 # exact rationals
+
+def _read_number(text):
+    """The exact number a text names: an int for an integer literal, else a
+    Fraction.  ``int`` reads the integer texts ``Fraction`` reads (signs,
+    underscores and surrounding whitespace included); a p/q text is read as
+    two ints, and a decimal or exponent text by ``Fraction``.  A text that
+    names no number raises ValueError, a zero denominator
+    ZeroDivisionError."""
+    num, slash, den = text.partition("/")
+    if slash:
+        return Fraction(int(num), int(den))
+    try:
+        return int(text)
+    except ValueError:
+        return Fraction(text)
+
 
 def rational(value):
     """Convert a string ("3/4", "0.25"), int, float or Fraction to an exact
@@ -33,11 +54,7 @@ def rational(value):
     if isinstance(value, float):
         return Fraction(value)
     if isinstance(value, str):
-        s = value.strip()
-        if "/" in s:
-            num, den = s.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(s)  # handles decimal literals exactly
+        return rational(_read_number(value))
     raise TypeError(f"cannot convert {value!r} to a rational")
 
 
@@ -49,28 +66,72 @@ def parse_vector(value):
     return tuple(rational(p) for p in value)
 
 
+def _frac(v):
+    """An exact number as text: "3" or "-1/3".  An int or a Fraction is
+    printed as it is; anything else is first read exactly as a Fraction."""
+    if not isinstance(v, (int, Fraction)):
+        v = Fraction(v)
+    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+
+
+def _vector_text(v):
+    return "(" + ", ".join(_frac(c) for c in v) + ")"
+
+
+def _integer_coordinates(rows):
+    """(ints, den): every coordinate of ``rows`` as ints[j][k] / den, over
+    their least common denominator, each read exactly with ``rational``."""
+    rows = [[c if type(c) is int else rational(c) for c in row] for row in rows]
+    den = math.lcm(*{c.denominator for row in rows for c in row
+                     if type(c) is not int})
+    return [tuple([c * den if type(c) is int
+                   else c.numerator * (den // c.denominator) for c in row])
+            for row in rows], den
+
+
 # ---------------------------------------------------------------------------
 # point sets and directions
 
+def _fraction_tuple(row):
+    """A row of ints and Fractions as a tuple of Fractions."""
+    return tuple([Fraction(c) if type(c) is int else c for c in row])
+
+
+def _exact_rows(dim, rows, what):
+    """(rows, ints, den): the rows with every coordinate read exactly, an
+    int as itself and anything else as a Fraction, and their integer
+    coordinates; a row of another length than ``dim`` raises ValueError."""
+    exact = []
+    for row in rows:
+        row = [c if type(c) is int else rational(c) for c in row]
+        if len(row) != dim:
+            raise ValueError(f"{what} {_vector_text(row)} does not have "
+                             f"dimension {dim}")
+        exact.append(row)
+    return exact, *_integer_coordinates(exact)
+
+
 class PointConfig:
-    """A finite ordered set of points with exact rational coordinates."""
+    """A finite ordered set of points with exact rational coordinates.
+
+    ``ints``/``den`` hold them as integers over their least common
+    denominator, x_j = ints[j] / den, and ``points`` as tuples of
+    Fractions, built when first used."""
 
     def __init__(self, dim, points):
         self.dim = int(dim)
         if self.dim < 1:
             raise ValueError("dim must be positive")
-        pts = []
-        for p in points:
-            q = tuple(rational(c) for c in p)
-            if len(q) != self.dim:
-                raise ValueError(f"point {p} does not have dimension {self.dim}")
-            pts.append(q)
-        if len(set(pts)) != len(pts):
+        self._rows, self.ints, self.den = _exact_rows(self.dim, points, "point")
+        if len(set(self.ints)) != len(self.ints):
             raise ValueError("points must be pairwise distinct")
-        self.points = pts
+
+    @functools.cached_property
+    def points(self):
+        return [_fraction_tuple(row) for row in self._rows]
 
     def __len__(self):
-        return len(self.points)
+        return len(self.ints)
 
     def __iter__(self):
         return iter(self.points)
@@ -78,44 +139,31 @@ class PointConfig:
     def as_array(self):
         return np.array([[float(c) for c in p] for p in self.points])
 
-    @classmethod
-    def from_csv(cls, path, dim=None):
-        rows = _read_csv_rows(path)
-        d = dim if dim is not None else len(rows[0])
-        return cls(d, rows)
-
 
 class DirectionSet:
-    """Nonzero, pairwise linearly independent directions (rational entries)."""
+    """Nonzero, pairwise linearly independent directions (rational entries),
+    held as ``directions`` (tuples of Fractions) and as ``ints``/``den``
+    like the coordinates of a PointConfig."""
 
     def __init__(self, dim, directions):
         self.dim = int(dim)
-        dirs = []
-        for a in directions:
-            v = tuple(rational(c) for c in a)
-            if len(v) != self.dim:
-                raise ValueError(f"direction {a} does not have dimension {self.dim}")
-            if all(c == 0 for c in v):
-                raise ValueError("zero direction not allowed")
-            dirs.append(v)
-        for i in range(len(dirs)):
-            for j in range(i + 1, len(dirs)):
-                if _parallel(dirs[i], dirs[j]):
+        rows, self.ints, self.den = _exact_rows(self.dim, directions,
+                                                "direction")
+        self.directions = [_fraction_tuple(row) for row in rows]
+        for a, v in zip(self.directions, self.ints):
+            if not any(v):
+                raise ValueError(f"zero direction {_vector_text(a)} not allowed")
+        for i in range(len(self.ints)):
+            for j in range(i + 1, len(self.ints)):
+                if _parallel(self.ints[i], self.ints[j]):
                     raise ValueError(
                         f"directions {i} and {j} are linearly dependent")
-        self.directions = dirs
 
     def __len__(self):
         return len(self.directions)
 
     def __iter__(self):
         return iter(self.directions)
-
-    @classmethod
-    def from_csv(cls, path, dim=None):
-        rows = _read_csv_rows(path)
-        d = dim if dim is not None else len(rows[0])
-        return cls(d, rows)
 
 
 def _parallel(u, v):
@@ -156,8 +204,9 @@ def bareiss(rows, ncols):
     mat, scales = [], []
     for row in rows:
         row = [v if type(v) is int else Fraction(v) for v in row]
-        scale = math.lcm(*(v.denominator for v in row))
-        mat.append([v.numerator * (scale // v.denominator) for v in row])
+        scale = math.lcm(*{v.denominator for v in row if type(v) is not int})
+        mat.append([v * scale if type(v) is int
+                    else v.numerator * (scale // v.denominator) for v in row])
         scales.append(scale)
     pivots = {}
     last, sign = 1, 1
@@ -207,16 +256,19 @@ def row_reduce(rows, ncols):
             + [[Fraction(v) for v in row] for row in mat[rank:]]), pivots, det
 
 
-def _read_csv_rows(path):
+def _read_csv_rows(data, name):
+    """The rows of numbers in the bytes of a CSV file named ``name``: fields
+    split at commas and whitespace, ``#`` to the end of a line a comment.
+    Each field is read once by ``_read_number``, so an integer stays an
+    int.  The bytes are decoded as ``open`` decodes a file in text mode."""
     rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#")[0].strip()
-            if not line:
-                continue
-            rows.append(parse_vector(line))
+    text = io.TextIOWrapper(io.BytesIO(data)).read().replace(",", " ")
+    for line in text.split("\n"):
+        fields = line.split("#", 1)[0].split()
+        if fields:
+            rows.append(tuple(map(_read_number, fields)))
     if not rows:
-        raise ValueError(f"no data rows in {path}")
+        raise ValueError(f"no data rows in {name}")
     return rows
 
 

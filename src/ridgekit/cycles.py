@@ -13,11 +13,12 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+from operator import mul
 
 import numpy as np
 
-from .core import bareiss, rational
+from .core import PointConfig, _integer_coordinates, bareiss
 
 
 class CycleExists(ValueError):
@@ -50,28 +51,33 @@ class CycleCertificate:
         return f"CycleCertificate(support={self.support}, weights={self.weights})"
 
 
+def _point_list(points):
+    """A PointConfig as it is, so that its integer coordinates are read
+    where they were built; any other iterable of points as a list."""
+    return points if isinstance(points, PointConfig) else list(points)
+
+
 def _key_table(points, h):
     """Fiber values as integers, every one computed once.
 
     Returns (keys, scales) with keys[i][j] = scales[i] * h_i(x_j): one
-    common denominator per h_i, so that fibers group and hash as ints.
-    Point coordinates and directions are read exactly with ``rational``; a
-    callable h_i gets the point as given and its value is read exactly.
+    common denominator per h_i, so that fibers group and hash as ints.  A
+    PointConfig brings the integer coordinates it computed when it was
+    built; other points, and each direction, are read exactly by
+    ``_integer_coordinates``.  A callable h_i gets the point as given, and
+    its values are read the same way.
     """
-    pts = [[rational(c) for c in p] for p in points]
-    den = lcm(*(c.denominator for p in pts for c in p))
-    ipts = [[c.numerator * (den // c.denominator) for c in p] for p in pts]
+    if isinstance(points, PointConfig):
+        ipts, den = points.ints, points.den
+    else:
+        ipts, den = _integer_coordinates(points)
     table, scales = [], []
     for hi in h:
         if callable(hi):
-            vals = [rational(hi(p)) for p in points]
-            scale = lcm(*(v.denominator for v in vals))
-            keys = [v.numerator * (scale // v.denominator) for v in vals]
+            (keys,), scale = _integer_coordinates([[hi(p) for p in points]])
         else:
-            a = [rational(c) for c in hi]
-            e = lcm(*(c.denominator for c in a))
-            ia = [c.numerator * (e // c.denominator) for c in a]
-            keys = [sum(ak * xk for ak, xk in zip(ia, p)) for p in ipts]
+            (ia,), e = _integer_coordinates([hi])
+            keys = [sum(map(mul, ia, p)) for p in ipts]
             scale = den * e
         table.append(keys)
         scales.append(scale)
@@ -194,7 +200,7 @@ def has_cycle(points, h):
     Returns (False, None) or (True, CycleCertificate) built from a
     canonical nullspace vector of the fiber incidence system.
     """
-    pts = list(points)
+    pts = _point_list(points)
     return _find_cycle(pts, _key_table(pts, h)[0])
 
 
@@ -229,7 +235,7 @@ def minimal_cycles(points, h, cap=10):
     Returns (certificates, exhausted); ``exhausted`` is False when the cap
     cut the enumeration before all subsets were inspected.
     """
-    pts = list(points)
+    pts = _point_list(points)
     table, _ = _key_table(pts, h)
     n = len(pts)
     found = []
@@ -280,7 +286,7 @@ def tau_closure(points, directions):
     (1/2,1/2,1/2) is its own fixed point, yet its fiber incidence matrix
     has full column rank, so it carries no cycle (acceptance criterion 06).
     """
-    pts = list(points)
+    pts = _point_list(points)
     table, _ = _key_table(pts, directions)
     current = set(range(len(pts)))
     trace = [sorted(current)]
@@ -307,7 +313,7 @@ def closed_path_search(points, a1, a2):
     Points are edges of the bipartite multigraph whose sides are the
     a1-fibers and a2-fibers; closed paths correspond to cycles there.
     """
-    pts = list(points)
+    pts = _point_list(points)
     (k1, k2), _ = _key_table(pts, (a1, a2))
     adj = {}  # fiber node (side, value) -> [(neighbour node, point index)]
     for j in range(len(pts)):
@@ -355,7 +361,7 @@ def closed_path_search(points, a1, a2):
 def orbits(points, a1, a2):
     """Partition point indices into orbits: equivalence classes of the
     relation generated by sharing an a1-fiber or an a2-fiber (union-find)."""
-    pts = list(points)
+    pts = _point_list(points)
     parent = list(range(len(pts)))
 
     def find(x):
@@ -390,12 +396,14 @@ def solve_representation(points, h, f_values, anchor=0):
     Returns (tables, free_count) where tables[i] is a dict fiber-value ->
     Fraction.
     """
-    pts = list(points)
+    pts = _point_list(points)
     n = len(pts)
     if not 0 <= anchor < n:
         raise ValueError(f"anchor {anchor} is not a point index 0..{n - 1}")
     r = len(h)
-    vals = [rational(v) for v in f_values]
+    # the values as integers over one denominator, which scales every
+    # unknown by the same factor
+    (vals,), vden = _integer_coordinates([f_values])
     if len(vals) != n:
         raise ValueError("need one f value per point")
     table, scales = _key_table(pts, h)
@@ -428,5 +436,5 @@ def solve_representation(points, h, f_values, anchor=0):
     tables = [dict() for _ in range(r)]
     for (i, key), col in col_of.items():
         value = reduced[pivots[col]][m] if col in pivots else 0
-        tables[i][Fraction(key, scales[i])] = Fraction(value, last)
+        tables[i][Fraction(key, scales[i])] = Fraction(value, last * vden)
     return tables, m - len(pivots)

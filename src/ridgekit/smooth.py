@@ -291,7 +291,10 @@ def crosscheck_highorder(problem):
     comps = []
     for i in range(n):
         others = [L[j] for j in range(n) if j != i]
-        if abs(np.prod([A[i] @ l for l in others])) < 1e-14:
+        # the sines a_i . l_j / |a_i| of the angles to the other directions:
+        # a short direction is not a parallel one
+        sines = [A[i] @ l / np.hypot(*A[i]) for l in others]
+        if abs(np.prod(sines)) < 1e-14:
             raise ValueError("degenerate perpendicular system")
         x, y = _line(centre, _diagonal(A[i], half), _offsets(rad[i]))
         first = _series(derivative(x, y, others), mid[i], rad[i])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -83,6 +84,39 @@ class TestDispatch:
         assert error["type"] == "ValueError"
         assert f"anchor {anchor} " in error["message"]
 
+    @pytest.mark.parametrize("text, error", [("1/0", "ZeroDivisionError"),
+                                             ("abc", "ValueError")])
+    def test_unreadable_coordinate_exits_1(self, capsys, xy_dirs_csv,
+                                           tmp_path, text, error):
+        pts = tmp_path / "bad.csv"
+        pts.write_text(f"0, 0\n{text}, 1\n1, 0\n")
+        code, out = run(capsys, "cycles", "check",
+                        "--points", str(pts), "--directions", xy_dirs_csv)
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == error
+
+    def test_solve_reads_every_number_form_exactly(self, capsys, tmp_path):
+        # one staircase along (1, 0), (0, 1), (1, 1), written twice
+        forms = {"mixed": ["0, 0", "0.5, 0", "5e-1, 3/4", "1.25E0, 0.75",
+                           "5/4, 2"],
+                 "ratios": ["0/1, 0/1", "1/2, 0/1", "1/2, 3/4", "5/4, 3/4",
+                            "5/4, 2/1"]}
+        values = {"mixed": ["1", "-0.5", "2/3", "1e1", "-7/4"],
+                  "ratios": ["1/1", "-1/2", "2/3", "10/1", "-7/4"]}
+        dirs = tmp_path / "dirs.csv"
+        dirs.write_text("1, 0\n0, 1\n1, 1\n")
+        results = []
+        for name in forms:
+            pts, fv = tmp_path / f"{name}.csv", tmp_path / f"{name}-f.csv"
+            pts.write_text("\n".join(forms[name]) + "\n")
+            fv.write_text("\n".join(values[name]) + "\n")
+            code, out = run(capsys, "cycles", "check", "--points", str(pts),
+                            "--directions", str(dirs), "--solve", str(fv))
+            assert code == 0, out
+            results.append(json.loads(out)["results"])
+        assert results[0] == results[1]
+        assert results[0]["representation"]["tables"][1]["3/4"] == "7/6"
+
     def test_missing_input_file_exits_2(self, capsys, tmp_path):
         code, out = run(capsys, "cycles", "check",
                         "--points", str(tmp_path / "missing.csv"),
@@ -101,6 +135,49 @@ class TestDispatch:
         r1, r2 = json.loads(out1), json.loads(out2)
         r1.pop("timing_seconds"), r2.pop("timing_seconds")
         assert r1 == r2
+
+    @pytest.mark.parametrize("command", ["cycles", "l2", "bolts", "smooth"])
+    def test_inputs_digest_hashes_the_options_and_the_files(
+            self, capsys, tmp_path, command):
+        # the digest is the hash of the options and of the bytes of every
+        # input file named, comments and an empty file included
+        def write(name, text):
+            path = tmp_path / name
+            path.write_text(text)
+            return str(path)
+
+        dirs = write("dirs.csv", "# two directions\n1, 0\n0, 1\n")
+        if command == "cycles":
+            files = [write("pts.csv", "0, 0\n0, 1/2\n1, 0\n"), dirs,
+                     write("f.csv", "1\n2.5\n3\n")]
+            argv = ["cycles", "check", "--points", files[0],
+                    "--directions", dirs, "--solve", files[2], "--tau"]
+        elif command == "l2":
+            files = [write("dirs1.csv", "1 # one direction\n"),
+                     write("completion.csv", ""),
+                     write("ybox.json", "[[0, 1]]\n")]
+            argv = ["approx", "l2", "--expr", "exp(x1)", "--dirs-file",
+                    files[0], "--completion-file", files[1], "--ybox",
+                    files[2], "--nodes", "4"]
+        elif command == "bolts":
+            files = [write("hex.json", '{"a": [0, 1, 2], "b": [0, 1, 2]}'),
+                     write("grid.csv", "".join(f"{i},{j}\n" for i in range(3)
+                                               for j in range(3)))]
+            argv = ["bolts", "hexagon", "--expr", "x1*x2", "--geom", files[0],
+                    "--golomb", files[1]]
+        else:
+            files = [dirs]
+            argv = ["smooth", "decompose", "--expr", "sin(x1) + x2^3",
+                    "--dirs", dirs, "--box", "-1", "1", "-1", "1"]
+        code, out = run(capsys, *argv)
+        assert code == 0, out
+        args = _build_parser().parse_args(argv)
+        want = hashlib.sha256(repr(sorted(
+            (k, v) for k, v in vars(args).items() if k != "func")).encode())
+        for path in files:
+            with open(path, "rb") as fh:
+                want.update(fh.read())
+        assert json.loads(out)["inputs_digest"] == want.hexdigest()[:16]
 
     def test_sigmoid_table_csv(self, capsys):
         code, out = run(capsys, "sigmoid", "table", "--d", "2",

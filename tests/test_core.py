@@ -11,6 +11,7 @@ from ridgekit.core import (
     PointConfig,
     RidgeSum,
     UnivariateTable,
+    _read_number,
     centred_differences,
     double_differences,
     gauss_grid,
@@ -38,6 +39,39 @@ class TestRational:
         f = Fraction(p, q)
         assert rational(str(f)) == f
 
+    @given(st.data())
+    def test_reader_gives_the_value_fraction_gives(self, data):
+        sign = st.sampled_from(["", "+", "-"])
+        digits = st.lists(st.text("0123456789", min_size=1, max_size=4),
+                          min_size=1, max_size=3).map("_".join)
+        exponent = st.integers(0, 40).map(str)
+        form = data.draw(st.sampled_from(
+            ["integer", "decimal", "exponent", "ratio"]))
+        text = data.draw(sign) + data.draw(digits)
+        if form == "decimal":
+            tail = data.draw(st.one_of(st.just(""), digits))
+            if tail and data.draw(st.booleans()):
+                text = text.rstrip("0123456789_")   # ".5", "-.25"
+            text += "." + tail
+        elif form == "exponent":
+            text += (data.draw(st.sampled_from(["", "."]))
+                     + data.draw(st.sampled_from("eE"))
+                     + data.draw(sign) + data.draw(exponent))
+        elif form == "ratio":
+            text += "/" + data.draw(digits.filter(lambda d: int(d) != 0))
+        space = st.sampled_from(["", " ", "\t", " \n"])
+        text = data.draw(space) + text + data.draw(space)
+        value = _read_number(text)
+        assert value == Fraction(text)
+        assert type(value) is (int if form == "integer" else Fraction)
+
+    def test_reader_rejects_what_names_no_number(self):
+        with pytest.raises(ZeroDivisionError):
+            _read_number("1/0")
+        for text in ["abc", "inf", "nan", "1.2.3"]:
+            with pytest.raises(ValueError):
+                _read_number(text)
+
     def test_parse_vector_forms(self):
         assert parse_vector("1, 2, 3") == (1, 2, 3)
         assert parse_vector("0.5 -1/3") == (Fraction(1, 2), Fraction(-1, 3))
@@ -60,6 +94,22 @@ class TestConfigs:
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
             DirectionSet(2, [(0, 0)])
+
+    def test_errors_print_coordinates_as_fractions(self):
+        with pytest.raises(ValueError, match=r"^point \(1, 1/3, 0\) does "):
+            PointConfig(2, [(0, 0), (1, Fraction(1, 3), 0.0)])
+        with pytest.raises(ValueError, match=r"^direction \(1/2\) does "):
+            DirectionSet(2, [("0.5",)])
+        with pytest.raises(ValueError, match=r"^zero direction \(0, 0\) "):
+            DirectionSet(2, [(1, 1), (Fraction(0), 0)])
+
+    def test_integer_coordinates_over_one_denominator(self):
+        pts = PointConfig(2, [(1, "1/2"), (0.25, Fraction(-2, 3))])
+        assert pts.den == 12
+        assert pts.ints == [(12, 6), (3, -8)]
+        assert pts.points == [(1, Fraction(1, 2)),
+                              (Fraction(1, 4), Fraction(-2, 3))]
+        assert all(type(c) is Fraction for p in pts for c in p)
 
 
 class TestExpressions:

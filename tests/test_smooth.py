@@ -139,6 +139,14 @@ class TestJetDerivatives:
         dirs = [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0)]
         assert decompose(DecompProblem(expr, dirs, box)).residual <= 1e-8
 
+    def test_short_directions_are_not_degenerate(self):
+        # the products a_i . l_j are 1e-8 times the sines of the angles
+        expr = parse_expression("sin(x1) + x2^3 + exp(0.5*(x1+x2))", 2)
+        dirs = [(1e-8, 0.0), (0.0, 1e-8), (1e-8, 1e-8)]
+        problem = DecompProblem(expr, dirs, BOX)
+        assert decompose(problem).residual <= 1e-8
+        assert crosscheck_highorder(problem).residual <= 1e-8
+
     def test_generators_on_a_box_away_from_the_origin(self):
         # each chain is anchored inside its own interval, not at 0
         expr = parse_expression("sin(x1) + x2^3 + exp(0.5*(x1+x2))", 2)
