@@ -78,5 +78,8 @@ ridgekit smooth decompose \
 
 # --- sigmoid: pointwise values, a table, and a network fit ---
 ridgekit sigmoid eval --d 2 --lambda 0.25 --x 0 2 6 19.6
+# a transition 7.6e-4 wide, and a segment index beyond 64 bits
+ridgekit sigmoid eval --d 0.5 --lambda 0.4 --x 158868.00011918705
+ridgekit sigmoid eval --d 1 --lambda 0.25 --x 1e20
 ridgekit sigmoid table --d 2 --lambda 0.25 --from 0 --to 2 --step 0.4
 ridgekit sigmoid fit --expr "x1^3 + x1^2 - 5*x1 + 3" --interval -1 1 --eps 0.01

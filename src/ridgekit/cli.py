@@ -326,6 +326,14 @@ def _cmd_sigmoid_eval(args, t0):
 
 def _cmd_sigmoid_table(args, t0):
     params = SigmoidParams(args.d, args.lam)
+    for flag, value in (("--from", args.start), ("--to", args.stop),
+                        ("--step", args.step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value!r}")
+    if not args.step > 0:
+        raise ValueError(f"--step must be > 0, got {args.step!r}")
+    if args.stop < args.start:
+        raise ValueError(f"--to {args.stop!r} is below --from {args.start!r}")
     xs = np.arange(args.start, args.stop + 1e-12, args.step)
     print("x,sigma")
     for x, v in zip(xs, sigma(xs, params)):

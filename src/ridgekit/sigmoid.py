@@ -176,10 +176,25 @@ class MonicPoly:
 
     def derivative_bound(self, radius=1.5):
         """Upper bound for |p'| on (0, radius)."""
-        lead = self.degree * radius ** max(self.degree - 1, 0) \
-            if self.degree else 0.0
-        return sum(i * abs(float(c)) * radius ** (i - 1)
-                   for i, c in enumerate(self.coeffs) if i) + lead
+        return _slope_bound([float(c) for c in self.coeffs], radius)
+
+
+def _horner(alpha, t):
+    """The monic polynomial with float coefficients alpha (a_0 first) at
+    the float t, in the operation order of MonicPoly.__call__."""
+    acc = 1.0
+    for c in reversed(alpha):
+        acc = acc * t + c
+    return acc
+
+
+def _slope_bound(alpha, radius):
+    """Upper bound for |u'| on (0, radius), u monic with float
+    coefficients alpha (a_0 first)."""
+    degree = len(alpha)
+    lead = degree * radius ** max(degree - 1, 0) if degree else 0.0
+    return sum(i * abs(c) * radius ** (i - 1)
+               for i, c in enumerate(alpha) if i) + lead
 
 
 def monic_enum(n):
@@ -209,18 +224,23 @@ def monic_enum(n):
     n = int(n)
     if n < 1:
         raise ValueError("index must be >= 1")
-    if n == 1:
-        return MonicPoly([])
-    terms = _index_terms(n)
-    if len(terms) == 1:
-        ks = [terms[0] - 2]                                   # degree 1
-    elif len(terms) == 2:
-        ks = [terms[0], terms[1] - 2]                         # degree 2
-    else:
-        ks = [terms[0]] + [t - 1 for t in terms[1:-1]] + [terms[-1] - 2]
+    ks = _coeff_indices(n)
     # coefficient indices repeat: decode each distinct one once
     coeff = {k: rational_enum(k) for k in set(ks)}
     return MonicPoly([coeff[k] for k in ks])
+
+
+def _coeff_indices(n):
+    """Indices in the signed-rational enumeration of the coefficients
+    a_0 .. a_{l-1} of u_n, by the rule of monic_enum; [] for u_1 = 1."""
+    if n == 1:
+        return []
+    terms = _index_terms(n)
+    if len(terms) == 1:
+        return [terms[0] - 2]                                 # degree 1
+    if len(terms) == 2:
+        return [terms[0], terms[1] - 2]                       # degree 2
+    return [terms[0]] + [t - 1 for t in terms[1:-1]] + [terms[-1] - 2]
 
 
 def monic_index(p):
@@ -275,19 +295,47 @@ class SigmoidParams:
         return 1.0 - self.lam_eff / (1.0 + lnval)
 
 
-def _segment_coeffs(n, params, poly=None):
-    """(a_n, b_n, u_n): the affine placement of the n-th polynomial."""
-    u = monic_enum(n) if poly is None else poly
+def _placement(n, alpha, M):
+    """(a_n, b_n): the map a_n + b_n u that puts u_n, given by its float
+    coefficients alpha (a_0 first), in segment n's strip
+    [(1+2M)/3, (2+M)/3], M = M(n); on segment 1, u_1 = 1 sits at (1+M)/2."""
     if n == 1:
-        return 0.5, params.M(1) / 2.0, u
-    M = params.M(n)
-    alpha = [float(c) for c in u.coeffs]
+        return 0.5, M / 2.0
     B1 = (alpha[0] if alpha else 0.0) \
         + sum((a - abs(a)) / 2.0 for a in alpha[1:])
     B2 = (alpha[0] if alpha else 0.0) \
         + sum((a + abs(a)) / 2.0 for a in alpha[1:]) + 1.0
     a_n = ((1.0 + 2.0 * M) * B2 - (2.0 + M) * B1) / (3.0 * (B2 - B1))
     b_n = (1.0 - M) / (3.0 * (B2 - B1))
+    return a_n, b_n
+
+
+def _joint(d, lower, upper):
+    """(K, delta, delta_next) of the transition from segment n to n+1.
+
+    ``lower`` and ``upper`` are (a, b, alpha, M) of the two segments.  K is
+    the level half way between u_n's value at t = 1 and u_{n+1}'s at t = 0;
+    the smooth step leaves segment n within delta of its end and reaches
+    segment n+1 within delta_next of its start, both small enough that the
+    step stays within (1 - M)/6 of the strips.
+    """
+    a_n, b_n, alpha, M = lower
+    a_next, b_next, alpha_next, M_next = upper
+    K = 0.5 * ((a_n + b_n * _horner(alpha, 1.0))
+               + (a_next + b_next * _horner(alpha_next, 0.0)))
+    eps = (1.0 - M) / 6.0
+    C = max(_slope_bound(alpha, 1.5), 1e-300)
+    delta = min(eps * d / (b_n * C), d / 2.0)
+    eps_next = (1.0 - M_next) / 6.0
+    C_next = max(_slope_bound(alpha_next, 0.5), 1e-300)
+    delta_next = min(eps_next * d / (b_next * C_next), d / 2.0)
+    return K, delta, delta_next
+
+
+def _segment_coeffs(n, params, poly=None):
+    """(a_n, b_n, u_n): the affine placement of the n-th polynomial."""
+    u = monic_enum(n) if poly is None else poly
+    a_n, b_n = _placement(n, [float(c) for c in u.coeffs], params.M(n))
     return a_n, b_n, u
 
 
@@ -307,16 +355,51 @@ def _beta_hat(x):
 
 
 def _beta(x, lo, hi):
-    """Smooth transition: 1 for x <= lo, 0 for x >= hi."""
-    up = _beta_hat(np.asarray(hi - x, dtype=float))
-    down = _beta_hat(np.asarray(x - lo, dtype=float))
-    return up / (up + down)
+    """Smooth transition: 1 for x <= lo, 0 for x >= hi.
+
+    The ratio beta_hat(hi - x) / (beta_hat(hi - x) + beta_hat(x - lo)).
+    Where both terms underflow, which takes a transition narrower than
+    about 2.7e-3, the ratio is read in logistic form,
+    1 / (1 + exp(1/(hi - x) - 1/(x - lo))), through exp(-|z|) so that no
+    exp overflows, or as 1 for x <= lo and 0 for x >= hi.
+    """
+    a = np.asarray(hi - x, dtype=float)
+    b = np.asarray(x - lo, dtype=float)
+    up, down = _beta_hat(a), _beta_hat(b)
+    total = up + down
+    under = total == 0
+    if not np.any(under):
+        return up / total
+    inside = under & (a > 0) & (b > 0)
+    z = np.divide(1.0, a, out=np.zeros_like(a), where=inside) \
+        - np.divide(1.0, b, out=np.zeros_like(b), where=inside)
+    e = np.exp(-np.abs(z))
+    logistic = np.where(z > 0, e, 1.0) / (1.0 + e)
+    ends = np.where(b <= 0, 1.0, 0.0)
+    ratio = up / np.where(under, 1.0, total)
+    return np.where(inside, logistic, np.where(under, ends, ratio))
 
 
 def sigma(x, params):
-    """The activation at x (scalar or array)."""
+    """The activation at x, a finite scalar or array.
+
+    A NaN or infinite x is a ValueError.  A point x < d lies on the left
+    tail.  Every other point lies on segment n = max(1, floor((x/d + 1)/2)),
+    an exact Python int however large x is, on its main part when
+    x <= 2nd and in the transition to segment n+1 otherwise.  One call
+    collects the segments its points need (n, and n+1 behind a transition
+    point) and decodes each of them once, straight to float coefficients,
+    each distinct coefficient index once.  It then evaluates all main and
+    transition points in one vectorised pass, with a masked Horner scheme
+    that runs each point's own polynomial in the order of operations of a
+    point-by-point evaluation, so the values are the same bit for bit.
+    """
     scalar = np.isscalar(x) or np.asarray(x).shape == ()
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    bad = ~np.isfinite(x)
+    if np.any(bad):
+        raise ValueError(
+            f"sigma needs a finite x, got x = {float(x[bad][0])!r}")
     d = params.d
     out = np.empty_like(x)
 
@@ -327,47 +410,84 @@ def sigma(x, params):
 
     rest = ~left
     if np.any(rest):
-        xr = x[rest]
-        n_seg = np.floor((xr / d + 1.0) / 2.0).astype(int)
-        n_seg = np.maximum(n_seg, 1)
-        vals = np.empty_like(xr)
-        for n in np.unique(n_seg):
-            mask = n_seg == n
-            xs = xr[mask]
-            a_n, b_n, u = _segment_coeffs(int(n), params)
-            t = xs / d - 2 * n + 1
-            main = xs <= 2 * n * d
-            v = np.empty_like(xs)
-            v[main] = a_n + b_n * u(t[main])
-            trans = ~main
-            if np.any(trans):
-                xt = xs[trans]
-                a_next, b_next, u_next = _segment_coeffs(int(n) + 1, params)
-                K = 0.5 * ((a_n + b_n * u(1.0))
-                           + (a_next + b_next * u_next(0.0)))
-                eps = (1.0 - params.M(int(n))) / 6.0
-                C = max(u.derivative_bound(1.5), 1e-300)
-                delta = min(eps * d / (b_n * C), d / 2.0) if C > 0 \
-                    else d / 2.0
-                eps_next = (1.0 - params.M(int(n) + 1)) / 6.0
-                C_next = max(u_next.derivative_bound(0.5), 1e-300)
-                delta_next = min(eps_next * d / (b_next * C_next), d / 2.0)
-                mid = (2 * n + 0.5) * d
-                w = np.empty_like(xt)
-                first = xt <= mid
-                bl = _beta(xt[first], 2 * n * d, 2 * n * d + delta)
-                w[first] = K - bl * (K - (a_n + b_n * u(xt[first] / d
-                                                        - 2 * n + 1)))
-                second = ~first
-                br = 1.0 - _beta(xt[second], (2 * n + 1) * d - delta_next,
-                                 (2 * n + 1) * d)
-                w[second] = K - br * (K - (a_next + b_next
-                                           * u_next(xt[second] / d
-                                                    - 2 * n - 1)))
-                v[trans] = w
-            vals[mask] = v
-        out[rest] = vals
+        # near the float maximum, x/d and the segment ends 2nd, (2n+1)d can
+        # overflow: an end beyond the float range reads as +inf, which
+        # compares with x as the exact end would, and an infinite x/d sends
+        # the point to the exact-ratio path
+        with np.errstate(over="ignore"):
+            out[rest] = _sigma_segments(x[rest], params)
     return float(out[0]) if scalar else out
+
+
+def _sigma_segments(x, params):
+    """sigma at the points x >= d (an array this call may change)."""
+    d = params.d
+    q = x / d
+    huge = np.flatnonzero(np.isinf(q))
+    exact = {}
+    for i in huge:
+        # x/d overflows, which needs d < 1: n from the exact ratio, and the
+        # point moved to its place in segment 1's frame, where x/d is small
+        r = Fraction(float(x[i])) / Fraction(d)
+        n = math.floor((r + 1) / 2)
+        x[i] = (1.0 + float(r - (2 * n - 1))) * d
+        exact[i] = n
+    if exact:
+        q = x / d
+    frame = np.maximum(np.floor((q + 1.0) / 2.0), 1.0)   # n, as a float
+    frame[huge] = 1.0
+    keys, row = np.unique(frame, return_inverse=True)
+    index = {int(k): i for i, k in enumerate(keys.tolist())}
+    for i, n in exact.items():
+        row[i] = index.setdefault(n, len(index))
+
+    twon = 2.0 * frame
+    s = q - twon
+    main = x <= twon * d
+    trans = ~main
+    lower = np.unique(row[trans]).tolist()
+    ns = list(index)
+    for r in lower:
+        index.setdefault(ns[r] + 1, len(index))
+    ns = list(index)
+
+    # decode: each segment once, each distinct coefficient index once
+    ks = [_coeff_indices(n) for n in ns]
+    value = {k: float(rational_enum(k)) for k in set().union(*ks)}
+    alphas = [[value[k] for k in kk] for kk in ks]
+    segs = []
+    for n, alpha in zip(ns, alphas):
+        M = params.M(n)
+        segs.append(_placement(n, alpha, M) + (alpha, M))
+    joints = np.zeros((len(ns), 3))
+    upper = np.zeros(len(ns), dtype=int)
+    for r in lower:
+        upper[r] = index[ns[r] + 1]
+        joints[r] = _joint(d, segs[r], segs[upper[r]])
+
+    # one Horner pass: u_n at t = s + 1 on the main part and the first half
+    # of a transition, u_{n+1} at t = s - 1 on its second half
+    second = trans & (x > (twon + 0.5) * d)
+    prow = np.where(second, upper[row], row)
+    t = np.where(second, s - 1.0, s + 1.0)
+    width = max(map(len, alphas))
+    coef = np.array([alpha + [0.0] * (width - len(alpha))
+                     for alpha in alphas])[prow]
+    deg = np.array([len(alpha) for alpha in alphas])[prow]
+    acc = np.ones_like(t)
+    for k in range(width - 1, -1, -1):
+        acc = np.where(deg > k, acc * t + coef[:, k], acc)
+    ab = np.array([seg[:2] for seg in segs])[prow]
+    out = ab[:, 0] + ab[:, 1] * acc
+    if np.any(trans):
+        xt, tw, half = x[trans], twon[trans], second[trans]
+        K, delta, delta_next = joints[row[trans]].T
+        lo = np.where(half, (tw + 1.0) * d - delta_next, tw * d)
+        hi = np.where(half, (tw + 1.0) * d, tw * d + delta)
+        step = _beta(xt, lo, hi)
+        step = np.where(half, 1.0 - step, step)
+        out[trans] = K - step * (K - out[trans])
+    return out
 
 
 # ---------------------------------------------------------------------------

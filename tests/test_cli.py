@@ -278,6 +278,33 @@ class TestSigmoidCommands:
         assert out.splitlines() == want
         assert len(want) == 32
 
+    @pytest.mark.parametrize("flags,flag", [
+        (("--step", "0"), "--step"), (("--step", "-1"), "--step"),
+        (("--step", "nan"), "--step"), (("--step", "inf"), "--step"),
+        (("--to", "-1"), "--to"), (("--from", "nan"), "--from")])
+    def test_table_refuses_a_bad_range(self, capsys, flags, flag):
+        opts = {"--from": "0", "--to": "1", "--step": "0.25"}
+        opts.update(dict([flags]))
+        code, out = run(capsys, "sigmoid", "table", "--d", "1",
+                        "--lambda", "0.25", *sum(opts.items(), ()))
+        assert code == 1
+        assert flag in json.loads(out)["error"]["message"]
+
+    @pytest.mark.parametrize("d,lam,x", [
+        ("0.5", "0.4", "158868.00011918705"),   # a 7.6e-4 wide transition
+        ("1", "0.25", "1e20")])                 # x/d beyond int64
+    def test_eval_of_a_narrow_transition_and_a_huge_x(self, capsys, d, lam, x):
+        code, out = run(capsys, "sigmoid", "eval", "--d", d, "--lambda", lam,
+                        "--x", x)
+        assert code == 0
+        assert 0.0 < json.loads(out)["results"]["sigma"] < 1.0
+
+    def test_eval_refuses_nan(self, capsys):
+        code, out = run(capsys, "sigmoid", "eval", "--d", "1", "--lambda",
+                        "0.25", "--x", "3", "nan")
+        assert code == 1
+        assert "nan" in json.loads(out)["error"]["message"]
+
 
 def test_expr_with_a_leading_minus(capsys):
     tail = ["--interval", "0", "1", "--eps", "0.01"]

@@ -1,6 +1,8 @@
 import math
 import random
 import time
+import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +26,8 @@ from ridgekit.sigmoid import (
     sigma_segment,
 )
 from ridgekit.sigmoid import (
+    _beta,
+    _beta_hat,
     _continued_fraction,
     _exact_poly_coeffs,
     _index_terms,
@@ -162,6 +166,143 @@ class TestActivation:
         xs = np.linspace(1.0, 50.0, 500)
         vals = sigma(xs, q)
         assert np.all(vals > q.h(xs)) and np.all(vals < 1.0)
+
+
+def sigma_oracle(x, params):
+    """sigma at one finite point, by the arithmetic of a segment-by-segment
+    loop: u_n and u_{n+1} enumerated as MonicPoly objects, evaluated by
+    MonicPoly.__call__ and joined by _beta."""
+    d = params.d
+    xa = np.array([float(x)])
+    if x < d:
+        return float(((1.0 - _beta_hat(d - xa)) * (1.0 + params.M(1)) / 2.0)[0])
+    n = max(1, math.floor((x / d + 1.0) / 2.0))
+    a_n, b_n, u = _segment_coeffs(n, params)
+    if x <= 2 * n * d:
+        return float((a_n + b_n * u(xa / d - 2 * n + 1))[0])
+    a1, b1, u1 = _segment_coeffs(n + 1, params)
+    K = 0.5 * ((a_n + b_n * u(1.0)) + (a1 + b1 * u1(0.0)))
+    eps = (1.0 - params.M(n)) / 6.0
+    delta = min(eps * d / (b_n * max(u.derivative_bound(1.5), 1e-300)),
+                d / 2.0)
+    eps1 = (1.0 - params.M(n + 1)) / 6.0
+    delta1 = min(eps1 * d / (b1 * max(u1.derivative_bound(0.5), 1e-300)),
+                 d / 2.0)
+    if x <= (2 * n + 0.5) * d:
+        step = _beta(xa, 2 * n * d, 2 * n * d + delta)
+        w = K - step * (K - (a_n + b_n * u(xa / d - 2 * n + 1)))
+    else:
+        step = 1.0 - _beta(xa, (2 * n + 1) * d - delta1, (2 * n + 1) * d)
+        w = K - step * (K - (a1 + b1 * u1(xa / d - 2 * n - 1)))
+    return float(w[0])
+
+
+@st.composite
+def sigma_points(draw):
+    """(params, xs): points on the left tail, on main segments, in both
+    halves of transitions and at segment ends, over a few segments n drawn
+    together with n + 1, so that segments repeat."""
+    d = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
+    lam = draw(st.sampled_from([0.1, 0.25, 0.4, 0.75]))
+    ns = draw(st.lists(st.integers(1, 200_000), min_size=1, max_size=4))
+    ns += [n + 1 for n in ns]
+    xs = []
+    for _ in range(draw(st.integers(1, 24))):
+        n = draw(st.sampled_from(ns))
+        u = draw(st.floats(0.0, 1.0))
+        place = draw(st.sampled_from(["tail", "main", "first", "second",
+                                      "end"]))
+        if place == "tail":
+            x = d - 10.0 * d * u
+        elif place == "main":
+            x = (2 * n - 1 + u) * d
+        elif place == "first":
+            x = (2 * n + 0.5 * u) * d
+        elif place == "second":
+            x = (2 * n + 0.5 + 0.5 * u) * d
+        else:
+            x = draw(st.sampled_from([(2 * n - 1) * d, 2 * n * d,
+                                      (2 * n + 1) * d]))
+        xs.append(float(f"{x:.6f}") if draw(st.booleans()) else x)
+    return SigmoidParams(d, lam), xs
+
+
+class TestVectorisedSigma:
+    @given(sigma_points())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_point_by_point_oracle(self, case):
+        params, xs = case
+        want = [sigma_oracle(x, params) for x in xs]
+        assert sigma(np.array(xs), params).tolist() == want
+        assert sigma(xs[0], params) == want[0]
+        assert isinstance(sigma(xs[0], params), float)
+
+
+def strip_bounds(x, params):
+    """Interval sigma(x) must lie in, from the exact segment n of x >= d:
+    segment n's strip on its main part; between it and segment n+1's, with
+    the (1 - M_n)/6 slack of the smooth step, in the transition."""
+    q = Fraction(x) / Fraction(params.d)
+    n = max(1, math.floor((q + 1) / 2))
+    M = params.M(n)
+    lo, hi = (1.0 + 2.0 * M) / 3.0, (2.0 + M) / 3.0
+    if n == 1:
+        lo = hi = (1.0 + M) / 2.0
+    if q <= 2 * n:
+        return lo, hi
+    M1 = params.M(n + 1)
+    slack = (1.0 - M) / 6.0
+    return (min(lo, (1.0 + 2.0 * M1) / 3.0) - slack,
+            max(hi, (2.0 + M1) / 3.0) + slack)
+
+
+class TestSigmaDomain:
+    def test_narrow_transition_is_finite(self):
+        # the transition after segment 158,868 is 7.6e-4 wide, so both
+        # exp(-1/s) terms of its step underflow
+        params = SigmoidParams(0.5, 0.4)
+        x = 158868.00011918705
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = sigma(x, params)
+        lo, hi = strip_bounds(x, params)
+        assert 0.0 < v < 1.0 and lo - 1e-12 <= v <= hi + 1e-12
+
+    def test_narrow_step_in_logistic_form(self):
+        # 1 / (1 + exp(1/(hi - x) - 1/(x - lo))) where both terms underflow
+        lo, hi = 10.0, 10.0 + 1e-3
+        xs = np.array([lo - 1e-4, lo, lo + 2e-4, lo + 5e-4, lo + 8e-4, hi,
+                       hi + 1e-4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _beta(xs, lo, hi)
+        want = [float(1 / (1 + (1 / Decimal(hi - x)
+                                - 1 / Decimal(x - lo)).exp()))
+                for x in xs[2:5]]
+        assert got[0] == 1.0 and got[1] == 1.0
+        assert got[-2] == 0.0 and got[-1] == 0.0
+        assert got[2:5].tolist() == pytest.approx(want, rel=1e-12, abs=0)
+        assert got[2] > got[3] > got[4]
+
+    @pytest.mark.parametrize("d", [1.0, 2.0, 0.5, 3.0])
+    @pytest.mark.parametrize("x", [2e19, 1e20, 1e300, 1.7e308])
+    def test_segment_index_beyond_int64(self, x, d):
+        params = SigmoidParams(d, 0.25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = sigma(x, params)
+        lo, hi = strip_bounds(x, params)
+        assert 0.0 < v < 1.0 and lo - 1e-12 <= v <= hi + 1e-12
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_x_is_refused(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=repr(bad)):
+                sigma(np.array([3.0, bad]), P)
+            with pytest.raises(ValueError, match=repr(bad)):
+                sigma(bad, P)
 
 
 def reference_M(params, n):
