@@ -74,8 +74,8 @@ DOMAIN_ERRORS = (
 
 def _table(tab, stride=1):
     return {
-        "knots": [float(t) for t in tab.knots[::stride]],
-        "values": [float(v) for v in tab.values[::stride]],
+        "knots": tab.knots[::stride].tolist(),
+        "values": tab.values[::stride].tolist(),
     }
 
 
@@ -113,11 +113,41 @@ def _print_report(args, **fields):
     report = {"schema": 1, "version": __version__,
               "command": " ".join(args._argv), **fields}
     try:
-        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+        text = _json_text(report)
     except ValueError:
         field = _non_finite_field(report)
         raise ValueError(f"{field} is not finite") from None
     print(text)
+
+
+_encode = json.JSONEncoder(allow_nan=False).encode
+
+
+def _json_text(value, indent=""):
+    """``json.dumps(value, sort_keys=True, indent=2, allow_nan=False)``, for
+    string keys.  With an indent ``json`` falls back to its pure-Python
+    encoder, so here only dicts and mixed lists are walked in Python: each
+    scalar, and each list of plain ints and floats, is written by the C
+    encoder, whose ", " separators never occur inside a number."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{_encode(k)}: {_json_text(v, inner)}"
+                 for k, v in sorted(value.items())]
+        ends = "{}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(type(v) in (float, int) for v in value):
+            items = [_encode(value)[1:-1].replace(", ", ",\n" + inner)]
+        else:
+            items = [_json_text(v, inner) for v in value]
+        ends = "[]"
+    else:
+        return _encode(value)
+    body = (",\n" + inner).join(items)
+    return f"{ends[0]}\n{inner}{body}\n{indent}{ends[1]}"
 
 
 def _non_finite_field(value, path=""):

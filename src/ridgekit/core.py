@@ -745,9 +745,18 @@ class RidgeSum:
 # ---------------------------------------------------------------------------
 # quadrature
 
+@functools.cache
+def _legendre_rule(n):
+    """The n-point Gauss-Legendre rule on [-1, 1], read-only: ``leggauss``
+    solves an eigenproblem, and an L2 fit asks for one n many times."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_nodes(lo, hi, n):
     """Gauss-Legendre nodes and weights on [lo, hi]."""
-    x, w = np.polynomial.legendre.leggauss(int(n))
+    x, w = _legendre_rule(int(n))
     lo, hi = float(lo), float(hi)
     return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
 

@@ -267,8 +267,10 @@ def monic_index(p):
 
 class SigmoidParams:
     def __init__(self, d, lam):
-        if not (d > 0 and lam > 0):
-            raise ValueError("need d > 0 and lambda > 0")
+        for name, value in (("d", d), ("lambda", lam)):
+            if not 0 < value < math.inf:     # NaN fails too
+                raise ValueError(
+                    f"need a finite {name} > 0, got {name} = {value!r}")
         self.d = float(d)
         self.lam = float(lam)
         self.lam_eff = min(0.5, float(lam))
@@ -543,8 +545,11 @@ def eval_network(net, x):
     """Network value; exploits x - t1 lying on main segment n and x - t2
     on the constant segment, so t1 is never formed in floating point."""
     x = np.asarray(x, dtype=float)
-    if np.any(x < net.a - 1e-9) or np.any(x > net.b + 1e-9):
-        raise ValueError("x outside [a, b]")
+    # written so that a NaN x fails it, as an infinite one does
+    inside = (x >= net.a - 1e-9) & (x <= net.b + 1e-9)
+    if not inside.all():
+        raise ValueError(
+            f"x outside [a, b] or not finite: x = {float(x[~inside][0])!r}")
     d = net.b - net.a
     t = (x - net.a) / d
     seg = net.a_n + net.b_n * net.poly(t)

@@ -1,14 +1,21 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ridgekit
-from ridgekit.cli import _build_parser, main
+from ridgekit.cli import _build_parser, _json_text, _print_report, main
 from ridgekit.sigmoid import SigmoidParams, sigma
 
 
@@ -298,6 +305,15 @@ class TestSigmoidCommands:
                         "--x", x)
         assert code == 0
         assert 0.0 < json.loads(out)["results"]["sigma"] < 1.0
+
+    @pytest.mark.parametrize("flag,name", [("--d", "d"),
+                                           ("--lambda", "lambda")])
+    def test_eval_refuses_an_infinite_parameter(self, capsys, flag, name):
+        opts = {"--d": "1", "--lambda": "0.25", flag: "inf"}
+        code, out = run(capsys, "sigmoid", "eval", *sum(opts.items(), ()),
+                        "--x", "3")
+        assert code == 1
+        assert f"finite {name} > 0" in json.loads(out)["error"]["message"]
 
     def test_eval_refuses_nan(self, capsys):
         code, out = run(capsys, "sigmoid", "eval", "--d", "1", "--lambda",
@@ -640,3 +656,64 @@ def test_warning_raised_as_an_error_is_a_domain_error(tmp_path):
     report = json.loads(proc.stdout)
     assert report["error"]["type"] == "RuntimeWarning"
     assert "divide by zero" in report["error"]["message"]
+
+
+# the report writer: what ``json.dumps(..., sort_keys=True, indent=2,
+# allow_nan=False)`` prints, for every kind of value a report can hold
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NUMBERS = st.one_of(st.integers(), st.integers(2**64, 2**256),
+                    st.integers(-2**256, -2**64), FINITE)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), NUMBERS, FINITE.map(np.float64), st.text(),
+    st.sampled_from([", ", "a, b", "[1, 2]", "é, ü", "\u2603, \n"]))
+REPORT_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        st.lists(NUMBERS, max_size=6),
+        st.lists(st.one_of(NUMBERS, st.booleans(), st.text(max_size=3)),
+                 max_size=6)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(REPORT_VALUES)
+def test_report_writer_prints_what_json_dumps_prints(value):
+    want = json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+    assert _json_text(value) == want
+
+
+@st.composite
+def report_with_a_non_finite_field(draw):
+    """(value, dotted path): a value holding one NaN or infinity, nested in
+    dicts and lists of finite siblings, and the path that names it."""
+    value = draw(st.sampled_from([math.nan, math.inf, -math.inf,
+                                  np.float64("nan"), np.float64("-inf")]))
+    steps = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            key = draw(st.text("abc", min_size=1, max_size=3))
+            siblings = draw(st.dictionaries(st.text("xyz", min_size=1),
+                                            REPORT_VALUES, max_size=3))
+            value = {**siblings, key: value}
+            steps.append(f".{key}")
+        else:
+            before = draw(st.lists(NUMBERS, max_size=3))
+            after = draw(st.lists(SCALARS, max_size=3))
+            value = before + [value] + after
+            steps.append(f"[{len(before)}]")
+    return value, "results" + "".join(reversed(steps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(report_with_a_non_finite_field())
+def test_report_writer_names_a_non_finite_field(case):
+    value, path = case
+    args = argparse.Namespace(_argv=["ridgekit", "test"])
+    out = io.StringIO()
+    with pytest.raises(ValueError, match=f"^{re.escape(path)} is not finite$"):
+        with contextlib.redirect_stdout(out):
+            _print_report(args, results=value)
+    assert out.getvalue() == ""

@@ -11,10 +11,12 @@ from ridgekit.core import (
     PointConfig,
     RidgeSum,
     UnivariateTable,
+    _legendre_rule,
     _read_number,
     centred_differences,
     double_differences,
     gauss_grid,
+    gauss_nodes,
     grid_minimax_oracle,
     max_cycle_mean,
     parse_expression,
@@ -216,6 +218,30 @@ class TestQuadratureAndOracle:
         assert float(np.sum(w * mesh[1])) == pytest.approx(2.0, abs=1e-14)
         mesh, w = gauss_grid([], 4)
         assert mesh == [] and w.shape == () and float(w) == 1.0
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, np.int64(24), 129])
+    @pytest.mark.parametrize("lo,hi", [(-1.0, 1.0), (0.0, 1.0), (-2.5, 0.3),
+                                       (1e-3, 1e3), (2, 7)])
+    def test_gauss_nodes_match_the_uncached_formula(self, n, lo, hi):
+        x, w = np.polynomial.legendre.leggauss(int(n))
+        lo, hi = float(lo), float(hi)
+        want = 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
+        for _ in range(2):                 # the first call fills the cache
+            got = gauss_nodes(lo, hi, n)
+            assert [g.tobytes() for g in got] == [v.tobytes() for v in want]
+
+    def test_gauss_nodes_hand_out_fresh_arrays(self):
+        want = [v.copy() for v in gauss_nodes(-1.0, 1.0, 6)]
+        for v in gauss_nodes(-1.0, 1.0, 6):
+            v[:] = 7.0
+        assert [v.tobytes() for v in gauss_nodes(-1.0, 1.0, 6)] == \
+            [v.tobytes() for v in want]
+
+    def test_cached_rule_is_read_only(self):
+        x, w = _legendre_rule(6)
+        assert not x.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 0.0
 
     def test_minimax_oracle_on_separable_function(self):
         # xy on the unit-square grid: best error by sums g(x)+h(y) is 1/4

@@ -304,6 +304,25 @@ class TestSigmaDomain:
             with pytest.raises(ValueError, match=repr(bad)):
                 sigma(bad, P)
 
+    @pytest.mark.parametrize("d,lam,name", [
+        (float("inf"), 0.25, "d"), (1.0, float("inf"), "lambda"),
+        (float("nan"), 0.25, "d"), (1.0, float("nan"), "lambda"),
+        (0.0, 0.25, "d"), (1.0, -0.1, "lambda")])
+    def test_parameters_must_be_finite_and_positive(self, d, lam, name):
+        with pytest.raises(ValueError, match=f"finite {name} > 0"):
+            SigmoidParams(d, lam)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_eval_network_refuses_a_non_finite_x(self, bad):
+        net, _ = fit_two_neuron(parse_expression("x1^2", 1), 0.0, 1.0, 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=repr(bad)):
+                eval_network(net, bad)
+            with pytest.raises(ValueError, match=repr(bad)):
+                eval_network(net, np.array([0.5, bad]))
+
 
 def reference_M(params, n):
     """h((2n+1) d) as computed before, forming 2 * n."""
