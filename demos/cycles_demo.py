@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from ridgekit import (
     DirectionSet,
+    Fibers,
     PointConfig,
     has_cycle,
     minimal_cycles,
@@ -31,17 +32,21 @@ def main() -> None:
 
     print("minimal cycles in a 3x2 grid:")
     grid = PointConfig(2, [(x, y) for x in range(3) for y in range(2)])
-    for cyc in minimal_cycles(grid, coords):
+    certs, exhausted = minimal_cycles(grid, coords)
+    for cyc in certs:
         print("  ", cyc)
+    print("search exhausted:", exhausted)
 
     # A staircase set is cycle-free, so any data can be matched exactly by
-    # a sum g1(x) + g2(y).
-    stairs = PointConfig(2, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)])
-    found, _ = has_cycle(stairs, coords)
+    # a sum g1(x) + g2(y).  Its fibers are computed once and serve both
+    # questions.
+    stairs = Fibers(PointConfig(2, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)]),
+                    coords)
+    found, _ = has_cycle(stairs)
     print("staircase has a cycle:", found)
 
     values = [Fraction(v) for v in (3, 5, 2, 7, 4)]
-    tables, free = solve_representation(stairs, list(coords), values)
+    tables, free = solve_representation(stairs, f_values=values)
     print("summand tables (fiber value -> summand value):")
     for i, tab in enumerate(tables):
         printable = {str(k): str(v) for k, v in sorted(tab.items())}

@@ -33,6 +33,7 @@ from .core import (
 from .cycles import (
     CycleCertificate,
     CycleExists,
+    Fibers,
     closed_path_search,
     cycle_functional,
     has_cycle,
@@ -106,7 +107,7 @@ __all__ = [
     "DirectionSet", "PointConfig", "RidgeSum", "ScalarField",
     "UnivariateTable", "grid_minimax_oracle", "max_cycle_mean",
     "parse_expression", "parse_vector", "rational",
-    "CycleCertificate", "CycleExists", "closed_path_search",
+    "CycleCertificate", "CycleExists", "Fibers", "closed_path_search",
     "cycle_functional", "has_cycle", "minimal_cycles", "orbits",
     "solve_representation", "tau_closure",
     "ExtremalPair", "HypothesisViolated", "ParallelogramDomain",

@@ -28,6 +28,7 @@ from .core import (
 )
 from .cycles import (
     CycleExists,
+    Fibers,
     closed_path_search,
     has_cycle,
     minimal_cycles,
@@ -184,7 +185,8 @@ def _cmd_cycles_check(args, t0):
     rows = _read_rows(args, args.points)
     points = PointConfig(len(rows[0]), rows)
     h = list(DirectionSet(points.dim, _read_rows(args, args.directions)))
-    found, cert = has_cycle(points, h)
+    fib = Fibers(points, h)
+    found, cert = has_cycle(fib)
     results = {"has_cycle": found, "certificates": []}
     if cert is not None:
         results["certificates"].append({
@@ -192,22 +194,22 @@ def _cmd_cycles_check(args, t0):
             "weights": cert.weights,
         })
     if args.minimal:
-        certs, exhausted = minimal_cycles(points, h, cap=args.cap)
+        certs, exhausted = minimal_cycles(fib, cap=args.cap)
         results["certificates"] = [
             {"support": c.support, "weights": c.weights} for c in certs
         ]
         results["minimal_exhausted"] = exhausted
     if args.tau:
-        trace, fixed = tau_closure(points, h)
+        trace, fixed = tau_closure(fib)
         results["tau_trace"] = trace
         results["tau_fixed_point"] = fixed
         if len(h) == 2:
-            results["orbits"] = orbits(points, h[0], h[1])
-            path = closed_path_search(points, h[0], h[1])
-            results["closed_path"] = path
+            results["orbits"] = orbits(fib)
+            results["closed_path"] = closed_path_search(fib)
     if args.solve:
         fvals = [row[0] for row in _read_rows(args, args.solve)]
-        tables, free = solve_representation(points, h, fvals, anchor=args.anchor)
+        tables, free = solve_representation(fib, f_values=fvals,
+                                            anchor=args.anchor)
         results["representation"] = {
             "free_unknowns": free,
             "tables": [

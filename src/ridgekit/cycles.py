@@ -6,6 +6,10 @@ so that, for every i, the weights sum to zero on each level set (fiber) of
 h_i.  Cycles are exactly the obstruction to writing data on the points as a
 sum g_1(h_1(x)) + ... + g_r(h_r(x)).  All fiber comparisons are exact over
 the rationals.
+
+Every question here is answered from the fibers of the points under h_i:
+``Fibers(points, h)`` computes them once, and each function below takes one
+in place of ``(points, h)``, or builds one from the pair.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 import numpy as np
@@ -51,12 +55,6 @@ class CycleCertificate:
         return f"CycleCertificate(support={self.support}, weights={self.weights})"
 
 
-def _point_list(points):
-    """A PointConfig as it is, so that its integer coordinates are read
-    where they were built; any other iterable of points as a list."""
-    return points if isinstance(points, PointConfig) else list(points)
-
-
 def _key_table(points, h):
     """Fiber values as integers, every one computed once.
 
@@ -92,21 +90,42 @@ def _group(keys, idx):
     return fib
 
 
-def _incidence_rows(table, idx):
-    """Rows of the fiber incidence system restricted to the indices ``idx``.
+class Fibers:
+    """The fibers of finite points under h_1..h_r, computed once.
 
-    Row (i, fiber value) has entry 1 in the column of each member point; a
-    weight vector lies in the nullspace iff it sums to zero on every fiber
-    of every h_i.
+    ``points`` is the PointConfig as given, or the points as a list;
+    ``keys`` and ``scales`` are their ``_key_table``; ``fibers[i]`` maps each
+    value in ``keys[i]`` to its point indices, in order of first appearance.
+    """
+
+    def __init__(self, points, h):
+        self.points = (points if isinstance(points, PointConfig)
+                       else list(points))
+        self.keys, self.scales = _key_table(self.points, h)
+        self.fibers = [_group(k, range(len(self.points))) for k in self.keys]
+
+
+def _fibers(points, h):
+    """``points`` if it is a Fibers already, else the Fibers of (points, h)."""
+    if not isinstance(points, Fibers):
+        return Fibers(points, h)
+    if h is not None:
+        raise TypeError("a Fibers holds its own directions; pass no h")
+    return points
+
+
+def _incidence_rows(fibers, idx):
+    """Rows of the fiber incidence system on the point indices ``idx``: one
+    per fiber (its members, all in ``idx``), 1 in each member's column.  A
+    weight vector lies in the nullspace iff it sums to zero on every fiber.
     """
     col = {j: c for c, j in enumerate(idx)}
     rows = []
-    for keys in table:
-        for members in _group(keys, idx).values():
-            row = [0] * len(idx)
-            for j in members:
-                row[col[j]] = 1
-            rows.append(row)
+    for members in fibers:
+        row = [0] * len(idx)
+        for j in members:
+            row[col[j]] = 1
+        rows.append(row)
     return rows
 
 
@@ -138,21 +157,12 @@ def rational_nullspace(rows, ncols):
 
 def integerize(vec):
     """Clear denominators and divide by the gcd; sign: first nonzero > 0."""
-    den = 1
-    for v in vec:
-        den = den * v.denominator // gcd(den, v.denominator)
+    den = lcm(*[v.denominator for v in vec])
     ints = [int(v * den) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-u for u in ints]
-            break
-    return ints
+    g = gcd(*ints) or 1
+    if next((v for v in ints if v), 0) < 0:
+        g = -g
+    return [v // g for v in ints]
 
 
 @functools.lru_cache(maxsize=None)
@@ -194,36 +204,25 @@ def _canonical_cycle_vector(basis):
     return [int(v) for v in vecs[0]]
 
 
-def has_cycle(points, h):
+def has_cycle(points, h=None):
     """Decide whether the configuration carries a cycle.
 
     Returns (False, None) or (True, CycleCertificate) built from a
     canonical nullspace vector of the fiber incidence system.
     """
-    pts = _point_list(points)
-    return _find_cycle(pts, _key_table(pts, h)[0])
-
-
-def _find_cycle(pts, table):
-    """``has_cycle`` on the key table of ``pts``."""
-    n = len(pts)
-    basis = rational_nullspace(_incidence_rows(table, range(n)), n)
+    fib = _fibers(points, h)
+    n = len(fib.points)
+    members = [m for fibers in fib.fibers for m in fibers.values()]
+    basis = rational_nullspace(_incidence_rows(members, range(n)), n)
     if not basis:
         return False, None
     vec = _canonical_cycle_vector(basis)
     support = [j for j, w in enumerate(vec) if w != 0]
     weights = [w for w in vec if w != 0]
-    return True, CycleCertificate(support, weights, pts)
+    return True, CycleCertificate(support, weights, fib.points)
 
 
-def _subset_is_taut(table, subset):
-    """Necessary condition for a full-support cycle: no point of the subset
-    sits alone in any of its fibers (else its weight is forced to zero)."""
-    return all(len(members) > 1 for keys in table
-               for members in _group(keys, subset).values())
-
-
-def minimal_cycles(points, h, cap=10):
+def minimal_cycles(points, h=None, cap=10):
     """All support-minimal cycles with support size <= cap.
 
     Breadth-first over support sizes; a subset is skipped when some point
@@ -235,9 +234,8 @@ def minimal_cycles(points, h, cap=10):
     Returns (certificates, exhausted); ``exhausted`` is False when the cap
     cut the enumeration before all subsets were inspected.
     """
-    pts = _point_list(points)
-    table, _ = _key_table(pts, h)
-    n = len(pts)
+    fib = _fibers(points, h)
+    n = len(fib.points)
     found = []
     supports = []
     exhausted = cap >= n
@@ -245,16 +243,18 @@ def minimal_cycles(points, h, cap=10):
         for subset in itertools.combinations(range(n), size):
             if any(s <= set(subset) for s in supports):
                 continue
-            if not _subset_is_taut(table, subset):
+            members = [m for keys in fib.keys
+                       for m in _group(keys, subset).values()]
+            if any(len(m) == 1 for m in members):
                 continue
-            basis = rational_nullspace(_incidence_rows(table, subset), size)
+            basis = rational_nullspace(_incidence_rows(members, subset), size)
             if not basis:
                 continue
             vec = basis[0]
             if any(w == 0 for w in vec):
                 continue  # support smaller than subset; found at its own size
             supports.append(set(subset))
-            found.append(CycleCertificate(list(subset), vec, pts))
+            found.append(CycleCertificate(list(subset), vec, fib.points))
     found.sort(key=lambda c: c.support)
     return found, exhausted
 
@@ -274,7 +274,7 @@ def cycle_functional(cert, f, points=None):
     return total
 
 
-def tau_closure(points, directions):
+def tau_closure(points, directions=None):
     """Iterate Z -> intersection over i of {x in Z : x's i-fiber within Z
     has >= 2 members} until a fixed point (or the empty set).
 
@@ -286,13 +286,12 @@ def tau_closure(points, directions):
     (1/2,1/2,1/2) is its own fixed point, yet its fiber incidence matrix
     has full column rank, so it carries no cycle (acceptance criterion 06).
     """
-    pts = _point_list(points)
-    table, _ = _key_table(pts, directions)
-    current = set(range(len(pts)))
+    fib = _fibers(points, directions)
+    current = set(range(len(fib.points)))
     trace = [sorted(current)]
     while current:
         nxt = set(current)
-        for keys in table:
+        for keys in fib.keys:
             nxt &= {j for members in _group(keys, current).values()
                     if len(members) >= 2 for j in members}
         if nxt == current:
@@ -305,7 +304,7 @@ def tau_closure(points, directions):
 # ---------------------------------------------------------------------------
 # paths and orbits (two directions)
 
-def closed_path_search(points, a1, a2):
+def closed_path_search(points, a1=None, a2=None):
     """Find a closed path: distinct points p_1..p_{2n} alternating along
     level lines of a1 and a2 (wrapping around).  Returns the list of point
     indices or None.
@@ -313,16 +312,15 @@ def closed_path_search(points, a1, a2):
     Points are edges of the bipartite multigraph whose sides are the
     a1-fibers and a2-fibers; closed paths correspond to cycles there.
     """
-    pts = _point_list(points)
-    (k1, k2), _ = _key_table(pts, (a1, a2))
+    k1, k2 = _fibers(points, None if a1 is a2 is None else (a1, a2)).keys
     adj = {}  # fiber node (side, value) -> [(neighbour node, point index)]
-    for j in range(len(pts)):
+    for j in range(len(k1)):
         u, v = (1, k1[j]), (2, k2[j])
         adj.setdefault(u, []).append((v, j))
         adj.setdefault(v, []).append((u, j))
     # DFS over fiber nodes; a back edge closes a cycle whose edges are the
-    # sought points (distinct edges <=> distinct points, since two distinct
-    # points cannot share both fibers of independent directions)
+    # sought points, one edge per point.  Two points on the same two fibers
+    # (possible off the plane) are parallel edges: a closed path of two.
     visited = set()
     for start in adj:
         if start in visited:
@@ -358,11 +356,12 @@ def closed_path_search(points, a1, a2):
     return None
 
 
-def orbits(points, a1, a2):
+def orbits(points, a1=None, a2=None):
     """Partition point indices into orbits: equivalence classes of the
-    relation generated by sharing an a1-fiber or an a2-fiber (union-find)."""
-    pts = _point_list(points)
-    parent = list(range(len(pts)))
+    relation generated by sharing a fiber of a1 or a2, or of any direction
+    of a Fibers given in their place (union-find)."""
+    fib = _fibers(points, None if a1 is a2 is None else (a1, a2))
+    parent = list(range(len(fib.points)))
 
     def find(x):
         while parent[x] != x:
@@ -370,12 +369,12 @@ def orbits(points, a1, a2):
             x = parent[x]
         return x
 
-    for keys in _key_table(pts, (a1, a2))[0]:
-        for members in _group(keys, range(len(pts))).values():
+    for fibers in fib.fibers:
+        for members in fibers.values():
             for j in members[1:]:
                 parent[find(j)] = find(members[0])
     groups = {}
-    for j in range(len(pts)):
+    for j in range(len(parent)):
         groups.setdefault(find(j), []).append(j)
     return sorted(groups.values())
 
@@ -383,7 +382,7 @@ def orbits(points, a1, a2):
 # ---------------------------------------------------------------------------
 # representation solver
 
-def solve_representation(points, h, f_values, anchor=0):
+def solve_representation(points, h=None, f_values=None, anchor=0):
     """Solve sum_i g_i(h_i(x_j)) = f(x_j) exactly on the configuration.
 
     Anchoring: g_i(h_i(x_anchor)) = 0 for i = 1..r-1 (the last function
@@ -394,47 +393,43 @@ def solve_representation(points, h, f_values, anchor=0):
     are reported.
 
     Returns (tables, free_count) where tables[i] is a dict fiber-value ->
-    Fraction.
+    Fraction.  With a Fibers, pass ``f_values`` by keyword.
     """
-    pts = _point_list(points)
-    n = len(pts)
+    fib = _fibers(points, h)
+    n = len(fib.points)
     if not 0 <= anchor < n:
         raise ValueError(f"anchor {anchor} is not a point index 0..{n - 1}")
-    r = len(h)
     # the values as integers over one denominator, which scales every
     # unknown by the same factor
     (vals,), vden = _integer_coordinates([f_values])
     if len(vals) != n:
         raise ValueError("need one f value per point")
-    table, scales = _key_table(pts, h)
-
-    # unknown columns: one per (i, fiber value); the last column is f
-    col_of = {}
-    for i, keys in enumerate(table):
-        for v in keys:
-            col_of.setdefault((i, v), len(col_of))
+    # unknown columns: one per fiber (i, value), in the order of
+    # ``fib.fibers``; the last column is f
+    cols = [(i, v) for i, fibers in enumerate(fib.fibers) for v in fibers]
+    col_of = {iv: c for c, iv in enumerate(cols)}
     m = len(col_of)
     rows = []
     for j in range(n):
         row = [0] * (m + 1)
-        for i, keys in enumerate(table):
+        for i, keys in enumerate(fib.keys):
             row[col_of[(i, keys[j])]] += 1
         row[m] = vals[j]
         rows.append(row)
-    for i in range(r - 1):
+    for i in range(len(fib.keys) - 1):
         row = [0] * (m + 1)
-        row[col_of[(i, table[i][anchor])]] = 1
+        row[col_of[(i, fib.keys[i][anchor])]] = 1
         rows.append(row)
 
     # the anchor rows are independent of the point rows, so a row left
     # without a pivot is a dependency among the points: a cycle
     reduced, pivots, last, _ = bareiss(rows, m)
     if len(pivots) < len(rows):
-        raise CycleExists(_find_cycle(pts, table)[1])
+        raise CycleExists(has_cycle(fib)[1])
     # free unknowns -> 0, so each pivot row's last entry over the last
     # pivot is its unknown
-    tables = [dict() for _ in range(r)]
+    tables = [{} for _ in fib.keys]
     for (i, key), col in col_of.items():
         value = reduced[pivots[col]][m] if col in pivots else 0
-        tables[i][Fraction(key, scales[i])] = Fraction(value, last * vden)
+        tables[i][Fraction(key, fib.scales[i])] = Fraction(value, last * vden)
     return tables, m - len(pivots)

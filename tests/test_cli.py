@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ridgekit
+from ridgekit import cycles
 from ridgekit.cli import _build_parser, _json_text, _print_report, main
 from ridgekit.sigmoid import SigmoidParams, sigma
 
@@ -132,6 +133,32 @@ class TestDispatch:
         report = json.loads(out)
         assert report["error"]["type"] == "FileNotFoundError"
         assert "missing.csv" in report["error"]["message"]
+
+    def test_check_computes_the_fibers_once(self, capsys, xy_dirs_csv,
+                                            tmp_path, monkeypatch):
+        # every question of one check is answered from one fiber structure
+        calls = []
+        key_table = cycles._key_table
+
+        def counted(points, h):
+            calls.append(len(h))
+            return key_table(points, h)
+
+        monkeypatch.setattr(cycles, "_key_table", counted)
+        pts = tmp_path / "stairs.csv"
+        pts.write_text("0, 0\n0, 1\n1, 1\n1, 2\n2, 2\n")
+        fv = tmp_path / "f.csv"
+        fv.write_text("3\n5\n2\n7\n4\n")
+        code, out = run(capsys, "cycles", "check", "--points", str(pts),
+                        "--directions", xy_dirs_csv, "--minimal", "--tau",
+                        "--solve", str(fv))
+        assert code == 0, out
+        assert calls == [2]
+        results = json.loads(out)["results"]
+        assert results["has_cycle"] is False
+        assert results["closed_path"] is None
+        assert results["orbits"] == [[0, 1, 2, 3, 4]]
+        assert results["representation"]["free_unknowns"] == 0
 
     def test_deterministic_modulo_timing(self, capsys, square_csv,
                                          xy_dirs_csv):

@@ -198,6 +198,15 @@ class TestTauAndPaths:
         obs = orbits(pts, X, Y)
         assert obs == [[0, 1], [2, 3]]
 
+    def test_two_points_on_the_same_two_fibers_close_a_path(self):
+        # off the plane two points can share the fibers of both directions:
+        # parallel edges of the fiber graph, a closed path of two points
+        pts = [(0, 0, 0), (0, 0, 1), (1, 0, 0)]
+        dirs = [(1, 0, 0), (0, 1, 0)]
+        assert closed_path_search(pts, *dirs) == [0, 1]
+        found, cert = has_cycle(pts, dirs)
+        assert found and cert_data(cert) == ([0, 1], [1, -1])
+
 
 # integer sets of up to 10 points in 2-D and 3-D along 1 to 3 directions,
 # parallel and repeated ones included
@@ -314,12 +323,29 @@ class TestRationalFibers:
         dirs = RATIONAL_DIRS[:2 + seed % 2]
         pts = rng.sample(RATIONAL_GRID, rng.randint(7, 10) + 4 * (seed % 2))
 
+        fvals = [Fraction(k * k - 3, 7) for k in range(len(pts))]
+
+        def ask(args, two):
+            """Every answer, from ``args`` = (points, h) or (Fibers,) and
+            ``two`` = (points, a1, a2) or (Fibers,)."""
+            found, cert = has_cycle(*args)
+            certs, exhausted = minimal_cycles(*args, cap=6)
+            try:
+                solved = solve_representation(*args, f_values=fvals)
+            except CycleExists as exc:
+                solved = cert_data(exc.certificate)
+            out = (found, cert_data(cert),
+                   [cert_data(c) for c in certs], exhausted,
+                   tau_closure(*args), solved)
+            if len(dirs) == 2:
+                out += (orbits(*two), closed_path_search(*two))
+            return out
+
         def answers():
-            found, cert = has_cycle(pts, dirs)
-            certs, exhausted = minimal_cycles(pts, dirs, cap=6)
-            return (found, cert_data(cert),
-                    [cert_data(c) for c in certs], exhausted,
-                    tau_closure(pts, dirs))
+            got = ask((pts, dirs), (pts, *dirs))
+            fib = cycles.Fibers(pts, dirs)
+            assert ask((fib,), (fib,)) == got
+            return got
 
         got = answers()
         monkeypatch.setattr(cycles, "_key_table", dot_key_table)
@@ -336,6 +362,17 @@ class TestRationalFibers:
         monkeypatch.setattr(cycles, "_key_table", dot_key_table)
         assert (tables, free) == solve_representation(
             stairs, RATIONAL_DIRS, fvals)
+
+    def test_a_fibers_takes_no_second_set_of_directions(self):
+        fib = cycles.Fibers(SQUARE, [X, Y])
+        for call in (lambda: has_cycle(fib, [X, Y]),
+                     lambda: minimal_cycles(fib, [X, Y]),
+                     lambda: tau_closure(fib, [X, Y]),
+                     lambda: orbits(fib, X, Y),
+                     lambda: closed_path_search(fib, None, Y),
+                     lambda: solve_representation(fib, [0, 0, 0, 1])):
+            with pytest.raises(TypeError, match="holds its own directions"):
+                call()
 
     def test_float_coordinates_are_read_exactly(self):
         # 1e16 + 1.0 rounds to 1e16 in floats, which would put both points
