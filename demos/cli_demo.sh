@@ -75,6 +75,10 @@ EOF
 ridgekit smooth decompose \
   --expr "sin(x1) + x2^3 + exp(0.5*(x1+x2))" \
   --dirs "$work/dirs3.csv" --box -1 1 -1 1 --crosscheck
+# log(x1) is undefined left of this box: every sample stays inside it
+ridgekit smooth decompose \
+  --expr "log(x1) + x2^3 + exp(0.5*(x1+x2))" \
+  --dirs "$work/dirs3.csv" --box 0.25 1.25 0.25 1.25 --crosscheck
 
 # --- sigmoid: pointwise values, a table, and a network fit ---
 ridgekit sigmoid eval --d 2 --lambda 0.25 --x 0 2 6 19.6

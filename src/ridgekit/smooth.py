@@ -5,17 +5,22 @@ directions and f is C^s with s >= n-2, smooth generators g_i can be built
 explicitly, and this module builds them numerically in the coordinates of
 the box.  With l_k the unit perpendicular of a_k, a derivative along the
 l_k for k in a set K kills the terms of K and takes each other term
-g_i(a_i . x) to (prod_{k in K} a_i . l_k) g_i^(|K|)(a_i . x), so a chain of
-such derivatives (order n-2) isolates the last two terms, and anchored
-antiderivatives then peel the terms off one at a time.  The mixed
-derivatives are exact Taylor jets of the expression (``core.jet``) when f
-is a parsed expression, and nested 4th-order central differences when it
-is a plain callable.  Each link of a chain is a Chebyshev series in its
-generator's own argument a_i . x, interpolating its samples on a line
-through the centre of the box over the range that argument takes on the
-box, and its antiderivatives are exact.  Each antiderivative vanishes at
-the centre value a_i . c of its argument, or at a given anchor; the
-generators are unique only up to polynomials of degree <= n-2 in any case.
+g_i(a_i . x) to (prod_{k in K} a_i . l_k) g_i^(|K|)(a_i . x).  A chain of
+n-2 such derivatives leaves the last two terms, and one derivative more,
+along the other one's perpendicular, isolates each of them, as the
+cross-check isolates every term; so the last two generators ask for
+s >= n-1, one more than the paper's s >= n-2, and n = 2 is no special
+case.  Anchored antiderivatives then peel the terms off one at a time.
+The mixed derivatives are exact Taylor jets of the expression
+(``core.jet``) when f is a parsed expression, and nested 4th-order central
+differences when it is a plain callable.  Each link of a chain is a
+Chebyshev series in its generator's own argument a_i . x, interpolating
+its samples on a diagonal of the box, along which that argument takes its
+whole range on the box, and its antiderivatives are exact; so every jet is
+taken inside the box (a stencil reaches two steps beyond its samples).
+Each antiderivative vanishes at the centre value a_i . c of its argument,
+or at a given anchor; the generators are unique only up to polynomials of
+degree <= n-2 in any case.
 """
 
 from __future__ import annotations
@@ -89,9 +94,13 @@ def _differentiator(problem, fd_step):
     f along the vectors dirs at the points (x, y).  It is an exact Taylor
     jet when f carries an expression AST, and nested central differences
     of step fd_step (by default 1e-3 times the longer side of the box) for
-    a plain callable; meta says which."""
+    a plain callable; meta says which.  A jet takes no step, so fd_step
+    with an expression is an error."""
     ast = getattr(problem.f, "ast", None)
     if ast is not None:
+        if fd_step is not None:
+            raise ValueError("fd_step applies to a plain callable only; "
+                             "f is an expression, whose derivatives are jets")
         def derivative(x, y, dirs):
             return jet(ast, (x, y), dirs)[-1]
         return derivative, {"derivatives": "jet"}
@@ -162,6 +171,17 @@ def _series(values, mid, rad):
                      domain=[mid - rad, mid + rad])
 
 
+def _isolated(derivative, frame, i, dirs):
+    """The Chebyshev series, in generator i's argument a_i . x over its
+    range on the box, of f's derivative along dirs, sampled on the
+    diagonal of the box for a_i; frame is ``_frame``'s tuple.  With dirs
+    the perpendiculars of every direction but a_i, the series is the part
+    of that derivative that belongs to g_i."""
+    A, L, centre, half, mid, rad = frame
+    x, y = _line(centre, _diagonal(A[i], half), _offsets(rad[i]))
+    return _series(derivative(x, y, dirs), mid[i], rad[i])
+
+
 def _chain(first, a, perps, mid, anchor=None):
     """The links of one generator's chain, from the generator back to first.
 
@@ -213,11 +233,11 @@ def decompose(problem, fd_step=None, anchor=None):
     a 41 x 41 grid of the box.
 
     Each generator g_i is a Chebyshev series in its own argument a_i . x,
-    over the range that argument takes on the box.  The chains of the last
-    two directions are sampled on the lines through the centre of the box
-    along which only their own argument changes, which can leave the box;
-    every other chain on a diagonal of the box.  With two directions, f
-    itself is evaluated on those two lines.  Derivatives come from
+    over the range that argument takes on the box, and every chain is
+    sampled on a diagonal of the box, for every n, n = 2 included.  The
+    last two generators are isolated as ``crosscheck_highorder`` isolates
+    each generator, with one derivative more than the paper's chain:
+    s >= n-1 for them.  Derivatives come from
     ``_differentiator``: exact jets for a parsed expression, and
     differences of step ``fd_step`` for a plain callable.  Each
     antiderivative vanishes where its generator's argument a_i . x equals
@@ -226,49 +246,32 @@ def decompose(problem, fd_step=None, anchor=None):
     degree <= n-2 only.
     """
     n = problem.n
-    A, L, centre, half, mid, rad = _frame(problem)
+    frame = A, L, centre, half, mid, rad = _frame(problem)
     derivative, meta = _differentiator(problem, fd_step)
     P = n - 2   # the last two directions are P and P + 1
-    # the lines through the centre on which only a_P . x, resp. only
-    # a_{P+1} . x, changes: it changes by s at centre + s along[i]
-    along = {P: L[P + 1] / (A[P] @ L[P + 1]),
-             P + 1: L[P] / (A[P + 1] @ L[P])}
+    perps = list(L[:P])
+    # the last two chains, each isolated as in the cross-check and
+    # integrated back once; the value of D_perps f at the centre fixes the
+    # sum of their two constants, and stays in chain P
+    at_centre = float(derivative(*centre, perps))
+    chains = {}
+    for i, j, c in ((P, P + 1, at_centre), (P + 1, P, 0.0)):
+        once = _chain(_isolated(derivative, frame, i, perps + [L[j]]),
+                      A[i], [L[j]], mid[i])[0]
+        chains[i] = _chain(once + c, A[i], perps, mid[i], anchor)
 
-    if n == 2:
-        f = problem.f
-        base = {0: 0.0, 1: float(f(*centre))}
-
-        def on_line(t, i):
-            s = np.asarray(t, dtype=float) - mid[i]
-            return np.asarray(f(*_line(centre, along[i], s))) - base[i]
-
-        comps = [functools.partial(on_line, i=i) for i in (0, 1)]
-    else:
-        perps = list(L[:P])
-        # the last two chains, from one sampling of their two lines and
-        # the centre, whose value both lines carry: it stays in chain P
-        xy = np.concatenate(
-            [np.stack(_line(centre, along[i], _offsets(rad[i])))
-             for i in (P, P + 1)] + [centre[:, None]], axis=1)
-        vals = derivative(*xy, perps)
-        m = CHEB_DEG + 1
-        chains = {i: _chain(_series(v, mid[i], rad[i]), A[i], perps, mid[i],
-                            anchor)
-                  for i, v in ((P, vals[:m]), (P + 1, vals[m:-1] - vals[-1]))}
-
-        # every other chain, in index order, sampled on the diagonal of
-        # the box along which its argument takes its whole range, so that
-        # every chain it subtracts is evaluated within the box's range of
-        # its own argument
-        for p in range(P):
-            x, y = _line(centre, _diagonal(A[p], half), _offsets(rad[p]))
-            vals = derivative(x, y, perps[p + 1:])
-            k = P - 1 - p   # the order of that derivative
-            for i, links in chains.items():
-                vals = vals - links[k](A[i, 0] * x + A[i, 1] * y)
-            chains[p] = _chain(_series(vals, mid[p], rad[p]), A[p],
-                               perps[p + 1:], mid[p], anchor)
-        comps = [_chopped(chains[i][0]) for i in range(n)]
+    # every other chain, in index order, sampled on its diagonal of the
+    # box, so that every chain it subtracts is evaluated within the box's
+    # range of its own argument
+    for p in range(P):
+        x, y = _line(centre, _diagonal(A[p], half), _offsets(rad[p]))
+        vals = derivative(x, y, perps[p + 1:])
+        k = P - 1 - p   # the order of that derivative
+        for i, links in chains.items():
+            vals = vals - links[k](A[i, 0] * x + A[i, 1] * y)
+        chains[p] = _chain(_series(vals, mid[p], rad[p]), A[p],
+                           perps[p + 1:], mid[p], anchor)
+    comps = [_chopped(chains[i][0]) for i in range(n)]
 
     return _residual(problem, comps, {**meta, "anchor": anchor})
 
@@ -286,7 +289,7 @@ def crosscheck_highorder(problem):
     argument's range on the box, sampled on a diagonal of the box.
     """
     n = problem.n
-    A, L, centre, half, mid, rad = _frame(problem)
+    frame = A, L, centre, half, mid, rad = _frame(problem)
     derivative, meta = _differentiator(problem, None)
     comps = []
     for i in range(n):
@@ -296,20 +299,16 @@ def crosscheck_highorder(problem):
         sines = [A[i] @ l / np.hypot(*A[i]) for l in others]
         if abs(np.prod(sines)) < 1e-14:
             raise ValueError("degenerate perpendicular system")
-        x, y = _line(centre, _diagonal(A[i], half), _offsets(rad[i]))
-        first = _series(derivative(x, y, others), mid[i], rad[i])
+        first = _isolated(derivative, frame, i, others)
         comps.append(_chopped(_chain(first, A[i], others, mid[i])[0]))
     return _residual(problem, comps, meta, deg=n - 2)
 
 
 def tabulate(result, problem, table_n=257):
     """UnivariateTable per component over the induced argument ranges."""
-    (x0, x1), (y0, y1) = problem.box
-    corners = [(x, y) for x in (x0, x1) for y in (y0, y1)]
+    *_, mid, rad = _frame(problem)
     tables = []
-    for (a, b), g in zip(result.directions, result.components):
-        vals = [a * x + b * y for x, y in corners]
-        lo, hi = min(vals), max(vals)
-        ts = np.linspace(lo, hi, table_n)
+    for g, m, r in zip(result.components, mid, rad):
+        ts = np.linspace(m - r, m + r, table_n)
         tables.append(UnivariateTable(ts, np.asarray(g(ts), dtype=float)))
     return tables

@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
-from ridgekit.core import parse_expression
+from ridgekit import core, smooth
+from ridgekit.cli import main
+from ridgekit.core import ScalarField, parse_expression
 from ridgekit.smooth import (
     DecompProblem,
     crosscheck_highorder,
@@ -153,3 +157,61 @@ class TestJetDerivatives:
         problem = DecompProblem(expr, DIRS3, ((2.0, 3.0), (4.0, 5.5)))
         assert decompose(problem).residual <= 1e-8
         assert crosscheck_highorder(problem).residual <= 1e-8
+
+    def test_fd_step_is_refused_for_an_expression(self):
+        # a jet takes no step, so a step given with an expression would
+        # otherwise be read by nothing
+        expr = parse_expression("sin(x1) + x2^3 + exp(0.5*(x1+x2))", 2)
+        with pytest.raises(ValueError, match="fd_step"):
+            decompose(DecompProblem(expr, DIRS3, BOX), fd_step=1e-3)
+
+
+# log(x1) is undefined for x1 <= 0, left of the box [0.25, 1.25]^2
+LOG3 = "log(x1) + x2^3 + exp(0.5*(x1+x2))"
+SIX = T5_DIRS + [(2.0, -1.0)]
+
+
+class TestSamplesInTheBox:
+    def test_last_two_directions_off_the_axes(self, tmp_path, capsys):
+        # the last two directions, (0, 1) and (1, 1), are not the axes, so
+        # lines along which only one of their arguments changes leave the
+        # box; their diagonals do not
+        box = ((0.25, 1.25), (0.25, 1.25))
+        problem = DecompProblem(parse_expression(LOG3, 2), DIRS3, box)
+        assert decompose(problem).residual <= 1e-8
+        dirs = tmp_path / "dirs3.csv"
+        dirs.write_text("1,0\n0,1\n1,1\n")
+        code = main(["smooth", "decompose", "--expr", LOG3,
+                     "--dirs", str(dirs), "--box", "0.25", "1.25", "0.25",
+                     "1.25", "--crosscheck"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0, report
+        assert report["results"]["residual"] <= 1e-8
+        assert report["results"]["convergence_study"]["residual"] <= 1e-8
+
+    @pytest.mark.parametrize(
+        "dirs", [SIX[:k] for k in range(2, 7)] + [SIX[-k:] for k in range(2, 6)],
+        ids=[f"first{k}" for k in range(2, 7)]
+        + [f"last{k}" for k in range(2, 6)])
+    def test_f_and_its_jets_are_taken_in_the_box(self, dirs, monkeypatch):
+        expr = parse_expression(T5, 2)
+        points = []
+
+        def record(xs):
+            points.append(np.stack(np.broadcast_arrays(*xs)).reshape(2, -1))
+
+        def recording_fn(x, y):
+            record((x, y))
+            return expr(x, y)
+
+        def recording_jet(ast, xs, jet_dirs):
+            record(xs)
+            return core.jet(ast, xs, jet_dirs)
+
+        monkeypatch.setattr(smooth, "jet", recording_jet)
+        problem = DecompProblem(ScalarField(2, recording_fn, ast=expr.ast),
+                                dirs, BOX)
+        decompose(problem)
+        crosscheck_highorder(problem)
+        assert points
+        assert float(np.max(np.abs(np.concatenate(points, axis=1)))) <= 1.0
