@@ -479,8 +479,14 @@ class ScalarField:
 
     @classmethod
     def from_expression(cls, text, dim):
-        ast = _Parser(text, dim).parse()
-        if _has_var(ast):
+        try:
+            ast = _Parser(text, dim).parse()
+            variable = _has_var(ast)
+        except RecursionError:
+            # _has_var spends two frames or more on each level of the tree,
+            # _eval_ast and jet one, so a tree it walks they can walk too
+            raise ExprError("expression nested too deeply", 0) from None
+        if variable:
             return cls(dim, lambda *xs: _eval_ast(ast, xs), ast=ast)
 
         def constant(*xs):
@@ -720,9 +726,15 @@ class UnivariateTable:
 
 
 class RidgeSum:
-    """A sum of ridge terms g_i(a_i . x)."""
+    """A sum of ridge terms g_i(a_i . x), or, with one weight function w_i
+    of x per term, of w_i(x) g_i(a_i . x).
 
-    def __init__(self, terms, dim=None):
+    Every approximation the library returns is a RidgeSum:
+    ``uniform.ExtremalPair``, ``smooth.DecompResult`` and ``l2.L2Solution``.
+    ``terms`` holds each direction exactly, as Fractions, with its g_i; the
+    directions are read as floats once, here."""
+
+    def __init__(self, terms, dim=None, weights=None):
         self.terms = []
         for a, g in terms:
             v = tuple(rational(c) for c in a)
@@ -730,15 +742,19 @@ class RidgeSum:
                 raise ValueError("zero direction in ridge term")
             self.terms.append((v, g))
         self.dim = dim if dim is not None else len(self.terms[0][0])
+        self.weights = weights
+        self._float_terms = [([float(c) for c in a], g) for a, g in self.terms]
 
     def __call__(self, *xs):
         if len(xs) == 1 and self.dim != 1:
             xs = tuple(xs[0])
-        xs = [np.asarray(float(x) if isinstance(x, Fraction) else x) for x in xs]
+        xs = [np.asarray(x, dtype=float) for x in xs]
         total = 0.0
-        for a, g in self.terms:
-            arg = sum(float(ai) * xi for ai, xi in zip(a, xs))
-            total = total + g(arg)
+        for j, (a, g) in enumerate(self._float_terms):
+            term = g(sum(ai * xi for ai, xi in zip(a, xs)))
+            if self.weights is not None:
+                term = np.asarray(self.weights[j](*xs)) * term
+            total = total + term
         return total
 
 

@@ -96,6 +96,9 @@ class Fibers:
     ``points`` is the PointConfig as given, or the points as a list;
     ``keys`` and ``scales`` are their ``_key_table``; ``fibers[i]`` maps each
     value in ``keys[i]`` to its point indices, in order of first appearance.
+    The fibers are numbered once: fiber c is ``columns[c]`` = (i, value),
+    h_1's first, each h_i's in the order of ``fibers[i]``, and its points
+    are ``members[c]``.
     """
 
     def __init__(self, points, h):
@@ -103,6 +106,9 @@ class Fibers:
                        else list(points))
         self.keys, self.scales = _key_table(self.points, h)
         self.fibers = [_group(k, range(len(self.points))) for k in self.keys]
+        self.columns = [(i, v) for i, fibers in enumerate(self.fibers)
+                        for v in fibers]
+        self.members = [m for fibers in self.fibers for m in fibers.values()]
 
 
 def _fibers(points, h):
@@ -212,8 +218,7 @@ def has_cycle(points, h=None):
     """
     fib = _fibers(points, h)
     n = len(fib.points)
-    members = [m for fibers in fib.fibers for m in fibers.values()]
-    basis = rational_nullspace(_incidence_rows(members, range(n)), n)
+    basis = rational_nullspace(_incidence_rows(fib.members, range(n)), n)
     if not basis:
         return False, None
     vec = _canonical_cycle_vector(basis)
@@ -404,22 +409,17 @@ def solve_representation(points, h=None, f_values=None, anchor=0):
     (vals,), vden = _integer_coordinates([f_values])
     if len(vals) != n:
         raise ValueError("need one f value per point")
-    # unknown columns: one per fiber (i, value), in the order of
-    # ``fib.fibers``; the last column is f
-    cols = [(i, v) for i, fibers in enumerate(fib.fibers) for v in fibers]
-    col_of = {iv: c for c, iv in enumerate(cols)}
-    m = len(col_of)
-    rows = []
-    for j in range(n):
-        row = [0] * (m + 1)
-        for i, keys in enumerate(fib.keys):
-            row[col_of[(i, keys[j])]] += 1
-        row[m] = vals[j]
-        rows.append(row)
-    for i in range(len(fib.keys) - 1):
-        row = [0] * (m + 1)
-        row[col_of[(i, fib.keys[i][anchor])]] = 1
-        rows.append(row)
+    # unknown columns: one per fiber, numbered as ``fib.columns``; the last
+    # column is f.  Point j's row is column j of the incidence rows, with a 1
+    # in its i-th fiber for each i, in order of i; the anchor rows take the
+    # anchor's fibers but the last
+    m = len(fib.columns)
+    rows = [[0] * m + [v] for v in vals]
+    for c, members in enumerate(fib.members):
+        for j in members:
+            rows[j][c] = 1
+    for c in [c for c in range(m) if rows[anchor][c]][:-1]:
+        rows.append([int(k == c) for k in range(m + 1)])
 
     # the anchor rows are independent of the point rows, so a row left
     # without a pivot is a dependency among the points: a cycle
@@ -429,7 +429,7 @@ def solve_representation(points, h=None, f_values=None, anchor=0):
     # free unknowns -> 0, so each pivot row's last entry over the last
     # pivot is its unknown
     tables = [{} for _ in fib.keys]
-    for (i, key), col in col_of.items():
+    for col, (i, key) in enumerate(fib.columns):
         value = reduced[pivots[col]][m] if col in pivots else 0
         tables[i][Fraction(key, fib.scales[i])] = Fraction(value, last * vden)
     return tables, m - len(pivots)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (ScalarField, UnivariateTable, gauss_grid, gauss_nodes,
-                   parse_vector, row_reduce)
+from .core import (RidgeSum, ScalarField, UnivariateTable, gauss_grid,
+                   gauss_nodes, parse_vector, row_reduce)
 
 
 class NotAnRSet(ValueError):
@@ -43,6 +43,7 @@ class RSetTransform:
         if self.detJ == 0:
             raise NotAnRSet("directions plus completion are dependent")
         self.Jinv = [row[n:] for row in reduced]  # columns b^i as rows here
+        self._Jinv = np.array([[float(v) for v in row] for row in self.Jinv])
         ybox = [(float(lo), float(hi)) for lo, hi in ybox]
         if len(ybox) != self.n or any(lo >= hi for lo, hi in ybox):
             raise NotAnRSet("image must be a nondegenerate box Y_1 x ... x Y_n")
@@ -51,8 +52,7 @@ class RSetTransform:
     def x_from_y(self, *ys):
         """x = J^{-1} y, vectorized over numpy arrays."""
         ys = [np.asarray(y, dtype=float) for y in ys]
-        Jinv = np.array([[float(v) for v in row] for row in self.Jinv])
-        return [sum(Jinv[i][k] * ys[k] for k in range(self.n))
+        return [sum(self._Jinv[i][k] * ys[k] for k in range(self.n))
                 for i in range(self.n)]
 
     def pullback(self, f):
@@ -72,32 +72,21 @@ def build_rset(directions, completion, ybox):
     return RSetTransform(directions, completion, ybox)
 
 
-class L2Solution:
+class L2Solution(RidgeSum):
     """Components g_j(y_j), the L2 error, and the integral diagnostics.
 
     The approximant is sum_j g_j(a_j . x), or sum_j w_j(x) g_j(a_j . x)
-    with the weights w_j of a weighted fit.
+    with the weights w_j of a weighted fit; a_j is row j of ``transform.J``.
     """
 
     def __init__(self, components, error, diagnostics, transform,
                  weights=None):
+        super().__init__(zip(transform.J[:transform.r], components),
+                         weights=weights)
         self.components = components  # list of UnivariateTable in y_j
         self.error = float(error)
         self.diagnostics = diagnostics
         self.transform = transform
-        self.weights = weights
-
-    def __call__(self, *xs):
-        t = self.transform
-        xs = [np.asarray(x, dtype=float) for x in xs]
-        total = 0.0
-        for j, g in enumerate(self.components):
-            yj = sum(float(t.J[j][k]) * xs[k] for k in range(t.n))
-            term = g(yj)
-            if self.weights is not None:
-                term = np.asarray(self.weights[j](*xs)) * term
-            total = total + term
-        return total
 
 
 def _slice_grid(t, j, yj_values, nodes):

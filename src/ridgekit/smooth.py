@@ -29,7 +29,7 @@ import functools
 
 import numpy as np
 
-from .core import UnivariateTable, jet
+from .core import RidgeSum, UnivariateTable, jet
 
 CHEB_DEG = 40   # degree of each chain's Chebyshev series
 VERIFY_N = 41   # nodes per axis of the grid the residual is measured on
@@ -57,20 +57,13 @@ class DecompProblem:
         self.box = ((float(x0), float(x1)), (float(y0), float(y1)))
 
 
-class DecompResult:
+class DecompResult(RidgeSum):
     def __init__(self, components, directions, residual, meta=None):
+        super().__init__(zip(directions, components))
         self.components = components      # callables g_i of t = a_i x + b_i y
         self.directions = directions
         self.residual = float(residual)
         self.meta = meta or {}
-
-    def __call__(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        total = 0.0
-        for (a, b), g in zip(self.directions, self.components):
-            total = total + g(a * x + b * y)
-        return total
 
 
 def _directional_derivative(fn, directions, h):

@@ -13,8 +13,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .core import (ScalarField, UnivariateTable, centred_differences,
-                   max_cycle_mean)
+from .core import (RidgeSum, ScalarField, UnivariateTable,
+                   centred_differences, max_cycle_mean)
 
 PulledBackGrid = namedtuple("PulledBackGrid", "y1 y2 Y1 Y2 X Y")
 
@@ -63,20 +63,15 @@ class ParallelogramDomain:
         return PulledBackGrid(y1, y2, Y1, Y2, *self.to_xy(Y1, Y2))
 
 
-class ExtremalPair:
+class ExtremalPair(RidgeSum):
     """Best ridge-sum approximant g1(a.x) + g2(b.x) with its error."""
 
     def __init__(self, g1, g2, error, domain):
+        super().__init__([(domain.a, g1), (domain.b, g2)])
         self.g1 = g1          # callable of y1 = a.x
         self.g2 = g2          # callable of y2 = b.x
         self.error = float(error)
         self.domain = domain
-
-    def __call__(self, x, y):
-        dom = self.domain
-        y1 = dom.a[0] * np.asarray(x) + dom.a[1] * np.asarray(y)
-        y2 = dom.b[0] * np.asarray(x) + dom.b[1] * np.asarray(y)
-        return self.g1(y1) + self.g2(y2)
 
 
 def pullback(f, dom):

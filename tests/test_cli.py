@@ -466,6 +466,18 @@ def test_non_finite_fit_target_is_a_domain_error(capsys):
     assert "not finite" in report["error"]["message"]
 
 
+@pytest.mark.parametrize("expr", ["(" * 400 + "x1" + ")" * 400,
+                                  "+".join(["x1"] * 1500)],
+                         ids=["400 parentheses", "sum of 1500 terms"])
+def test_deeply_nested_expression_is_a_domain_error(capsys, expr):
+    code, out = run(capsys, "approx", "uniform", "--expr", expr,
+                    "--dirs", "1", "0", "0", "1", "--bounds", "0", "1", "0", "1")
+    assert code == 1
+    report = json.loads(out)
+    assert report["error"]["type"] == "ExprError"
+    assert "nested too deeply" in report["error"]["message"]
+
+
 def test_weighted_l2_takes_one_weight_per_direction(capsys, xy_dirs_csv,
                                                     tmp_path):
     # one weight too few or too many is a domain error, not a traceback or

@@ -181,6 +181,48 @@ class TestRidgeSum:
         rs = RidgeSum([((1, 0), lambda t: t**2), ((0, 1), np.sin)], dim=2)
         assert rs(2.0, 0.5) == pytest.approx(4.0 + math.sin(0.5))
 
+    def test_weighted_sum_multiplies_each_term_by_its_weight(self):
+        rs = RidgeSum([(("1/2", 0), lambda t: t**2), ((1, 1), np.sin)],
+                      weights=[lambda x, y: 1 + x, lambda x, y: x * y])
+        X, Y = np.meshgrid([0.25, 2.0], [-1.0, 0.5], indexing="ij")
+        expect = (1 + X) * (0.5 * X)**2 + (X * Y) * np.sin(X + Y)
+        assert np.allclose(rs(X, Y), expect, rtol=1e-15, atol=0)
+        assert rs((Fraction(2), 0.5)) == pytest.approx(
+            3 * 1.0 + 1.0 * math.sin(2.5))
+
+    def test_every_approximation_returned_is_a_ridge_sum(self):
+        from ridgekit.l2 import best_l2, build_rset
+        from ridgekit.smooth import DecompProblem, decompose
+        from ridgekit.uniform import ParallelogramDomain, best_uniform
+        xy = parse_expression("x1*x2", 2)
+        dom = ParallelogramDomain((1, 1), (1, -1), 0, 1, 0, 1)
+        t = build_rset([(1, 0), (1, 1)], [], [(0, 1), (0, 2)])
+        weights = [parse_expression("1+x1", 2), parse_expression("1+x2", 2)]
+        three = parse_expression("sin(x1) + x2^3 + exp(0.5*(x1+x2))", 2)
+        cases = [
+            (best_uniform(xy, dom), [dom.a, dom.b]),
+            (decompose(DecompProblem(three, [(1, 0), (0, 1), (1, 1)],
+                                     ((-1, 1), (-1, 1)))),
+             [(1, 0), (0, 1), (1, 1)]),
+            (best_l2(xy, t, nodes=8), [(1, 0), (1, 1)]),
+            (best_l2(xy, t, weights=weights, nodes=8), [(1, 0), (1, 1)]),
+        ]
+        assert cases[3][0].weights is weights
+        x, y = np.array([0.3, 0.6]), np.array([0.2, 0.1])
+        for approx, dirs in cases:
+            assert isinstance(approx, RidgeSum)
+            assert "__call__" not in type(approx).__dict__
+            assert [a for a, _ in approx.terms] == [tuple(map(Fraction, d))
+                                                    for d in dirs]
+            comps = getattr(approx, "components", None)
+            comps = comps or [approx.g1, approx.g2]
+            assert all(g is c for (_, g), c in zip(approx.terms, comps))
+            expect = 0.0
+            for j, ((a0, a1), g) in enumerate(approx.terms):
+                w = 1.0 if approx.weights is None else approx.weights[j](x, y)
+                expect = expect + w * g(float(a0) * x + float(a1) * y)
+            assert np.array_equal(approx(x, y), expect)
+
 
 class TestDoubleDifferences:
     def test_cells_of_a_product_carry_their_area(self):

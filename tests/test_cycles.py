@@ -363,6 +363,13 @@ class TestRationalFibers:
         assert (tables, free) == solve_representation(
             stairs, RATIONAL_DIRS, fvals)
 
+    def test_fibers_are_numbered_once(self):
+        # columns: h_1's fibers first, each direction's in order of first
+        # appearance; members[c] the points of fiber c
+        fib = cycles.Fibers([(0, 0), (1, 0), (0, 1), (1, 1)], [X, (1, 1)])
+        assert fib.columns == [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)]
+        assert fib.members == [[0, 2], [1, 3], [0], [1, 2], [3]]
+
     def test_a_fibers_takes_no_second_set_of_directions(self):
         fib = cycles.Fibers(SQUARE, [X, Y])
         for call in (lambda: has_cycle(fib, [X, Y]),
