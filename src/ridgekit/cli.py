@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 domain error (a representation obstruction, a
 violated class hypothesis, ...), 2 usage error (bad arguments, an input file
-that cannot be read).
+that cannot be read), 141 standard output closed by its reader, after which
+nothing more is written (128 + SIGPIPE, the code a shell reports for it).
 """
 
 import argparse
@@ -11,6 +12,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 import time
 
@@ -68,6 +70,7 @@ DOMAIN_ERRORS = (
     ValueError,
     Warning,    # raised as an exception under ``python -W error``
 )
+_CLOSED_PIPE = 141
 
 
 # ---------------------------------------------------------------------------
@@ -187,18 +190,12 @@ def _cmd_cycles_check(args, t0):
     h = list(DirectionSet(points.dim, _read_rows(args, args.directions)))
     fib = Fibers(points, h)
     found, cert = has_cycle(fib)
-    results = {"has_cycle": found, "certificates": []}
-    if cert is not None:
-        results["certificates"].append({
-            "support": cert.support,
-            "weights": cert.weights,
-        })
+    results = {"has_cycle": found}
+    certs = [] if cert is None else [cert]
     if args.minimal:
-        certs, exhausted = minimal_cycles(fib, cap=args.cap)
-        results["certificates"] = [
-            {"support": c.support, "weights": c.weights} for c in certs
-        ]
-        results["minimal_exhausted"] = exhausted
+        certs, results["minimal_exhausted"] = minimal_cycles(fib, cap=args.cap)
+    results["certificates"] = [{"support": c.support, "weights": c.weights}
+                               for c in certs]
     if args.tau:
         trace, fixed = tau_closure(fib)
         results["tau_trace"] = trace
@@ -272,11 +269,8 @@ def _cmd_approx_l2(args, t0):
     results = {
         "error": sol.error,
         "components": [_table(g) for g in sol.components],
-        "diagnostics": {
-            k: (float(v) if np.isscalar(v) else v)
-            for k, v in sol.diagnostics.items()
-            if np.isscalar(v)
-        },
+        "diagnostics": {k: float(v) for k, v in sol.diagnostics.items()
+                        if np.isscalar(v)},
     }
     return _emit(args, results, t0)
 
@@ -377,18 +371,14 @@ def _cmd_sigmoid_fit(args, t0):
     f = parse_expression(args.expr, 1)
     a, b = args.interval
     net, achieved = fit_two_neuron(f, a, b, args.eps)
+    theta1 = net.theta1_exact
+    exact = theta1.denominator == 1 and abs(net.theta1_log10()) < 4000
     results = {
         "c1": float(net.c1),
         "c2": float(net.c2),
         "n": str(net.n),
-        "theta1": {
-            "decimal": net.theta1_decimal(),
-            "exact": _frac(net.theta1_exact),
-        } if net.theta1_exact.denominator == 1 and
-             abs(net.theta1_log10()) < 4000 else {
-            "decimal": net.theta1_decimal(),
-            "exact": None,
-        },
+        "theta1": {"decimal": net.theta1_decimal(),
+                   "exact": _frac(theta1) if exact else None},
         "theta2": _frac(net.theta2),
         "achieved_error": float(achieved),
     }
@@ -484,21 +474,32 @@ def _build_parser():
     return p
 
 
+@functools.cache
+def _option_strings():
+    """Every option string of the parser and of its subparsers."""
+    found, parsers = set(), [_build_parser()]
+    while parsers:
+        for action in parsers.pop()._actions:
+            found.update(action.option_strings)
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    return found
+
+
 def _attach_expr_values(argv):
     """``--expr -x1^2`` as ``--expr=-x1^2``: argparse reads a separate
-    value with a leading minus as an option."""
+    value with a leading minus as an option.  Any token after ``--expr``
+    but the parser's own option strings is its value, ``--x1`` too."""
     out = []
     for tok in argv:
-        if out and out[-1] == "--expr" and tok.startswith("-") \
-                and not tok.startswith("--"):
+        if out and out[-1] == "--expr" and tok not in _option_strings():
             out[-1] = f"--expr={tok}"
         else:
             out.append(tok)
     return out
 
 
-def main(argv=None):
-    argv = sys.argv[1:] if argv is None else list(argv)
+def _run(argv):
     parser = _build_parser()
     try:
         args = parser.parse_args(_attach_expr_values(argv))
@@ -509,11 +510,33 @@ def main(argv=None):
     t0 = time.perf_counter()
     try:
         return args.func(args, t0)
+    except BrokenPipeError:
+        raise
     except DOMAIN_ERRORS as exc:
         return _emit_error(args, exc, 1)
     except OSError as exc:  # an input file that cannot be read
         return _emit_error(args, exc, 2)
 
 
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # stdout's reader has gone: write nothing more
+        return _CLOSED_PIPE
+
+
+def _script():
+    """The ``ridgekit`` command, in a process of its own."""
+    code = main()
+    if code == _CLOSED_PIPE:
+        # the report is still in stdout's buffer: point stdout's fd at
+        # os.devnull, so that the interpreter's final flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_script())

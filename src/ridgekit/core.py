@@ -89,6 +89,14 @@ def _integer_coordinates(rows):
             for row in rows], den
 
 
+def _primitive(v):
+    """The ints v over their gcd, first nonzero positive; zeros as they are."""
+    g = math.gcd(*v) or 1
+    if next((c for c in v if c), 0) < 0:
+        g = -g
+    return [c // g for c in v]
+
+
 # ---------------------------------------------------------------------------
 # point sets and directions
 

@@ -17,12 +17,11 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
 from operator import mul
 
 import numpy as np
 
-from .core import PointConfig, _integer_coordinates, bareiss
+from .core import PointConfig, _integer_coordinates, _primitive, bareiss
 
 
 class CycleExists(ValueError):
@@ -154,21 +153,14 @@ def rational_nullspace(rows, ncols):
         vec[fc] = last
         for col, r in pivots.items():
             vec[col] = -mat[r][fc]
-        g = gcd(*vec)
-        if next(v for v in vec if v) < 0:
-            g = -g
-        basis.append([v // g for v in vec])
+        basis.append(_primitive(vec))
     return basis
 
 
 def integerize(vec):
     """Clear denominators and divide by the gcd; sign: first nonzero > 0."""
-    den = lcm(*[v.denominator for v in vec])
-    ints = [int(v * den) for v in vec]
-    g = gcd(*ints) or 1
-    if next((v for v in ints if v), 0) < 0:
-        g = -g
-    return [v // g for v in ints]
+    (ints,), _ = _integer_coordinates([vec])
+    return _primitive(ints)
 
 
 @functools.lru_cache(maxsize=None)

@@ -184,19 +184,13 @@ def best_l2(f, t, weights=None, nodes=24):
                                       rhs.ravel(), rcond=None)
     comps = sol.reshape(r, table_n)
     tabs = [UnivariateTable(knot_sets[j], comps[j]) for j in range(r)]
-
-    def resid(*xs):
-        acc = np.asarray(f(*xs), dtype=float).copy()
-        for i in range(r):
-            yi = sum(float(t.J[i][k]) * np.asarray(xs[k]) for k in range(t.n))
-            acc = acc - np.asarray(weights[i](*xs)) * tabs[i](yi)
-        return acc
-
-    # residual norm back in x-coordinates via the y-box and Jacobian
-    err_sq = _integrals(t.pullback(ScalarField(t.n, resid)), t.ybox,
-                        nodes)[1] / abs(float(t.detJ))
     diagnostics = {"A": A, "detJ": float(t.detJ), "rank": int(rank)}
-    return L2Solution(tabs, max(err_sq, 0.0) ** 0.5, diagnostics, t, weights)
+    best = L2Solution(tabs, 0.0, diagnostics, t, weights)
+    # residual norm back in x-coordinates via the y-box and Jacobian
+    err_sq = _integrals(t.pullback(lambda *xs: f(*xs) - best(*xs)), t.ybox,
+                        nodes)[1] / abs(float(t.detJ))
+    best.error = max(err_sq, 0.0) ** 0.5
+    return best
 
 
 def l2_error(f, t, nodes=24):

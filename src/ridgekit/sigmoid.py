@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import rational
+from .core import _integer_coordinates, rational
 
 _LN2 = math.log(2.0)
 FIT_GRID_N = 1001   # nodes of the grid on which a fit's error is measured
@@ -52,6 +52,11 @@ def _index_terms(n):
     if not n & 1:
         terms.append(0)
     terms.reverse()
+    return _canonical(terms)
+
+
+def _canonical(terms):
+    """The terms made canonical: a trailing 1 merges into the one before."""
     if len(terms) > 1 and terms[-1] == 1:
         terms.pop()
         terms[-1] += 1
@@ -111,11 +116,7 @@ def _continued_fraction(q):
     while den:
         terms.append(num // den)
         num, den = den, num % den
-    # make it canonical: a trailing 1 merges into the previous term
-    if len(terms) > 1 and terms[-1] == 1:
-        terms.pop()
-        terms[-1] += 1
-    return terms
+    return _canonical(terms)
 
 
 def cw_index(q, max_bits=300_000_000):
@@ -162,11 +163,8 @@ class MonicPoly:
         return self.coeffs + (Fraction(1),)
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        acc = np.ones_like(t)
-        for c in reversed(self.coeffs):
-            acc = acc * t + float(c)
-        return acc
+        return _horner([float(c) for c in self.all_coeffs()],
+                       np.asarray(t, dtype=float))
 
     def __eq__(self, other):
         return isinstance(other, MonicPoly) and self.coeffs == other.coeffs
@@ -179,11 +177,12 @@ class MonicPoly:
         return _slope_bound([float(c) for c in self.coeffs], radius)
 
 
-def _horner(alpha, t):
-    """The monic polynomial with float coefficients alpha (a_0 first) at
-    the float t, in the operation order of MonicPoly.__call__."""
-    acc = 1.0
-    for c in reversed(alpha):
+def _horner(coeffs, t):
+    """sum_k coeffs[k] t^k by Horner's rule from 0.0, in floats for a float
+    t; a coefficient is a float or an array of one per point of t.  Zeros
+    above a leading 1 keep a monic value bit for bit for finite t."""
+    acc = 0.0
+    for c in reversed(coeffs):
         acc = acc * t + c
     return acc
 
@@ -236,11 +235,13 @@ def _coeff_indices(n):
     if n == 1:
         return []
     terms = _index_terms(n)
-    if len(terms) == 1:
-        return [terms[0] - 2]                                 # degree 1
-    if len(terms) == 2:
-        return [terms[0], terms[1] - 2]                       # degree 2
-    return [terms[0]] + [t - 1 for t in terms[1:-1]] + [terms[-1] - 2]
+    return [c - o for c, o in zip(terms, _offsets(len(terms)))]
+
+
+def _offsets(degree):
+    """c_i - k_i, continued-fraction term minus coefficient index, for each
+    coefficient of a monic polynomial of degree >= 1 (monic_enum's rule)."""
+    return [2] if degree == 1 else [0] + [1] * (degree - 2) + [2]
 
 
 def monic_index(p):
@@ -252,14 +253,8 @@ def monic_index(p):
     if p.degree == 0:
         return 1
     index = {c: rational_index(c) for c in set(p.coeffs)}
-    ks = [index[c] for c in p.coeffs]
-    if p.degree == 1:
-        terms = [ks[0] + 2]
-    elif p.degree == 2:
-        terms = [ks[0], ks[1] + 2]
-    else:
-        terms = [ks[0]] + [k + 1 for k in ks[1:-1]] + [ks[-1] + 2]
-    return _index_of_terms(terms)
+    return _index_of_terms([index[c] + o for c, o
+                            in zip(p.coeffs, _offsets(p.degree))])
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +318,8 @@ def _joint(d, lower, upper):
     """
     a_n, b_n, alpha, M = lower
     a_next, b_next, alpha_next, M_next = upper
-    K = 0.5 * ((a_n + b_n * _horner(alpha, 1.0))
-               + (a_next + b_next * _horner(alpha_next, 0.0)))
+    K = 0.5 * ((a_n + b_n * _horner(alpha + [1.0], 1.0))
+               + (a_next + b_next * _horner(alpha_next + [1.0], 0.0)))
     eps = (1.0 - M) / 6.0
     C = max(_slope_bound(alpha, 1.5), 1e-300)
     delta = min(eps * d / (b_n * C), d / 2.0)
@@ -392,9 +387,9 @@ def sigma(x, params):
     collects the segments its points need (n, and n+1 behind a transition
     point) and decodes each of them once, straight to float coefficients,
     each distinct coefficient index once.  It then evaluates all main and
-    transition points in one vectorised pass, with a masked Horner scheme
-    that runs each point's own polynomial in the order of operations of a
-    point-by-point evaluation, so the values are the same bit for bit.
+    transition points in one vectorised Horner pass over coefficient rows
+    padded with zeros above their leading 1, which gives each point the
+    value of a point-by-point evaluation bit for bit.
     """
     scalar = np.isscalar(x) or np.asarray(x).shape == ()
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -473,12 +468,9 @@ def _sigma_segments(x, params):
     prow = np.where(second, upper[row], row)
     t = np.where(second, s - 1.0, s + 1.0)
     width = max(map(len, alphas))
-    coef = np.array([alpha + [0.0] * (width - len(alpha))
+    coef = np.array([alpha + [1.0] + [0.0] * (width - len(alpha))
                      for alpha in alphas])[prow]
-    deg = np.array([len(alpha) for alpha in alphas])[prow]
-    acc = np.ones_like(t)
-    for k in range(width - 1, -1, -1):
-        acc = np.where(deg > k, acc * t + coef[:, k], acc)
+    acc = _horner(coef.T, t)
     ab = np.array([seg[:2] for seg in segs])[prow]
     out = ab[:, 0] + ab[:, 1] * acc
     if np.any(trans):
@@ -613,9 +605,7 @@ def _index_bits_estimate(monic_coeffs):
 
 
 def _poly_sup_dev(coeffs, g_vals, tgrid):
-    vals = np.zeros_like(tgrid)
-    for c in reversed(coeffs):
-        vals = vals * tgrid + float(c)
+    vals = _horner([float(c) for c in coeffs], tgrid)
     return float(np.max(np.abs(vals - g_vals)))
 
 
@@ -666,10 +656,6 @@ def fit_two_neuron(f, a, b, eps):
     if coeffs is None:
         raise ArithmeticError(
             "polynomial budget exhausted before reaching eps/2")
-
-    # strip trailing zeros
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
 
     if all(c == 0 for c in coeffs):
         u = monic_enum(1)
@@ -765,18 +751,15 @@ def _poly_add(p, q):
 
 
 def _poly_mul(p, q):
-    """p*q, convolved in integers over the common denominators."""
-    dp = math.lcm(*(c.denominator for c in p))
-    dq = math.lcm(*(c.denominator for c in q))
-    qs = [d.numerator * (dq // d.denominator) for d in q]
+    """p*q, convolved in integers over each factor's common denominator."""
+    (ps,), dp = _integer_coordinates([p])
+    (qs,), dq = _integer_coordinates([q])
     out = [0] * (len(p) + len(q) - 1)
-    for i, c in enumerate(p):
-        c = c.numerator * (dp // c.denominator)
+    for i, c in enumerate(ps):
         if c:
             for j, d in enumerate(qs):
                 out[i + j] += c * d
-    den = dp * dq
-    return _trim([Fraction(c, den) for c in out])
+    return _trim([Fraction(c, dp * dq) for c in out])
 
 
 def _poly_pow(p, k):
@@ -832,8 +815,7 @@ def _finalize_coeffs(raw, eps, tgrid, g_vals, max_bits=200_000_000):
         coeffs = _rationalize(raw, budget) if budget > 0 else \
             [c if isinstance(c, Fraction)
              else Fraction(float(c)).limit_denominator(10**9) for c in raw]
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
+        _trim(coeffs)
         if _poly_sup_dev(coeffs, g_vals, tgrid) > 0.5 * eps:
             continue
         p0 = coeffs[-1]

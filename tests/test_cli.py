@@ -360,6 +360,25 @@ def test_expr_with_a_leading_minus(capsys):
     assert r1["command"] == "ridgekit sigmoid fit --expr -x1^2 " + " ".join(tail)
 
 
+UNIT_SQUARE = ["--dirs", "1", "0", "0", "1", "--bounds", "0", "1", "0", "1"]
+
+
+@pytest.mark.parametrize("expr", ["--x1", "--pi", "--e"])
+def test_expr_value_with_two_leading_minuses(capsys, expr):
+    code1, out1 = run(capsys, "approx", "uniform", "--expr", expr,
+                      *UNIT_SQUARE)
+    code2, out2 = run(capsys, "approx", "uniform", f"--expr={expr}",
+                      *UNIT_SQUARE)
+    assert code1 == code2 == 0
+    assert json.loads(out1)["results"] == json.loads(out2)["results"]
+
+
+def test_option_after_expr_is_not_its_value(capsys):
+    code = main(["approx", "uniform", "--expr", *UNIT_SQUARE])
+    assert code == 2
+    assert "--expr: expected one argument" in capsys.readouterr().err
+
+
 def test_skew_lp_fallback_reaches_the_rectangle_bound(capsys):
     # along (2,1), (1,-1) the float images of one fiber's grid points give
     # different values of a.x; the LP must still see whole fibers, so its
@@ -527,13 +546,19 @@ def test_verify_reports_a_closed_form_that_is_not_best(capsys):
     assert res["witness_path"] is None
 
 
-def _python(script, **env_vars):
-    """Run ``script`` in a fresh interpreter that imports this checkout's
-    ridgekit; ``env_vars`` set (a string) or unset (None) variables."""
+def _checkout_env():
+    """The environment, with this checkout's ridgekit first on the path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ridgekit.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _python(script, **env_vars):
+    """Run ``script`` in a fresh interpreter that imports this checkout's
+    ridgekit; ``env_vars`` set (a string) or unset (None) variables."""
+    env = _checkout_env()
     for name, value in env_vars.items():
         if value is None:
             env.pop(name, None)
@@ -541,6 +566,37 @@ def _python(script, **env_vars):
             env[name] = value
     return subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    # the reader closes its end of the pipe before the command writes: the
+    # command writes nothing more, says nothing on stderr, and exits 141
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ridgekit.cli", "approx", "uniform",
+             "--expr=--x1", *UNIT_SQUARE], env=_checkout_env(),
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert proc.returncode == 141, proc.stderr
+    assert proc.stderr == ""
+
+
+def test_closed_stdout_in_process_returns_the_code(monkeypatch):
+    # main(argv) reports the closed pipe by its exit code and leaves the
+    # caller's file descriptors alone
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    before = os.fstat(1)
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["sigmoid", "eval", "--d", "1", "--lambda", "0.25",
+                 "--x", "3"]) == 141
+    after = os.fstat(1)
+    assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
 
 
 def test_sigmoid_fit_never_loads_sympy():

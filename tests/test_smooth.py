@@ -133,9 +133,9 @@ class TestJetDerivatives:
 
     def test_samples_stay_in_the_box(self):
         # log(x1) is undefined for x1 <= 0, left of the box [0.25, 1.25]^2.
-        # The cross-check samples each line on a diagonal of the box, and
-        # so does decompose, but for the lines of its last two directions,
-        # which run along the axes here
+        # decompose and the cross-check sample every chain on a diagonal of
+        # the box, so no sample leaves it, the chains of the last two
+        # directions, which run along the axes here, included
         expr = parse_expression("log(x1) + x2^3 + exp(0.5*(x1+x2))", 2)
         box = ((0.25, 1.25), (0.25, 1.25))
         check = crosscheck_highorder(DecompProblem(expr, DIRS3, box))
