@@ -219,10 +219,7 @@ def _cmd_cycles_check(args, t0):
 
 def _cmd_approx_uniform(args, t0):
     f = parse_expression(args.expr, 2)
-    a = tuple(args.dirs[:2])
-    b = tuple(args.dirs[2:])
-    c1, d1, c2, d2 = args.bounds
-    dom = ParallelogramDomain(a, b, c1, d1, c2, d2)
+    dom = ParallelogramDomain(args.dirs[:2], args.dirs[2:], *args.bounds)
     try:
         pair = best_uniform(f, dom)
         sample = UnivariateTable.sample
@@ -275,13 +272,26 @@ def _cmd_approx_l2(args, t0):
     return _emit(args, results, t0)
 
 
+def _geometry(geom, key, size=None):
+    """``geom[key]`` of a geometry file: a list of numbers, ``size`` of them
+    when given.  A missing or malformed key raises ValueError naming it."""
+    value = geom.get(key) if isinstance(geom, dict) else None
+    if value is None:
+        raise ValueError(f"geometry has no key {key!r}")
+    if (not isinstance(value, list) or size not in (None, len(value))
+            or not all(type(v) in (int, float) for v in value)):
+        count = f"{size} " if size else ""
+        raise ValueError(f"geometry key {key!r} must be a list of {count}"
+                         f"numbers, got {json.dumps(value)}")
+    return value
+
+
 def _cmd_bolts(args, t0):
     geom = _read_json(args, args.geom)
-    n = 2
-    f = parse_expression(args.expr, n)
+    f = parse_expression(args.expr, 2)
     results = {}
     if args.shape == "rect":
-        R = AxisRect(*geom["rect"])
+        R = AxisRect(*_geometry(geom, "rect", 4))
         if args.cls is None:
             raise ValueError("rect requires --class V|U and --c")
         fn = vc_best if args.cls == "V" else uc_best
@@ -295,12 +305,13 @@ def _cmd_bolts(args, t0):
             },
         })
     else:
+        a, b = _geometry(geom, "a"), _geometry(geom, "b")
         if args.shape == "hexagon":
-            P = Hexagon(geom["a"], geom["b"])
+            P = Hexagon(a, b)
         elif args.shape in ("octagonA", "octagonB"):
-            P = Octagon(geom["a"], geom["b"], args.shape[-1])
+            P = Octagon(a, b, args.shape[-1])
         else:
-            P = StairPolygon(geom["a"], geom["b"])
+            P = StairPolygon(a, b)
         rep = polygon_error(f, P)
         results.update({
             "error": float(rep["error"]),
@@ -388,6 +399,17 @@ def _cmd_sigmoid_fit(args, t0):
 # ---------------------------------------------------------------------------
 # parser
 
+def _count(text):
+    """An option value that counts something: an int >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 @functools.cache
 def _build_parser():
     p = argparse.ArgumentParser(
@@ -403,7 +425,7 @@ def _build_parser():
     cc.add_argument("--points", required=True)
     cc.add_argument("--directions", required=True)
     cc.add_argument("--minimal", action="store_true")
-    cc.add_argument("--cap", type=int, default=10)
+    cc.add_argument("--cap", type=_count, default=10)
     cc.add_argument("--tau", action="store_true")
     cc.add_argument("--solve", default=None)
     cc.add_argument("--anchor", type=int, default=0)
@@ -418,7 +440,7 @@ def _build_parser():
     au.add_argument("--bounds", nargs=4, type=float, required=True,
                     metavar=("C1", "D1", "C2", "D2"))
     au.add_argument("--verify", action="store_true")
-    au.add_argument("--ds-iters", type=int, default=0)
+    au.add_argument("--ds-iters", type=_count, default=0)
     au.set_defaults(func=_cmd_approx_uniform)
     al = asub.add_parser("l2", help="L2-norm best ridge sum")
     al.add_argument("--expr", required=True)

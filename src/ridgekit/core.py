@@ -5,11 +5,11 @@ Exact rationals back everything combinatorial: deciding whether two points
 lie on the same level line of a direction is ill-posed in floating point,
 so all fiber logic upstream works over Q.  Each input coordinate is read
 once and exactly: an integer literal as an int, any other number as a
-``fractions.Fraction``.  ``PointConfig`` and ``DirectionSet`` also hold
-their coordinates as integers over one common denominator, which the fiber
-logic reads directly; elimination (``bareiss``, ``row_reduce``) is
-fraction-free over the integers, and Fractions appear again only in
-results.
+``fractions.Fraction``.  The exact layer then holds rationals as integers
+over one common denominator, converted by ``_integer_coordinates`` alone:
+``PointConfig`` and ``DirectionSet`` hold them so, and ``bareiss``
+eliminates integer rows.  Fractions appear again only in results and in
+the ``points`` and ``directions`` views.
 Approximation numerics (quadrature, Taylor jets, LP oracles) use IEEE
 doubles.
 """
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import io
+import itertools
 import math
 from fractions import Fraction
 
@@ -49,9 +50,7 @@ def rational(value):
     beyond what the literal itself carries)."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
+    if isinstance(value, (int, float)):
         return Fraction(value)
     if isinstance(value, str):
         return rational(_read_number(value))
@@ -61,17 +60,13 @@ def rational(value):
 def parse_vector(value):
     """Rational tuple from a comma/space separated string or a sequence."""
     if isinstance(value, str):
-        parts = value.replace(",", " ").split()
-        return tuple(rational(p) for p in parts)
+        value = value.replace(",", " ").split()
     return tuple(rational(p) for p in value)
 
 
 def _frac(v):
-    """An exact number as text: "3" or "-1/3".  An int or a Fraction is
-    printed as it is; anything else is first read exactly as a Fraction."""
-    if not isinstance(v, (int, Fraction)):
-        v = Fraction(v)
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    """An exact number as text, "3" or "-1/3", read exactly as a Fraction."""
+    return str(v if isinstance(v, Fraction) else Fraction(v))
 
 
 def _vector_text(v):
@@ -80,7 +75,12 @@ def _vector_text(v):
 
 def _integer_coordinates(rows):
     """(ints, den): every coordinate of ``rows`` as ints[j][k] / den, over
-    their least common denominator, each read exactly with ``rational``."""
+    their least common denominator, each read exactly with ``rational``.
+    The exact layer's one reader of rationals as integers; rows of ints
+    alone come back as tuples over den 1 after one scan."""
+    rows = [tuple(row) for row in rows]
+    if {type(c) for row in rows for c in row} <= {int}:
+        return rows, 1
     rows = [[c if type(c) is int else rational(c) for c in row] for row in rows]
     den = math.lcm(*{c.denominator for row in rows for c in row
                      if type(c) is not int})
@@ -100,89 +100,71 @@ def _primitive(v):
 # ---------------------------------------------------------------------------
 # point sets and directions
 
-def _fraction_tuple(row):
-    """A row of ints and Fractions as a tuple of Fractions."""
-    return tuple([Fraction(c) if type(c) is int else c for c in row])
+class _ExactRows:
+    """Rational rows as integers over their least common denominator, row
+    j = ints[j] / den, iterated as tuples of Fractions built when first
+    needed; a row whose length is not ``dim`` raises ValueError."""
 
-
-def _exact_rows(dim, rows, what):
-    """(rows, ints, den): the rows with every coordinate read exactly, an
-    int as itself and anything else as a Fraction, and their integer
-    coordinates; a row of another length than ``dim`` raises ValueError."""
-    exact = []
-    for row in rows:
-        row = [c if type(c) is int else rational(c) for c in row]
-        if len(row) != dim:
-            raise ValueError(f"{what} {_vector_text(row)} does not have "
-                             f"dimension {dim}")
-        exact.append(row)
-    return exact, *_integer_coordinates(exact)
-
-
-class PointConfig:
-    """A finite ordered set of points with exact rational coordinates.
-
-    ``ints``/``den`` hold them as integers over their least common
-    denominator, x_j = ints[j] / den, and ``points`` as tuples of
-    Fractions, built when first used."""
-
-    def __init__(self, dim, points):
+    def __init__(self, dim, rows, what):
         self.dim = int(dim)
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
-        self._rows, self.ints, self.den = _exact_rows(self.dim, points, "point")
-        if len(set(self.ints)) != len(self.ints):
-            raise ValueError("points must be pairwise distinct")
+        self.ints, self.den = _integer_coordinates(rows)
+        for row in self.ints:
+            if len(row) != self.dim:
+                text = _vector_text(Fraction(c, self.den) for c in row)
+                raise ValueError(f"{what} {text} does not have dimension "
+                                 f"{self.dim}")
 
     @functools.cached_property
-    def points(self):
-        return [_fraction_tuple(row) for row in self._rows]
+    def _fractions(self):
+        return [tuple([Fraction(c, self.den) for c in row])
+                for row in self.ints]
 
     def __len__(self):
         return len(self.ints)
 
     def __iter__(self):
-        return iter(self.points)
+        return iter(self._fractions)
+
+
+class PointConfig(_ExactRows):
+    """A finite ordered set of distinct points with exact rational
+    coordinates, x_j = ints[j] / den; ``points`` is their Fraction view."""
+
+    def __init__(self, dim, points):
+        if int(dim) < 1:
+            raise ValueError("dim must be positive")
+        super().__init__(dim, points, "point")
+        if len(set(self.ints)) != len(self.ints):
+            raise ValueError("points must be pairwise distinct")
+
+    points = property(lambda self: self._fractions)
 
     def as_array(self):
         return np.array([[float(c) for c in p] for p in self.points])
 
 
-class DirectionSet:
-    """Nonzero, pairwise linearly independent directions (rational entries),
-    held as ``directions`` (tuples of Fractions) and as ``ints``/``den``
-    like the coordinates of a PointConfig."""
+class DirectionSet(_ExactRows):
+    """Nonzero, pairwise linearly independent directions with exact rational
+    entries, a_i = ints[i] / den; ``directions`` is their Fraction view."""
 
     def __init__(self, dim, directions):
-        self.dim = int(dim)
-        rows, self.ints, self.den = _exact_rows(self.dim, directions,
-                                                "direction")
-        self.directions = [_fraction_tuple(row) for row in rows]
-        for a, v in zip(self.directions, self.ints):
+        super().__init__(dim, directions, "direction")
+        for v in self.ints:
             if not any(v):
-                raise ValueError(f"zero direction {_vector_text(a)} not allowed")
-        for i in range(len(self.ints)):
-            for j in range(i + 1, len(self.ints)):
-                if _parallel(self.ints[i], self.ints[j]):
-                    raise ValueError(
-                        f"directions {i} and {j} are linearly dependent")
+                raise ValueError(f"zero direction {_vector_text(v)} not allowed")
+        for (i, u), (j, v) in itertools.combinations(enumerate(self.ints), 2):
+            if _parallel(u, v):
+                raise ValueError(
+                    f"directions {i} and {j} are linearly dependent")
 
-    def __len__(self):
-        return len(self.directions)
-
-    def __iter__(self):
-        return iter(self.directions)
+    directions = property(lambda self: self._fractions)
 
 
 def _parallel(u, v):
-    """True iff u and v are linearly dependent (both nonzero assumed)."""
-    # cross-ratio test over Q: u[i]*v[j] == u[j]*v[i] for all pairs
-    n = len(u)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if u[i] * v[j] != u[j] * v[i]:
-                return False
-    return True
+    """True iff u and v are linearly dependent (both nonzero assumed), by
+    the cross-ratio test u[i]*v[j] == u[j]*v[i] for all pairs over Q."""
+    return all(u[i] * v[j] == u[j] * v[i]
+               for i, j in itertools.combinations(range(len(u)), 2))
 
 
 def dot(a, x):
@@ -191,31 +173,25 @@ def dot(a, x):
 
 
 def bareiss(rows, ncols):
-    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) in integers.
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of integer rows.
 
-    Each row of rationals is first scaled to integers by the lcm of its
-    denominators, which changes neither the pivots nor the reduced rows.
-    Pivots are taken left to right in the first ``ncols`` columns; further
-    columns are carried along.  Each step multiplies every other row by the
-    new pivot p, subtracts the pivot row times the row's entry in the pivot
-    column, and divides by the previous pivot; the division is exact, since
-    every entry stays a minor of the scaled matrix.
+    The rows must hold ints only; callers with rational rows convert them
+    first with ``_integer_coordinates``.  Pivots are taken left to right in
+    the first ``ncols`` columns; further columns are carried along.  Each
+    step multiplies every other row by the new pivot p, subtracts the pivot
+    row times the row's entry in the pivot column, and divides by the
+    previous pivot; the division is exact, since every entry stays a minor
+    of the matrix.
 
     Returns (integer rows, {pivot column: row index}, last pivot, det).
     The pivot rows come first, each with the last pivot in its own pivot
     column and zeros in the other pivot columns, so that a pivot row
     divided by the last pivot is its reduced row.  The other rows are
-    nonzero multiples of their reduced rows.  ``det`` is the determinant
-    (a Fraction) of the first ``ncols`` columns of the pivot rows, ± the
-    last pivot over the scales; 0 when those columns are dependent.
+    nonzero multiples of their reduced rows.  ``det`` is the determinant of
+    the first ``ncols`` columns of the pivot rows, ± the last pivot; 0 when
+    those columns are dependent.
     """
-    mat, scales = [], []
-    for row in rows:
-        row = [v if type(v) is int else Fraction(v) for v in row]
-        scale = math.lcm(*{v.denominator for v in row if type(v) is not int})
-        mat.append([v * scale if type(v) is int
-                    else v.numerator * (scale // v.denominator) for v in row])
-        scales.append(scale)
+    mat = list(rows)
     pivots = {}
     last, sign = 1, 1
     for col in range(ncols):
@@ -225,7 +201,6 @@ def bareiss(rows, ncols):
             continue
         if piv != rank:
             mat[rank], mat[piv] = mat[piv], mat[rank]
-            scales[rank], scales[piv] = scales[piv], scales[rank]
             sign = -sign
         prow = mat[rank]
         p = prow[col]
@@ -239,29 +214,27 @@ def bareiss(rows, ncols):
                 mat[j] = [p * a // last for a in row]
         pivots[col] = rank
         last = p
-    if len(pivots) < ncols:
-        return mat, pivots, last, Fraction(0)
-    return mat, pivots, last, Fraction(sign * last, math.prod(scales[:ncols]))
+    return mat, pivots, last, sign * last if len(pivots) == ncols else 0
 
 
 def row_reduce(rows, ncols):
-    """Exact Gauss-Jordan elimination over Q, done fraction-free in
-    integers by ``bareiss``.
-
-    Pivots are taken left to right in the first ``ncols`` columns; further
-    columns (a right-hand side, an identity block) are carried along.
-    Returns (reduced rows, {pivot column: row index}, det), all Fractions:
-    the pivot rows come first, each with a leading 1 and zeros above and
-    below it, and ``det`` is the determinant of the first ``ncols`` columns
-    of a square system (0 when those columns are dependent).  The other
-    rows are zero in the pivot columns and equal to the rows a division
-    by each pivot would leave only up to a nonzero factor: whether such a
-    row is zero is all they tell.
+    """Exact Gauss-Jordan elimination over Q: ``bareiss`` of the rows read
+    as integers over one denominator by ``_integer_coordinates``, with its
+    pivots and its columns past ``ncols`` (a right-hand side, an identity
+    block).  Returns (reduced rows, {pivot column: row index}, det), all
+    Fractions: the pivot rows come first, each with a leading 1 and zeros
+    above and below it, and ``det`` is the determinant of the first
+    ``ncols`` columns of a square system (0 when those columns are
+    dependent).  The other rows are zero in the pivot columns and equal to
+    the rows a division by each pivot would leave only up to a nonzero
+    factor: whether such a row is zero is all they tell.
     """
-    mat, pivots, last, det = bareiss(rows, ncols)
+    ints, den = _integer_coordinates(rows)
+    mat, pivots, last, det = bareiss(ints, ncols)
     rank = len(pivots)
-    return ([[Fraction(v, last) for v in row] for row in mat[:rank]]
-            + [[Fraction(v) for v in row] for row in mat[rank:]]), pivots, det
+    reduced = ([[Fraction(v, last) for v in row] for row in mat[:rank]]
+               + [[Fraction(v) for v in row] for row in mat[rank:]])
+    return reduced, pivots, Fraction(det, den**ncols)
 
 
 def _read_csv_rows(data, name):

@@ -34,12 +34,14 @@ class CycleExists(ValueError):
 
 
 class CycleCertificate:
-    """Integer weights on a support, summing to zero on every fiber."""
+    """Integer weights on a support, summing to zero on every fiber.
+    ``points``, which the support indexes, are kept as given: a PointConfig
+    builds its Fraction view only when ``cycle_functional`` reads it."""
 
     def __init__(self, support, weights, points=None):
         self.support = list(support)
         self.weights = [int(w) for w in weights]
-        self.points = None if points is None else list(points)
+        self.points = points
         if len(self.support) != len(self.weights):
             raise ValueError("support and weights must have equal length")
         if any(w == 0 for w in self.weights):
@@ -59,15 +61,12 @@ def _key_table(points, h):
 
     Returns (keys, scales) with keys[i][j] = scales[i] * h_i(x_j): one
     common denominator per h_i, so that fibers group and hash as ints.  A
-    PointConfig brings the integer coordinates it computed when it was
-    built; other points, and each direction, are read exactly by
-    ``_integer_coordinates``.  A callable h_i gets the point as given, and
-    its values are read the same way.
+    PointConfig brings its integer coordinates; other points, each
+    direction and the values of a callable h_i, which gets each point as
+    given, are read by ``_integer_coordinates``.
     """
-    if isinstance(points, PointConfig):
-        ipts, den = points.ints, points.den
-    else:
-        ipts, den = _integer_coordinates(points)
+    ipts, den = ((points.ints, points.den) if isinstance(points, PointConfig)
+                 else _integer_coordinates(points))
     table, scales = [], []
     for hi in h:
         if callable(hi):
@@ -109,6 +108,11 @@ class Fibers:
                         for v in fibers]
         self.members = [m for fibers in self.fibers for m in fibers.values()]
 
+    @functools.cached_property
+    def incidence(self):
+        """The fiber incidence system of all the points: row c is fiber c."""
+        return _incidence_rows(self.members, range(len(self.points)))
+
 
 def _fibers(points, h):
     """``points`` if it is a Fibers already, else the Fibers of (points, h)."""
@@ -139,12 +143,12 @@ def rational_nullspace(rows, ncols):
     elimination: one primitive integer vector per free column, its first
     nonzero entry positive.
 
-    Each is the reduced-row-echelon basis vector of its free column, read
-    off the integer pivot rows of ``bareiss`` (the last pivot in the free
-    column, minus the pivot rows' entries in the pivot columns) and divided
-    by its gcd.
+    The rows are read as integers by ``_integer_coordinates``.  Each vector
+    is the reduced-row-echelon basis vector of its free column, read off the
+    integer pivot rows of ``bareiss`` (the last pivot in the free column,
+    minus the pivot rows' entries in the pivot columns) over its gcd.
     """
-    mat, pivots, last, _ = bareiss(rows, ncols)
+    mat, pivots, last, _ = bareiss(_integer_coordinates(rows)[0], ncols)
     basis = []
     for fc in range(ncols):
         if fc in pivots:
@@ -209,8 +213,7 @@ def has_cycle(points, h=None):
     canonical nullspace vector of the fiber incidence system.
     """
     fib = _fibers(points, h)
-    n = len(fib.points)
-    basis = rational_nullspace(_incidence_rows(fib.members, range(n)), n)
+    basis = rational_nullspace(fib.incidence, len(fib.points))
     if not basis:
         return False, None
     vec = _canonical_cycle_vector(basis)
@@ -261,14 +264,12 @@ def cycle_functional(cert, f, points=None):
 
     Vanishes on every sum of the form g_1(h_1(x)) + ... + g_r(h_r(x)).
     """
-    pts = list(points) if points is not None else cert.points
+    pts = points if points is not None else cert.points
     if pts is None:
         raise ValueError("certificate carries no points; pass them explicitly")
-    lam = cert.normalized_weights()
-    total = 0.0
-    for w, j in zip(lam, cert.support):
-        total += float(w) * float(f(*[float(c) for c in pts[j]]))
-    return total
+    pts = list(pts)
+    return sum((float(w) * float(f(*[float(c) for c in pts[j]]))
+                for w, j in zip(cert.normalized_weights(), cert.support)), 0.0)
 
 
 def tau_closure(points, directions=None):
@@ -402,14 +403,11 @@ def solve_representation(points, h=None, f_values=None, anchor=0):
     if len(vals) != n:
         raise ValueError("need one f value per point")
     # unknown columns: one per fiber, numbered as ``fib.columns``; the last
-    # column is f.  Point j's row is column j of the incidence rows, with a 1
-    # in its i-th fiber for each i, in order of i; the anchor rows take the
-    # anchor's fibers but the last
+    # column is f.  Point j's row is column j of ``fib.incidence`` and f's
+    # value, transposed together so that with no directions each point
+    # still has a row; the anchor rows take the anchor's fibers but the last
     m = len(fib.columns)
-    rows = [[0] * m + [v] for v in vals]
-    for c, members in enumerate(fib.members):
-        for j in members:
-            rows[j][c] = 1
+    rows = list(zip(*fib.incidence, vals))
     for c in [c for c in range(m) if rows[anchor][c]][:-1]:
         rows.append([int(k == c) for k in range(m + 1)])
 

@@ -638,6 +638,8 @@ def fit_two_neuron(f, a, b, eps):
     a, b = float(a), float(b)
     if not (a < b):
         raise ValueError("need a < b")
+    if not 0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
     d = b - a
     params = SigmoidParams(d, 0.25)
     tgrid = np.linspace(0.0, 1.0, FIT_GRID_N)

@@ -38,13 +38,17 @@ class ParallelogramDomain:
     def __init__(self, a, b, c1, d1, c2, d2):
         self.a = (float(a[0]), float(a[1]))
         self.b = (float(b[0]), float(b[1]))
+        self.c1, self.d1 = float(c1), float(d1)
+        self.c2, self.d2 = float(c2), float(d2)
+        for name in ("a", "b", "c1", "d1", "c2", "d2"):
+            value = getattr(self, name)
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} = {value!r} is not finite")
         self.det = self.a[0] * self.b[1] - self.a[1] * self.b[0]
         if self.det == 0:
             raise ValueError("directions must be linearly independent")
         if not (c1 < d1 and c2 < d2):
             raise ValueError("need c1 < d1 and c2 < d2")
-        self.c1, self.d1 = float(c1), float(d1)
-        self.c2, self.d2 = float(c2), float(d2)
 
     def to_xy(self, y1, y2):
         """Inverse of (y1, y2) = (a.x, b.x)."""

@@ -485,6 +485,72 @@ def test_non_finite_fit_target_is_a_domain_error(capsys):
     assert "not finite" in report["error"]["message"]
 
 
+@pytest.mark.parametrize("dirs, bounds, message", [
+    ("1 0 0 1", "0 1 0 inf", "d2 = inf is not finite"),
+    ("1 0 0 inf", "0 1 0 1", "b = (0.0, inf) is not finite"),
+])
+def test_approx_uniform_refuses_a_non_finite_domain(capsys, dirs, bounds,
+                                                    message):
+    code, out = run(capsys, "approx", "uniform", "--expr", "x1*x2",
+                    "--dirs", *dirs.split(), "--bounds", *bounds.split())
+    assert code == 1
+    assert json.loads(out)["error"] == {"type": "ValueError",
+                                        "message": message}
+
+
+@pytest.mark.parametrize("geom, message", [
+    ('{"a": [0, 1, 2], "b": [0, 1, 2]}', "geometry has no key 'rect'"),
+    ("[1, 2]", "geometry has no key 'rect'"),
+    ('{"rect": [0, 1, 0]}',
+     "geometry key 'rect' must be a list of 4 numbers, got [0, 1, 0]"),
+])
+def test_bolts_rect_names_a_missing_or_malformed_key(capsys, tmp_path, geom,
+                                                     message):
+    path = tmp_path / "geom.json"
+    path.write_text(geom)
+    code, out = run(capsys, "bolts", "rect", "--expr", "x1*x2",
+                    "--geom", str(path), "--class", "V", "--c", "0.5")
+    assert code == 1
+    assert json.loads(out)["error"] == {"type": "ValueError",
+                                        "message": message}
+
+
+def test_bolts_polygon_names_a_malformed_key(capsys, tmp_path):
+    path = tmp_path / "geom.json"
+    path.write_text('{"a": [0, 1, 2], "b": [0, 1, null]}')
+    code, out = run(capsys, "bolts", "hexagon", "--expr", "x1*x2",
+                    "--geom", str(path))
+    assert code == 1
+    assert json.loads(out)["error"]["message"] == \
+        "geometry key 'b' must be a list of numbers, got [0, 1, null]"
+
+
+@pytest.mark.parametrize("option", ["--ds-iters", "--cap"])
+def test_negative_count_is_a_usage_error(capsys, square_csv, xy_dirs_csv,
+                                         option):
+    if option == "--cap":
+        argv = ["cycles", "check", "--points", square_csv,
+                "--directions", xy_dirs_csv, "--minimal", "--cap", "-1"]
+    else:
+        argv = ["approx", "uniform", "--expr", "x1*x2", "--dirs", "1", "0",
+                "0", "1", "--bounds", "0", "1", "0", "1", "--ds-iters", "-4"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: must be >= 0" in captured.err
+
+
+@pytest.mark.parametrize("expr, eps", [("x1^3+x1", "nan"), ("sin(x1)", "nan"),
+                                       ("sin(x1)", "inf"), ("sin(x1)", "-1")])
+def test_sigmoid_fit_refuses_a_bad_eps(capsys, expr, eps):
+    code, out = run(capsys, "sigmoid", "fit", "--expr", expr,
+                    "--interval", "0", "1", "--eps", eps)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith("eps must be finite and >= 0")
+
+
 @pytest.mark.parametrize("expr", ["(" * 400 + "x1" + ")" * 400,
                                   "+".join(["x1"] * 1500)],
                          ids=["400 parentheses", "sum of 1500 terms"])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ridgekit import cycles
 from ridgekit.core import dot as core_dot
-from ridgekit.core import rational
+from ridgekit.core import PointConfig, rational
 from ridgekit.cycles import (
     CycleExists,
     _canonical_cycle_vector,
@@ -76,6 +76,16 @@ class TestHasCycle:
     def test_certificate_weights_normalize_to_unit_mass(self):
         _, cert = has_cycle(SQUARE, [X, Y])
         assert sum(abs(w) for w in cert.normalized_weights()) == Fraction(1)
+
+    def test_functional_reads_the_certificates_own_points(self):
+        # x*y on the square is no ridge sum of x and y: G(f) = ±1/4
+        half = Fraction(1, 2)
+        pts = [(0, half), (0, 1), (1, half), (1, 1)]
+        f = lambda x, y: x * y  # noqa: E731
+        for points in (pts, PointConfig(2, pts)):
+            _, cert = has_cycle(points, [X, Y])
+            assert abs(cycle_functional(cert, f)) == \
+                abs(cycle_functional(cert, f, pts)) == 0.125
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -236,6 +246,12 @@ class TestSolveRepresentation:
         with pytest.raises(ValueError, match="one f value per point"):
             solve_representation(SQUARE, [X, Y], [0, 0, 1])
 
+    def test_no_directions_is_a_cycle(self):
+        # no fibers: every weight vector is a cycle, and the values cannot
+        # be interpolated by an empty sum
+        with pytest.raises(CycleExists):
+            solve_representation([(0, 0), (1, 2)], [], [0, 1])
+
     @given(point_sets())
     @settings(max_examples=60, deadline=None)
     def test_raises_exactly_when_has_cycle_finds_one(self, case):
@@ -369,6 +385,15 @@ class TestRationalFibers:
         fib = cycles.Fibers([(0, 0), (1, 0), (0, 1), (1, 1)], [X, (1, 1)])
         assert fib.columns == [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)]
         assert fib.members == [[0, 2], [1, 3], [0], [1, 2], [3]]
+
+    @pytest.mark.parametrize("dirs", [[X, (1, 1)], [X, Y], [(1, 2)], []])
+    def test_incidence_rows_are_numbered_as_the_columns(self, dirs):
+        pts = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)]
+        fib = cycles.Fibers(pts, dirs)
+        assert fib.incidence == cycles._incidence_rows(fib.members,
+                                                       range(len(pts)))
+        assert len(fib.incidence) == len(fib.columns)
+        assert fib.incidence is fib.incidence
 
     def test_a_fibers_takes_no_second_set_of_directions(self):
         fib = cycles.Fibers(SQUARE, [X, Y])

@@ -392,6 +392,12 @@ class TestFitting:
         assert net.theta2 == 2 * 2.0 - 5.0
         assert eval_network(net, 3.0) == pytest.approx(9.0, abs=1e-6)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -1.0])
+    def test_eps_must_be_finite_and_non_negative(self, eps):
+        f = parse_expression("x1^3+x1", 1)
+        with pytest.raises(ValueError, match="^eps must be finite"):
+            fit_two_neuron(f, 0.0, 1.0, eps)
+
     def test_domain_checked_on_eval(self):
         f = parse_expression("x1", 1)
         net, _ = fit_two_neuron(f, 0.0, 1.0, 0.5)

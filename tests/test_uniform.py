@@ -17,6 +17,17 @@ from ridgekit.uniform import (
 UNIT = ParallelogramDomain((1, 0), (0, 1), 0.0, 1.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("args, name", [
+    (((1, 0), (0, 1), 0, 1, 0, math.inf), "d2 = inf"),
+    (((1, 0), (0, 1), -math.inf, 1, 0, 1), "c1 = -inf"),
+    (((1, 0), (0, math.inf), 0, 1, 0, 1), r"b = \(0.0, inf\)"),
+    (((math.nan, 1), (0, 1), 0, 1, 0, 1), r"a = \(nan, 1.0\)"),
+])
+def test_domain_refuses_a_non_finite_value(args, name):
+    with pytest.raises(ValueError, match=f"^{name} is not finite"):
+        ParallelogramDomain(*args)
+
+
 def xy(x, y):
     return np.asarray(x) * np.asarray(y)
 
