@@ -187,7 +187,7 @@ def _emit_error(args, exc, code):
 def _cmd_cycles_check(args, t0):
     rows = _read_rows(args, args.points)
     points = PointConfig(len(rows[0]), rows)
-    h = list(DirectionSet(points.dim, _read_rows(args, args.directions)))
+    h = DirectionSet(points.dim, _read_rows(args, args.directions))
     fib = Fibers(points, h)
     found, cert = has_cycle(fib)
     results = {"has_cycle": found}

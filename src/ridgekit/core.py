@@ -20,6 +20,7 @@ import functools
 import io
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -260,6 +261,7 @@ def _read_csv_rows(data, name):
 # term   := factor (('*'|'/') factor)*
 # factor := ('-')? base ('^' factor)?
 # base   := number | ident | func '(' expr ')' | '(' expr ')'
+# number := (digit | '.')+ (('e'|'E') ('+'|'-')? digit+)?, read by Fraction
 # ident  := 'x' digit+ | 'pi' | 'e'
 #                            func in {sin, cos, exp, log, abs, sqrt}
 
@@ -269,6 +271,8 @@ _FUNCS = {
 }
 
 _CONSTS = {"pi": math.pi, "e": math.e}
+
+_NUMBER = re.compile(r"[\d.]+([eE][+-]?\d+)?")
 
 
 class ExprError(ValueError):
@@ -299,12 +303,10 @@ class _Tokenizer:
                 self.tokens.append((c, c, i))
                 i += 1
                 continue
-            if c.isdigit() or c == ".":
-                j = i
-                while j < n and (t[j].isdigit() or t[j] == "."):
-                    j += 1
-                self.tokens.append(("num", t[i:j], i))
-                i = j
+            number = _NUMBER.match(t, i)
+            if number:
+                self.tokens.append(("num", number.group(), i))
+                i = number.end()
                 continue
             if c.isalpha():
                 j = i

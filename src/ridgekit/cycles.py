@@ -21,7 +21,8 @@ from operator import mul
 
 import numpy as np
 
-from .core import PointConfig, _integer_coordinates, _primitive, bareiss
+from .core import (DirectionSet, PointConfig, _integer_coordinates,
+                   _primitive, bareiss)
 
 
 class CycleExists(ValueError):
@@ -61,12 +62,13 @@ def _key_table(points, h):
 
     Returns (keys, scales) with keys[i][j] = scales[i] * h_i(x_j): one
     common denominator per h_i, so that fibers group and hash as ints.  A
-    PointConfig brings its integer coordinates; other points, each
-    direction and the values of a callable h_i, which gets each point as
-    given, are read by ``_integer_coordinates``.
+    PointConfig and a DirectionSet bring their integer coordinates; other
+    points, each other direction and the values of a callable h_i, which
+    gets each point as given, are read by ``_integer_coordinates``.
     """
     ipts, den = ((points.ints, points.den) if isinstance(points, PointConfig)
                  else _integer_coordinates(points))
+    h, hden = (h.ints, h.den) if isinstance(h, DirectionSet) else (h, 1)
     table, scales = [], []
     for hi in h:
         if callable(hi):
@@ -74,7 +76,7 @@ def _key_table(points, h):
         else:
             (ia,), e = _integer_coordinates([hi])
             keys = [sum(map(mul, ia, p)) for p in ipts]
-            scale = den * e
+            scale = den * hden * e
         table.append(keys)
         scales.append(scale)
     return table, scales
@@ -96,7 +98,9 @@ class Fibers:
     value in ``keys[i]`` to its point indices, in order of first appearance.
     The fibers are numbered once: fiber c is ``columns[c]`` = (i, value),
     h_1's first, each h_i's in the order of ``fibers[i]``, and its points
-    are ``members[c]``.
+    are ``members[c]``.  ``nullspace`` is the one cycle space that every
+    question reads: a basis of fundamental circuits of ``incidence``, one
+    per free point, each with at most rank + 1 points.
     """
 
     def __init__(self, points, h):
@@ -112,6 +116,11 @@ class Fibers:
     def incidence(self):
         """The fiber incidence system of all the points: row c is fiber c."""
         return _incidence_rows(self.members, range(len(self.points)))
+
+    @functools.cached_property
+    def nullspace(self):
+        """``rational_nullspace`` of ``incidence``: the cycle space."""
+        return rational_nullspace(self.incidence, len(self.points))
 
 
 def _fibers(points, h):
@@ -213,10 +222,9 @@ def has_cycle(points, h=None):
     canonical nullspace vector of the fiber incidence system.
     """
     fib = _fibers(points, h)
-    basis = rational_nullspace(fib.incidence, len(fib.points))
-    if not basis:
+    if not fib.nullspace:
         return False, None
-    vec = _canonical_cycle_vector(basis)
+    vec = _canonical_cycle_vector(fib.nullspace)
     support = [j for j, w in enumerate(vec) if w != 0]
     weights = [w for w in vec if w != 0]
     return True, CycleCertificate(support, weights, fib.points)
@@ -225,21 +233,25 @@ def has_cycle(points, h=None):
 def minimal_cycles(points, h=None, cap=10):
     """All support-minimal cycles with support size <= cap.
 
-    Breadth-first over support sizes; a subset is skipped when some point
-    has a singleton fiber (no full-support weights exist) or when it
+    Breadth-first over support sizes up to rank + 1, the most points a
+    circuit can have (rank = n - nullity); a subset is skipped when some
+    point has a singleton fiber (no full-support weights exist) or when it
     strictly contains an already-found minimal support.  For each minimal
     support the weight vector is unique up to scale; it is reported in
     smallest integers, first weight positive.
 
-    Returns (certificates, exhausted); ``exhausted`` is False when the cap
-    cut the enumeration before all subsets were inspected.
+    Returns (certificates, exhausted); ``exhausted`` is True when no cycle
+    exists or cap >= rank + 1, so that every minimal cycle is listed.  A
+    negative cap raises ValueError.
     """
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
     fib = _fibers(points, h)
     n = len(fib.points)
+    largest = n - len(fib.nullspace) + 1 if fib.nullspace else 0
     found = []
     supports = []
-    exhausted = cap >= n
-    for size in range(2, min(cap, n) + 1):
+    for size in range(2, min(cap, largest) + 1):
         for subset in itertools.combinations(range(n), size):
             if any(s <= set(subset) for s in supports):
                 continue
@@ -256,7 +268,7 @@ def minimal_cycles(points, h=None, cap=10):
             supports.append(set(subset))
             found.append(CycleCertificate(list(subset), vec, fib.points))
     found.sort(key=lambda c: c.support)
-    return found, exhausted
+    return found, cap >= largest
 
 
 def cycle_functional(cert, f, points=None):
@@ -304,54 +316,32 @@ def tau_closure(points, directions=None):
 
 def closed_path_search(points, a1=None, a2=None):
     """Find a closed path: distinct points p_1..p_{2n} alternating along
-    level lines of a1 and a2 (wrapping around).  Returns the list of point
+    level lines of a2 and a1 (wrapping around).  Returns the list of point
     indices or None.
 
-    Points are edges of the bipartite multigraph whose sides are the
-    a1-fibers and a2-fibers; closed paths correspond to cycles there.
+    With two directions a circuit of the fiber incidence system is a simple
+    cycle of the bipartite fiber graph (fibers are nodes, points edges), so
+    the first fundamental circuit, ``nullspace[0]``, is walked: from its
+    first point to the other one on its a2-fiber, then on its a1-fiber, in
+    turn.  Two points on the same two fibers (possible off the plane) close
+    a path of two.  A Fibers without exactly two directions raises
+    ValueError.
     """
-    k1, k2 = _fibers(points, None if a1 is a2 is None else (a1, a2)).keys
-    adj = {}  # fiber node (side, value) -> [(neighbour node, point index)]
-    for j in range(len(k1)):
-        u, v = (1, k1[j]), (2, k2[j])
-        adj.setdefault(u, []).append((v, j))
-        adj.setdefault(v, []).append((u, j))
-    # DFS over fiber nodes; a back edge closes a cycle whose edges are the
-    # sought points, one edge per point.  Two points on the same two fibers
-    # (possible off the plane) are parallel edges: a closed path of two.
-    visited = set()
-    for start in adj:
-        if start in visited:
-            continue
-        # recursive DFS via explicit stack, keeping the current edge path
-        stack = [(start, None, iter(adj[start]))]
-        on_path = {start: None}  # node -> edge used to enter it
-        visited.add(start)
-        while stack:
-            node, in_edge, it = stack[-1]
-            advanced = False
-            for (nbr, edge) in it:
-                if edge == in_edge:
-                    continue
-                if nbr in on_path:
-                    # unwind the stack back to nbr, collecting edges
-                    cyc = [edge]
-                    k = len(stack) - 1
-                    while stack[k][0] != nbr:
-                        cyc.append(stack[k][1])
-                        k -= 1
-                    cyc.reverse()
-                    return cyc
-                if nbr not in visited:
-                    visited.add(nbr)
-                    on_path[nbr] = edge
-                    stack.append((nbr, edge, iter(adj[nbr])))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                del on_path[node]
-    return None
+    fib = _fibers(points, None if a1 is a2 is None else (a1, a2))
+    if len(fib.keys) != 2:
+        raise ValueError("a closed path needs exactly two directions, "
+                         f"got {len(fib.keys)}")
+    if not fib.nullspace:
+        return None
+    support = [j for j, w in enumerate(fib.nullspace[0]) if w]
+    path = [support[0]]
+    while True:
+        keys = fib.keys[len(path) % 2]   # a2 from an odd count, else a1
+        nxt = next(j for j in support
+                   if j != path[-1] and keys[j] == keys[path[-1]])
+        if nxt == path[0]:
+            return path
+        path.append(nxt)
 
 
 def orbits(points, a1=None, a2=None):

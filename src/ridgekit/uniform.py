@@ -186,8 +186,11 @@ def diliberto_straus(f, dom, iters=100, grid_n=41):
     Each sweep subtracts, per y1-fiber then per y2-fiber, the midrange
     (max+min)/2 of the current residual.  Returns (norms, tables) where
     norms[k] = sup-norm after k sweeps (norms[0] is ||f||) and tables are
-    the accumulated g1, g2 as univariate tables in y1, y2.
+    the accumulated g1, g2 as univariate tables in y1, y2.  A negative
+    ``iters`` raises ValueError.
     """
+    if iters < 0:
+        raise ValueError(f"iters must be >= 0, got {iters}")
     g = dom.grid(grid_n)
     y1, y2, X, Y = g.y1, g.y2, g.X, g.Y
     resid = np.asarray(f(X, Y), dtype=float).copy()

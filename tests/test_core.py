@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ridgekit.core import (
     DirectionSet,
+    ExprError,
     PointConfig,
     RidgeSum,
     UnivariateTable,
@@ -15,6 +16,7 @@ from ridgekit.core import (
     _read_number,
     centred_differences,
     double_differences,
+    format_ast,
     gauss_grid,
     gauss_nodes,
     grid_minimax_oracle,
@@ -150,6 +152,35 @@ class TestExpressions:
     def test_matches_reference(self, x, y):
         f = parse_expression("x1^2*x2 - cos(x1 + x2)", 2)
         assert f(x, y) == pytest.approx(x * x * y - math.cos(x + y), abs=1e-12)
+
+    @pytest.mark.parametrize("text, value", [
+        ("1e8", 1e8), ("2.5e-3", 2.5e-3), ("1E+2", 100.0), (".5e1", 5.0)])
+    def test_an_exponent_literal_is_one_number(self, text, value):
+        assert parse_expression(text, 1).ast == ("const", value)
+        assert parse_expression(f"{text}*x1", 1).ast == \
+            ("*", ("const", value), ("var", 0))
+
+    @pytest.mark.parametrize("text", ["0.00001*x1", "x1 + 1e16",
+                                      "-2.5e-3*x1^2"])
+    def test_format_ast_round_trips_an_exponent(self, text):
+        ast = parse_expression(text, 1).ast
+        assert parse_expression(format_ast(ast), 1).ast == ast
+
+    @pytest.mark.parametrize("text", ["2e", "2E", "1e+", "2exp(x1)",
+                                      "2e-x1", "2e3x1"])
+    def test_an_e_without_exponent_digits_is_an_error(self, text):
+        with pytest.raises(ExprError):
+            parse_expression(text, 1)
+
+    @pytest.mark.parametrize("text, ast", [
+        ("e", ("const", math.e)),
+        ("2*e", ("*", ("const", 2.0), ("const", math.e))),
+        ("2^e-3", ("-", ("^", ("const", 2.0), ("const", math.e)),
+                   ("const", 3.0))),
+        ("exp(1)", ("call", "exp", ("const", 1.0))),
+    ])
+    def test_the_constant_e_reads_as_before(self, text, ast):
+        assert parse_expression(text, 1).ast == ast
 
 
 class TestUnivariateTable:

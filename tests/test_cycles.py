@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ridgekit import cycles
 from ridgekit.core import dot as core_dot
-from ridgekit.core import PointConfig, rational
+from ridgekit.core import DirectionSet, PointConfig, rational
 from ridgekit.cycles import (
     CycleExists,
     _canonical_cycle_vector,
@@ -52,6 +52,19 @@ KINDS = [([(x, y) for x in range(4) for y in range(4)], [X, Y, (1, 1)]),
 random_sets = st.sampled_from(KINDS).flatmap(
     lambda kind: st.tuples(
         st.lists(st.sampled_from(kind[0]), min_size=1, max_size=len(kind[0]),
+                 unique=True),
+        st.just(kind[1])))
+
+# random subsets of a 4 x 4 grid along the axes, and of {0..2}^3 along
+# (1,0,0) and (0,1,1), where two points differing only in y - z share both
+# fibers
+TWO_DIRECTION_KINDS = [
+    ([(x, y) for x in range(4) for y in range(4)], [X, Y]),
+    ([(x, y, z) for x in range(3) for y in range(3) for z in range(3)],
+     [(1, 0, 0), (0, 1, 1)])]
+two_direction_sets = st.sampled_from(TWO_DIRECTION_KINDS).flatmap(
+    lambda kind: st.tuples(
+        st.lists(st.sampled_from(kind[0]), min_size=1, max_size=9,
                  unique=True),
         st.just(kind[1])))
 
@@ -193,6 +206,25 @@ class TestMinimalCycles:
         assert all(len(c.support) == 4 for c in certs)
         assert len(certs) == 3
 
+    def test_a_cap_of_rank_plus_one_lists_every_circuit(self):
+        # the 3 x 3 grid along the axes has rank 9 - 4 = 5, so no circuit
+        # has more than 6 points: nine 4-cycles and six 6-cycles
+        grid = [(x, y) for x in range(3) for y in range(3)]
+        certs, exhausted = minimal_cycles(grid, [X, Y], cap=6)
+        wide, _ = minimal_cycles(grid, [X, Y], cap=10)
+        assert exhausted and len(certs) == 15
+        assert [cert_data(c) for c in certs] == [cert_data(c) for c in wide]
+        short, exhausted = minimal_cycles(grid, [X, Y], cap=5)
+        assert not exhausted and len(short) == 9
+
+    def test_a_cycle_free_set_is_exhausted_at_any_cap(self):
+        stairs = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)]
+        assert minimal_cycles(stairs, [X, Y], cap=2) == ([], True)
+
+    def test_a_negative_cap_is_refused(self):
+        with pytest.raises(ValueError, match="cap must be >= 0, got -1"):
+            minimal_cycles(SQUARE, [X, Y], cap=-1)
+
 
 class TestTauAndPaths:
     def test_tau_empties_on_cycle_free_sets(self):
@@ -216,6 +248,28 @@ class TestTauAndPaths:
         assert closed_path_search(pts, *dirs) == [0, 1]
         found, cert = has_cycle(pts, dirs)
         assert found and cert_data(cert) == ([0, 1], [1, -1])
+
+    @given(two_direction_sets)
+    @settings(max_examples=60, deadline=None)
+    def test_a_closed_path_walks_a_minimal_cycle(self, case):
+        pts, (a1, a2) = case
+        path = closed_path_search(pts, a1, a2)
+        if not has_cycle(pts, [a1, a2])[0]:
+            assert path is None
+            return
+        n = len(path)
+        assert n % 2 == 0 and len(set(path)) == n >= 2
+        # a2's fiber first, then a1's, in turn, wrapping around
+        for k in range(n):
+            a = a2 if k % 2 == 0 else a1
+            assert dot(a, pts[path[k]]) == dot(a, pts[path[(k + 1) % n]])
+        certs, _ = minimal_cycles(pts, [a1, a2], cap=n)
+        assert sorted(path) in [c.support for c in certs]
+
+    def test_a_closed_path_needs_exactly_two_directions(self):
+        fib = cycles.Fibers(SQUARE, [X, Y, (1, 1)])
+        with pytest.raises(ValueError, match="exactly two directions, got 3"):
+            closed_path_search(fib)
 
 
 # integer sets of up to 10 points in 2-D and 3-D along 1 to 3 directions,
@@ -394,6 +448,21 @@ class TestRationalFibers:
                                                        range(len(pts)))
         assert len(fib.incidence) == len(fib.columns)
         assert fib.incidence is fib.incidence
+
+    def test_a_direction_set_is_read_as_integers(self):
+        # no Fraction view of the directions is built, and the fibers and
+        # their values are those of the directions as a list
+        ds = DirectionSet(2, [A1, A2])
+        fib = cycles.Fibers(RATIONAL_GRID, ds)
+        assert "_fractions" not in vars(ds)
+        listed = cycles.Fibers(RATIONAL_GRID, list(ds))
+
+        def values(f):
+            return [[Fraction(k, s) for k in keys]
+                    for keys, s in zip(f.keys, f.scales)]
+
+        assert values(fib) == values(listed)
+        assert fib.members == listed.members
 
     def test_a_fibers_takes_no_second_set_of_directions(self):
         fib = cycles.Fibers(SQUARE, [X, Y])

@@ -107,6 +107,10 @@ class TestDilibertoStraus:
         resid = np.abs(xy(X, Y) - g1(X) - g2(Y))
         assert float(resid.max()) == pytest.approx(norms[-1], abs=1e-9)
 
+    def test_a_negative_iteration_count_is_refused(self):
+        with pytest.raises(ValueError, match="iters must be >= 0, got -4"):
+            diliberto_straus(xy, UNIT, iters=-4)
+
 
 def mixed_condition_check_oracle(f, dom, grid_n=21, tol=None):
     """The three-stencil check that ``mixed_condition_check`` replaced:
