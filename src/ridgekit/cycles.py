@@ -233,42 +233,103 @@ def has_cycle(points, h=None):
 def minimal_cycles(points, h=None, cap=10):
     """All support-minimal cycles with support size <= cap.
 
-    Breadth-first over support sizes up to rank + 1, the most points a
-    circuit can have (rank = n - nullity); a subset is skipped when some
-    point has a singleton fiber (no full-support weights exist) or when it
-    strictly contains an already-found minimal support.  For each minimal
-    support the weight vector is unique up to scale; it is reported in
-    smallest integers, first weight positive.
+    With two directions a minimal cycle is a simple cycle of the fiber
+    graph (a node per fiber, an edge per point; two points on the same two
+    fibers are parallel edges, a cycle of two), and its weights alternate
+    +1, -1 around it: ``_fiber_graph_cycles`` walks the graph for them.
+    With any other number of directions, subsets are searched breadth-first
+    over support sizes.  Only points in the support of some ``nullspace``
+    vector lie in a circuit; among those U, a circuit has at most
+    |U| - nullity + 1 points.  A subset is skipped when some point has a
+    singleton fiber (no full-support weights exist) or when it strictly
+    contains an already-found minimal support.  Either way, the weight
+    vector of each minimal support is unique up to scale; it is reported in
+    smallest integers over the sorted support, first weight positive, and
+    the certificates are sorted by support.
 
     Returns (certificates, exhausted); ``exhausted`` is True when no cycle
-    exists or cap >= rank + 1, so that every minimal cycle is listed.  A
-    negative cap raises ValueError.
+    exists or cap >= rank + 1 (rank = points - dimension of the cycle
+    space), the most points a circuit can have, so that every minimal
+    cycle is listed.  A negative cap raises ValueError.
     """
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
     fib = _fibers(points, h)
     n = len(fib.points)
-    largest = n - len(fib.nullspace) + 1 if fib.nullspace else 0
     found = []
-    supports = []
-    for size in range(2, min(cap, largest) + 1):
-        for subset in itertools.combinations(range(n), size):
-            if any(s <= set(subset) for s in supports):
-                continue
-            members = [m for keys in fib.keys
-                       for m in _group(keys, subset).values()]
-            if any(len(m) == 1 for m in members):
-                continue
-            basis = rational_nullspace(_incidence_rows(members, subset), size)
-            if not basis:
-                continue
-            vec = basis[0]
-            if any(w == 0 for w in vec):
-                continue  # support smaller than subset; found at its own size
-            supports.append(set(subset))
-            found.append(CycleCertificate(list(subset), vec, fib.points))
+    if len(fib.keys) == 2:
+        # the rank of a graph's incidence system: nodes - components
+        rank = len(fib.columns) - len(orbits(fib))
+        for cycle in _fiber_graph_cycles(fib, cap):
+            sign = {j: (-1) ** k for k, j in enumerate(cycle)}
+            support = sorted(cycle)
+            weights = [sign[j] * sign[support[0]] for j in support]
+            found.append(CycleCertificate(support, weights, fib.points))
+    else:
+        rank = n - len(fib.nullspace)
+        union = sorted({j for vec in fib.nullspace
+                        for j, w in enumerate(vec) if w})
+        supports = []
+        largest = len(union) - len(fib.nullspace) + 1
+        for size in range(2, min(cap, largest) + 1):
+            for subset in itertools.combinations(union, size):
+                if any(s <= set(subset) for s in supports):
+                    continue
+                members = [m for keys in fib.keys
+                           for m in _group(keys, subset).values()]
+                if any(len(m) == 1 for m in members):
+                    continue
+                basis = rational_nullspace(_incidence_rows(members, subset),
+                                           size)
+                if not basis:
+                    continue
+                vec = basis[0]
+                if any(w == 0 for w in vec):
+                    continue  # support smaller than subset; found at its size
+                supports.append(set(subset))
+                found.append(CycleCertificate(list(subset), vec, fib.points))
     found.sort(key=lambda c: c.support)
-    return found, cap >= largest
+    return found, rank == n or cap >= rank + 1
+
+
+def _fiber_graph_cycles(fib, cap):
+    """The simple cycles of at most ``cap`` edges of the fiber graph of two
+    directions: a node per fiber, numbered as ``fib.columns``, and an edge
+    per point, joining its two fibers.  Each cycle is listed once, as its
+    points in order around it: from its lowest node, through higher nodes
+    only, in the orientation whose first point is lower than its last.  The
+    path is kept on an explicit stack, so a cycle may be as long as the
+    point set.
+    """
+    ends = [[] for _ in fib.points]
+    for c, members in enumerate(fib.members):
+        for j in members:
+            ends[j].append(c)
+    adj = [[(j, sum(ends[j]) - c) for j in members]
+           for c, members in enumerate(fib.members)]
+    on_path = [False] * len(adj)
+    cycles = []
+    for s in range(len(adj)):
+        on_path[s] = True
+        stack = [(s, iter(adj[s]))]
+        edges = []   # the point by which each node after s was reached
+        while stack:
+            u, out = stack[-1]
+            for j, v in out:
+                if v == s:
+                    if edges and edges[0] < j:
+                        cycles.append(edges + [j])
+                elif v > s and not on_path[v] and len(edges) + 2 <= cap:
+                    on_path[v] = True
+                    stack.append((v, iter(adj[v])))
+                    edges.append(j)
+                    break
+            else:
+                on_path[u] = False
+                stack.pop()
+                if edges:
+                    edges.pop()
+    return cycles
 
 
 def cycle_functional(cert, f, points=None):

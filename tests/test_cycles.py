@@ -55,11 +55,12 @@ random_sets = st.sampled_from(KINDS).flatmap(
                  unique=True),
         st.just(kind[1])))
 
-# random subsets of a 4 x 4 grid along the axes, and of {0..2}^3 along
-# (1,0,0) and (0,1,1), where two points differing only in y - z share both
-# fibers
+# random subsets of a 4 x 4 grid along the axes and along the skew pair
+# (1,1), (1,-1), and of {0..2}^3 along (1,0,0) and (0,1,1), where two
+# points differing only in y - z share both fibers
 TWO_DIRECTION_KINDS = [
     ([(x, y) for x in range(4) for y in range(4)], [X, Y]),
+    ([(x, y) for x in range(4) for y in range(4)], [(1, 1), (1, -1)]),
     ([(x, y, z) for x in range(3) for y in range(3) for z in range(3)],
      [(1, 0, 0), (0, 1, 1)])]
 two_direction_sets = st.sampled_from(TWO_DIRECTION_KINDS).flatmap(
@@ -224,6 +225,64 @@ class TestMinimalCycles:
     def test_a_negative_cap_is_refused(self):
         with pytest.raises(ValueError, match="cap must be >= 0, got -1"):
             minimal_cycles(SQUARE, [X, Y], cap=-1)
+
+    @given(two_direction_sets)
+    @settings(max_examples=60, deadline=None)
+    def test_the_fiber_graph_walk_matches_subset_enumeration(self, case):
+        pts, dirs = case
+        circuits, rank = circuits_oracle(pts, dirs)
+        for cap in range(11):
+            certs, exhausted = minimal_cycles(pts, dirs, cap=cap)
+            assert [cert_data(c) for c in certs] == \
+                [c for c in circuits if len(c[0]) <= cap]
+            assert exhausted == (rank == len(pts) or cap >= rank + 1)
+
+    def test_the_five_by_five_grid_lists_every_circuit(self):
+        grid = [(x, y) for x in range(5) for y in range(5)]
+        certs, exhausted = minimal_cycles(grid, [X, Y], cap=10)
+        assert exhausted and len(certs) == 3940
+
+    def test_a_cycle_longer_than_the_recursion_limit_is_walked(self):
+        # 600 fibers of each direction, joined into one cycle of 1,200 points
+        pts = ([(i, i) for i in range(600)]
+               + [(i, (i + 1) % 600) for i in range(600)])
+        certs, exhausted = minimal_cycles(pts, [X, Y], cap=1200)
+        assert exhausted and len(certs) == 1
+        assert certs[0].support == list(range(1200))
+        assert set(certs[0].weights) == {1, -1}
+
+    def test_a_cycle_free_tail_leaves_the_circuits_unchanged(self):
+        # with three directions, only points in the support of a nullspace
+        # vector are searched
+        grid = [(x, y) for x in range(4) for y in range(4)]
+        tail = [(4, 3), (4, 4), (5, 4), (5, 5), (6, 5), (6, 6)]
+        dirs = [X, Y, (1, 1)]
+        alone, _ = minimal_cycles(grid, dirs, cap=10)
+        tailed, _ = minimal_cycles(grid + tail, dirs, cap=10)
+        assert len(alone) == 13
+        assert [cert_data(c) for c in tailed] == [cert_data(c) for c in alone]
+
+
+def circuits_oracle(points, dirs):
+    """Every circuit of the fiber incidence system, by brute force over
+    subsets, and the system's rank.  A circuit is a subset of rank one less
+    than its size whose every proper subset is independent; its weights
+    span the nullspace of its columns, in smallest integers, first weight
+    positive.  The circuits come as (support, weights), sorted by
+    support."""
+    rows = np.array(incidence(points, dirs)).reshape(-1, len(points))
+    ranks = {s: np.linalg.matrix_rank(rows[:, list(s)]) if s else 0
+             for size in range(len(points) + 1)
+             for s in itertools.combinations(range(len(points)), size)}
+    circuits = []
+    for s, rank in ranks.items():
+        if rank == len(s) - 1 and all(ranks[s[:k] + s[k + 1:]] == rank
+                                      for k in range(len(s))):
+            (vec,) = sympy.Matrix(rows[:, list(s)]).nullspace()
+            ints = [int(v * sympy.ilcm(*[v.q for v in vec])) for v in vec]
+            g = sympy.igcd(*ints) * (1 if ints[0] > 0 else -1)
+            circuits.append((list(s), [w // g for w in ints]))
+    return sorted(circuits), ranks[tuple(range(len(points)))]
 
 
 class TestTauAndPaths:
