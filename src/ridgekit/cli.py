@@ -59,7 +59,13 @@ from .bolts import (
     vc_best,
 )
 from .smooth import DecompProblem, crosscheck_highorder, decompose, tabulate
-from .sigmoid import SigmoidParams, fit_two_neuron, sigma
+from .sigmoid import (
+    SigmoidParams,
+    _log10_abs,
+    _scientific,
+    fit_two_neuron,
+    sigma,
+)
 
 DOMAIN_ERRORS = (
     CycleExists,
@@ -382,13 +388,14 @@ def _cmd_sigmoid_fit(args, t0):
     f = parse_expression(args.expr, 1)
     a, b = args.interval
     net, achieved = fit_two_neuron(f, a, b, args.eps)
-    theta1 = net.theta1_exact
-    exact = theta1.denominator == 1 and abs(net.theta1_log10()) < 4000
+    theta1 = net.theta1_exact            # formed once, a big Fraction
+    l10 = _log10_abs(theta1)
+    exact = theta1.denominator == 1 and abs(l10) < 4000
     results = {
         "c1": float(net.c1),
         "c2": float(net.c2),
         "n": str(net.n),
-        "theta1": {"decimal": net.theta1_decimal(),
+        "theta1": {"decimal": _scientific(theta1, l10),
                    "exact": _frac(theta1) if exact else None},
         "theta2": _frac(net.theta2),
         "achieved_error": float(achieved),

@@ -105,18 +105,23 @@ def calkin_wilf(n):
     return _terms_value(_index_terms(n))
 
 
-def _continued_fraction(q):
-    """Canonical continued fraction of q > 0: [c0; c1, ..., ck] with middle
-    terms >= 1 and the last term >= 2 unless the expansion is just [c0]."""
-    q = Fraction(q)
-    if q <= 0:
-        raise ValueError("need a positive rational")
+def _terms(num, den):
+    """Canonical continued fraction of num/den > 0, two ints: the quotients
+    of Euclid's algorithm, [c0; c1, ..., ck] with middle terms >= 1 and the
+    last term >= 2 unless the expansion is just [c0]."""
     terms = []
-    num, den = q.numerator, q.denominator
     while den:
         terms.append(num // den)
         num, den = den, num % den
     return _canonical(terms)
+
+
+def _continued_fraction(q):
+    """Canonical continued fraction of the rational q > 0 (see _terms)."""
+    q = Fraction(q)
+    if q <= 0:
+        raise ValueError("need a positive rational")
+    return _terms(q.numerator, q.denominator)
 
 
 def cw_index(q, max_bits=300_000_000):
@@ -139,10 +144,15 @@ def rational_enum(k):
 def rational_index(r):
     """Inverse of rational_enum."""
     r = rational(r)
-    if r == 0:
+    return _signed_index(r.numerator, r.denominator)
+
+
+def _signed_index(num, den):
+    """rational_index of num/den, den > 0, on the two ints alone."""
+    if num == 0:
         return 0
-    n = cw_index(abs(r))
-    return 2 * n if r > 0 else 2 * n - 1
+    n = _index_of_terms(_terms(abs(num), den))
+    return 2 * n if num > 0 else 2 * n - 1
 
 
 class MonicPoly:
@@ -252,9 +262,11 @@ def monic_index(p):
         p = MonicPoly(p)
     if p.degree == 0:
         return 1
-    index = {c: rational_index(c) for c in set(p.coeffs)}
-    return _index_of_terms([index[c] + o for c, o
-                            in zip(p.coeffs, _offsets(p.degree))])
+    pairs = [(c.numerator, c.denominator) for c in p.coeffs]
+    # coefficients repeat: encode each distinct one once, keyed on its ints
+    index = {k: _signed_index(*k) for k in set(pairs)}
+    return _index_of_terms([index[k] + o for k, o
+                            in zip(pairs, _offsets(p.degree))])
 
 
 # ---------------------------------------------------------------------------
@@ -514,23 +526,33 @@ class NetworkParams:
 
     def theta1_log10(self):
         """log10 |theta1|, exact to ~1e-13 even for astronomical n."""
-        t = self.theta1_exact
-        if t == 0:
-            return float("-inf")
-        t = abs(t)
-        return (_ln_big(t.numerator) - _ln_big(t.denominator)) / math.log(10)
+        return _log10_abs(self.theta1_exact)
 
     def theta1_decimal(self):
         """Scientific-notation string of theta1 with 4 decimals in the
         mantissa (huge values supported)."""
         t = self.theta1_exact
-        if t == 0:
-            return "0"
-        sign = "-" if t < 0 else ""
-        l10 = self.theta1_log10()
-        e = math.floor(l10)
-        mant = 10.0 ** (l10 - e)
-        return f"{sign}{mant:.4f}e{e:+d}"
+        return _scientific(t, _log10_abs(t))
+
+
+def _log10_abs(t):
+    """log10 |t| of an exact rational t, exact to ~1e-13 however large t
+    is; -inf for 0."""
+    if t == 0:
+        return float("-inf")
+    t = abs(t)
+    return (_ln_big(t.numerator) - _ln_big(t.denominator)) / math.log(10)
+
+
+def _scientific(t, l10):
+    """The rational t, given with l10 = _log10_abs(t), in scientific
+    notation with 4 decimals in the mantissa."""
+    if t == 0:
+        return "0"
+    sign = "-" if t < 0 else ""
+    e = math.floor(l10)
+    mant = 10.0 ** (l10 - e)
+    return f"{sign}{mant:.4f}e{e:+d}"
 
 
 def eval_network(net, x):
@@ -549,32 +571,69 @@ def eval_network(net, x):
     return net.c1 * seg + net.c2 * const
 
 
+def _limited(x, max_den):
+    """Fraction(x).limit_denominator(max_den) as a pair (num, den) in lowest
+    terms, den > 0, computed on x.as_integer_ratio(): the rational nearest
+    to x with a denominator <= max_den, and on a tie the last convergent
+    rather than the semiconvergent, as in the standard library.  A NaN or
+    infinite float raises what Fraction(x) raises."""
+    n, d = x.as_integer_ratio()
+    if d <= max_den:
+        return n, d
+    # convergents p0/q0, p1/q1 of n/d, up to the last with q1 <= max_den
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    num, den = n, d
+    while True:
+        a = num // den
+        q2 = q0 + a * q1
+        if q2 > max_den:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        num, den = den, num - a * den
+    k = (max_den - q0) // q1
+    p, q = p0 + k * p1, q0 + k * q1      # the semiconvergent, also coprime
+    # |p1/q1 - n/d| <= |p/q - n/d|, both sides times q1 q d
+    if abs(p1 * d - n * q1) * q <= abs(p * d - n * q) * q1:
+        return p1, q1
+    return p, q
+
+
 def _simplest_within(value, tol):
-    """Rational with smallest denominator within tol of value (via
-    continued-fraction bisection), denominator capped at 1e9."""
-    v = Fraction(value).limit_denominator(10**9)
+    """The simplest rational (least denominator) between value - tol and
+    value + tol, each end first rounded to the nearest rational with a
+    denominator <= 1e9 (_limited).  That rounding can move an end outward,
+    so the result may lie up to about 1e-9 outside +-tol; _finalize_coeffs'
+    check on the grid is what bounds the error.  With tol <= 0, the value
+    itself, rounded the same way."""
     if tol <= 0:
-        return v
-    lo = Fraction(value - tol).limit_denominator(10**9)
-    hi = Fraction(value + tol).limit_denominator(10**9)
-    return _simplest_between(lo, hi)
+        return Fraction(*_limited(value, 10**9))
+    return _simplest_between(_limited(value - tol, 10**9),
+                             _limited(value + tol, 10**9))
 
 
 def _simplest_between(lo, hi):
-    """Simplest rational in [lo, hi] (continued-fraction descent)."""
-    if lo > hi:
-        lo, hi = hi, lo
-    if lo <= 0 <= hi:
+    """Simplest rational in [lo, hi], the ends given as (num, den) pairs
+    with den > 0, in either order: the Stern-Brocot descent, on ints."""
+    (a, b), (c, d) = lo, hi
+    if a * d > c * b:
+        a, b, c, d = c, d, a, b
+    if a <= 0 <= c:
         return Fraction(0)
-    if hi < 0:
-        return -_simplest_between(-hi, -lo)
-    floor_lo = lo.numerator // lo.denominator
-    if floor_lo == lo:
-        return Fraction(floor_lo)
-    if floor_lo + 1 <= hi:
-        return Fraction(floor_lo + 1)
-    return floor_lo + 1 / _simplest_between(1 / (hi - floor_lo),
-                                            1 / (lo - floor_lo))
+    sign = 1
+    if c < 0:                            # both ends negative: mirror them
+        sign, a, b, c, d = -1, -c, d, -a, b
+    # lo = a/b <= hi = c/d, both > 0; p1/q1 is the descent's last convergent
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        t = a // b
+        last = t * b == a                # lo is the integer t
+        if not last and (t + 1) * d <= c:
+            t, last = t + 1, True        # the integer t + 1 lies in (lo, hi]
+        p0, q0, p1, q1 = p1, q1, t * p1 + p0, t * q1 + q0
+        if last:
+            return Fraction(sign * p1, q1)
+        # no integer in [lo, hi]: go on in [1/(hi - t), 1/(lo - t)]
+        a, b, c, d = d, c - t * d, b, a - t * b
 
 
 def _rationalize(coeffs, budget):
@@ -585,8 +644,8 @@ def _rationalize(coeffs, budget):
 def _cf_term_sum(q):
     """Sum of the canonical continued-fraction terms of |q| (0 for 0);
     equals the bit length of the Calkin-Wilf index of |q|."""
-    q = abs(Fraction(q))
-    return 0 if q == 0 else sum(_continued_fraction(q))
+    num, den = q.numerator, q.denominator
+    return sum(_terms(abs(num), den)) if num else 0
 
 
 def _index_bits_estimate(monic_coeffs):
@@ -704,7 +763,7 @@ def _read_poly(node, x):
     polynomial ``x``; None where the node is not a polynomial."""
     op = node[0]
     if op == "const":
-        return [Fraction(node[1]).limit_denominator(10**12)]
+        return [Fraction(*_limited(node[1], 10**12))]
     if op == "var":
         return x
     if op == "call":
@@ -816,7 +875,7 @@ def _finalize_coeffs(raw, eps, tgrid, g_vals, max_bits=200_000_000):
         budget = remaining / m * scale
         coeffs = _rationalize(raw, budget) if budget > 0 else \
             [c if isinstance(c, Fraction)
-             else Fraction(float(c)).limit_denominator(10**9) for c in raw]
+             else Fraction(*_limited(float(c), 10**9)) for c in raw]
         _trim(coeffs)
         if _poly_sup_dev(coeffs, g_vals, tgrid) > 0.5 * eps:
             continue

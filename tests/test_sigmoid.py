@@ -31,8 +31,10 @@ from ridgekit.sigmoid import (
     _continued_fraction,
     _exact_poly_coeffs,
     _index_terms,
+    _limited,
     _ln_big,
     _segment_coeffs,
+    _simplest_between,
 )
 from ridgekit.core import format_ast, parse_expression, rational
 
@@ -132,6 +134,181 @@ class TestRunLengthCodec:
     def test_signed_round_trip_of_every_small_index(self):
         for k in range(5000):
             assert rational_index(rational_enum(k)) == k
+
+
+# The Fraction formulation that the integer kernels replaced, kept as
+# their reference: Fraction comparisons and arithmetic, coefficients
+# deduplicated by Fraction hash, n built up from 0.
+
+def fraction_continued_fraction(q):
+    q = Fraction(q)
+    terms = []
+    while q.denominator != 1:
+        c = q.numerator // q.denominator
+        terms.append(c)
+        q = 1 / (q - c)
+    terms.append(q.numerator)
+    if len(terms) > 1 and terms[-1] == 1:
+        terms.pop()
+        terms[-1] += 1
+    return terms
+
+
+def fraction_index_of_terms(terms):
+    terms = list(terms)
+    if len(terms) % 2 == 0:
+        terms[-1] -= 1
+        terms.append(1)
+    n = 0
+    ones = True
+    for term in reversed(terms):
+        n <<= term
+        if ones:
+            n |= (1 << term) - 1
+        ones = not ones
+    return n
+
+
+def fraction_rational_index(r):
+    r = rational(r)
+    if r == 0:
+        return 0
+    n = fraction_index_of_terms(fraction_continued_fraction(abs(r)))
+    return 2 * n if r > 0 else 2 * n - 1
+
+
+def fraction_monic_index(coeffs):
+    coeffs = [rational(c) for c in coeffs]
+    degree = len(coeffs)
+    if degree == 0:
+        return 1
+    offsets = [2] if degree == 1 else [0] + [1] * (degree - 2) + [2]
+    index = {c: fraction_rational_index(c) for c in set(coeffs)}
+    return fraction_index_of_terms([index[c] + o
+                                    for c, o in zip(coeffs, offsets)])
+
+
+def fraction_simplest_between(lo, hi):
+    if lo > hi:
+        lo, hi = hi, lo
+    if lo <= 0 <= hi:
+        return Fraction(0)
+    if hi < 0:
+        return -fraction_simplest_between(-hi, -lo)
+    floor_lo = lo.numerator // lo.denominator
+    if floor_lo == lo:
+        return Fraction(floor_lo)
+    if floor_lo + 1 <= hi:
+        return Fraction(floor_lo + 1)
+    return floor_lo + 1 / fraction_simplest_between(1 / (hi - floor_lo),
+                                                    1 / (lo - floor_lo))
+
+
+def pair(q):
+    q = Fraction(q)
+    return q.numerator, q.denominator
+
+
+# coefficients of every input type: zero, both signs, ints, dyadic floats,
+# decimal and fraction strings, Fractions.  A coefficient's index has as
+# many bits as its continued-fraction terms sum to, and that index is a
+# term of n, so the terms stay small
+COEFF_POOL = [0, 0.0, "0", 1, -1, 3, -7, 0.5, -0.75, 2.25, -12.0, "3/4",
+              "-2/7", "0.125", "-5", Fraction(11, 13), Fraction(-9, 4)]
+coeff = st.one_of(st.sampled_from(COEFF_POOL),
+                  st.fractions(min_value=-6, max_value=6, max_denominator=6))
+
+
+class TestIntegerKernels:
+    @pytest.mark.parametrize("lo, hi", [
+        (Fraction(1, 3), Fraction(1, 2)),     # ordered
+        (Fraction(1, 2), Fraction(1, 3)),     # reversed ends
+        (Fraction(-1, 5), Fraction(2, 7)),    # 0 inside
+        (Fraction(0), Fraction(3, 4)),        # 0 as an end
+        (Fraction(-5, 7), Fraction(-2, 3)),   # both ends negative
+        (Fraction(-2, 3), Fraction(-5, 7)),
+        (Fraction(2), Fraction(17, 7)),       # an integer end
+        (Fraction(17, 7), Fraction(3)),
+        (Fraction(-3), Fraction(-17, 7)),
+        (Fraction(22, 7), Fraction(22, 7)),   # lo == hi
+        (Fraction(4), Fraction(4)),
+        (Fraction(-13, 8), Fraction(-13, 8)),
+        (Fraction(314159, 100000), Fraction(314160, 100000)),
+    ])
+    def test_simplest_between_cases(self, lo, hi):
+        got = _simplest_between(pair(lo), pair(hi))
+        assert type(got) is Fraction
+        assert got == fraction_simplest_between(lo, hi)
+        assert min(lo, hi) <= got <= max(lo, hi)
+
+    @given(st.fractions(min_value=-50, max_value=50, max_denominator=10**6),
+           st.fractions(min_value=-50, max_value=50, max_denominator=10**6))
+    @settings(max_examples=300)
+    def test_simplest_between_matches_the_fraction_descent(self, lo, hi):
+        got = _simplest_between(pair(lo), pair(hi))
+        assert got == fraction_simplest_between(lo, hi)
+
+    @pytest.mark.parametrize("x, max_den", [
+        (0.5, 1), (1.5, 1), (2.5, 1), (-0.5, 1), (-2.5, 1),   # exact ties
+        (0.25, 2), (0.75, 2), (-1.25, 2), (0.125, 4), (0.375, 4),
+        (Fraction(5, 12), 3), (Fraction(-5, 12), 3), (Fraction(7, 24), 4),
+        (0.5, 2), (3.0, 1), (0.0, 7), (-0.0, 7), (-0.375, 8),  # den <= N
+        (Fraction(-22, 7), 7), (5, 1),
+        (-0.1, 10**9), (-math.pi, 1000), (-1e-9, 10**9),      # negative
+        (5e-324, 10**9), (-5e-324, 1), (2.2250738585072014e-308 / 3, 10**12),
+        (1.7976931348623157e308, 10**9), (-1e300, 10**12),    # huge
+        (1e20 + 0.5, 10**9), (123456789.12345678, 10**12),
+    ])
+    def test_limited_cases(self, x, max_den):
+        want = Fraction(x).limit_denominator(max_den)
+        assert _limited(x, max_den) == (want.numerator, want.denominator)
+
+    def test_limited_on_every_tie_of_small_denominators(self):
+        # midpoints of two neighbours in the Farey sequence of order N are
+        # where the nearest rational is not unique
+        for max_den in range(1, 13):
+            farey = sorted({Fraction(p, q) for q in range(1, max_den + 1)
+                            for p in range(-2 * q, 2 * q + 1)})
+            for left, right in zip(farey, farey[1:]):
+                x = (left + right) / 2
+                want = x.limit_denominator(max_den)
+                assert _limited(x, max_den) == pair(want)
+                assert _limited(float(x), max_den) == pair(
+                    Fraction(float(x)).limit_denominator(max_den))
+
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.integers(1, 10**13))
+    @settings(max_examples=400)
+    def test_limited_matches_the_standard_library(self, x, max_den):
+        want = Fraction(x).limit_denominator(max_den)
+        assert _limited(x, max_den) == (want.numerator, want.denominator)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_limited_refuses_what_fraction_refuses(self, x):
+        with pytest.raises(Exception) as want:
+            Fraction(x)
+        with pytest.raises(Exception) as got:
+            _limited(x, 10**9)
+        assert got.type is want.type
+
+    @given(coeff)
+    @settings(max_examples=300)
+    def test_rational_index_matches_the_fraction_code(self, r):
+        assert rational_index(r) == fraction_rational_index(r)
+
+    @given(st.lists(coeff, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_monic_index_matches_the_fraction_code(self, coeffs):
+        assert monic_index(coeffs) == fraction_monic_index(coeffs)
+
+    def test_monic_index_of_repeated_coefficients_of_mixed_types(self):
+        rng = random.Random(28)
+        for _ in range(300):
+            coeffs = [rng.choice(COEFF_POOL)
+                      for _ in range(rng.randrange(1, 9))]
+            n = monic_index(coeffs)
+            assert n == fraction_monic_index(coeffs)
+            assert monic_enum(n) == MonicPoly(coeffs)
 
 
 class TestActivation:
