@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 domain error (a representation obstruction, a
 violated class hypothesis, ...), 2 usage error (bad arguments, an input file
 that cannot be read), 141 standard output closed by its reader, after which
 nothing more is written (128 + SIGPIPE, the code a shell reports for it).
+
+A command's own parser reads its options, in one argparse pass; the full
+parser tree reads only input that is not a valid command, and reports its
+usage error, help or version text.
 """
 
 import argparse
@@ -77,6 +81,7 @@ DOMAIN_ERRORS = (
     Warning,    # raised as an exception under ``python -W error``
 )
 _CLOSED_PIPE = 141
+_MAX_TABLE_ROWS = 1_000_000     # of `sigmoid table`
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +154,7 @@ def _json_text(value, indent=""):
     elif isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if all(type(v) in (float, int) for v in value):
+        if set(map(type, value)) <= {float, int}:
             items = [_encode(value)[1:-1].replace(", ", ",\n" + inner)]
         else:
             items = [_json_text(v, inner) for v in value]
@@ -377,6 +382,11 @@ def _cmd_sigmoid_table(args, t0):
         raise ValueError(f"--step must be > 0, got {args.step!r}")
     if args.stop < args.start:
         raise ValueError(f"--to {args.stop!r} is below --from {args.start!r}")
+    # the row count of np.arange below, known before it allocates
+    rows = np.ceil((args.stop + 1e-12 - args.start) / args.step)
+    if rows > _MAX_TABLE_ROWS:
+        raise ValueError(f"the table would have {rows:.0f} rows, more than "
+                         f"the maximum of {_MAX_TABLE_ROWS}")
     xs = np.arange(args.start, args.stop + 1e-12, args.step)
     print("x,sigma")
     for x, v in zip(xs, sigma(xs, params)):
@@ -500,19 +510,24 @@ def _build_parser():
                     metavar=("A", "B"))
     gf.add_argument("--eps", type=float, required=True)
     gf.set_defaults(func=_cmd_sigmoid_fit)
+    # each two-word command's own parser, with the attribute its middle
+    # level sets: (command, name) -> (dest, parser)
+    p.leaves = {(command, name): (action.dest, leaf)
+                for command, middle in sub.choices.items()
+                for action in middle._actions
+                if isinstance(action, argparse._SubParsersAction)
+                for name, leaf in action.choices.items()}
     return p
 
 
 @functools.cache
 def _option_strings():
-    """Every option string of the parser and of its subparsers."""
-    found, parsers = set(), [_build_parser()]
-    while parsers:
-        for action in parsers.pop()._actions:
-            found.update(action.option_strings)
-            if isinstance(action, argparse._SubParsersAction):
-                parsers.extend(action.choices.values())
-    return found
+    """Every option string of the parser and of its subparsers: a middle
+    level's only options, -h and --help, are every leaf's too."""
+    parser = _build_parser()
+    leaves = [leaf for _, leaf in parser.leaves.values()]
+    return {option for p in [parser, *leaves] for action in p._actions
+            for option in action.option_strings}
 
 
 def _attach_expr_values(argv):
@@ -528,10 +543,27 @@ def _attach_expr_values(argv):
     return out
 
 
-def _run(argv):
+def _parse(argv):
+    """The options of ``argv``.  argparse hands every token after a
+    command's two words to that command's parser, ``-h`` and ``--version``
+    too, so that parser alone reads a valid command.  Input that names no
+    command, or that leaves tokens unread, goes through the full tree,
+    which prints its usage error, help or version text and raises
+    SystemExit."""
     parser = _build_parser()
+    dest, leaf = parser.leaves.get(tuple(argv[:2]), (None, None))
+    if leaf is not None:
+        args, extra = leaf.parse_known_args(argv[2:])
+        if not extra:
+            args.command = argv[0]
+            setattr(args, dest, argv[1])
+            return args
+    return parser.parse_args(argv)
+
+
+def _run(argv):
     try:
-        args = parser.parse_args(_attach_expr_values(argv))
+        args = _parse(_attach_expr_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     args._argv = ["ridgekit"] + argv

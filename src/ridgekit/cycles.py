@@ -203,11 +203,13 @@ def _canonical_cycle_vector(basis):
     bound = 4 * len(ints[0]) * sum(max(abs(v) for v in b) for b in ints)
     dtype = np.int64 if bound < 2**63 else object
     vecs = _coefficients(len(ints)).astype(dtype) @ np.array(ints, dtype=dtype)
+    # dividing by a positive gcd keeps the zero pattern, so only the rows
+    # of widest support need dividing
+    support = (vecs != 0).sum(axis=1)
+    vecs = vecs[support == support.max()]
     vecs //= np.gcd.reduce(vecs, axis=1)[:, None]
     # v and -v are both rows, and the lexicographic rule below keeps the
     # one whose first nonzero entry is positive: no sign pass is needed
-    support = (vecs != 0).sum(axis=1)
-    vecs = vecs[support == support.max()]
     l1 = np.abs(vecs).sum(axis=1)
     vecs = vecs[l1 == l1.min()]
     for col in range(vecs.shape[1]):

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 import ridgekit
 from ridgekit import cycles
-from ridgekit.cli import _build_parser, _json_text, _print_report, main
+from ridgekit.cli import (_build_parser, _json_text, _parse, _print_report,
+                          main)
 from ridgekit.sigmoid import SigmoidParams, sigma
 
 
@@ -324,6 +325,23 @@ class TestSigmoidCommands:
         assert code == 1
         assert flag in json.loads(out)["error"]["message"]
 
+    @pytest.mark.parametrize("to,step,rows", [
+        ("1e9", "1e-3", "1000000000000"), ("1000000.5", "1", "1000001")])
+    def test_table_refuses_too_many_rows(self, capsys, monkeypatch, to, step,
+                                         rows):
+        # the row count is checked before any array is allocated, so the
+        # refusal does not depend on how the machine overcommits memory
+        def arange(*args, **kwargs):
+            raise AssertionError("np.arange called")
+
+        monkeypatch.setattr(np, "arange", arange)
+        code, out = run(capsys, "sigmoid", "table", "--d", "1", "--lambda",
+                        "0.5", "--from", "0", "--to", to, "--step", step)
+        assert code == 1
+        assert json.loads(out)["error"]["message"] == (
+            f"the table would have {rows} rows, more than the maximum of "
+            "1000000")
+
     @pytest.mark.parametrize("d,lam,x", [
         ("0.5", "0.4", "158868.00011918705"),   # a 7.6e-4 wide transition
         ("1", "0.25", "1e20")])                 # x/d beyond int64
@@ -439,6 +457,117 @@ def test_cached_parser_carries_no_state_between_calls(capsys, square_csv,
     for argv, got in zip(argvs, in_sequence):
         _build_parser.cache_clear()
         assert got == report(argv), argv
+
+
+def _leaf_argvs(tmp_path):
+    """One valid argv per two-word command, keyed by its two words."""
+    files = {"points.csv": "0,0\n0,1\n1,0\n1,1\n", "axes.csv": "1,0\n0,1\n",
+             "dirs1.csv": "1\n", "ybox.json": "[[0, 1]]",
+             "rect.json": '{"rect": [-0.5, 1.0, 0.0, 1.5]}',
+             "hexagon.json": '{"a": [0, 1, 2], "b": [0, 1, 2]}',
+             "octagon.json": '{"a": [0, 1, 2, 3], "b": [0, 1, 2]}',
+             "stairs.json": '{"a": [0, 1, 2, 3], "b": [0, 1, 2, 3]}'}
+    path = {}
+    for name, text in files.items():
+        path[name] = str(tmp_path / name)
+        (tmp_path / name).write_text(text)
+    geom = {"rect": "rect.json", "hexagon": "hexagon.json",
+            "octagonA": "octagon.json", "octagonB": "octagon.json",
+            "stairs": "stairs.json"}
+    argvs = {
+        ("cycles", "check"): [
+            "--points", path["points.csv"], "--directions", path["axes.csv"],
+            "--minimal", "--cap", "4", "--tau"],
+        ("approx", "uniform"): ["--expr", "-x1*x2", *UNIT_SQUARE,
+                                "--ds-iters", "2"],
+        ("approx", "l2"): [
+            "--expr", "exp(x1)", "--dirs-file", path["dirs1.csv"],
+            "--ybox", path["ybox.json"], "--nodes", "12",
+            "--weights", "1+x1"],
+        ("smooth", "decompose"): [
+            "--expr", "x1^2 + x2", "--dirs", path["axes.csv"],
+            "--box", "0", "1", "0", "1"],
+        ("sigmoid", "eval"): ["--d", "2", "--lambda", "0.25",
+                              "--x", "6.0", "-1"],
+        ("sigmoid", "table"): ["--d", "2", "--lambda", "0.25", "--from", "0",
+                               "--to", "2", "--step", "0.4"],
+        ("sigmoid", "fit"): ["--expr", "x1^3 + x1", "--interval", "-1", "1",
+                             "--eps", "0.01"],
+    }
+    for shape, name in geom.items():
+        argvs["bolts", shape] = ["--expr", "x1*x2", "--geom", path[name]]
+    argvs["bolts", "rect"] += ["--class", "V", "--c", "0.25"]
+    argvs["bolts", "hexagon"] += ["--bounds"]
+    return {leaf: list(leaf) + argv for leaf, argv in argvs.items()}
+
+
+def _parse_outcome(parse, argv):
+    """Exit code, stdout, stderr and parsed options of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code, options = 0, vars(parse(argv))
+        except SystemExit as exc:
+            code, options = exc.code, None
+    return code, out.getvalue(), err.getvalue(), options
+
+
+CHECK = ["cycles", "check", "--points", "p.csv", "--directions", "d.csv"]
+TABLE = ["sigmoid", "table", "--d", "1", "--lambda", "0.5"]
+PARSE_CORPUS = [
+    CHECK + ["--minimal", "--cap", "-1"],
+    CHECK + ["--version"],
+    CHECK + ["-h"],
+    ["sigmoid", "eval", "--d", "2", "--lambda", "0.25", "--x", "1", "-h"],
+    CHECK + ["--"],
+    CHECK + ["--", "--tau"],
+    CHECK + ["--min", "--t"],
+    TABLE + ["--f", "0", "--t", "1", "--st", "0.5"],
+    CHECK + ["--bogus"],
+    CHECK + ["--bogus=1", "extra"],
+    ["sigmoid", "eval", "--d", "2", "--lambda", "0.25", "--x", "6.0",
+     "--frobnicate"],
+    ["cycles", "check", "--points", "p.csv"],
+    CHECK + ["--cap"],
+    CHECK + ["--cap", "x"],
+    ["sigmoid", "eval", "--d", "2", "--lambda", "0.25", "--x"],
+    ["approx", "uniform", "--expr", "x1", "--dirs", "1", "0", "0"],
+    ["bolts", "rect", "--expr", "x1", "--geom", "g.json", "--class", "W"],
+    [],
+    ["bogus"],
+    ["bogus", "check"],
+    ["cycles"],
+    ["cycles", "bogus"],
+    ["bolts"],
+    ["--version"],
+    ["-h"],
+    ["--version", "cycles", "check"],
+    ["cycles", "-h"],
+]
+
+
+def test_leaf_parse_matches_the_full_tree(tmp_path):
+    # a command's own parser gives what the full tree gives: the same
+    # options, and the same usage error, help or version text and exit code
+    leaf_argvs = _leaf_argvs(tmp_path)
+    assert set(leaf_argvs) == set(_build_parser().leaves)
+    for argv in list(leaf_argvs.values()) + PARSE_CORPUS:
+        got = _parse_outcome(_parse, argv)
+        assert got == _parse_outcome(_build_parser().parse_args, argv), argv
+
+
+def test_valid_commands_never_reach_the_full_tree(capsys, monkeypatch,
+                                                  tmp_path):
+    def parse_args(*args, **kwargs):
+        raise AssertionError("the full parser tree read a valid command")
+
+    monkeypatch.setattr(_build_parser(), "parse_args", parse_args)
+    for leaf, argv in _leaf_argvs(tmp_path).items():
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code in (0, 1), leaf
+        if leaf != ("sigmoid", "table"):
+            assert json.loads(out)["command"] == "ridgekit " + " ".join(argv)
 
 
 def test_cheap_commands_never_load_scipy(square_csv, xy_dirs_csv, tmp_path):
