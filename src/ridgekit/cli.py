@@ -17,6 +17,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -33,7 +34,6 @@ from .core import (
     parse_expression,
 )
 from .cycles import (
-    CycleExists,
     Fibers,
     closed_path_search,
     has_cycle,
@@ -49,10 +49,9 @@ from .uniform import (
     diliberto_straus,
     verify_extremal,
 )
-from .l2 import NotAnRSet, best_l2, build_rset
+from .l2 import best_l2, build_rset
 from .bolts import (
     AxisRect,
-    ClassViolated,
     Hexagon,
     Octagon,
     StairPolygon,
@@ -71,11 +70,9 @@ from .sigmoid import (
     sigma,
 )
 
+# CycleExists, ClassViolated, HypothesisViolated and NotAnRSet are
+# ValueErrors
 DOMAIN_ERRORS = (
-    CycleExists,
-    ClassViolated,
-    HypothesisViolated,
-    NotAnRSet,
     ArithmeticError,
     ValueError,
     Warning,    # raised as an exception under ``python -W error``
@@ -517,6 +514,12 @@ def _build_parser():
                 for action in middle._actions
                 if isinstance(action, argparse._SubParsersAction)
                 for name, leaf in action.choices.items()}
+    # every parser reads "-1e2" and "-.5" as numbers, not as options, so
+    # that a leaf and the full tree read a valid command alike
+    negative_number = re.compile(r"-\.?\d")
+    for parser in (p, *sub.choices.values(),
+                   *(leaf for _, leaf in p.leaves.values())):
+        parser._negative_number_matcher = negative_number
     return p
 
 

@@ -20,6 +20,7 @@ import functools
 import io
 import itertools
 import math
+import numbers
 import re
 from fractions import Fraction
 
@@ -48,13 +49,17 @@ def _read_number(text):
 def rational(value):
     """Convert a string ("3/4", "0.25"), int, float or Fraction to an exact
     Fraction.  Decimal strings and floats are converted exactly (no rounding
-    beyond what the literal itself carries)."""
+    beyond what the literal itself carries); any other integer, such as
+    numpy's, is read as a Python int, so that no fixed-width integer
+    reaches the exact layer."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, float)):
         return Fraction(value)
     if isinstance(value, str):
         return rational(_read_number(value))
+    if isinstance(value, numbers.Integral):
+        return Fraction(int(value))
     raise TypeError(f"cannot convert {value!r} to a rational")
 
 
@@ -860,49 +865,36 @@ def grid_minimax_oracle(f, directions, grid, return_tables=False):
     """Exact discrete minimax error min_g max_{x in grid} |f(x) - sum g_i(a_i.x)|
     over ridge sums with the given directions, as a linear program.
 
-    One variable per distinct fiber value per direction plus the error
-    variable.  Fibers are grouped by equality of a.x computed in the points'
-    own arithmetic: exact for ``Fraction`` points, but float points on one
-    level line of a skew direction can round to different values of a.x
-    and split the fiber, which relaxes the LP.  On a float grid, pass the
-    values pulled back to the directions' own coordinates, with the axes
-    as directions, so that each fiber is one grid row or column.
+    The fibers are those of ``cycles.Fibers(grid, directions)``, grouped
+    exactly by their integer keys, each float read as the binary rational
+    it is: float points that are only near one level line lie on different
+    fibers.  One variable per fiber, numbered as ``Fibers.columns``, plus
+    the error variable; each table's knots are its direction's fiber
+    values, keys[i] / scales[i], in increasing order.
     """
     from scipy.optimize import linprog
-    pts = list(grid)
-    n = len(pts)
-    # fiber values per direction, grouped by equality of a.x; point_cols[i]
-    # holds each point's column for direction i
-    var_index = {}  # (i_dir, fiber_value) -> column
-    point_cols = [[var_index.setdefault((i, dot(a, p)), len(var_index))
-                   for p in pts]
-                  for i, a in enumerate(directions)]
-    m = len(var_index)
+    from .cycles import Fibers
+    fib = Fibers(grid, directions)
+    n, m = len(fib.points), len(fib.columns)
+    fx = np.array([float(f(*[float(c) for c in p])) for p in fib.points])
     # variables: [g_0 ... g_{m-1}, t]; minimize t
-    # constraints: sum_i g_{fiber_i(x)} - t <= f(x) and -sum - t <= -f(x)
-    A = np.zeros((2 * n, m + 1))
-    b = np.zeros(2 * n)
-    for j, p in enumerate(pts):
-        fx = float(f(*[float(c) for c in p]))
-        for cols in point_cols:
-            A[2 * j, cols[j]] += 1.0
-            A[2 * j + 1, cols[j]] -= 1.0
-        A[2 * j, m] = -1.0
-        A[2 * j + 1, m] = -1.0
-        b[2 * j] = fx
-        b[2 * j + 1] = -fx
+    # point j's rows: sum_i g_{fiber_i(x)} - t <= f(x), -sum - t <= -f(x)
+    A = np.zeros((n, 2, m + 1))
+    for col, members in enumerate(fib.members):
+        A[members, 0, col] = 1.0
+        A[members, 1, col] = -1.0
+    A[:, :, m] = -1.0
     c = np.zeros(m + 1)
     c[m] = 1.0
-    res = linprog(c, A_ub=A, b_ub=b,
+    res = linprog(c, A_ub=A.reshape(2 * n, m + 1),
+                  b_ub=np.column_stack([fx, -fx]).ravel(),
                   bounds=[(None, None)] * m + [(0, None)], method="highs")
     if not res.success:
         raise RuntimeError(f"minimax LP failed: {res.message}")
     if return_tables:
-        tables = []
-        for i in range(len(directions)):
-            fib = sorted(v for (k, v) in var_index if k == i)
-            knots = [float(v) for v in fib]
-            vals = [res.x[var_index[(i, v)]] for v in fib]
-            tables.append((knots, vals))
+        tables = [([], []) for _ in fib.scales]
+        for (i, key), value in sorted(zip(fib.columns, res.x)):
+            tables[i][0].append(float(Fraction(key, fib.scales[i])))
+            tables[i][1].append(value)
         return float(res.fun), tables
     return float(res.fun)

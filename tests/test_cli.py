@@ -391,6 +391,25 @@ def test_expr_value_with_two_leading_minuses(capsys, expr):
     assert json.loads(out1)["results"] == json.loads(out2)["results"]
 
 
+NEGATIVE_EXPONENTS = [
+    ["sigmoid", "eval", "--d", "1", "--lambda", "0.25", "--x", "3", "-1e2"],
+    ["approx", "uniform", "--expr", "x1*x2", "--dirs", "1", "0", "0", "1",
+     "--bounds", "-1e-1", "1", "0", "1"],
+]
+
+
+def test_negative_number_with_an_exponent_is_an_option_value(capsys):
+    # -1e2 is -100, read as the second --x value, and -1e-1 as c1
+    (sig_code, sig), (unif_code, unif) = [run(capsys, *argv)
+                                          for argv in NEGATIVE_EXPONENTS]
+    assert sig_code == unif_code == 0
+    _, one = run(capsys, "sigmoid", "eval", "--d", "1", "--lambda", "0.25",
+                 "--x=-100")
+    assert json.loads(sig)["results"]["sigma"][1] == \
+        json.loads(one)["results"]["sigma"]
+    assert json.loads(unif)["results"]["g1_table"]["knots"][0] == -0.1
+
+
 def test_option_after_expr_is_not_its_value(capsys):
     code = main(["approx", "uniform", "--expr", *UNIT_SQUARE])
     assert code == 2
@@ -514,7 +533,7 @@ def _parse_outcome(parse, argv):
 
 CHECK = ["cycles", "check", "--points", "p.csv", "--directions", "d.csv"]
 TABLE = ["sigmoid", "table", "--d", "1", "--lambda", "0.5"]
-PARSE_CORPUS = [
+PARSE_CORPUS = NEGATIVE_EXPONENTS + [
     CHECK + ["--minimal", "--cap", "-1"],
     CHECK + ["--version"],
     CHECK + ["-h"],

@@ -15,6 +15,7 @@ from ridgekit.core import (
     _legendre_rule,
     _read_number,
     centred_differences,
+    dot,
     double_differences,
     format_ast,
     gauss_grid,
@@ -114,6 +115,17 @@ class TestConfigs:
         assert pts.points == [(1, Fraction(1, 2)),
                               (Fraction(1, 4), Fraction(-2, 3))]
         assert all(type(c) is Fraction for p in pts for c in p)
+
+    def test_numpy_integers_are_read_as_python_ints(self):
+        pts = [(0, 0), (3, -1), (2**40, 7)]
+        dirs = [(1, 0), (2, -1)]
+        for cls, rows in ((PointConfig, pts), (DirectionSet, dirs)):
+            want = cls(2, rows)
+            got = cls(2, np.array(rows, dtype=np.int64))
+            assert (got.ints, got.den) == (want.ints, want.den)
+            assert all(type(c) is int for row in got.ints for c in row)
+        assert type(rational(np.int64(-3)).numerator) is int
+        assert rational(np.uint8(200)) == 200
 
 
 class TestExpressions:
@@ -349,6 +361,110 @@ class TestQuadratureAndOracle:
         err = grid_minimax_oracle(lambda x, y: x + np.sin(y),
                                   [(1, 0), (0, 1)], pts)
         assert abs(err) <= 1e-9
+
+
+def dot_grouping_lp(f, directions, grid, return_tables=False):
+    """The minimax LP with fibers grouped by equality of ``dot(a, p)`` in
+    the points' own arithmetic: the reference that ``grid_minimax_oracle``
+    matches bit for bit wherever the two groupings agree, on exact points
+    and on float points along the axes."""
+    from scipy.optimize import linprog
+    pts = list(grid)
+    n = len(pts)
+    var_index = {}  # (i_dir, fiber_value) -> column
+    point_cols = [[var_index.setdefault((i, dot(a, p)), len(var_index))
+                   for p in pts]
+                  for i, a in enumerate(directions)]
+    m = len(var_index)
+    A = np.zeros((2 * n, m + 1))
+    b = np.zeros(2 * n)
+    for j, p in enumerate(pts):
+        fx = float(f(*[float(c) for c in p]))
+        for cols in point_cols:
+            A[2 * j, cols[j]] += 1.0
+            A[2 * j + 1, cols[j]] -= 1.0
+        A[2 * j, m] = -1.0
+        A[2 * j + 1, m] = -1.0
+        b[2 * j] = fx
+        b[2 * j + 1] = -fx
+    c = np.zeros(m + 1)
+    c[m] = 1.0
+    res = linprog(c, A_ub=A, b_ub=b,
+                  bounds=[(None, None)] * m + [(0, None)], method="highs")
+    assert res.success, res.message
+    if return_tables:
+        tables = []
+        for i in range(len(directions)):
+            fib = sorted(v for (k, v) in var_index if k == i)
+            knots = [float(v) for v in fib]
+            vals = [res.x[var_index[(i, v)]] for v in fib]
+            tables.append((knots, vals))
+        return float(res.fun), tables
+    return float(res.fun)
+
+
+def _bits(err, tables):
+    """The error and tables as exact float texts, signed zeros included."""
+    return (float(err).hex(),
+            [([float(k).hex() for k in knots], [float(v).hex() for v in vals])
+             for knots, vals in tables])
+
+
+RATIONAL_COORDS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+DIRECTION_POOL = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, Fraction(-1, 3))]
+
+
+def _wave(x, y):
+    return math.sin(3 * x + 0.2) * math.cos(2 * y) + 0.3 * x * y
+
+
+class TestMinimaxOracleReadsFibers:
+    @settings(deadline=None)
+    @given(st.data())
+    def test_matches_the_dot_grouping_lp_on_rational_sets(self, data):
+        # duplicate points are allowed: they share every fiber
+        pts = data.draw(st.lists(st.tuples(RATIONAL_COORDS, RATIONAL_COORDS),
+                                 min_size=1, max_size=16))
+        dirs = data.draw(st.lists(st.sampled_from(DIRECTION_POOL),
+                                  min_size=1, max_size=3, unique=True))
+        got = grid_minimax_oracle(_wave, dirs, pts, return_tables=True)
+        want = dot_grouping_lp(_wave, dirs, pts, return_tables=True)
+        assert _bits(*got) == _bits(*want)
+        assert got[0] == grid_minimax_oracle(_wave, dirs, pts)
+
+    def test_matches_the_dot_grouping_lp_on_a_float_axis_grid(self):
+        xs = np.linspace(0.0, 1.0, 15)
+        pts = np.array([(x, y) for x in xs for y in xs])
+        got = grid_minimax_oracle(_wave, [(1, 0), (0, 1)], pts,
+                                  return_tables=True)
+        want = dot_grouping_lp(_wave, [(1, 0), (0, 1)], pts,
+                               return_tables=True)
+        assert _bits(*got) == _bits(*want)
+        assert [len(knots) for knots, _ in got[1]] == [15, 15]
+
+    def test_a_skew_level_line_is_one_knot(self):
+        # along (1, 1), the points of the 4 x 4 grid of thirds lie on 7
+        # level lines x + y = k/3, each one knot and one unknown
+        pts = [(Fraction(i, 3), Fraction(j, 3))
+               for i in range(4) for j in range(4)]
+        dirs = [(1, 1), (1, -1), (1, 0)]
+        err, tables = grid_minimax_oracle(_wave, dirs, pts,
+                                          return_tables=True)
+        assert tables[0][0] == [float(Fraction(k, 3)) for k in range(7)]
+        assert tables[1][0] == [float(Fraction(k, 3)) for k in range(-3, 4)]
+        assert tables[2][0] == [float(Fraction(k, 3)) for k in range(4)]
+        worst = max(abs(_wave(float(x), float(y)) - sum(
+            vals[knots.index(float(a[0] * x + a[1] * y))]
+            for a, (knots, vals) in zip(dirs, tables))) for x, y in pts)
+        assert worst == pytest.approx(err, abs=1e-7)
+
+    def test_numpy_integer_points_and_directions(self):
+        pts = [(i, j) for i in range(4) for j in range(3)]
+        dirs = [(1, 0), (0, 1), (1, 1)]
+        want = grid_minimax_oracle(_wave, dirs, pts, return_tables=True)
+        got = grid_minimax_oracle(_wave, np.array(dirs), np.array(pts),
+                                  return_tables=True)
+        assert _bits(*got) == _bits(*want)
 
 
 def _tabulated_lp(pts, vals):

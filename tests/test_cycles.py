@@ -87,6 +87,19 @@ class TestHasCycle:
         found, cert = has_cycle([(0, 0), (0, 1), (1, 0)], [X, Y])
         assert not found and cert is None
 
+    def test_numpy_integer_arrays_give_what_tuples_give(self):
+        grid = [(x, y) for x in range(3) for y in range(3)]
+        for pts, dirs in ((SQUARE, [X, Y]), (SQUARE[:3], [X, Y]),
+                          (grid, [X, Y, (1, 1)])):
+            want_found, want = has_cycle(pts, dirs)
+            found, got = has_cycle(np.array(pts), np.array(dirs))
+            assert found == want_found
+            if found:
+                assert (got.support, got.weights) == \
+                    (want.support, want.weights)
+            keys = cycles.Fibers(np.array(pts), np.array(dirs)).keys
+            assert all(type(k) is int for row in keys for k in row)
+
     def test_certificate_weights_normalize_to_unit_mass(self):
         _, cert = has_cycle(SQUARE, [X, Y])
         assert sum(abs(w) for w in cert.normalized_weights()) == Fraction(1)
