@@ -514,9 +514,11 @@ def _build_parser():
                 for action in middle._actions
                 if isinstance(action, argparse._SubParsersAction)
                 for name, leaf in action.choices.items()}
-    # every parser reads "-1e2" and "-.5" as numbers, not as options, so
-    # that a leaf and the full tree read a valid command alike
-    negative_number = re.compile(r"-\.?\d")
+    # every parser reads "-1e2", "-.5" and "-inf" as numbers, not as
+    # options, so that a leaf and the full tree read a valid command alike,
+    # and a non-finite value is refused as "inf" is
+    negative_number = re.compile(r"-\.?\d|-(inf|infinity|nan)$",
+                                 re.IGNORECASE)
     for parser in (p, *sub.choices.values(),
                    *(leaf for _, leaf in p.leaves.values())):
         parser._negative_number_matcher = negative_number

@@ -98,9 +98,13 @@ class Fibers:
     value in ``keys[i]`` to its point indices, in order of first appearance.
     The fibers are numbered once: fiber c is ``columns[c]`` = (i, value),
     h_1's first, each h_i's in the order of ``fibers[i]``, and its points
-    are ``members[c]``.  ``nullspace`` is the one cycle space that every
-    question reads: a basis of fundamental circuits of ``incidence``, one
-    per free point, each with at most rank + 1 points.
+    are ``members[c]``; ``ends[j]`` are point j's fibers, one per h_i.
+    ``nullspace`` is the one cycle space that every question reads: a basis
+    of fundamental circuits of ``incidence``, one per free point, each with
+    at most rank + 1 points.  With two directions it is read off
+    ``forest``, the Kruskal spanning forest of the fiber graph, with no
+    elimination; with any other number, ``bareiss`` eliminates only the
+    points that peeling leaves.
     """
 
     def __init__(self, points, h):
@@ -118,9 +122,170 @@ class Fibers:
         return _incidence_rows(self.members, range(len(self.points)))
 
     @functools.cached_property
+    def ends(self):
+        """ends[j]: the columns of point j's fibers, h_1's first."""
+        ends = [[] for _ in range(len(self.points))]
+        for c, members in enumerate(self.members):
+            for j in members:
+                ends[j].append(c)
+        return ends
+
+    @functools.cached_property
+    def forest(self):
+        """The ``_Forest`` of the fiber graph of two directions."""
+        return _Forest(self)
+
+    @functools.cached_property
     def nullspace(self):
-        """``rational_nullspace`` of ``incidence``: the cycle space."""
-        return rational_nullspace(self.incidence, len(self.points))
+        """The cycle space: ``rational_nullspace(incidence, n)``, vector for
+        vector.
+
+        With two directions, the free columns are the points off the
+        Kruskal forest, and each one's vector is its fundamental circuit
+        (``_Forest.circuit``).  Otherwise, points alone in one of their
+        fibers are peeled, repeatedly: they lie in no cycle, so their
+        columns are pivot columns, and every vector is zero on them.
+        ``rational_nullspace`` of the incidence system of the points left,
+        padded with zeros, is the basis; a set peeled to nothing builds no
+        incidence matrix.
+        """
+        if len(self.keys) == 2:
+            forest = self.forest
+            return [forest.circuit(j) for j, tree in enumerate(forest.tree)
+                    if not tree]
+        left = _peel(self)
+        if not left:
+            return []
+        keep = set(left)
+        fibers = ([j for j in members if j in keep] for members in self.members)
+        rows = _incidence_rows([m for m in fibers if m], left)
+        basis = []
+        for vec in rational_nullspace(rows, len(left)):
+            padded = [0] * len(self.points)
+            for j, w in zip(left, vec):
+                padded[j] = w
+            basis.append(padded)
+        return basis
+
+
+class _Forest:
+    """The Kruskal spanning forest of the fiber graph of two directions: a
+    node per fiber, numbered as ``fib.columns``, and an edge per point,
+    joining its two fibers, the edges taken in point order.
+
+    ``graph[c]`` lists (point, other fiber) for the points of fiber c, and
+    ``tree[j]`` says whether point j is a forest edge.  Each component is
+    rooted at its last fiber in column order, ``root[c]`` being fiber c's;
+    ``up[c]`` is (point, fiber) of the edge towards it, None at a root,
+    ``depth[c]`` the number of edges there, and ``order`` lists every fiber
+    after the one above it.
+    """
+
+    def __init__(self, fib):
+        self.ends = fib.ends
+        self.graph = [[(j, sum(self.ends[j]) - c) for j in members]
+                      for c, members in enumerate(fib.members)]
+        m = len(self.graph)
+        _, self.tree = _union_find(self.ends, m)
+        self.root, self.up, self.depth = [None] * m, [None] * m, [0] * m
+        self.order = []
+        for top in reversed(range(m)):
+            if self.root[top] is not None:
+                continue
+            self.root[top] = top
+            k = len(self.order)
+            self.order.append(top)
+            while k < len(self.order):
+                u = self.order[k]
+                k += 1
+                for j, v in self.graph[u]:
+                    if self.tree[j] and self.root[v] is None:
+                        self.root[v] = top
+                        self.up[v] = (j, u)
+                        self.depth[v] = self.depth[u] + 1
+                        self.order.append(v)
+
+    def circuit(self, j):
+        """The fundamental circuit of the point j off the forest: j and the
+        forest path between its fibers, weights alternating +1, -1 around
+        the cycle, first nonzero entry positive."""
+        (a, b), path, back = self.ends[j], [], []
+        while a != b:
+            if self.depth[a] >= self.depth[b]:
+                e, a = self.up[a]
+                path.append(e)
+            else:
+                e, b = self.up[b]
+                back.append(e)
+        vec = [0] * len(self.ends)
+        vec[j] = 1
+        for k, e in enumerate(path + back[::-1]):
+            vec[e] = -1 if k % 2 == 0 else 1
+        return _primitive(vec)
+
+    def potentials(self, vals, anchor):
+        """The solution g of g[a] + g[b] = vals[j] for every forest edge j
+        from fiber a to fiber b, with g = 0 at the anchor's first fiber in
+        its component and at the root of every other one."""
+        g = [0] * len(self.up)
+        for c in self.order:
+            if self.up[c] is not None:
+                j, above = self.up[c]
+                g[c] = vals[j] - g[above]
+        # g and g + t on the even levels, - t on the odd ones, both solve
+        # the component's equations: shift the anchor's fiber to 0
+        a0 = self.ends[anchor][0]
+        shift = g[a0]
+        for c in range(len(g)):
+            if self.root[c] == self.root[a0]:
+                g[c] -= shift if (self.depth[c] - self.depth[a0]) % 2 == 0 \
+                    else -shift
+        return g
+
+
+def _union_find(ends, size):
+    """Union-find over ``size`` fibers, joined by the points in order, each
+    point j joining its fibers ``ends[j]``.  Returns the root of each fiber
+    and, for each point, whether it joined fibers not connected before it:
+    with two directions, whether it is an edge of the Kruskal spanning
+    forest of the fiber graph."""
+    parent = list(range(size))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    joined = []
+    for fibers in ends:
+        roots = {find(c) for c in fibers}
+        joined.append(len(roots) > 1)
+        if roots:
+            top = roots.pop()
+            for r in roots:
+                parent[r] = top
+    return [find(c) for c in range(size)], joined
+
+
+def _peel(fib):
+    """The points left after removing, repeatedly, every point that is
+    alone in one of its fibers, as an ascending list: the removed points
+    lie in no cycle."""
+    count = [len(m) for m in fib.members]
+    alive = [True] * len(fib.points)
+    stack = [j for j, ends in enumerate(fib.ends)
+             if any(count[c] == 1 for c in ends)]
+    while stack:
+        j = stack.pop()
+        if not alive[j]:
+            continue
+        alive[j] = False
+        for c in fib.ends[j]:
+            count[c] -= 1
+            if count[c] == 1:
+                stack.append(next(k for k in fib.members[c] if alive[k]))
+    return [j for j, a in enumerate(alive) if a]
 
 
 def _fibers(points, h):
@@ -260,8 +425,8 @@ def minimal_cycles(points, h=None, cap=10):
     n = len(fib.points)
     found = []
     if len(fib.keys) == 2:
-        # the rank of a graph's incidence system: nodes - components
-        rank = len(fib.columns) - len(orbits(fib))
+        # the rank of a graph's incidence system: its forest's edges
+        rank = sum(fib.forest.tree)
         for cycle in _fiber_graph_cycles(fib, cap):
             sign = {j: (-1) ** k for k, j in enumerate(cycle)}
             support = sorted(cycle)
@@ -303,12 +468,7 @@ def _fiber_graph_cycles(fib, cap):
     path is kept on an explicit stack, so a cycle may be as long as the
     point set.
     """
-    ends = [[] for _ in fib.points]
-    for c, members in enumerate(fib.members):
-        for j in members:
-            ends[j].append(c)
-    adj = [[(j, sum(ends[j]) - c) for j in members]
-           for c, members in enumerate(fib.members)]
+    adj = fib.forest.graph
     on_path = [False] * len(adj)
     cycles = []
     for s in range(len(adj)):
@@ -410,24 +570,18 @@ def closed_path_search(points, a1=None, a2=None):
 def orbits(points, a1=None, a2=None):
     """Partition point indices into orbits: equivalence classes of the
     relation generated by sharing a fiber of a1 or a2, or of any direction
-    of a Fibers given in their place (union-find)."""
+    of a Fibers given in their place.  With two directions they are the
+    components of the fiber graph's forest."""
     fib = _fibers(points, None if a1 is a2 is None else (a1, a2))
-    parent = list(range(len(fib.points)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for fibers in fib.fibers:
-        for members in fibers.values():
-            for j in members[1:]:
-                parent[find(j)] = find(members[0])
+    if len(fib.keys) == 2:
+        roots = fib.forest.root
+    else:
+        roots, _ = _union_find(fib.ends, len(fib.columns))
     groups = {}
-    for j in range(len(parent)):
-        groups.setdefault(find(j), []).append(j)
-    return sorted(groups.values())
+    # a point with no fiber (no directions) is an orbit of its own
+    for j, ends in enumerate(fib.ends):
+        groups.setdefault(roots[ends[0]] if ends else -1 - j, []).append(j)
+    return list(groups.values())
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +593,14 @@ def solve_representation(points, h=None, f_values=None, anchor=0):
     Anchoring: g_i(h_i(x_anchor)) = 0 for i = 1..r-1 (the last function
     absorbs the constant); ``anchor`` is a point index in 0..n-1, and any
     other value raises ValueError.  Requires a cycle-free configuration;
-    raises CycleExists otherwise.  Unknowns untouched by the equations
-    (isolated fibers of a disconnected block) get the canonical value 0 and
-    are reported.
+    raises CycleExists otherwise.  The unknowns, one per fiber, are
+    numbered as ``Fibers.columns``; those that the system leaves free,
+    taken last in column order, get the canonical value 0 and are counted.
+
+    With two directions the unknowns are potentials along the fiber
+    graph's forest: in the anchor's component its first fiber is 0, and in
+    every other component the last fiber in column order is the free one.
+    With any other number, one ``bareiss`` pass solves the whole system.
 
     Returns (tables, free_count) where tables[i] is a dict fiber-value ->
     Fraction.  With a Fibers, pass ``f_values`` by keyword.
@@ -455,24 +614,33 @@ def solve_representation(points, h=None, f_values=None, anchor=0):
     (vals,), vden = _integer_coordinates([f_values])
     if len(vals) != n:
         raise ValueError("need one f value per point")
-    # unknown columns: one per fiber, numbered as ``fib.columns``; the last
-    # column is f.  Point j's row is column j of ``fib.incidence`` and f's
-    # value, transposed together so that with no directions each point
-    # still has a row; the anchor rows take the anchor's fibers but the last
     m = len(fib.columns)
-    rows = list(zip(*fib.incidence, vals))
-    for c in [c for c in range(m) if rows[anchor][c]][:-1]:
-        rows.append([int(k == c) for k in range(m + 1)])
-
-    # the anchor rows are independent of the point rows, so a row left
-    # without a pivot is a dependency among the points: a cycle
-    reduced, pivots, last, _ = bareiss(rows, m)
-    if len(pivots) < len(rows):
-        raise CycleExists(has_cycle(fib)[1])
-    # free unknowns -> 0, so each pivot row's last entry over the last
-    # pivot is its unknown
+    if len(fib.keys) == 2:
+        if fib.nullspace:
+            raise CycleExists(has_cycle(fib)[1])
+        values = fib.forest.potentials(vals, anchor)
+        # one free unknown per component but the anchor's
+        scale, free = vden, fib.forest.up.count(None) - 1
+    else:
+        # unknown columns: one per fiber, numbered as ``fib.columns``; the
+        # last column is f.  Point j's row is column j of ``fib.incidence``
+        # and f's value, transposed together so that with no directions
+        # each point still has a row; the anchor rows take the anchor's
+        # fibers but the last
+        rows = list(zip(*fib.incidence, vals))
+        for c in [c for c in range(m) if rows[anchor][c]][:-1]:
+            rows.append([int(k == c) for k in range(m + 1)])
+        # the anchor rows are independent of the point rows, so a row left
+        # without a pivot is a dependency among the points: a cycle
+        reduced, pivots, last, _ = bareiss(rows, m)
+        if len(pivots) < len(rows):
+            raise CycleExists(has_cycle(fib)[1])
+        # free unknowns -> 0, so each pivot row's last entry over the last
+        # pivot is its unknown
+        values = [reduced[pivots[c]][m] if c in pivots else 0
+                  for c in range(m)]
+        scale, free = last * vden, m - len(pivots)
     tables = [{} for _ in fib.keys]
     for col, (i, key) in enumerate(fib.columns):
-        value = reduced[pivots[col]][m] if col in pivots else 0
-        tables[i][Fraction(key, fib.scales[i])] = Fraction(value, last * vden)
-    return tables, m - len(pivots)
+        tables[i][Fraction(key, fib.scales[i])] = Fraction(values[col], scale)
+    return tables, free

@@ -646,6 +646,29 @@ def test_approx_uniform_refuses_a_non_finite_domain(capsys, dirs, bounds,
                                         "message": message}
 
 
+@pytest.mark.parametrize("bounds, message", [
+    ("-inf 1 0 1", "c1 = -inf is not finite"),
+    ("0 1 -Infinity 1", "c2 = -inf is not finite"),
+    ("0 1 0 -NAN", "d2 = nan is not finite"),
+])
+def test_a_negative_non_finite_bound_is_refused_as_inf_is(capsys, bounds,
+                                                          message):
+    # -inf is read as a number, not as an option, whatever its case: a
+    # JSON error with exit 1, as for inf, and not a usage error
+    argv = ["approx", "uniform", "--expr", "x1", "--dirs", "1", "0", "0",
+            "1", "--bounds", *bounds.split()]
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["error"] == {"type": "ValueError",
+                                        "message": message}
+    # the full tree reads it alike; nan != nan, so compare the options'
+    # text
+    leaf, full = [_parse_outcome(parse, argv)
+                  for parse in (_parse, _build_parser().parse_args)]
+    assert leaf[:3] == full[:3]
+    assert str(sorted(leaf[3].items())) == str(sorted(full[3].items()))
+
+
 @pytest.mark.parametrize("geom, message", [
     ('{"a": [0, 1, 2], "b": [0, 1, 2]}', "geometry has no key 'rect'"),
     ("[1, 2]", "geometry has no key 'rect'"),

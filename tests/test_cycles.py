@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from ridgekit import cycles
 from ridgekit.core import dot as core_dot
-from ridgekit.core import DirectionSet, PointConfig, rational
+from ridgekit.core import (DirectionSet, PointConfig, _integer_coordinates,
+                           bareiss, rational)
 from ridgekit.cycles import (
     CycleExists,
     _canonical_cycle_vector,
@@ -554,3 +555,200 @@ class TestRationalFibers:
         assert 1e16 + 1.0 == 1e16 + 0.0
         assert orbits(pts, (1, 1), (0, 1)) == [[0], [1]]
         assert has_cycle(pts, [(1, 1), (1, 0)]) == (False, None)
+
+
+# ---------------------------------------------------------------------------
+# the cycle space and the solve from the fiber graph, against one dense
+# elimination of the whole incidence system
+
+def dense_solve(fib, f_values, anchor):
+    """``solve_representation`` as one ``bareiss`` pass over the point rows
+    and the anchor rows: the reference for the forest potentials."""
+    (vals,), vden = _integer_coordinates([f_values])
+    m = len(fib.columns)
+    rows = list(zip(*fib.incidence, vals))
+    for c in [c for c in range(m) if rows[anchor][c]][:-1]:
+        rows.append([int(k == c) for k in range(m + 1)])
+    reduced, pivots, last, _ = bareiss(rows, m)
+    if len(pivots) < len(rows):
+        raise CycleExists(has_cycle(fib)[1])
+    tables = [{} for _ in fib.keys]
+    for col, (i, key) in enumerate(fib.columns):
+        value = reduced[pivots[col]][m] if col in pivots else 0
+        tables[i][Fraction(key, fib.scales[i])] = Fraction(value, last * vden)
+    return tables, m - len(pivots)
+
+
+def solved(solve, fib, f_values, anchor):
+    """The tables as (value, Fraction) lists in their order, and the free
+    count; or the certificate of the cycle that stops the solve."""
+    try:
+        tables, free = solve(fib, f_values=f_values, anchor=anchor)
+    except CycleExists as exc:
+        return cert_data(exc.certificate)
+    return [list(tab.items()) for tab in tables], free
+
+
+def orbits_oracle(points, dirs):
+    """Orbits by growing each from its first point over shared fibers."""
+    left, groups = set(range(len(points))), []
+    while left:
+        group, todo = set(), [min(left)]
+        while todo:
+            j = todo.pop()
+            if j in group:
+                continue
+            group.add(j)
+            todo += [k for k in left if any(
+                dot(a, points[k]) == dot(a, points[j]) for a in dirs)]
+        left -= group
+        groups.append(sorted(group))
+    return groups
+
+
+# sets of up to 14 points, repeated ones included, with integer and p/q
+# coordinates in 2-D and 3-D, along 2 to 4 small integer directions
+@st.composite
+def mixed_sets(draw, directions=(2, 4), size=14):
+    dim = draw(st.integers(2, 3))
+    coord = st.one_of(st.integers(-3, 3),
+                      st.fractions(-3, 3, max_denominator=3))
+    pts = draw(st.lists(st.tuples(*[coord] * dim), min_size=1,
+                        max_size=size))
+    dirs = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim).filter(any),
+                         min_size=directions[0], max_size=directions[1]))
+    return pts, dirs
+
+
+# criterion 06: its own tau fixed point, so peeling removes nothing, yet it
+# carries no cycle
+CRITERION_06 = [(0, 0, Fraction(1, 2)), (Fraction(1, 2), 0, 1), (0, 1, 0),
+                (1, 0, 1), (1, 1, 0), (Fraction(1, 2), Fraction(1, 2), 0),
+                (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))]
+# two squares and the point (1, 3) between them, on the fiber x = 1 of the
+# first and y = 3 of the second: a bridge of the fiber graph
+BRIDGED = SQUARE + [(3, 3), (3, 4), (4, 3), (4, 4)] + [(1, 3)]
+
+
+class TestCycleSpaceFromTheFiberGraph:
+    @given(mixed_sets(directions=(0, 4)))
+    @settings(max_examples=100, deadline=None)
+    def test_nullspace_is_the_dense_basis(self, case):
+        pts, dirs = case
+        fib = cycles.Fibers(pts, dirs)
+        assert fib.nullspace == rational_nullspace(fib.incidence, len(pts))
+
+    @given(mixed_sets(directions=(0, 4)), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_solve_is_the_dense_solve(self, case, data):
+        pts, dirs = case
+        anchor = data.draw(st.integers(0, len(pts) - 1))
+        fvals = data.draw(st.lists(st.fractions(-9, 9, max_denominator=5),
+                                   min_size=len(pts), max_size=len(pts)))
+        fib = cycles.Fibers(pts, dirs)
+        assert solved(solve_representation, fib, fvals, anchor) == \
+            solved(dense_solve, cycles.Fibers(pts, dirs), fvals, anchor)
+
+    @given(two_direction_sets, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_forest_potentials_are_the_dense_solve(self, case, data):
+        # several components: the anchor's first fiber and every other
+        # component's last fiber are 0, as the dense pivot rule leaves them
+        pts, dirs = case
+        anchor = data.draw(st.integers(0, len(pts) - 1))
+        fvals = [Fraction(k * k - 3, 7) for k in range(len(pts))]
+        fib = cycles.Fibers(pts, dirs)
+        got = solved(solve_representation, fib, fvals, anchor)
+        assert got == solved(dense_solve, cycles.Fibers(pts, dirs), fvals,
+                             anchor)
+        assert fib.nullspace == rational_nullspace(fib.incidence, len(pts))
+        assert orbits(fib) == orbits_oracle(pts, dirs)
+        if not fib.nullspace:
+            assert got[1] == len(orbits(fib)) - 1
+
+    @given(mixed_sets(directions=(1, 4), size=10))
+    @settings(max_examples=40, deadline=None)
+    def test_orbits_of_any_number_of_directions(self, case):
+        pts, dirs = case
+        assert orbits(cycles.Fibers(pts, dirs)) == orbits_oracle(pts, dirs)
+
+    def test_two_orbits_left_after_peeling(self):
+        # two unit cubes along the coordinate axes, far apart, their points
+        # interleaved: two orbits of nullity 4, whose free columns alternate
+        cubes = [tuple(c + 5 * k for c in p)
+                 for p in itertools.product((0, 1), repeat=3) for k in (0, 1)]
+        fib = cycles.Fibers(cubes, E3)
+        assert cycles._peel(fib) == list(range(16))
+        assert len(orbits(fib)) == 2
+        assert fib.nullspace == rational_nullspace(fib.incidence, 16)
+        assert len(fib.nullspace) == 8
+
+    def test_criterion_06_survives_peeling_and_carries_no_cycle(self):
+        fib = cycles.Fibers(CRITERION_06, E3)
+        assert cycles._peel(fib) == list(range(7))
+        assert fib.nullspace == [] == rational_nullspace(fib.incidence, 7)
+        fvals = [Fraction(k, 3) for k in range(7)]
+        for anchor in range(7):
+            assert solved(solve_representation, fib, fvals, anchor) == \
+                solved(dense_solve, fib, fvals, anchor)
+
+    @pytest.mark.parametrize("dirs", [[X, Y], [X, Y, (1, 1)]])
+    def test_two_cycles_joined_by_a_bridge(self, dirs):
+        fib = cycles.Fibers(BRIDGED, dirs)
+        assert fib.nullspace == rational_nullspace(fib.incidence, 9)
+        if len(dirs) == 2:
+            # the bridge survives peeling, yet lies in no cycle
+            assert cycles._peel(fib) == list(range(9))
+            assert len(fib.nullspace) == 2
+            assert all(vec[8] == 0 for vec in fib.nullspace)
+            assert orbits(fib) == [list(range(9))]
+        fvals = [Fraction(k * k - 3, 7) for k in range(9)]
+        for anchor in (0, 4, 8):
+            assert solved(solve_representation, fib, fvals, anchor) == \
+                solved(dense_solve, fib, fvals, anchor)
+
+    def test_two_directions_need_no_elimination(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("eliminated")
+        monkeypatch.setattr(cycles, "bareiss", refuse)
+        monkeypatch.setattr(cycles, "rational_nullspace", refuse)
+        fib = cycles.Fibers(BRIDGED, [X, Y])
+        assert has_cycle(fib)[0] and len(fib.nullspace) == 2
+        stairs = [(0, 0), (0, 1), (1, 1), (5, 5), (5, 6)]
+        fvals = [Fraction(k, 2) for k in range(5)]
+        tables, free = solve_representation(stairs, [X, Y], fvals, anchor=3)
+        assert free == 1
+        assert tables[0][5] == 0 and tables[1][1] == 0
+        for p, v in zip(stairs, fvals):
+            assert tables[0][p[0]] + tables[1][p[1]] == v
+
+    def test_a_set_peeled_to_nothing_builds_no_incidence(self):
+        stairs = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)]
+        fib = cycles.Fibers(stairs, [X, Y, (1, 1)])
+        assert fib.nullspace == [] and "incidence" not in vars(fib)
+
+
+def staircase(n):
+    """n points, each sharing x or y with the one before: a path."""
+    return [((j + 1) // 2, j // 2) for j in range(n)]
+
+
+class TestCycleSpaceAtScale:
+    @pytest.mark.parametrize("dirs", [[X, Y], [X, Y, (1, 1)]])
+    def test_a_2000_point_staircase_carries_no_cycle(self, dirs):
+        assert has_cycle(staircase(2000), dirs) == (False, None)
+
+    def test_a_2000_point_staircase_is_solved_exactly(self):
+        pts = staircase(2000)
+        fvals = [Fraction(j * j % 11 - 5, j % 3 + 1) for j in range(2000)]
+        tables, free = solve_representation(pts, [X, Y], fvals)
+        assert free == 0
+        for (x, y), v in zip(pts, fvals):
+            assert tables[0][x] + tables[1][y] == v
+
+    def test_a_1200_point_cycle_has_nullity_one(self):
+        pts = ([(i, i) for i in range(600)]
+               + [(i, (i + 1) % 600) for i in range(600)])
+        (vec,) = cycles.Fibers(pts, [X, Y]).nullspace
+        assert set(vec) == {1, -1}
+        assert sum(vec) == 0
