@@ -300,8 +300,6 @@ def _cmd_bolts(args, t0):
     results = {}
     if args.shape == "rect":
         R = AxisRect(*_geometry(geom, "rect", 4))
-        if args.cls is None:
-            raise ValueError("rect requires --class V|U and --c")
         fn = vc_best if args.cls == "V" else uc_best
         err, phi0, psi0, y0 = fn(f, R, args.c)
         results.update({
@@ -332,7 +330,7 @@ def _cmd_bolts(args, t0):
             "extremal_bolt": [[float(p[0]), float(p[1])]
                               for p in rep["bolt"].points],
         })
-        if args.bounds and args.shape == "hexagon":
+        if getattr(args, "bounds", False):   # hexagon alone takes --bounds
             bd = sharp_bounds(f, P)
             results["bounds"] = {
                 "lower": float(bd["lower"]),
@@ -471,9 +469,12 @@ def _build_parser():
         bp = bsub.add_parser(shape)
         bp.add_argument("--expr", required=True)
         bp.add_argument("--geom", required=True)
-        bp.add_argument("--class", dest="cls", choices=("V", "U"), default=None)
-        bp.add_argument("--c", type=float, default=0.0)
-        bp.add_argument("--bounds", action="store_true")
+        if shape == "rect":
+            bp.add_argument("--class", dest="cls", choices=("V", "U"),
+                            required=True)
+            bp.add_argument("--c", type=float, default=0.0)
+        if shape == "hexagon":
+            bp.add_argument("--bounds", action="store_true")
         bp.add_argument("--golomb", default=None)
         bp.set_defaults(func=_cmd_bolts)
 

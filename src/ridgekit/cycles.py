@@ -99,12 +99,12 @@ class Fibers:
     The fibers are numbered once: fiber c is ``columns[c]`` = (i, value),
     h_1's first, each h_i's in the order of ``fibers[i]``, and its points
     are ``members[c]``; ``ends[j]`` are point j's fibers, one per h_i.
-    ``nullspace`` is the one cycle space that every question reads: a basis
-    of fundamental circuits of ``incidence``, one per free point, each with
-    at most rank + 1 points.  With two directions it is read off
-    ``forest``, the Kruskal spanning forest of the fiber graph, with no
-    elimination; with any other number, ``bareiss`` eliminates only the
-    points that peeling leaves.
+    ``peel`` holds the rounds of τ.  ``nullspace`` is the one cycle space
+    that every question reads: a basis of fundamental circuits of
+    ``incidence``, one per free point, each with at most rank + 1 points.
+    With two directions it is read off ``forest``, the Kruskal spanning
+    forest of the fiber graph, with no elimination; with any other number,
+    ``bareiss`` eliminates only the points that ``peel`` leaves.
     """
 
     def __init__(self, points, h):
@@ -131,6 +131,25 @@ class Fibers:
         return ends
 
     @functools.cached_property
+    def peel(self):
+        """The rounds of τ, each the ascending list of the points left that
+        are alone in one of their fibers.  A fiber's count of points left
+        falls with each removal; at 1 it names a point of the next round."""
+        count = [len(m) for m in self.members]
+        left = set(range(len(self.points)))
+        lone = {j for j in left if any(count[c] == 1 for c in self.ends[j])}
+        rounds = []
+        while lone:
+            rounds.append(sorted(lone))
+            left -= lone
+            touched = [c for j in lone for c in self.ends[j]]
+            for c in touched:
+                count[c] -= 1
+            lone = {next(k for k in self.members[c] if k in left)
+                    for c in touched if count[c] == 1}
+        return rounds
+
+    @functools.cached_property
     def forest(self):
         """The ``_Forest`` of the fiber graph of two directions."""
         return _Forest(self)
@@ -142,12 +161,11 @@ class Fibers:
 
         With two directions, the free columns are the points off the
         Kruskal forest, and each one's vector is its fundamental circuit
-        (``_Forest.circuit``).  Otherwise, points alone in one of their
-        fibers are peeled, repeatedly: they lie in no cycle, so their
-        columns are pivot columns, and every vector is zero on them.
-        ``rational_nullspace`` of the incidence system of the points left,
-        padded with zeros, is the basis; a set peeled to nothing builds no
-        incidence matrix.
+        (``_Forest.circuit``).  Otherwise the points that ``peel`` removes
+        lie in no cycle, so their columns are pivot columns, and every
+        vector is zero on them.  ``rational_nullspace`` of the incidence
+        system of the points left, padded with zeros, is the basis; a set
+        peeled to nothing builds no incidence matrix.
         """
         if len(self.keys) == 2:
             forest = self.forest
@@ -269,28 +287,16 @@ def _union_find(ends, size):
 
 
 def _peel(fib):
-    """The points left after removing, repeatedly, every point that is
-    alone in one of its fibers, as an ascending list: the removed points
-    lie in no cycle."""
-    count = [len(m) for m in fib.members]
-    alive = [True] * len(fib.points)
-    stack = [j for j, ends in enumerate(fib.ends)
-             if any(count[c] == 1 for c in ends)]
-    while stack:
-        j = stack.pop()
-        if not alive[j]:
-            continue
-        alive[j] = False
-        for c in fib.ends[j]:
-            count[c] -= 1
-            if count[c] == 1:
-                stack.append(next(k for k in fib.members[c] if alive[k]))
-    return [j for j, a in enumerate(alive) if a]
+    """The points that ``fib.peel`` leaves, ascending: τ's fixed point."""
+    gone = set().union(*fib.peel)
+    return [j for j in range(len(fib.points)) if j not in gone]
 
 
 def _fibers(points, h):
     """``points`` if it is a Fibers already, else the Fibers of (points, h)."""
     if not isinstance(points, Fibers):
+        if h is None:
+            raise TypeError("no directions given; pass them, or a Fibers")
         return Fibers(points, h)
     if h is not None:
         raise TypeError("a Fibers holds its own directions; pass no h")
@@ -511,31 +517,25 @@ def tau_closure(points, directions=None):
     """Iterate Z -> intersection over i of {x in Z : x's i-fiber within Z
     has >= 2 members} until a fixed point (or the empty set).
 
-    Returns (trace, fixed_point) where trace is the list of index sets
-    visited, starting with the full set.  Emptiness of the fixed point is a
-    sufficient condition for the configuration to be cycle-free; the
-    converse fails.  Witness: with the coordinate directions of R^3, the
-    set (0,0,1/2), (1/2,0,1), (0,1,0), (1,0,1), (1,1,0), (1/2,1/2,0),
-    (1/2,1/2,1/2) is its own fixed point, yet its fiber incidence matrix
-    has full column rank, so it carries no cycle (acceptance criterion 06).
+    Returns (trace, fixed_point): the full set and what each round of
+    ``Fibers.peel`` leaves, ascending, and the last, which with other than
+    two directions is what ``Fibers.nullspace`` eliminates.  Emptiness of
+    the fixed point is a sufficient condition for the configuration to be
+    cycle-free; the converse fails.  Witness: with the coordinate
+    directions of R^3, the set (0,0,1/2), (1/2,0,1), (0,1,0), (1,0,1),
+    (1,1,0), (1/2,1/2,0), (1/2,1/2,1/2) is its own fixed point, yet its
+    fiber incidence matrix has full column rank, so it carries no cycle
+    (acceptance criterion 06).
     """
     fib = _fibers(points, directions)
-    current = set(range(len(fib.points)))
-    trace = [sorted(current)]
-    while current:
-        nxt = set(current)
-        for keys in fib.keys:
-            nxt &= {j for members in _group(keys, current).values()
-                    if len(members) >= 2 for j in members}
-        if nxt == current:
-            break
-        current = nxt
-        trace.append(sorted(current))
-    return trace, sorted(current)
+    trace = [list(range(len(fib.points)))]
+    for gone in map(set, fib.peel):
+        trace.append([j for j in trace[-1] if j not in gone])
+    return trace, trace[-1]
 
 
 # ---------------------------------------------------------------------------
-# paths and orbits (two directions)
+# closed paths (two directions) and orbits
 
 def closed_path_search(points, a1=None, a2=None):
     """Find a closed path: distinct points p_1..p_{2n} alternating along
@@ -570,13 +570,11 @@ def closed_path_search(points, a1=None, a2=None):
 def orbits(points, a1=None, a2=None):
     """Partition point indices into orbits: equivalence classes of the
     relation generated by sharing a fiber of a1 or a2, or of any direction
-    of a Fibers given in their place.  With two directions they are the
-    components of the fiber graph's forest."""
+    of a Fibers given in their place, any number of them: the components
+    of ``_union_find`` over the points' fibers, each listed ascending, in
+    order of its first point."""
     fib = _fibers(points, None if a1 is a2 is None else (a1, a2))
-    if len(fib.keys) == 2:
-        roots = fib.forest.root
-    else:
-        roots, _ = _union_find(fib.ends, len(fib.columns))
+    roots, _ = _union_find(fib.ends, len(fib.columns))
     groups = {}
     # a point with no fiber (no directions) is an orbit of its own
     for j, ends in enumerate(fib.ends):

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -160,6 +161,42 @@ class TestDispatch:
         assert results["closed_path"] is None
         assert results["orbits"] == [[0, 1, 2, 3, 4]]
         assert results["representation"]["free_unknowns"] == 0
+
+    def test_check_tau_with_three_directions_peels_once(
+            self, capsys, tmp_path, monkeypatch):
+        # the τ trace and the cycle space read one peel of the fibers: the
+        # 3 x 3 grid along (1, 0), (0, 1), (1, 1) loses its two corners
+        # alone on x + y = 0 and x + y = 4, and its other 7 points are left
+        # to eliminate.  No fibers are regrouped after the Fibers groups
+        # each direction's once
+        calls, groups = [], []
+        peel, group = cycles.Fibers.peel.func, cycles._group
+
+        def counted(fib):
+            calls.append(fib)
+            return peel(fib)
+
+        def grouped(keys, idx):
+            groups.append(keys)
+            return group(keys, idx)
+
+        once = functools.cached_property(counted)
+        once.__set_name__(cycles.Fibers, "peel")
+        monkeypatch.setattr(cycles.Fibers, "peel", once)
+        monkeypatch.setattr(cycles, "_group", grouped)
+        pts, dirs = tmp_path / "grid.csv", tmp_path / "dirs.csv"
+        pts.write_text("".join(f"{x}, {y}\n" for x in range(3)
+                               for y in range(3)))
+        dirs.write_text("1, 0\n0, 1\n1, 1\n")
+        code, out = run(capsys, "cycles", "check", "--points", str(pts),
+                        "--directions", str(dirs), "--tau")
+        assert code == 0, out
+        assert len(calls) == 1 and len(groups) == 3
+        results = json.loads(out)["results"]
+        assert results["has_cycle"] is True
+        assert results["tau_trace"] == [list(range(9)),
+                                        [1, 2, 3, 4, 5, 6, 7]]
+        assert results["tau_fixed_point"] == [1, 2, 3, 4, 5, 6, 7]
 
     def test_deterministic_modulo_timing(self, capsys, square_csv,
                                          xy_dirs_csv):
@@ -694,6 +731,27 @@ def test_bolts_polygon_names_a_malformed_key(capsys, tmp_path):
     assert code == 1
     assert json.loads(out)["error"]["message"] == \
         "geometry key 'b' must be a list of numbers, got [0, 1, null]"
+
+
+@pytest.mark.parametrize("shape, extra, message", [
+    ("octagonA", ["--bounds"], "unrecognized arguments: --bounds"),
+    ("hexagon", ["--class", "V"], "unrecognized arguments: --class V"),
+    ("stairs", ["--c", "0.5"], "unrecognized arguments: --c 0.5"),
+    ("rect", [], "the following arguments are required: --class"),
+])
+def test_bolts_shapes_take_only_the_options_they_read(capsys, tmp_path,
+                                                      shape, extra, message):
+    # --class and --c are rect's alone, --bounds is hexagon's alone, and
+    # rect needs --class: each is a usage error elsewhere, not ignored
+    path = tmp_path / "geom.json"
+    path.write_text('{"a": [0, 1, 2], "b": [0, 1, 2], "rect": [0, 1, 0, 1]}')
+    argv = ["bolts", shape, "--expr", "x1*x2", "--geom", str(path), *extra]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"error: {message}\n" in captured.err
+    assert _parse_outcome(_parse, argv) == \
+        _parse_outcome(_build_parser().parse_args, argv)
 
 
 @pytest.mark.parametrize("option", ["--ds-iters", "--cap"])

@@ -728,6 +728,85 @@ class TestCycleSpaceFromTheFiberGraph:
         assert fib.nullspace == [] and "incidence" not in vars(fib)
 
 
+# ---------------------------------------------------------------------------
+# the τ-closure is the peel
+
+def tau_reference(fib):
+    """τ as one loop: each step regroups every direction's fibers among the
+    points left and keeps the points whose fibers all hold two of them or
+    more, until nothing changes.  The reference for ``Fibers.peel``."""
+    current = set(range(len(fib.points)))
+    trace = [sorted(current)]
+    while current:
+        nxt = set(current)
+        for keys in fib.keys:
+            nxt &= {j for members in cycles._group(keys, current).values()
+                    if len(members) >= 2 for j in members}
+        if nxt == current:
+            break
+        current = nxt
+        trace.append(sorted(current))
+    return trace, sorted(current)
+
+
+# a path in 2-D or 3-D that sets one coordinate per step to a value not
+# used before, along the axes: each round peels its ends, so it takes many
+# rounds.  Up to 4 more points on the path's values close cycles or repeat
+# a point, and more directions make fibers of one point
+@st.composite
+def peel_paths(draw):
+    dim = draw(st.integers(2, 3))
+    p, fresh = [0] * dim, itertools.count(1)
+    pts = [tuple(p)]
+    for _ in range(draw(st.integers(0, 14))):
+        p[draw(st.integers(0, dim - 1))] = Fraction(next(fresh), 2)
+        pts.append(tuple(p))
+    values = sorted({c for q in pts for c in q})
+    pts += draw(st.lists(st.tuples(*[st.sampled_from(values)] * dim),
+                         max_size=4))
+    axes = [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
+    more = st.tuples(*[st.integers(-2, 2)] * dim).filter(any)
+    return (draw(st.permutations(pts)),
+            axes + draw(st.lists(more, max_size=4 - dim)))
+
+
+# those paths and sets of up to 18 points along 0 to 4 directions, each
+# direction given as a vector or as a callable on the points
+@st.composite
+def tau_sets(draw):
+    pts, dirs = draw(st.one_of(peel_paths(),
+                               mixed_sets(directions=(0, 4), size=18)))
+    callable_dirs = [(lambda p, a=a: dot(a, p)) if draw(st.booleans()) else a
+                     for a in dirs]
+    return pts, callable_dirs
+
+
+class TestTauClosureIsThePeel:
+    @given(tau_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_tau_closure_is_the_tau_loop(self, case):
+        pts, dirs = case
+        fib = cycles.Fibers(pts, dirs)
+        trace, fixed = tau_closure(fib)
+        assert (trace, fixed) == tau_reference(fib)
+        assert fixed == cycles._peel(fib)
+        assert tau_closure(pts, dirs) == (trace, fixed)
+
+    def test_the_rounds_of_a_staircase(self):
+        # each round removes the two ends of the path, one when they meet
+        fib = cycles.Fibers(staircase(7), [X, Y])
+        assert fib.peel == [[0, 6], [1, 5], [2, 4], [3]]
+        trace, fixed = tau_closure(fib)
+        assert trace == [list(range(7)), [1, 2, 3, 4, 5], [2, 3, 4], [3], []]
+        assert fixed == [] == cycles._peel(fib)
+
+    @pytest.mark.parametrize("call", [has_cycle, tau_closure, orbits,
+                                      minimal_cycles])
+    def test_points_without_directions_are_refused(self, call):
+        with pytest.raises(TypeError, match="no directions given"):
+            call([(0, 0), (1, 1)])
+
+
 def staircase(n):
     """n points, each sharing x or y with the one before: a path."""
     return [((j + 1) // 2, j // 2) for j in range(n)]
