@@ -35,7 +35,7 @@ def main() -> None:
     print("extremal certificate verdict:", report["verdict"])
     print("alternating extremal path length:", len(report["witness"]))
 
-    norms, _tables = diliberto_straus(f, dom, iters=100, grid_n=41)
+    norms, _tables = diliberto_straus(f, dom, iters=100)
     print("Diliberto-Straus residual after 100 sweeps:", round(norms[-1], 6))
 
     # Skew directions: anything of the form g1(x+y) + g2(x-y) is matched

@@ -16,6 +16,7 @@ from .core import (UnivariateTable, centred_differences, double_differences,
 
 CHECK_N = 33    # nodes per axis of the class checks and the grid fallback
 TABLE_N = 257   # knots of the extremal pair's tables
+SHARP_N = 65    # nodes per axis of the grid on which sharp_bounds reads B
 
 
 class ClassViolated(ValueError):
@@ -119,20 +120,14 @@ class ClosedBolt:
         pts = [(float(x), float(y)) for x, y in points]
         if len(pts) < 4 or len(pts) % 2 != 0:
             raise ValueError("a closed bolt needs an even number >= 4 of points")
-        for k in range(len(pts)):
-            p, q = pts[k], pts[(k + 1) % len(pts)]
+        moves = []
+        for p, q in zip(pts, pts[1:] + pts[:1]):
             if p == q:
                 raise ValueError("consecutive bolt points must differ")
-            same_x = p[0] == q[0]
-            same_y = p[1] == q[1]
-            if not (same_x or same_y):
+            if p[0] != q[0] and p[1] != q[1]:
                 raise ValueError("consecutive bolt points must share a coordinate")
-        # verify strict alternation around the loop
-        moves = []
-        for k in range(len(pts)):
-            p, q = pts[k], pts[(k + 1) % len(pts)]
-            moves.append("v" if p[0] == q[0] else "h")
-        if any(moves[k] == moves[(k + 1) % len(moves)] for k in range(len(moves))):
+            moves.append(p[0] == q[0])     # True for a vertical move
+        if any(m == n for m, n in zip(moves, moves[1:] + moves[:1])):
             raise ValueError("bolt moves must alternate vertical/horizontal")
         self.points = pts
 
@@ -404,23 +399,19 @@ hexagon_error = octagon_error = stairlike_error = polygon_error
 
 def _prune(points):
     """Remove pairs of coincident successive points (cyclically) until none
-    remain; coincident pairs cancel in the alternating functional."""
-    pts = list(points)
-    changed = True
-    while changed and len(pts) >= 2:
-        changed = False
-        for k in range(len(pts)):
-            if pts[k] == pts[(k + 1) % len(pts)]:
-                hi, lo = max(k, (k + 1) % len(pts)), min(k, (k + 1) % len(pts))
-                if hi == len(pts) - 1 and lo == 0:
-                    del pts[hi]
-                    del pts[lo]
-                else:
-                    del pts[lo + 1]
-                    del pts[lo]
-                changed = True
-                break
-    return pts
+    remain; coincident pairs cancel in the alternating functional.  One
+    stack pass cancels the pairs inside the list, then the ends are trimmed
+    while equal: cancelling x x in any order gives the same list."""
+    pts = []
+    for p in points:
+        if pts and pts[-1] == p:
+            pts.pop()
+        else:
+            pts.append(p)
+    i = 0
+    while len(pts) - 2 * i >= 2 and pts[i] == pts[-1 - i]:
+        i += 1
+    return pts[i:len(pts) - i]
 
 
 def _reanchor(pts, axis, low, anchor):
@@ -492,7 +483,7 @@ def random_bolt(H, rng, max_pairs=4):
 # ---------------------------------------------------------------------------
 # sharp two-sided estimates on a hexagon
 
-def sharp_bounds(f, H, grid_n=65):
+def sharp_bounds(f, H):
     """Two-sided bounds A <= E(f,H) <= B*C + 1.5*(B*|l(g,h)| - |l(f,h)|)
     with g = xy, B = max |d2f/dxdy| on a grid, and A, C the e-bolt maxima
     of f and g."""
@@ -504,7 +495,7 @@ def sharp_bounds(f, H, grid_n=65):
     C = max(gvals)
     hex_l_f, hex_l_g = fvals[0], gvals[0]  # hexagon_ebolts puts it first
 
-    xs, ys, _, _, inside = _union_grid(H.rectangles(), grid_n)
+    xs, ys, _, _, inside = _union_grid(H.rectangles(), SHARP_N)
     h = min(xs[1] - xs[0], ys[1] - ys[0]) / 4.0
     mixed = centred_differences(f, xs, ys, h, h) / (4.0 * h * h)
     B = float(np.max(np.abs(np.where(inside, mixed, 0.0))))

@@ -43,6 +43,7 @@ from .cycles import (
     tau_closure,
 )
 from .uniform import (
+    DS_N,
     HypothesisViolated,
     ParallelogramDomain,
     best_uniform,
@@ -197,7 +198,9 @@ def _cmd_cycles_check(args, t0):
     points = PointConfig(len(rows[0]), rows)
     h = DirectionSet(points.dim, _read_rows(args, args.directions))
     fib = Fibers(points, h)
-    found, cert = has_cycle(fib)
+    # --minimal lists the minimal cycles in place of has_cycle's certificate
+    found, cert = ((bool(fib.nullspace), None) if args.minimal
+                   else has_cycle(fib))
     results = {"has_cycle": found}
     certs = [] if cert is None else [cert]
     if args.minimal:
@@ -242,9 +245,9 @@ def _cmd_approx_uniform(args, t0):
             results["witness_path"] = rep.get("witness")
             results["verified"] = rep["verdict"]
     except HypothesisViolated:
-        # the exact minimax on the pulled-back grid: each fiber is one grid
-        # row or column, whatever the directions
-        g = dom.grid(41)
+        # the exact minimax on the pulled-back grid of diliberto_straus:
+        # each fiber is one grid row or column, whatever the directions
+        g = dom.grid(DS_N)
         F = f(g.X, g.Y)
         err, _ = max_cycle_mean(*np.indices(F.shape).reshape(2, -1), F)
         results = {"error": err, "method": "numerical (no closed form)"}

@@ -173,11 +173,6 @@ def _parallel(u, v):
                for i, j in itertools.combinations(range(len(u)), 2))
 
 
-def dot(a, x):
-    """Exact dot product of rational sequences."""
-    return sum(ai * xi for ai, xi in zip(a, x))
-
-
 def bareiss(rows, ncols):
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of integer rows.
 
@@ -221,26 +216,6 @@ def bareiss(rows, ncols):
         pivots[col] = rank
         last = p
     return mat, pivots, last, sign * last if len(pivots) == ncols else 0
-
-
-def row_reduce(rows, ncols):
-    """Exact Gauss-Jordan elimination over Q: ``bareiss`` of the rows read
-    as integers over one denominator by ``_integer_coordinates``, with its
-    pivots and its columns past ``ncols`` (a right-hand side, an identity
-    block).  Returns (reduced rows, {pivot column: row index}, det), all
-    Fractions: the pivot rows come first, each with a leading 1 and zeros
-    above and below it, and ``det`` is the determinant of the first
-    ``ncols`` columns of a square system (0 when those columns are
-    dependent).  The other rows are zero in the pivot columns and equal to
-    the rows a division by each pivot would leave only up to a nonzero
-    factor: whether such a row is zero is all they tell.
-    """
-    ints, den = _integer_coordinates(rows)
-    mat, pivots, last, det = bareiss(ints, ncols)
-    rank = len(pivots)
-    reduced = ([[Fraction(v, last) for v in row] for row in mat[:rank]]
-               + [[Fraction(v) for v in row] for row in mat[rank:]])
-    return reduced, pivots, Fraction(det, den**ncols)
 
 
 def _read_csv_rows(data, name):

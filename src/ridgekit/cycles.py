@@ -70,7 +70,9 @@ def _key_table(points, h):
                  else _integer_coordinates(points))
     h, hden = (h.ints, h.den) if isinstance(h, DirectionSet) else (h, 1)
     table, scales = [], []
-    for hi in h:
+    for i, hi in enumerate(h):
+        if hi is None:
+            raise TypeError(f"direction {i} is None")
         if callable(hi):
             (keys,), scale = _integer_coordinates([[hi(p) for p in points]])
         else:

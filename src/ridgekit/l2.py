@@ -8,10 +8,13 @@ formula in terms of slice averages of the pulled-back function.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
-from .core import (RidgeSum, ScalarField, UnivariateTable, gauss_grid,
-                   gauss_nodes, parse_vector, row_reduce)
+from .core import (RidgeSum, ScalarField, UnivariateTable,
+                   _integer_coordinates, bareiss, gauss_grid, gauss_nodes,
+                   parse_vector)
 
 
 class NotAnRSet(ValueError):
@@ -36,13 +39,16 @@ class RSetTransform:
                 "directions plus completion must form an n x n system")
         self.J = rows
         n = self.n
-        # reducing [J | I] leaves [I | J^{-1}] and yields det J on the way
-        reduced, _, self.detJ = row_reduce(
+        # [J | I] over one denominator den reduces to last * [I | J^{-1}]
+        ints, den = _integer_coordinates(
             [list(row) + [int(i == j) for j in range(n)]
-             for i, row in enumerate(rows)], n)
-        if self.detJ == 0:
+             for i, row in enumerate(rows)])
+        mat, _, last, det = bareiss(ints, n)
+        self.detJ = Fraction(det, den**n)
+        if det == 0:
             raise NotAnRSet("directions plus completion are dependent")
-        self.Jinv = [row[n:] for row in reduced]  # columns b^i as rows here
+        self.Jinv = [[Fraction(v, last) for v in row[n:]]  # b^i as rows
+                     for row in mat]
         self._Jinv = np.array([[float(v) for v in row] for row in self.Jinv])
         ybox = [(float(lo), float(hi)) for lo, hi in ybox]
         if len(ybox) != self.n or any(lo >= hi for lo, hi in ybox):

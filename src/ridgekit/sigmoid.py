@@ -637,26 +637,24 @@ def _simplest_between(lo, hi):
 
 
 def _rationalize(coeffs, budget):
-    """Per-coefficient simplest-rational rounding within the budget."""
-    return [_simplest_within(float(c), budget) for c in coeffs]
-
-
-def _cf_term_sum(q):
-    """Sum of the canonical continued-fraction terms of |q| (0 for 0);
-    equals the bit length of the Calkin-Wilf index of |q|."""
-    num, den = q.numerator, q.denominator
-    return sum(_terms(abs(num), den)) if num else 0
+    """Per-coefficient simplest-rational rounding within the budget.  With
+    no budget, an exact coefficient stays as it is and a float goes to the
+    nearest rational with a denominator <= 1e9."""
+    if budget > 0:
+        return [_simplest_within(float(c), budget) for c in coeffs]
+    return [c if isinstance(c, Fraction) else _simplest_within(float(c), 0)
+            for c in coeffs]
 
 
 def _index_bits_estimate(monic_coeffs):
     """Rough bit length of the segment index the coefficients would yield.
 
-    Each coefficient contributes a continued-fraction term of magnitude
-    about 2^(its own CF-term sum); the index's bit length is the sum.
+    Each coefficient c contributes a continued-fraction term of about 2^s,
+    s the CF-term sum of |c| (0 for 0); the index's bit length is the sum.
     """
     total = 0
     for c in monic_coeffs:
-        s = _cf_term_sum(c)
+        s = sum(_terms(abs(c.numerator), c.denominator)) if c else 0
         if s > 60:
             return float("inf")
         total += 1 << (s + 1)
@@ -755,7 +753,7 @@ def _exact_poly_coeffs(f, a, b):
     if ast is None or f.dim != 1:
         return None
     a, b = rational(a), rational(b)
-    return _read_poly(ast, _trim([a, b - a]))
+    return _read_poly(ast, [a, b - a])
 
 
 def _read_poly(node, x):
@@ -835,24 +833,24 @@ def _poly_pow(p, k):
     return out
 
 
+def _compose(p, x):
+    """The polynomial p(x(t)), by Horner's rule in exact arithmetic."""
+    out = [Fraction(0)]
+    for c in reversed(p):
+        out = _poly_add(_poly_mul(out, x), [c])
+    return out
+
+
 def _taylor_truncate(coeffs, eps, tgrid, g_vals):
     """Shortest midpoint-Taylor truncation of an exact polynomial that
-    stays within eps/2 on the grid (exact rational arithmetic)."""
+    stays within eps/2 on the grid (exact rational arithmetic).  The one
+    returned, to (t - 1/2)^k, has the k + 1 coefficients _finalize_coeffs
+    splits its budget by: its t^k one is shifted[k], and with shifted[k]
+    = 0 the truncation to k - 1 was the same polynomial."""
     half = Fraction(1, 2)
-    deg = len(coeffs) - 1
-    # expand in powers of (t - 1/2): d_j = sum_i coeffs_i * C(i,j) (1/2)^(i-j)
-    shifted = []
-    for j in range(deg + 1):
-        s = Fraction(0)
-        for i in range(j, deg + 1):
-            s += coeffs[i] * math.comb(i, j) * half ** (i - j)
-        shifted.append(s)
-    for k in range(deg + 1):
-        # back to powers of t, keeping only (t - 1/2)^j with j <= k
-        trunc = [Fraction(0)] * (k + 1)
-        for j in range(k + 1):
-            for m in range(j + 1):
-                trunc[m] += shifted[j] * math.comb(j, m) * (-half) ** (j - m)
+    shifted = _compose(coeffs, [half, Fraction(1)])     # powers of t - 1/2
+    for k in range(len(coeffs)):
+        trunc = _compose(shifted[:k + 1], [-half, Fraction(1)])
         if _poly_sup_dev(trunc, g_vals, tgrid) <= 0.5 * eps:
             return trunc
     return list(coeffs)
@@ -873,10 +871,7 @@ def _finalize_coeffs(raw, eps, tgrid, g_vals, max_bits=200_000_000):
     m = len(raw)
     for scale in (1.0, 0.25, 0.0625, 0.0):
         budget = remaining / m * scale
-        coeffs = _rationalize(raw, budget) if budget > 0 else \
-            [c if isinstance(c, Fraction)
-             else Fraction(*_limited(float(c), 10**9)) for c in raw]
-        _trim(coeffs)
+        coeffs = _trim(_rationalize(raw, budget))
         if _poly_sup_dev(coeffs, g_vals, tgrid) > 0.5 * eps:
             continue
         p0 = coeffs[-1]

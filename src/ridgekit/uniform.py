@@ -21,6 +21,7 @@ PulledBackGrid = namedtuple("PulledBackGrid", "y1 y2 Y1 Y2 X Y")
 CHECK_N = 21        # nodes per axis of the hypothesis check
 VERIFY_N = 33       # nodes per axis of verify_extremal's grid
 VERIFY_TOL = 1e-6   # slack of verify_extremal's norm against e*
+DS_N = 41           # nodes per axis of diliberto_straus's grid (the CLI's too)
 
 
 class HypothesisViolated(ValueError):
@@ -180,7 +181,7 @@ def verify_extremal(f, candidate, dom):
             "witness": witness or None}
 
 
-def diliberto_straus(f, dom, iters=100, grid_n=41):
+def diliberto_straus(f, dom, iters=100):
     """Alternating fiber-midrange iteration on the pulled-back grid.
 
     Each sweep subtracts, per y1-fiber then per y2-fiber, the midrange
@@ -191,11 +192,11 @@ def diliberto_straus(f, dom, iters=100, grid_n=41):
     """
     if iters < 0:
         raise ValueError(f"iters must be >= 0, got {iters}")
-    g = dom.grid(grid_n)
+    g = dom.grid(DS_N)
     y1, y2, X, Y = g.y1, g.y2, g.X, g.Y
     resid = np.asarray(f(X, Y), dtype=float).copy()
-    g1 = np.zeros(grid_n)
-    g2 = np.zeros(grid_n)
+    g1 = np.zeros(DS_N)
+    g2 = np.zeros(DS_N)
     norms = [float(np.max(np.abs(resid)))]
     for _ in range(iters):
         m1 = 0.5 * (resid.max(axis=1) + resid.min(axis=1))  # per y1-fiber

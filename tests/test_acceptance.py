@@ -411,14 +411,14 @@ def test_criterion_08_alternating_sweeps():
     failures = []
     dom = ParallelogramDomain((1, 0), (0, 1), 0.0, 1.0, 0.0, 1.0)
     xy = lambda x, y: np.asarray(x) * np.asarray(y)
-    norms, _ = diliberto_straus(xy, dom, iters=100, grid_n=41)
+    norms, _ = diliberto_straus(xy, dom, iters=100)
     arr = np.asarray(norms)
     if not np.all(np.diff(arr) <= 1e-12):
         failures.append("norms not nonincreasing")
     if abs(arr[100] - 0.25) > 1e-3:
         failures.append(f"norm after 100 sweeps {arr[100]:.5f}")
     ridge = lambda x, y: np.sin(np.asarray(x)) + np.exp(np.asarray(y))
-    norms2, _ = diliberto_straus(ridge, dom, iters=2, grid_n=41)
+    norms2, _ = diliberto_straus(ridge, dom, iters=2)
     if norms2[2] > 1e-12:
         failures.append(f"ridge input norm {norms2[2]:.2e}")
     finish(8, failures)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ridgekit.bolts import (
     AxisRect,
@@ -8,6 +10,7 @@ from ridgekit.bolts import (
     Hexagon,
     L,
     Octagon,
+    SHARP_N,
     StairPolygon,
     _prune,
     class_check,
@@ -52,6 +55,17 @@ class TestFunctionals:
             ClosedBolt([(0, 0), (1, 1), (2, 2), (3, 3)])  # no alternation
         with pytest.raises(ValueError):
             ClosedBolt([(0, 0), (0, 1)])  # too short
+
+    @pytest.mark.parametrize("pts, message", [
+        # two vertical moves first, then a move along neither axis
+        ([(0, 0), (0, 1), (0, 2), (1, 3)], "share a coordinate"),
+        # two vertical moves first, then a repeated point
+        ([(0, 0), (0, 1), (0, 2), (0, 2)], "must differ"),
+    ])
+    def test_closed_bolt_reports_a_move_before_the_alternation(
+            self, pts, message):
+        with pytest.raises(ValueError, match=message):
+            ClosedBolt(pts)
 
 
 class TestRectangleClasses:
@@ -149,9 +163,8 @@ class TestPolygons:
     def test_sharp_bounds_b_is_the_four_point_stencil(self, f, H):
         # the stencil sharp_bounds used before the shared kernel, in its
         # own order of operations: B must be equal, not merely close
-        grid_n = 65
-        xs = np.linspace(H.a[0], H.a[2], grid_n)
-        ys = np.linspace(H.b[0], H.b[2], grid_n)
+        xs = np.linspace(H.a[0], H.a[2], SHARP_N)
+        ys = np.linspace(H.b[0], H.b[2], SHARP_N)
         h = min(xs[1] - xs[0], ys[1] - ys[0]) / 4.0
         X, Y = np.meshgrid(xs, ys, indexing="ij")
         inside = np.array([[H.contains(x, y) for y in ys] for x in xs])
@@ -159,7 +172,7 @@ class TestPolygons:
                  - np.asarray(f(X - h, Y + h))
                  + np.asarray(f(X - h, Y - h))) / (4.0 * h * h)
         want = float(np.max(np.abs(np.where(inside, mixed, 0.0))))
-        assert sharp_bounds(f, H, grid_n=grid_n)["B"] == want
+        assert sharp_bounds(f, H)["B"] == want
 
 
     @pytest.mark.parametrize("P", [
@@ -302,6 +315,38 @@ def maximize_bolt_oracle(f, H, p):
     if len(out) < 4:
         return ClosedBolt(p.points if isinstance(p, ClosedBolt) else p)
     return ClosedBolt(out)
+
+
+def prune_reference(points):
+    """The former ``_prune``: remove the leftmost pair of coincident
+    successive points (cyclically) and rescan from the start, until none
+    remain; the reference for the one-pass prune."""
+    pts = list(points)
+    changed = True
+    while changed and len(pts) >= 2:
+        changed = False
+        for k in range(len(pts)):
+            if pts[k] == pts[(k + 1) % len(pts)]:
+                hi, lo = max(k, (k + 1) % len(pts)), min(k, (k + 1) % len(pts))
+                if hi == len(pts) - 1 and lo == 0:
+                    del pts[hi]
+                    del pts[lo]
+                else:
+                    del pts[lo + 1]
+                    del pts[lo]
+                changed = True
+                break
+    return pts
+
+
+PRUNE_POINTS = [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0)]
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.sampled_from(PRUNE_POINTS[:k]), max_size=12)))
+@settings(max_examples=500, deadline=None)
+def test_prune_matches_the_rescanning_loop(pts):
+    assert _prune(pts) == prune_reference(pts)
 
 
 def _outcome(fn, *args):

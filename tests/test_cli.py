@@ -198,6 +198,29 @@ class TestDispatch:
                                         [1, 2, 3, 4, 5, 6, 7]]
         assert results["tau_fixed_point"] == [1, 2, 3, 4, 5, 6, 7]
 
+    @pytest.mark.parametrize("rows, found", [
+        ("0, 0\n0, 1\n1, 0\n1, 1\n", True),
+        ("0, 0\n0, 1\n1, 1\n", False),
+    ])
+    def test_check_minimal_builds_no_canonical_certificate(
+            self, capsys, tmp_path, monkeypatch, xy_dirs_csv, rows, found):
+        # the minimal cycles replace has_cycle's certificate, so --minimal
+        # reads only whether the cycle space is empty
+        def refuse(basis):
+            raise AssertionError("canonical certificate built")
+
+        pts = tmp_path / "pts.csv"
+        pts.write_text(rows)
+        monkeypatch.setattr(cycles, "_canonical_cycle_vector", refuse)
+        code, out = run(capsys, "cycles", "check", "--points", str(pts),
+                        "--directions", xy_dirs_csv, "--minimal")
+        assert code == 0, out
+        results = json.loads(out)["results"]
+        assert set(results) == {"has_cycle", "minimal_exhausted",
+                                "certificates"}
+        assert results["has_cycle"] is found
+        assert len(results["certificates"]) == int(found)
+
     def test_deterministic_modulo_timing(self, capsys, square_csv,
                                          xy_dirs_csv):
         _, out1 = run(capsys, "cycles", "check",

@@ -12,10 +12,11 @@ from ridgekit.core import (
     PointConfig,
     RidgeSum,
     UnivariateTable,
+    _integer_coordinates,
     _legendre_rule,
     _read_number,
+    bareiss,
     centred_differences,
-    dot,
     double_differences,
     format_ast,
     gauss_grid,
@@ -25,8 +26,12 @@ from ridgekit.core import (
     parse_expression,
     parse_vector,
     rational,
-    row_reduce,
 )
+
+
+def dot(a, x):
+    """The dot product in the entries' own arithmetic."""
+    return sum(ai * xi for ai, xi in zip(a, x))
 
 
 class TestRational:
@@ -543,9 +548,22 @@ class TestMaxCycleMean:
         assert err == pytest.approx(0.0, abs=1e-12)
 
 
+def row_reduce(rows, ncols):
+    """``bareiss`` of rational rows read over one denominator by
+    ``_integer_coordinates``, as ``l2.RSetTransform`` reads it: (rows,
+    pivots, det) in Fractions, the pivot rows over the last pivot and the
+    others as they are, and det over the denominator to the ncols."""
+    ints, den = _integer_coordinates(rows)
+    mat, pivots, last, det = bareiss(ints, ncols)
+    rank = len(pivots)
+    reduced = ([[Fraction(v, last) for v in row] for row in mat[:rank]]
+               + [[Fraction(v) for v in row] for row in mat[rank:]])
+    return reduced, pivots, Fraction(det, den**ncols)
+
+
 def fraction_row_reduce(rows, ncols):
-    """Gauss-Jordan elimination in Fractions, the reference that the
-    fraction-free ``row_reduce`` must match."""
+    """Gauss-Jordan elimination in Fractions, the reference that
+    ``bareiss``, read by ``row_reduce``, must match."""
     mat = [[Fraction(v) for v in row] for row in rows]
     pivots = {}
     det = Fraction(1)

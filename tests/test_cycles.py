@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ridgekit import cycles
-from ridgekit.core import dot as core_dot
 from ridgekit.core import (DirectionSet, PointConfig, _integer_coordinates,
                            bareiss, rational)
 from ridgekit.cycles import (
@@ -448,9 +447,9 @@ RATIONAL_DIRS = [A1, A2, lambda p: p[0] * 7 / 6 - 2 * p[1]]
 
 
 def dot_key_table(points, h):
-    """Fiber values as ``core.dot`` (or the callable) gives them, unscaled:
+    """Fiber values as ``dot`` (or the callable) gives them, unscaled:
     the reference for the integer keys."""
-    return ([[rational(hi(p)) if callable(hi) else core_dot(hi, p)
+    return ([[rational(hi(p)) if callable(hi) else dot(hi, p)
               for p in points] for hi in h], [1] * len(h))
 
 
@@ -500,7 +499,7 @@ class TestRationalFibers:
         fvals = [Fraction(k * k - 3, 7) for k in range(len(stairs))]
         tables, free = solve_representation(stairs, RATIONAL_DIRS, fvals)
         for p, v in zip(stairs, fvals):
-            assert sum(tab[rational(h(p)) if callable(h) else core_dot(h, p)]
+            assert sum(tab[rational(h(p)) if callable(h) else dot(h, p)]
                        for tab, h in zip(tables, RATIONAL_DIRS)) == v
         monkeypatch.setattr(cycles, "_key_table", dot_key_table)
         assert (tables, free) == solve_representation(
@@ -804,6 +803,15 @@ class TestTauClosureIsThePeel:
                                       minimal_cycles])
     def test_points_without_directions_are_refused(self, call):
         with pytest.raises(TypeError, match="no directions given"):
+            call([(0, 0), (1, 1)])
+
+    @pytest.mark.parametrize("call", [
+        lambda pts: orbits(pts, X),
+        lambda pts: closed_path_search(pts, X),
+        lambda pts: has_cycle(pts, [X, None]),
+    ], ids=["orbits", "closed_path_search", "has_cycle"])
+    def test_a_missing_direction_is_named(self, call):
+        with pytest.raises(TypeError, match="direction 1 is None"):
             call([(0, 0), (1, 1)])
 
 

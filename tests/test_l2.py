@@ -36,6 +36,21 @@ class TestBuildRSet:
         assert product == [[1, 0], [0, 1]]
         assert all(isinstance(v, Fraction) for row in t.Jinv for v in row)
 
+    def test_rational_directions_and_completion_are_exact(self):
+        # J over its common denominator 42 is eliminated in integers:
+        # det J = det(42 J) / 42^3 and J^{-1} = the right block / last pivot
+        dirs = [(Fraction(1, 2), Fraction(1, 3), 0), "-2/7 1 1/6"]
+        comp = [(0, Fraction(3, 7), Fraction(-1, 2))]
+        t = build_rset(dirs, comp, [(0, 1)] * 3)
+        (a, b, c), (d, e, f), (g, h, i) = t.J
+        assert t.detJ == a * (e * i - f * h) - b * (d * i - f * g) \
+            + c * (d * h - e * g) == Fraction(-1, 3)
+        assert isinstance(t.detJ, Fraction)
+        product = [[sum(t.Jinv[i][k] * t.J[k][j] for k in range(3))
+                    for j in range(3)] for i in range(3)]
+        assert product == [[int(i == j) for j in range(3)] for i in range(3)]
+        assert all(isinstance(v, Fraction) for row in t.Jinv for v in row)
+
     def test_singular_directions_rejected(self):
         with pytest.raises(NotAnRSet):
             build_rset([(1, 0), (1, 0)], [], [(0, 1), (0, 1)])

@@ -33,8 +33,10 @@ from ridgekit.sigmoid import (
     _index_terms,
     _limited,
     _ln_big,
+    _poly_sup_dev,
     _segment_coeffs,
     _simplest_between,
+    _taylor_truncate,
 )
 from ridgekit.core import format_ast, parse_expression, rational
 
@@ -580,6 +582,55 @@ class TestFitting:
         net, _ = fit_two_neuron(f, 0.0, 1.0, 0.5)
         with pytest.raises(ValueError):
             eval_network(net, 2.0)
+
+
+def from_midpoint(shifted):
+    """Coefficients in powers of t of sum_j shifted[j] (t - 1/2)^j."""
+    out = [Fraction(0)] * len(shifted)
+    for j, d in enumerate(shifted):
+        for m in range(j + 1):
+            out[m] += d * math.comb(j, m) * Fraction(-1, 2) ** (j - m)
+    return out
+
+
+def taylor_truncate_reference(coeffs, eps, tgrid, g_vals):
+    """The former ``_taylor_truncate``, a binomial double loop each way:
+    the reference for its one exact composition."""
+    deg = len(coeffs) - 1
+    shifted = [sum(coeffs[i] * math.comb(i, j) * Fraction(1, 2) ** (i - j)
+                   for i in range(j, deg + 1)) for j in range(deg + 1)]
+    for k in range(deg + 1):
+        trunc = from_midpoint(shifted[:k + 1])
+        if _poly_sup_dev(trunc, g_vals, tgrid) <= 0.5 * eps:
+            return trunc
+    return list(coeffs)
+
+
+@st.composite
+def exact_polys(draw):
+    """(coefficients in powers of t, no trailing zeros, and the target's
+    values on the fit grid), drawn in powers of t - 1/2 with zeros among
+    them; the target is the polynomial plus a small wobble."""
+    shifted = draw(st.lists(
+        st.one_of(st.just(Fraction(0)), st.fractions(-9, 9, max_denominator=12)),
+        min_size=1, max_size=8))
+    coeffs = from_midpoint(shifted)
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    tgrid = np.linspace(0.0, 1.0, 1001)
+    wobble = draw(st.sampled_from([0.0, 1e-7, 1e-3]))
+    g_vals = (np.polyval([float(c) for c in reversed(coeffs)], tgrid)
+              + wobble * np.sin(40 * tgrid))
+    return coeffs, tgrid, g_vals
+
+
+@given(exact_polys(), st.sampled_from([0.0, 1e-6, 1e-3, 0.05, 0.3, 1.0, 4.0]))
+@settings(max_examples=300, deadline=None)
+def test_taylor_truncate_matches_the_binomial_loops(case, eps):
+    coeffs, tgrid, g_vals = case
+    got = _taylor_truncate(coeffs, eps, tgrid, g_vals)
+    # equal lists: the same coefficients, and as many of them
+    assert got == taylor_truncate_reference(coeffs, eps, tgrid, g_vals)
 
 
 def to_sympy_oracle(field):
