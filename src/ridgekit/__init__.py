@@ -103,27 +103,7 @@ from .sigmoid import (
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "DirectionSet", "PointConfig", "RidgeSum", "ScalarField",
-    "UnivariateTable", "grid_minimax_oracle", "max_cycle_mean",
-    "parse_expression", "parse_vector", "rational",
-    "CycleCertificate", "CycleExists", "Fibers", "closed_path_search",
-    "cycle_functional", "has_cycle", "minimal_cycles", "orbits",
-    "solve_representation", "tau_closure",
-    "ExtremalPair", "HypothesisViolated", "ParallelogramDomain",
-    "best_uniform", "diliberto_straus", "mixed_condition_check",
-    "verify_extremal",
-    "L2Solution", "NotAnRSet", "RSetTransform", "best_l2", "build_rset",
-    "l2_error",
-    "AxisRect", "ClassViolated", "ClosedBolt", "Hexagon", "L", "Octagon",
-    "StairPolygon", "ebolts", "golomb_lower_bound", "hexagon_error", "l",
-    "maximize_bolt", "octagon_error", "polygon_error", "sharp_bounds",
-    "stairlike_error",
-    "uc_best", "vc_best",
-    "DecompProblem", "DecompResult", "crosscheck_highorder", "decompose",
-    "tabulate",
-    "MonicPoly", "NetworkParams", "SigmoidParams", "calkin_wilf",
-    "cw_index", "eval_network", "fit_two_neuron", "monic_enum",
-    "monic_index", "rational_enum", "rational_index", "sigma",
-    "__version__",
-]
+# every public name imported above, in import order
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, type(os))]
+__all__.append("__version__")

@@ -177,13 +177,6 @@ def _non_finite_field(value, path=""):
                 None)
 
 
-def _emit(args, results, t0):
-    _print_report(
-        args, inputs_digest=_digest(args), results=results,
-        timing_seconds=round(time.perf_counter() - t0, 6))
-    return 0
-
-
 def _emit_error(args, exc, code):
     """The JSON error report of a domain error (1) or unreadable input (2)."""
     _print_report(args, error={"type": type(exc).__name__, "message": str(exc)})
@@ -193,7 +186,7 @@ def _emit_error(args, exc, code):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_cycles_check(args, t0):
+def _cmd_cycles_check(args):
     rows = _read_rows(args, args.points)
     points = PointConfig(len(rows[0]), rows)
     h = DirectionSet(points.dim, _read_rows(args, args.directions))
@@ -225,10 +218,10 @@ def _cmd_cycles_check(args, t0):
                 for tab in tables
             ],
         }
-    return _emit(args, results, t0)
+    return results
 
 
-def _cmd_approx_uniform(args, t0):
+def _cmd_approx_uniform(args):
     f = parse_expression(args.expr, 2)
     dom = ParallelogramDomain(args.dirs[:2], args.dirs[2:], *args.bounds)
     try:
@@ -256,10 +249,10 @@ def _cmd_approx_uniform(args, t0):
         results["ds_norms"] = [float(v) for v in norms]
         results["ds_g1_table"] = _table(tables[0])
         results["ds_g2_table"] = _table(tables[1])
-    return _emit(args, results, t0)
+    return results
 
 
-def _cmd_approx_l2(args, t0):
+def _cmd_approx_l2(args):
     dirs = _read_rows(args, args.dirs_file)
     comp = []
     if args.completion_file:
@@ -280,7 +273,7 @@ def _cmd_approx_l2(args, t0):
         "diagnostics": {k: float(v) for k, v in sol.diagnostics.items()
                         if np.isscalar(v)},
     }
-    return _emit(args, results, t0)
+    return results
 
 
 def _geometry(geom, key, size=None):
@@ -297,7 +290,7 @@ def _geometry(geom, key, size=None):
     return value
 
 
-def _cmd_bolts(args, t0):
+def _cmd_bolts(args):
     geom = _read_json(args, args.geom)
     f = parse_expression(args.expr, 2)
     results = {}
@@ -342,10 +335,10 @@ def _cmd_bolts(args, t0):
     if args.golomb:
         pts = _read_rows(args, args.golomb)
         results["golomb_lower_bound"] = float(golomb_lower_bound(f, pts))
-    return _emit(args, results, t0)
+    return results
 
 
-def _cmd_smooth(args, t0):
+def _cmd_smooth(args):
     dirs = [tuple(float(v) for v in row) for row in _read_rows(args, args.dirs)]
     f = parse_expression(args.expr, 2)
     box = ((args.box[0], args.box[1]), (args.box[2], args.box[3]))
@@ -360,17 +353,17 @@ def _cmd_smooth(args, t0):
     if args.crosscheck:
         check = crosscheck_highorder(problem)
         results["convergence_study"] = {"residual": check.residual}
-    return _emit(args, results, t0)
+    return results
 
 
-def _cmd_sigmoid_eval(args, t0):
+def _cmd_sigmoid_eval(args):
     params = SigmoidParams(args.d, args.lam)
     vals = [float(v) for v in sigma(args.x, params)]
     results = {"sigma": vals[0] if len(vals) == 1 else vals}
-    return _emit(args, results, t0)
+    return results
 
 
-def _cmd_sigmoid_table(args, t0):
+def _cmd_sigmoid_table(args):
     params = SigmoidParams(args.d, args.lam)
     for flag, value in (("--from", args.start), ("--to", args.stop),
                         ("--step", args.step)):
@@ -389,10 +382,9 @@ def _cmd_sigmoid_table(args, t0):
     print("x,sigma")
     for x, v in zip(xs, sigma(xs, params)):
         print(f"{float(x):g},{float(v):.5f}")
-    return 0
 
 
-def _cmd_sigmoid_fit(args, t0):
+def _cmd_sigmoid_fit(args):
     f = parse_expression(args.expr, 1)
     a, b = args.interval
     net, achieved = fit_two_neuron(f, a, b, args.eps)
@@ -408,7 +400,7 @@ def _cmd_sigmoid_fit(args, t0):
         "theta2": _frac(net.theta2),
         "achieved_error": float(achieved),
     }
-    return _emit(args, results, t0)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +571,11 @@ def _run(argv):
     args._inputs = []
     t0 = time.perf_counter()
     try:
-        return args.func(args, t0)
+        results = args.func(args)
+        if results is not None:   # `sigmoid table` prints its own CSV
+            _print_report(args, inputs_digest=_digest(args), results=results,
+                          timing_seconds=round(time.perf_counter() - t0, 6))
+        return 0
     except BrokenPipeError:
         raise
     except DOMAIN_ERRORS as exc:

@@ -796,11 +796,15 @@ def max_cycle_mean(rows, cols, values):
 
     ``rows`` and ``cols`` label the points' fibers (a grid passes its raveled
     indices) and ``values`` are the f(p).  Returns (e*, the critical cycle
-    as point indices from a + point, empty when e* = 0).
+    as point indices from a + point, empty when e* = 0).  A value that is
+    not finite raises ValueError naming the first one.
     """
     _, r = np.unique(rows, return_inverse=True)
     _, c = np.unique(cols, return_inverse=True)
     f = np.asarray(values, dtype=float).ravel()
+    bad = np.flatnonzero(~np.isfinite(f))
+    if bad.size:
+        raise ValueError(f"values[{bad[0]}] = {f[bad[0]]} is not finite")
     npts = f.size
     if npts == 0:
         return 0.0, []

@@ -458,11 +458,11 @@ def minimal_cycles(points, h=None, cap=10):
                                            size)
                 if not basis:
                     continue
-                vec = basis[0]
-                if any(w == 0 for w in vec):
-                    continue  # support smaller than subset; found at its size
+                # a zero weight would leave a smaller circuit inside the
+                # subset, found at its own size: the subset was skipped
                 supports.append(set(subset))
-                found.append(CycleCertificate(list(subset), vec, fib.points))
+                found.append(CycleCertificate(list(subset), basis[0],
+                                              fib.points))
     found.sort(key=lambda c: c.support)
     return found, rank == n or cap >= rank + 1
 
@@ -614,10 +614,10 @@ def solve_representation(points, h=None, f_values=None, anchor=0):
     (vals,), vden = _integer_coordinates([f_values])
     if len(vals) != n:
         raise ValueError("need one f value per point")
+    if fib.nullspace:
+        raise CycleExists(has_cycle(fib)[1])
     m = len(fib.columns)
     if len(fib.keys) == 2:
-        if fib.nullspace:
-            raise CycleExists(has_cycle(fib)[1])
         values = fib.forest.potentials(vals, anchor)
         # one free unknown per component but the anchor's
         scale, free = vden, fib.forest.up.count(None) - 1
@@ -630,11 +630,7 @@ def solve_representation(points, h=None, f_values=None, anchor=0):
         rows = list(zip(*fib.incidence, vals))
         for c in [c for c in range(m) if rows[anchor][c]][:-1]:
             rows.append([int(k == c) for k in range(m + 1)])
-        # the anchor rows are independent of the point rows, so a row left
-        # without a pivot is a dependency among the points: a cycle
         reduced, pivots, last, _ = bareiss(rows, m)
-        if len(pivots) < len(rows):
-            raise CycleExists(has_cycle(fib)[1])
         # free unknowns -> 0, so each pivot row's last entry over the last
         # pivot is its unknown
         values = [reduced[pivots[c]][m] if c in pivots else 0

@@ -293,14 +293,17 @@ class SigmoidParams:
         bits = n.bit_length()
         if bits <= 40:
             return 1.0 - self.lam_eff / (1.0 + math.log(2 * n * self.d + 1.0))
-        # log(2 n d + 1) ~ log(2n) + log(d) to double accuracy.  log(2n) is
-        # _ln_big(2 * n) without forming 2 * n: from 53 bits on, the same
-        # top 53 bits, read as n >> (bits - 53); below that 2 * n is small
+        # log(2 n d + 1) = log(e^L + 1) with L = log(2n) + log(d), taken as
+        # max(L, 0) + log1p(e^-|L|), which neither overflows nor drops the
+        # + 1 when d is small.  log(2n) is _ln_big(2 * n) without forming
+        # 2 * n: from 53 bits on, the same top 53 bits, read as
+        # n >> (bits - 53); below that 2 * n is small
         if bits <= 52:
             ln2n = math.log(2 * n)
         else:
             ln2n = math.log(n >> (bits - 53)) + (bits - 52) * _LN2
-        lnval = ln2n + math.log(self.d)
+        L = ln2n + math.log(self.d)
+        lnval = max(L, 0.0) + math.log1p(math.exp(-abs(L)))
         return 1.0 - self.lam_eff / (1.0 + lnval)
 
 

@@ -1130,3 +1130,17 @@ def test_report_writer_names_a_non_finite_field(case):
         with contextlib.redirect_stdout(out):
             _print_report(args, results=value)
     assert out.getvalue() == ""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("expr", ["log(x1)", "sqrt(x1)*x2"])
+def test_a_target_that_is_nan_on_the_grid_is_a_domain_error(capsys, expr):
+    # NaN where x1 < 0: the fallback's minimax must not read it as error 0
+    code, out = run(capsys, "approx", "uniform", "--expr", expr,
+                    "--dirs", "1", "0", "0", "1", "--bounds", "-1", "1", "0",
+                    "1")
+    assert code == 1
+    report = json.loads(out)
+    assert "results" not in report
+    assert report["error"]["type"] == "ValueError"
+    assert report["error"]["message"].endswith("is not finite")

@@ -542,6 +542,13 @@ class TestMaxCycleMean:
                                   max_size=len(pts)))
         assert self.check(pts, vals) == 0.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_value_that_is_not_finite_is_refused(self, bad):
+        # a NaN cycle mean fails every comparison: it would read as error 0
+        with pytest.raises(ValueError,
+                           match=rf"^values\[3\] = {bad} is not finite$"):
+            max_cycle_mean([0, 0, 1, 1], [0, 1, 0, 1], [0.0, 1.0, 1.0, bad])
+
     def test_raveled_grid_of_a_ridge_sum_gives_zero(self):
         F = np.sin(np.arange(5.0))[:, None] + np.arange(7.0)[None, :] ** 2
         err, cycle = max_cycle_mean(*np.indices(F.shape).reshape(2, -1), F)

@@ -250,6 +250,22 @@ class TestMinimalCycles:
                 [c for c in circuits if len(c[0]) <= cap]
             assert exhausted == (rank == len(pts) or cap >= rank + 1)
 
+    @given(st.sampled_from([[X, Y, (1, 1)], [X, Y, (1, 1), (1, -1)]]),
+           st.lists(st.sampled_from([(x, y) for x in range(4)
+                                     for y in range(4)]),
+                    min_size=4, max_size=9, unique=True))
+    @settings(max_examples=150, deadline=None)
+    def test_the_subset_search_matches_subset_enumeration(self, dirs, pts):
+        # with three or four directions the circuits come from the search
+        # over subsets, whose every tried subset with a nullspace vector
+        # has full support
+        circuits, rank = circuits_oracle(pts, dirs)
+        for cap in (3, 5, 10):
+            certs, exhausted = minimal_cycles(pts, dirs, cap=cap)
+            assert [cert_data(c) for c in certs] == \
+                [c for c in circuits if len(c[0]) <= cap]
+            assert exhausted == (rank == len(pts) or cap >= rank + 1)
+
     def test_the_five_by_five_grid_lists_every_circuit(self):
         grid = [(x, y) for x in range(5) for y in range(5)]
         certs, exhausted = minimal_cycles(grid, [X, Y], cap=10)
@@ -372,6 +388,22 @@ class TestSolveRepresentation:
         with pytest.raises(ValueError, match="one f value per point"):
             solve_representation(SQUARE, [X, Y], [0, 0, 1])
 
+    def test_a_cycle_stops_the_solve_before_any_elimination(self,
+                                                             monkeypatch):
+        # with three directions the cycle space, computed once per Fibers,
+        # decides; the solve's own elimination is not reached
+        grid = [(x, y) for x in range(3) for y in range(3)]
+        fib = cycles.Fibers(grid, [X, Y, (1, 1)])
+        found, cert = has_cycle(fib)
+
+        def no_elimination(*args):
+            raise AssertionError("bareiss called")
+
+        monkeypatch.setattr(cycles, "bareiss", no_elimination)
+        with pytest.raises(CycleExists) as exc:
+            solve_representation(fib, f_values=list(range(9)))
+        assert found and cert_data(exc.value.certificate) == cert_data(cert)
+
     def test_no_directions_is_a_cycle(self):
         # no fibers: every weight vector is a cycle, and the values cannot
         # be interpolated by an empty sum
@@ -381,8 +413,8 @@ class TestSolveRepresentation:
     @given(point_sets())
     @settings(max_examples=60, deadline=None)
     def test_raises_exactly_when_has_cycle_finds_one(self, case):
-        # the solve decides cycle-freeness from its own elimination; it
-        # must agree with has_cycle and attach the same certificate
+        # the solve decides cycle-freeness from the cycle space; it must
+        # agree with has_cycle and attach the same certificate
         pts, dirs = case
         found, cert = has_cycle(pts, dirs)
         fvals = [Fraction(k * k - 3, 7) for k in range(len(pts))]

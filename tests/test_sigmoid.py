@@ -504,11 +504,11 @@ class TestSigmaDomain:
 
 
 def reference_M(params, n):
-    """h((2n+1) d) as computed before, forming 2 * n."""
-    if n.bit_length() > 40:
-        lnval = _ln_big(2 * n) + math.log(params.d)
-        return 1.0 - params.lam_eff / (1.0 + lnval)
-    return 1.0 - params.lam_eff / (1.0 + math.log(2 * n * params.d + 1.0))
+    """h((2n+1) d) = 1 - lam/(1 + log(2 n d + 1)) from exact integers: with
+    d = p/q, log(2 n d + 1) = log(2 n p + q) - log(q)."""
+    p, q = params.d.as_integer_ratio()
+    lnval = _ln_big(2 * n * p + q) - _ln_big(q)
+    return 1.0 - params.lam_eff / (1.0 + lnval)
 
 
 class TestBitIdentity:
@@ -519,7 +519,18 @@ class TestBitIdentity:
         for bits in list(range(38, 61)) + [10**3, 10**6]:
             for n in (1 << (bits - 1), (1 << bits) - 1,
                       rng.getrandbits(bits) | (1 << (bits - 1))):
-                assert params.M(n) == reference_M(params, n)
+                want = reference_M(params, n)
+                assert abs(params.M(n) - want) <= math.ulp(want)
+
+    @pytest.mark.parametrize("d", [2.0, 1.0, 0.1, 1e-3, 1e-6, 1e-12])
+    def test_M_increases_across_40_bits(self, d):
+        # from 41 bits on M is read from log(2n) + log(d); the + 1 of
+        # log(2 n d + 1) must stay, or M falls there when d < 1/2
+        params = SigmoidParams(d, 0.25)
+        ms = [params.M(n) for n in range(2**40 - 2, 2**40 + 3)]
+        assert ms == sorted(ms)
+        want = 1.0 - 0.25 / (1.0 + math.log1p(2.0**41 * d))
+        assert ms[2] == pytest.approx(want, rel=1e-15)
 
     @pytest.mark.parametrize("expr,eps", [("x1^3 + x1^2 - 5*x1 + 3", 1e-9),
                                           ("4*x1/(4+x1^2)", 0.6),
