@@ -22,6 +22,8 @@ from .core import _integer_coordinates, rational
 _LN2 = math.log(2.0)
 FIT_GRID_N = 1001   # nodes of the grid on which a fit's error is measured
 MAX_DEGREE = 30     # highest Chebyshev degree tried for a non-polynomial
+MAX_EXACT_DEGREE = 256      # highest degree the exact reader expands
+MAX_EXACT_BITS = 1 << 16    # largest power, in bits, it expands
 
 
 # ---------------------------------------------------------------------------
@@ -685,15 +687,21 @@ def fit_two_neuron(f, a, b, eps):
     too) is read as Fraction(v).limit_denominator(10**12).  Every other
     target, any function call, division by x1, x1^0.5 and plain callables
     among them, is fitted by Chebyshev interpolation of degree up to 30 and
-    simplest-rational rounding instead.  The error is measured on 1001
-    equally spaced points of [a, b].
+    simplest-rational rounding instead.  So is a polynomial whose exact
+    expansion would be too large: a product or power of degree above 256
+    (MAX_EXACT_DEGREE), or a power p^k whose k times the bit length of p's
+    largest integer over its common denominator passes 2^16
+    (MAX_EXACT_BITS), such as x1^2000 or 0.5^(10^9)*x1.  The error is
+    measured on 1001 equally spaced points of [a, b].
 
     n, and with it theta1 = b - 2n(b-a), is set by the chosen polynomial,
     not by eps: eps only bounds the error, and any other rational
     polynomial within eps/2 of g gives an equally valid network with
     another n.
 
-    Returns (NetworkParams, achieved_error).
+    Returns (NetworkParams, achieved_error).  Raises ArithmeticError when
+    no polynomial within eps/2 is found, and when the network, evaluated in
+    floats, misses eps: with huge weights c1 and -c2 cancel.
     """
     a, b = float(a), float(b)
     if not (a < b):
@@ -734,6 +742,9 @@ def fit_two_neuron(f, a, b, eps):
     c2 = -2.0 * float(p0) * a_n / (b_n * (1.0 + M1))
     net = NetworkParams(c1, c2, n, a, b, params, monic)
     ach = float(np.max(np.abs(eval_network(net, a + d * tgrid) - g_vals)))
+    if ach > eps:
+        raise ArithmeticError(
+            f"the network's error {ach!r} on the grid exceeds eps = {eps!r}")
     return net, ach
 
 
@@ -749,22 +760,41 @@ def _exact_poly_coeffs(f, a, b):
     constant" is decided on the exact coefficients, so x1/(x1-x1+2) is
     x1/2.  Anything else gives None: any function call (even sqrt(4)),
     division by a non-constant (even x1*x1/x1), a non-integer or symbolic
-    exponent.  Each literal v, pi and e included, is read as the rational
+    exponent, and, before it is expanded, a product or power of degree
+    above MAX_EXACT_DEGREE or a power p^k whose k times the bit length of
+    p's largest integer over its common denominator passes MAX_EXACT_BITS.
+    Each literal v, pi and e included, is read as the rational
     Fraction(v).limit_denominator(10**12).
     """
     ast = getattr(f, "ast", None)
     if ast is None or f.dim != 1:
         return None
     a, b = rational(a), rational(b)
-    return _read_poly(ast, [a, b - a])
+    (x,), den = _integer_coordinates([[a, b - a]])
+    p = _read_poly(ast, _poly(list(x), den))
+    if p is None:
+        return None
+    ints, den = p
+    return [Fraction(c, den) for c in ints]
+
+
+def _poly(ints, den):
+    """The pair (ints, den) for sum_i ints[i]/den t^i, den > 0, in lowest
+    terms: no trailing zero but the zero polynomial's one, and den the
+    least common denominator of the coefficients."""
+    g = math.gcd(den, *_trim(ints))
+    if g > 1:
+        ints, den = [c // g for c in ints], den // g
+    return ints, den
 
 
 def _read_poly(node, x):
-    """Coefficients, in powers of t, of the AST ``node`` with x1 the
-    polynomial ``x``; None where the node is not a polynomial."""
+    """The AST ``node``, with x1 the polynomial ``x``, as a pair from _poly;
+    None where the node is not a polynomial or would pass the bounds."""
     op = node[0]
     if op == "const":
-        return [Fraction(*_limited(node[1], 10**12))]
+        n, d = _limited(node[1], 10**12)
+        return [n], d
     if op == "var":
         return x
     if op == "call":
@@ -772,29 +802,51 @@ def _read_poly(node, x):
     p = _read_poly(node[1], x)
     if p is None:
         return None
+    ps, dp = p
     if op == "neg":
-        return [-c for c in p]
+        return [-c for c in ps], dp
     q = _read_poly(node[2], x)
     if q is None:
         return None
-    if op == "+":
-        return _poly_add(p, q)
-    if op == "-":
-        return _poly_add(p, [-c for c in q])
+    qs, dq = q
+    if op in "+-":
+        den = math.lcm(dp, dq)
+        out = [c * (den // dp) for c in ps] + [0] * (len(qs) - len(ps))
+        sq = den // dq if op == "+" else -(den // dq)
+        for i, c in enumerate(qs):
+            out[i] += c * sq
+        return _poly(out, den)
     if op == "*":
-        return _poly_mul(p, q)
-    if len(q) > 1:
+        if len(ps) + len(qs) - 2 > MAX_EXACT_DEGREE:
+            return None
+        return _poly(_convolve(ps, qs), dp * dq)
+    if len(qs) > 1:
         return None                  # divisor or exponent not a constant
-    c = q[0]
+    c = qs[0]
     if op == "/":
-        return None if c == 0 else [v / c for v in p]
-    if c.denominator != 1:
+        if c == 0:
+            return None
+        s = dq if c > 0 else -dq     # p / (c/dq) = p*dq / (dp*c)
+        return _poly([v * s for v in ps], dp * abs(c))
+    if dq != 1:
+        return None                  # exponent not an integer
+    k = abs(c)
+    bits = k * max(map(int.bit_length, [dp, *ps]))
+    if (len(ps) - 1) * k > MAX_EXACT_DEGREE or bits > MAX_EXACT_BITS:
         return None
     if c < 0:
-        if len(p) > 1 or p[0] == 0:
+        if len(ps) > 1 or ps[0] == 0:
             return None
-        return [p[0] ** int(c)]
-    return _poly_pow(p, int(c))
+        v = ps[0]                    # (v/dp)^c = (dp/v)^k
+        return [(dp if v > 0 else -dp) ** k], abs(v) ** k
+    out, den = [1], dp ** k
+    while k:                         # p^k by repeated squaring
+        if k & 1:
+            out = _convolve(out, ps)
+        k >>= 1
+        if k:
+            ps = _convolve(ps, ps)
+    return _poly(out, den)
 
 
 def _trim(p):
@@ -803,45 +855,25 @@ def _trim(p):
     return p
 
 
-def _poly_add(p, q):
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] += c
-    return _trim(out)
-
-
-def _poly_mul(p, q):
-    """p*q, convolved in integers over each factor's common denominator."""
-    (ps,), dp = _integer_coordinates([p])
-    (qs,), dq = _integer_coordinates([q])
+def _convolve(p, q):
+    """The ints of the product of the polynomials with ints p and q."""
     out = [0] * (len(p) + len(q) - 1)
-    for i, c in enumerate(ps):
+    for i, c in enumerate(p):
         if c:
-            for j, d in enumerate(qs):
+            for j, d in enumerate(q):
                 out[i + j] += c * d
-    return _trim([Fraction(c, dp * dq) for c in out])
-
-
-def _poly_pow(p, k):
-    """p^k for an integer k >= 0, by repeated squaring."""
-    out = [Fraction(1)]
-    while k:
-        if k & 1:
-            out = _poly_mul(out, p)
-        k >>= 1
-        if k:
-            p = _poly_mul(p, p)
     return out
 
 
-def _compose(p, x):
-    """The polynomial p(x(t)), by Horner's rule in exact arithmetic."""
-    out = [Fraction(0)]
-    for c in reversed(p):
-        out = _poly_add(_poly_mul(out, x), [c])
-    return out
+def _taylor_shift(a, h):
+    """The ints of p(v + h), h = 1 or -1, from those of p(v), in place: the
+    Horner-like scheme of von zur Gathen and Gerhard (ISSAC 1997), whose
+    only operations are additions."""
+    n = len(a) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            a[j] += h * a[j + 1]
+    return a
 
 
 def _taylor_truncate(coeffs, eps, tgrid, g_vals):
@@ -849,13 +881,23 @@ def _taylor_truncate(coeffs, eps, tgrid, g_vals):
     stays within eps/2 on the grid (exact rational arithmetic).  The one
     returned, to (t - 1/2)^k, has the k + 1 coefficients _finalize_coeffs
     splits its budget by: its t^k one is shifted[k], and with shifted[k]
-    = 0 the truncation to k - 1 was the same polynomial."""
-    half = Fraction(1, 2)
-    shifted = _compose(coeffs, [half, Fraction(1)])     # powers of t - 1/2
-    for k in range(len(coeffs)):
-        trunc = _compose(shifted[:k + 1], [-half, Fraction(1)])
-        if _poly_sup_dev(trunc, g_vals, tgrid) <= 0.5 * eps:
-            return trunc
+    = 0 the truncation to k - 1 was the same polynomial.
+
+    On integers over one denominator: with p(t) = sum_i ints[i]/den t^i of
+    degree m and u = 2t - 1, p = sum_i ints[i] 2^(m-i) (u + 1)^i / (den
+    2^m), so the Taylor shift by 1 of those ints gives r, and shifted[j] =
+    r[j] / (den 2^(m-j)).  A truncation r[:k+1], shifted back by -1 in v =
+    2t, has its t^i coefficient over den 2^(m-i)."""
+    (ints,), den = _integer_coordinates([coeffs])
+    m = len(ints) - 1
+    r = _taylor_shift([c << (m - i) for i, c in enumerate(ints)], 1)
+    dens = [den << (m - i) for i in range(m + 1)]
+    for k in range(m + 1):
+        w = _taylor_shift(r[:k + 1], -1)
+        # c / d is the correctly rounded float of c/d, reduced or not
+        if _poly_sup_dev([c / d for c, d in zip(w, dens)],
+                         g_vals, tgrid) <= 0.5 * eps:
+            return [Fraction(c, d) for c, d in zip(w, dens)]
     return list(coeffs)
 
 

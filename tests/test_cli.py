@@ -803,6 +803,16 @@ def test_sigmoid_fit_refuses_a_bad_eps(capsys, expr, eps):
     assert error["message"].startswith("eps must be finite and >= 0")
 
 
+def test_sigmoid_fit_refuses_a_network_that_misses_eps(capsys):
+    code, out = run(capsys, "sigmoid", "fit", "--expr", "x1",
+                    "--interval", "1e20", "3e20", "--eps", "1")
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ArithmeticError"
+    assert "15466496.0" in error["message"]
+    assert error["message"].endswith("exceeds eps = 1.0")
+
+
 @pytest.mark.parametrize("expr", ["(" * 400 + "x1" + ")" * 400,
                                   "+".join(["x1"] * 1500)],
                          ids=["400 parentheses", "sum of 1500 terms"])

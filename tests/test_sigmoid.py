@@ -594,6 +594,14 @@ class TestFitting:
         with pytest.raises(ValueError):
             eval_network(net, 2.0)
 
+    def test_a_network_that_misses_eps_is_refused(self):
+        # on [1e20, 3e20] the weights c1 and -c2 are about 1.26e23 and
+        # cancel in floats: the network misses eps = 1 by seven digits
+        f = parse_expression("x1", 1)
+        with pytest.raises(ArithmeticError,
+                           match=r"error 15466496\.0 .* exceeds eps = 1\.0$"):
+            fit_two_neuron(f, 1e20, 3e20, 1.0)
+
 
 def from_midpoint(shifted):
     """Coefficients in powers of t of sum_j shifted[j] (t - 1/2)^j."""
@@ -641,6 +649,26 @@ def test_taylor_truncate_matches_the_binomial_loops(case, eps):
     coeffs, tgrid, g_vals = case
     got = _taylor_truncate(coeffs, eps, tgrid, g_vals)
     # equal lists: the same coefficients, and as many of them
+    assert got == taylor_truncate_reference(coeffs, eps, tgrid, g_vals)
+
+
+@given(st.integers(0, 20).flatmap(lambda deg: st.lists(
+           st.one_of(st.just(0.0), st.floats(-9, 9)), min_size=deg + 1,
+           max_size=deg + 1)),
+       st.sampled_from([1e-9, 1e-3, 0.05, 1.0]))
+@settings(max_examples=60, deadline=None)
+def test_taylor_truncate_matches_the_binomial_loops_at_high_degree(shifted,
+                                                                    eps):
+    # degree up to 20 and denominators up to 10**12, as literals are read;
+    # the tail in powers of t - 1/2 shrinks like 2^-j on [0, 1], so the
+    # truncation stops at every degree across the eps
+    shifted = [Fraction(v).limit_denominator(10**12) for v in shifted]
+    coeffs = from_midpoint(shifted)
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    tgrid = np.linspace(0.0, 1.0, 1001)
+    g_vals = np.polyval([float(c) for c in reversed(coeffs)], tgrid)
+    got = _taylor_truncate(coeffs, eps, tgrid, g_vals)
     assert got == taylor_truncate_reference(coeffs, eps, tgrid, g_vals)
 
 
@@ -838,6 +866,26 @@ class TestExactPolynomialReader:
         assert coeffs == [math.comb(200, k) * 2**k * (-1) ** (200 - k)
                           for k in range(201)]
         assert elapsed < 0.26
+
+    @pytest.mark.parametrize("expr", [
+        "x1^2000", "(1+x1)^300", "x1^(10^9)", "0.5^(10^9)*x1",
+        "x1^200*x1^57", "(x1^2)^129", "0.5^32769*x1", "2^-32769"])
+    def test_expansions_past_the_bounds_read_as_none(self, expr):
+        # degree above 256, or a power of more than 2^16 bits, is refused
+        # before it is expanded: x1^(10^9) would square toward degree 2^29
+        f = parse_expression(expr, 1)
+        start = time.perf_counter()
+        assert _exact_poly_coeffs(f, 0.0, 1.0) is None
+        assert time.perf_counter() - start < 0.1
+
+    def test_expansions_at_the_bounds_are_read(self):
+        coeffs = _exact_poly_coeffs(parse_expression("x1^200*x1^56", 1),
+                                    0.0, 1.0)
+        assert coeffs == [0] * 256 + [1]
+        # 0.5 is 1/2, two bits: 32768 of them make 2^16
+        coeffs = _exact_poly_coeffs(parse_expression("0.5^32768*x1", 1),
+                                    0.0, 1.0)
+        assert coeffs == [0, Fraction(1, 2**32768)]
 
     def test_multivariate_and_plain_callables_read_as_none(self):
         assert _exact_poly_coeffs(parse_expression("x1", 2), 0.0, 1.0) is None
