@@ -11,8 +11,8 @@ import itertools
 
 import numpy as np
 
-from .core import (UnivariateTable, centred_differences, double_differences,
-                   max_cycle_mean)
+from .core import (UnivariateTable, cell_differences, centred_differences,
+                   double_differences, max_cycle_mean, values_at)
 
 CHECK_N = 33    # nodes per axis of the class checks and the grid fallback
 TABLE_N = 257   # knots of the extremal pair's tables
@@ -139,19 +139,37 @@ class ClosedBolt:
 
 
 def L(f, rect):
-    """Quarter of the second-order double difference over the rectangle."""
+    """Quarter of the second-order double difference over the rectangle.
+    f is called once, on numpy arrays of the four corners."""
     a1, b1, a2, b2 = rect.bounds if isinstance(rect, AxisRect) else rect
-    return 0.25 * (float(f(a1, a2)) + float(f(b1, b2))
-                   - float(f(a1, b2)) - float(f(b1, a2)))
+    return _quarter(*values_at(f, [(a1, a2), (b1, b2), (a1, b2), (b1, a2)]))
+
+
+def _quarter(f00, f11, f01, f10):
+    """L from f at the corners (a1, a2), (b1, b2), (a1, b2), (b1, a2)."""
+    return 0.25 * (f00 + f11 - f01 - f10)
 
 
 def l(f, bolt):
-    """Alternating average (1/2n) * sum (-1)^(k-1) f(p_k) over the bolt."""
+    """Alternating average (1/2n) * sum (-1)^(k-1) f(p_k) over the bolt.
+    f is called once, on numpy arrays of the bolt's points."""
     pts = bolt.points if isinstance(bolt, ClosedBolt) else list(bolt)
+    return _alternating_mean(values_at(f, pts))
+
+
+def _alternating_mean(vals):
     total = 0.0
-    for k, (x, y) in enumerate(pts):
-        total += (1.0 if k % 2 == 0 else -1.0) * float(f(x, y))
-    return total / len(pts)
+    for k, v in enumerate(vals):
+        total += (1.0 if k % 2 == 0 else -1.0) * v
+    return total / len(vals)
+
+
+def _bolt_functionals(f, bolts):
+    """l(f, p) for every bolt p, from one call of f on all their points."""
+    vals = values_at(f, [q for p in bolts for q in p.points])
+    ends = list(itertools.accumulate(map(len, bolts)))
+    return [_alternating_mean(vals[end - len(p):end])
+            for p, end in zip(bolts, ends)]
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +193,8 @@ def class_check(f, R, c, which):
     if which not in ("V", "U"):
         raise ValueError("which must be 'V' or 'U'")
     ys = np.linspace(a2, b2, CHECK_N)
-    scale = max(abs(float(f(x, y))) for x in (a1, c, b1) for y in (a2, b2))
+    scale = max(map(abs, values_at(f, [(x, y) for x in (a1, c, b1)
+                                       for y in (a2, b2)])))
     tol = 1e-10 * (1.0 + scale)
 
     # double differences are additive, so sub-rectangle signs reduce to
@@ -194,13 +213,18 @@ def class_check(f, R, c, which):
 
 
 def _bisect_half_level(g, lo, hi, target, iters=80):
-    """Smallest y with g(y) >= target, assuming g monotone nondecreasing."""
+    """Smallest y with g(y) >= target, assuming g monotone nondecreasing.
+    Once a midpoint rounds to lo or hi, no later step can move hi, so the
+    loop stops after evaluating that step."""
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
+        last = mid == lo or mid == hi
         if g(mid) >= target:
             hi = mid
         else:
             lo = mid
+        if last:
+            break
     return hi
 
 
@@ -233,14 +257,21 @@ def _monotone_best(f, R, c, which):
         xlo, xhi = a1, c
     else:
         xlo, xhi = c, b1
-    error = L(f, (xlo, xhi, a2, b2))
+    f00, f10, f01, f11 = values_at(f, [(xlo, a2), (xhi, a2),
+                                       (xlo, b2), (xhi, b2)])
+    error = _quarter(f00, f11, f01, f10)
 
     def accumulated(y):
-        return L(f, (xlo, xhi, a2, y)) if y > a2 else 0.0
+        # L(f, [xlo, xhi] x [a2, y]), with the y = a2 corners read once
+        if not y > a2:
+            return 0.0
+        fy0, fy1 = values_at(f, [(xlo, y), (xhi, y)])
+        return _quarter(f00, fy1, fy0, f10)
 
     y0 = _bisect_half_level(accumulated, a2, b2, 0.5 * error)
 
-    const = float(f(xlo, y0)) + float(f(xhi, y0))
+    fy0, fy1 = values_at(f, [(xlo, y0), (xhi, y0)])
+    const = fy0 + fy1
 
     def phi0(x):
         x = np.asarray(x, dtype=float)
@@ -325,14 +356,14 @@ def _monotone_on_grid(f, rects):
     """Grid certificate that all cell double differences on a 33 x 33 grid
     of every constituent rectangle are >= -1e-10 * (1 + the largest
     |f(a1, a2)| + |f(b1, b2)| of a rectangle): membership in the monotone
-    class."""
-    worst = np.inf
-    for R in rects:
-        xs = np.linspace(R.a1, R.b1, CHECK_N)
-        ys = np.linspace(R.a2, R.b2, CHECK_N)
-        worst = min(worst, float(np.min(double_differences(f, xs, ys))))
-    scale = max(abs(float(f(R.a1, R.a2))) + abs(float(f(R.b1, R.b2)))
-                for R in rects)
+    class.  f is called once, on the stacked grids of all rectangles."""
+    grids = [np.meshgrid(np.linspace(R.a1, R.b1, CHECK_N),
+                         np.linspace(R.a2, R.b2, CHECK_N), indexing="ij")
+             for R in rects]
+    F = np.asarray(f(np.array([X for X, _ in grids]),
+                     np.array([Y for _, Y in grids])), dtype=float)
+    worst = min([np.inf] + [float(np.min(D)) for D in cell_differences(F)])
+    scale = max(abs(float(G[0, 0])) + abs(float(G[-1, -1])) for G in F)
     return worst >= -1e-10 * (1.0 + scale), worst
 
 
@@ -373,11 +404,15 @@ def polygon_error(f, P):
     difference as ``class_worst``; when the grid value is the larger, the
     extremal ``bolt`` is its critical cycle on the grid.
 
+    f is called on numpy arrays, once for the points of all e-bolts and
+    once for the grids of the class test (and once for the fallback's
+    grid).
+
     Returns a dict: ``error``, the extremal ``bolt``, the evaluated
     ``bolts`` and their ``values`` in the same order, and ``fallback``.
     """
     bolts = ebolts(P)
-    vals = [abs(l(f, p)) for p in bolts]
+    vals = [abs(v) for v in _bolt_functionals(f, bolts)]
     best = int(np.argmax(vals))
     result = {"error": vals[best], "bolt": bolts[best], "bolts": bolts,
               "values": vals, "fallback": False}
@@ -489,8 +524,8 @@ def sharp_bounds(f, H):
     of f and g."""
     bolts = hexagon_ebolts(H)
     g = lambda x, y: np.asarray(x) * np.asarray(y)
-    fvals = [abs(l(f, p)) for p in bolts]
-    gvals = [abs(l(g, p)) for p in bolts]
+    fvals = [abs(v) for v in _bolt_functionals(f, bolts)]
+    gvals = [abs(v) for v in _bolt_functionals(g, bolts)]
     A = max(fvals)
     C = max(gvals)
     hex_l_f, hex_l_g = fvals[0], gvals[0]  # hexagon_ebolts puts it first
@@ -514,8 +549,8 @@ def golomb_lower_bound(f, points):
     the simple cycles of the fiber graph of ``core.max_cycle_mean``, and the
     largest normalized functional |l(f, cycle)| over them is its maximum
     cycle mean: the exact minimax error of f by sums u(x) + v(y) on the set.
+    f is called once, on numpy arrays of the points.
     """
     pts = np.array(points.as_array() if hasattr(points, "as_array")
                    else points, dtype=float).reshape(-1, 2)
-    vals = [float(f(x, y)) for x, y in pts]
-    return max_cycle_mean(pts[:, 0], pts[:, 1], vals)[0]
+    return max_cycle_mean(pts[:, 0], pts[:, 1], values_at(f, pts))[0]

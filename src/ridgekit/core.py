@@ -763,8 +763,22 @@ def double_differences(f, xs, ys):
     hx, hy it is hx * hy times the mixed partial of f at a point inside.
     """
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    F = np.asarray(f(X, Y), dtype=float)
-    return ((F[1:, 1:] - F[1:, :-1]) - F[:-1, 1:]) + F[:-1, :-1]
+    return cell_differences(np.asarray(f(X, Y), dtype=float))
+
+
+def cell_differences(F):
+    """The double differences of ``double_differences`` from the values F
+    of f on a grid, over F's last two axes (one grid per leading index)."""
+    return ((F[..., 1:, 1:] - F[..., 1:, :-1]) - F[..., :-1, 1:]) \
+        + F[..., :-1, :-1]
+
+
+def values_at(f, points):
+    """f at the points (x, y) as a list of floats, from one call of f on
+    two arrays; a scalar return, as a constant callable gives, is
+    broadcast to one value per point."""
+    x, y = np.array(points, dtype=float).reshape(-1, 2).T.copy()
+    return np.broadcast_to(np.asarray(f(x, y), dtype=float), x.shape).tolist()
 
 
 def centred_differences(f, xs, ys, hx, hy):

@@ -721,6 +721,10 @@ def fit_two_neuron(f, a, b, eps):
     if exact is not None:
         raw = _taylor_truncate(exact, eps, tgrid, g_vals)
         coeffs = _finalize_coeffs(raw, eps, tgrid, g_vals)
+        if coeffs is None and raw != exact:
+            # the truncation's rounding can miss where the exact
+            # coefficients, with the whole eps/2 left over, do not
+            coeffs = _finalize_coeffs(exact, eps, tgrid, g_vals)
     else:
         coeffs = _chebyshev_rational(f, a, b, eps, tgrid, g_vals)
     if coeffs is None:
@@ -865,14 +869,14 @@ def _convolve(p, q):
     return out
 
 
-def _taylor_shift(a, h):
-    """The ints of p(v + h), h = 1 or -1, from those of p(v), in place: the
-    Horner-like scheme of von zur Gathen and Gerhard (ISSAC 1997), whose
-    only operations are additions."""
+def _taylor_shift(a):
+    """The ints of p(v + 1) from those of p(v), in place: the Horner-like
+    scheme of von zur Gathen and Gerhard (ISSAC 1997), whose only
+    operations are additions."""
     n = len(a) - 1
     for i in range(n):
         for j in range(n - 1, i - 1, -1):
-            a[j] += h * a[j + 1]
+            a[j] += a[j + 1]
     return a
 
 
@@ -887,17 +891,22 @@ def _taylor_truncate(coeffs, eps, tgrid, g_vals):
     degree m and u = 2t - 1, p = sum_i ints[i] 2^(m-i) (u + 1)^i / (den
     2^m), so the Taylor shift by 1 of those ints gives r, and shifted[j] =
     r[j] / (den 2^(m-j)).  A truncation r[:k+1], shifted back by -1 in v =
-    2t, has its t^i coefficient over den 2^(m-i)."""
+    2t, has its t^i coefficient over den 2^(m-i): it is the truncation to
+    k - 1 plus r[k] (v - 1)^k, whose binomial row is carried from k - 1."""
     (ints,), den = _integer_coordinates([coeffs])
     m = len(ints) - 1
-    r = _taylor_shift([c << (m - i) for i, c in enumerate(ints)], 1)
+    r = _taylor_shift([c << (m - i) for i, c in enumerate(ints)])
     dens = [den << (m - i) for i in range(m + 1)]
+    w, row = [], [1]                 # row: the ints of (v - 1)^k
     for k in range(m + 1):
-        w = _taylor_shift(r[:k + 1], -1)
+        w.append(0)
+        for i, c in enumerate(row):
+            w[i] += r[k] * c
         # c / d is the correctly rounded float of c/d, reduced or not
         if _poly_sup_dev([c / d for c, d in zip(w, dens)],
                          g_vals, tgrid) <= 0.5 * eps:
             return [Fraction(c, d) for c, d in zip(w, dens)]
+        row = [p - q for p, q in zip([0] + row, row + [0])]
     return list(coeffs)
 
 

@@ -14,7 +14,7 @@ from collections import namedtuple
 import numpy as np
 
 from .core import (RidgeSum, ScalarField, UnivariateTable,
-                   centred_differences, max_cycle_mean)
+                   centred_differences, max_cycle_mean, values_at)
 
 PulledBackGrid = namedtuple("PulledBackGrid", "y1 y2 Y1 Y2 X Y")
 
@@ -133,10 +133,8 @@ def best_uniform(f, dom):
         )
     f1 = pullback(f, dom)
     c1, d1, c2, d2 = dom.c1, dom.d1, dom.c2, dom.d2
-    fcc = float(f1(c1, c2))
-    fdd = float(f1(d1, d2))
-    fcd = float(f1(c1, d2))
-    fdc = float(f1(d1, c2))
+    fcc, fdd, fcd, fdc = values_at(f1, [(c1, c2), (d1, d2), (c1, d2),
+                                        (d1, c2)])
     error = 0.25 * (fcc + fdd - fcd - fdc)
 
     def g1(y1):

@@ -12,6 +12,9 @@ from ridgekit.bolts import (
     Octagon,
     SHARP_N,
     StairPolygon,
+    _bisect_half_level,
+    _bolt_functionals,
+    _monotone_on_grid,
     _prune,
     class_check,
     ebolts,
@@ -27,7 +30,7 @@ from ridgekit.bolts import (
     uc_best,
     vc_best,
 )
-from ridgekit.core import grid_minimax_oracle
+from ridgekit.core import double_differences, grid_minimax_oracle, max_cycle_mean
 
 
 def xy(x, y):
@@ -468,3 +471,197 @@ class TestGolombKernel:
         assert g5 == pytest.approx(0.545680, abs=1e-6)
         lp = grid_minimax_oracle(self.SIN, [(1, 0), (0, 1)], big)
         assert g5 == pytest.approx(lp, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one array call per point set: the scalar code it replaced, bit for bit
+
+def L_reference(f, rect):
+    """The former L: one scalar call of f per corner."""
+    a1, b1, a2, b2 = rect.bounds if isinstance(rect, AxisRect) else rect
+    return 0.25 * (float(f(a1, a2)) + float(f(b1, b2))
+                   - float(f(a1, b2)) - float(f(b1, a2)))
+
+
+def l_reference(f, bolt):
+    """The former l: one scalar call of f per point."""
+    pts = bolt.points if isinstance(bolt, ClosedBolt) else list(bolt)
+    total = 0.0
+    for k, (x, y) in enumerate(pts):
+        total += (1.0 if k % 2 == 0 else -1.0) * float(f(x, y))
+    return total / len(pts)
+
+
+def bisect_reference(g, lo, hi, target, iters=80):
+    """The former _bisect_half_level: all 80 steps, always."""
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if g(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def monotone_on_grid_reference(f, rects):
+    """The former _monotone_on_grid: one grid call per rectangle, and the
+    corners by scalar calls."""
+    worst = np.inf
+    for R in rects:
+        xs = np.linspace(R.a1, R.b1, 33)
+        ys = np.linspace(R.a2, R.b2, 33)
+        worst = min(worst, float(np.min(double_differences(f, xs, ys))))
+    scale = max(abs(float(f(R.a1, R.a2))) + abs(float(f(R.b1, R.b2)))
+                for R in rects)
+    return worst >= -1e-10 * (1.0 + scale), worst
+
+
+def class_function(c, g, k1, k2, al, be):
+    """c x y + g exp(k1 x + k2 y) + al sin(x) + be y^2, with y^2 as y*y:
+    numpy's array and scalar paths agree bit for bit on it.  A power would
+    not: x ** k on a Python float calls the C library's pow, which differs
+    from numpy's array power in the last bit on some arguments."""
+    return lambda x, y: (c * x * y + g * np.exp(k1 * x + k2 * y)
+                         + al * np.sin(x) + be * y * y)
+
+
+coefficient = st.floats(-2, 2, allow_nan=False).map(lambda v: round(v, 3))
+class_functions = st.builds(class_function, coefficient, coefficient,
+                            coefficient, coefficient, coefficient,
+                            coefficient)
+# with a callable that returns a plain float for array input
+fields = st.one_of(class_functions, coefficient.map(lambda v: lambda x, y: v))
+
+
+@st.composite
+def rectangles(draw):
+    a1, b1 = sorted(draw(st.lists(st.floats(-3, 3), min_size=2, max_size=2,
+                                  unique=True)))
+    a2, b2 = sorted(draw(st.lists(st.floats(-3, 3), min_size=2, max_size=2,
+                                  unique=True)))
+    return AxisRect(a1, b1, a2, b2)
+
+
+@st.composite
+def bolts(draw):
+    """A closed bolt (x_k, y_k), (x_k, y_{k+1}) of 2 to 6 point pairs."""
+    n = draw(st.integers(2, 6))
+    xs = draw(st.lists(st.floats(-3, 3), min_size=n, max_size=n, unique=True))
+    ys = draw(st.lists(st.floats(-3, 3), min_size=n, max_size=n, unique=True))
+    return ClosedBolt([p for k in range(n)
+                       for p in ((xs[k], ys[k]), (xs[k], ys[(k + 1) % n]))])
+
+
+@st.composite
+def polygons(draw):
+    shape = draw(st.sampled_from(["rect", "hexagon", "A", "B", "stairs"]))
+    if shape == "rect":
+        return draw(rectangles())
+    nx = {"hexagon": 3, "A": 4, "B": 4}.get(shape) or draw(st.integers(2, 5))
+    ny = nx if shape == "stairs" else 3
+    a = sorted(draw(st.lists(st.floats(-3, 3), min_size=nx, max_size=nx,
+                             unique=True)))
+    b = sorted(draw(st.lists(st.floats(-3, 3), min_size=ny, max_size=ny,
+                             unique=True)))
+    if shape == "hexagon":
+        return Hexagon(a, b)
+    if shape == "stairs":
+        return StairPolygon(a, b)
+    return Octagon(a, b, shape)
+
+
+class TestOneArrayCallPerPointSet:
+    @given(fields, rectangles())
+    @settings(max_examples=200, deadline=None)
+    def test_L_is_the_scalar_L(self, f, R):
+        assert L(f, R) == L_reference(f, R)
+        assert L(f, R.bounds) == L_reference(f, R.bounds)
+
+    @given(fields, bolts())
+    @settings(max_examples=200, deadline=None)
+    def test_l_is_the_scalar_l(self, f, bolt):
+        assert l(f, bolt) == l_reference(f, bolt)
+        assert l(f, bolt.points) == l_reference(f, bolt.points)
+
+    @given(fields, st.lists(bolts(), min_size=1, max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_bolts_of_different_lengths_in_one_call(self, f, bs):
+        assert _bolt_functionals(f, bs) == [l_reference(f, p) for p in bs]
+
+    @given(class_functions, polygons())
+    @settings(max_examples=60, deadline=None)
+    def test_polygon_error_is_the_scalar_one(self, f, P):
+        rep = polygon_error(f, P)
+        assert rep["values"] == [abs(l_reference(f, p)) for p in rep["bolts"]]
+        ok, worst = monotone_on_grid_reference(f, P.rectangles())
+        assert rep["fallback"] is not ok
+        if not ok:
+            assert rep["class_worst"] == worst
+        if isinstance(P, Hexagon):
+            bd = sharp_bounds(f, P)
+            assert bd["l_f"] == rep["values"]
+            assert bd["l_g"] == [abs(l_reference(xy, p)) for p in rep["bolts"]]
+
+    @given(class_functions, st.lists(rectangles(), min_size=1, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_monotone_on_grid_is_the_per_rectangle_loop(self, f, rects):
+        assert _monotone_on_grid(f, rects) == \
+            monotone_on_grid_reference(f, rects)
+
+    def test_monotone_on_grid_scales_by_the_corners(self):
+        # -5xy has cell differences -5/32^2 on the unit square, within
+        # 1e-10 * (1 + |f(0, 0)| + |f(1, 1)|) = 1e-2 here, but not within
+        # the 1e-10 the corners (0, 0) and (1, 0) would give
+        f = lambda x, y: -5.0 * x * y + 1e8 * y
+        ok, worst = _monotone_on_grid(f, [AxisRect(0, 1, 0, 1)])
+        assert ok and worst == pytest.approx(-5 / 32**2)
+
+    @given(st.floats(-3, 3), st.floats(1e-300, 6), st.floats(-1, 1),
+           st.sampled_from([lambda y: y, lambda y: y ** 3 - y,
+                            lambda y: np.floor(4 * y), np.exp]))
+    @settings(max_examples=300, deadline=None)
+    def test_bisection_stops_where_80_steps_end(self, lo, width, t, g):
+        hi = lo + width
+        target = g(lo) + t * (g(hi) - g(lo)) if t >= 0 else g(lo) + t
+        calls = []
+
+        def counted(y):
+            calls.append(y)
+            return g(y)
+
+        assert _bisect_half_level(counted, lo, hi, target) == \
+            bisect_reference(g, lo, hi, target)
+        assert len(calls) <= 80
+
+    @given(class_functions, rectangles(), st.floats(0.05, 0.95),
+           st.sampled_from("VU"))
+    @settings(max_examples=100, deadline=None)
+    def test_monotone_best_is_the_scalar_bisection(self, f, R, s, which):
+        a1, b1, a2, b2 = R.bounds
+        c = a1 + s * (b1 - a1)
+        assert class_check(f, R, c, which)["tol"] == 1e-10 * (1.0 + max(
+            abs(float(f(x, y))) for x in (a1, c, b1) for y in (a2, b2)))
+        try:
+            error, _, psi0, y0 = (vc_best if which == "V" else uc_best)(
+                f, R, c)
+        except ClassViolated:
+            return
+        xlo, xhi = (a1, c) if which == "V" else (c, b1)
+        want = L_reference(f, (xlo, xhi, a2, b2))
+        assert error == want
+        assert y0 == bisect_reference(
+            lambda y: L_reference(f, (xlo, xhi, a2, y)) if y > a2 else 0.0,
+            a2, b2, 0.5 * want)
+        const = float(f(xlo, y0)) + float(f(xhi, y0))
+        assert psi0(b2) == 0.5 * (float(f(xlo, b2)) + float(f(xhi, b2))
+                                  - const)
+
+    @given(fields, st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
+            lambda p: (p[0] / 4, p[1] / 3)), min_size=1, max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_golomb_reads_the_scalar_values(self, f, pts):
+        vals = [float(f(x, y)) for x, y in pts]
+        arr = np.array(pts)
+        assert golomb_lower_bound(f, pts) == \
+            max_cycle_mean(arr[:, 0], arr[:, 1], vals)[0]

@@ -602,6 +602,17 @@ class TestFitting:
                            match=r"error 15466496\.0 .* exceeds eps = 1\.0$"):
             fit_two_neuron(f, 1e20, 3e20, 1.0)
 
+    @pytest.mark.parametrize("k", [16, 32, 64])
+    def test_exact_monomials_fall_back_to_their_own_coefficients(self, k):
+        # no rounding of the midpoint truncations stays within eps/2; the
+        # exact coefficients do, and t^k is the monic polynomial whose
+        # index is k bits of 1010...
+        f = parse_expression(f"x1^{k}", 1)
+        net, achieved = fit_two_neuron(f, 0.0, 1.0, 0.1)
+        assert net.n == int("10" * (k // 2), 2)
+        assert net.poly == MonicPoly([0] * k)
+        assert achieved <= 0.1
+
 
 def from_midpoint(shifted):
     """Coefficients in powers of t of sum_j shifted[j] (t - 1/2)^j."""
