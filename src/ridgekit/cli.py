@@ -371,14 +371,24 @@ def _cmd_sigmoid_table(args):
             raise ValueError(f"{flag} must be finite, got {value!r}")
     if not args.step > 0:
         raise ValueError(f"--step must be > 0, got {args.step!r}")
-    if args.stop < args.start:
-        raise ValueError(f"--to {args.stop!r} is below --from {args.start!r}")
-    # the row count of np.arange below, known before it allocates
-    rows = np.ceil((args.stop + 1e-12 - args.start) / args.step)
+    start, stop, step = args.start, args.stop, args.step
+    if stop < start:
+        raise ValueError(f"--to {stop!r} is below --from {start!r}")
+    if start + step == start:
+        raise ValueError(f"--step {step!r} does not move x from --from "
+                         f"{start!r}")
+    # the row count, known before anything is allocated: --to is a row
+    # when (to - from)/step is an integer up to the rounding of the three
+    # values and of the quotient, at most 2^-51 (|from| + |to|)/step, and
+    # never more than half a step
+    slack = min((abs(start) + abs(stop)) / step * 2.0 ** -51, 0.5)
+    rows = np.floor((stop - start) / step + slack) + 1.0
     if rows > _MAX_TABLE_ROWS:
         raise ValueError(f"the table would have {rows:.0f} rows, more than "
                          f"the maximum of {_MAX_TABLE_ROWS}")
-    xs = np.arange(args.start, args.stop + 1e-12, args.step)
+    # np.arange's own x values; with its stop a step past --to it makes at
+    # least those rows, and the slice drops the one or two past them
+    xs = np.arange(start, stop + step, step)[:int(rows)]
     print("x,sigma")
     for x, v in zip(xs, sigma(xs, params)):
         print(f"{float(x):g},{float(v):.5f}")

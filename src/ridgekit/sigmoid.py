@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -89,12 +90,13 @@ def _index_of_terms(terms, max_bits=300_000_000):
     return n
 
 
-def _terms_value(terms):
-    """The rational [c_0; c_1, ..., c_k], by integer recurrence."""
+def _terms_ratio(terms):
+    """The rational [c_0; c_1, ..., c_k] as a pair (num, den) of coprime
+    ints, by integer recurrence."""
     num, den = terms[-1], 1
     for term in reversed(terms[:-1]):
         num, den = term * num + den, num
-    return Fraction(num, den)
+    return num, den
 
 
 def calkin_wilf(n):
@@ -104,7 +106,7 @@ def calkin_wilf(n):
     n = int(n)
     if n < 1:
         raise ValueError("index must be >= 1")
-    return _terms_value(_index_terms(n))
+    return Fraction(*_terms_ratio(_index_terms(n)))
 
 
 def _terms(num, den):
@@ -137,10 +139,22 @@ def rational_enum(k):
     k = int(k)
     if k < 0:
         raise ValueError("index must be >= 0")
+    return Fraction(*_signed_ratio(k))
+
+
+def _signed_ratio(k):
+    """rational_enum(k), k >= 0, as a pair (num, den) of coprime ints."""
     if k == 0:
-        return Fraction(0)
-    q = _terms_value(_index_terms((k + 1) // 2))
-    return q if k % 2 == 0 else -q
+        return 0, 1
+    num, den = _terms_ratio(_index_terms((k + 1) // 2))
+    return (num if k % 2 == 0 else -num), den
+
+
+def _signed_float(k):
+    """float(rational_enum(k)) with no Fraction: an int quotient num / den
+    is correctly rounded, as float(Fraction) is."""
+    num, den = _signed_ratio(k)
+    return num / den
 
 
 def rational_index(r):
@@ -161,11 +175,16 @@ class MonicPoly:
     """Monic polynomial with exact rational coefficients.
 
     ``coeffs`` lists a_0 .. a_{l-1}; the leading coefficient 1 of x^l is
-    implicit.  Degree 0 means the constant polynomial 1.
+    implicit.  Degree 0 means the constant polynomial 1.  ``row`` holds
+    the float coefficients a_0 .. a_{l-1}, 1.0, made on first use and kept.
     """
 
     def __init__(self, coeffs):
         self.coeffs = tuple(rational(c) for c in coeffs)
+
+    @cached_property
+    def row(self):
+        return tuple(float(c) for c in self.coeffs) + (1.0,)
 
     @property
     def degree(self):
@@ -175,8 +194,7 @@ class MonicPoly:
         return self.coeffs + (Fraction(1),)
 
     def __call__(self, t):
-        return _horner([float(c) for c in self.all_coeffs()],
-                       np.asarray(t, dtype=float))
+        return _horner(self.row, np.asarray(t, dtype=float))
 
     def __eq__(self, other):
         return isinstance(other, MonicPoly) and self.coeffs == other.coeffs
@@ -186,7 +204,7 @@ class MonicPoly:
 
     def derivative_bound(self, radius=1.5):
         """Upper bound for |p'| on (0, radius)."""
-        return _slope_bound([float(c) for c in self.coeffs], radius)
+        return _slope_bound(self.row[:-1], radius)
 
 
 def _horner(coeffs, t):
@@ -275,6 +293,9 @@ def monic_index(p):
 # the activation
 
 class SigmoidParams:
+    """d and lambda of the activation; ``tail`` is its value (1 + M(1)) / 2
+    on the constant segment, where the left tail ends."""
+
     def __init__(self, d, lam):
         for name, value in (("d", d), ("lambda", lam)):
             if not 0 < value < math.inf:     # NaN fails too
@@ -283,6 +304,7 @@ class SigmoidParams:
         self.d = float(d)
         self.lam = float(lam)
         self.lam_eff = min(0.5, float(lam))
+        self.tail = (1.0 + self.M(1)) / 2.0
 
     def h(self, x):
         """Strictly increasing minorant 1 - lam_eff/(1 + log(x - d + 1))."""
@@ -349,7 +371,7 @@ def _joint(d, lower, upper):
 def _segment_coeffs(n, params, poly=None):
     """(a_n, b_n, u_n): the affine placement of the n-th polynomial."""
     u = monic_enum(n) if poly is None else poly
-    a_n, b_n = _placement(n, [float(c) for c in u.coeffs], params.M(n))
+    a_n, b_n = _placement(n, u.row[:-1], params.M(n))
     return a_n, b_n, u
 
 
@@ -419,8 +441,7 @@ def sigma(x, params):
 
     left = x < d
     if np.any(left):
-        tail = (1.0 + params.M(1)) / 2.0
-        out[left] = (1.0 - _beta_hat(d - x[left])) * tail
+        out[left] = (1.0 - _beta_hat(d - x[left])) * params.tail
 
     rest = ~left
     if np.any(rest):
@@ -450,24 +471,28 @@ def _sigma_segments(x, params):
         q = x / d
     frame = np.maximum(np.floor((q + 1.0) / 2.0), 1.0)   # n, as a float
     frame[huge] = 1.0
-    keys, row = np.unique(frame, return_inverse=True)
-    index = {int(k): i for i, k in enumerate(keys.tolist())}
+    # group the points by segment in one dict pass: row[i] is the place of
+    # point i's segment in ns
+    segment = list(map(int, frame.tolist()))
     for i, n in exact.items():
-        row[i] = index.setdefault(n, len(index))
+        segment[i] = n
+    index = {}
+    row = np.array([index.setdefault(n, len(index)) for n in segment])
 
     twon = 2.0 * frame
     s = q - twon
     main = x <= twon * d
     trans = ~main
-    lower = np.unique(row[trans]).tolist()
+    lower = list(dict.fromkeys(row[trans].tolist()))
     ns = list(index)
     for r in lower:
         index.setdefault(ns[r] + 1, len(index))
     ns = list(index)
 
-    # decode: each segment once, each distinct coefficient index once
+    # decode: each segment once, each distinct coefficient index once,
+    # straight to its float
     ks = [_coeff_indices(n) for n in ns]
-    value = {k: float(rational_enum(k)) for k in set().union(*ks)}
+    value = {k: _signed_float(k) for k in set().union(*ks)}
     alphas = [[value[k] for k in kk] for kk in ks]
     segs = []
     for n, alpha in zip(ns, alphas):
@@ -562,7 +587,8 @@ def _scientific(t, l10):
 
 def eval_network(net, x):
     """Network value; exploits x - t1 lying on main segment n and x - t2
-    on the constant segment, so t1 is never formed in floating point."""
+    on the constant segment, so t1 is never formed in floating point.  One
+    Horner pass over the network's float row; no Fraction is touched."""
     x = np.asarray(x, dtype=float)
     # written so that a NaN x fails it, as an infinite one does
     inside = (x >= net.a - 1e-9) & (x <= net.b + 1e-9)
@@ -571,9 +597,8 @@ def eval_network(net, x):
             f"x outside [a, b] or not finite: x = {float(x[~inside][0])!r}")
     d = net.b - net.a
     t = (x - net.a) / d
-    seg = net.a_n + net.b_n * net.poly(t)
-    const = (1.0 + net.params.M(1)) / 2.0
-    return net.c1 * seg + net.c2 * const
+    seg = net.a_n + net.b_n * _horner(net.poly.row, t)
+    return net.c1 * seg + net.c2 * net.params.tail
 
 
 def _limited(x, max_den):
@@ -742,8 +767,7 @@ def fit_two_neuron(f, a, b, eps):
     n = monic_index(monic)
     a_n, b_n, u = _segment_coeffs(n, params, poly=monic)
     c1 = float(p0) / b_n
-    M1 = params.M(1)
-    c2 = -2.0 * float(p0) * a_n / (b_n * (1.0 + M1))
+    c2 = -float(p0) * a_n / (b_n * params.tail)
     net = NetworkParams(c1, c2, n, a, b, params, monic)
     ach = float(np.max(np.abs(eval_network(net, a + d * tgrid) - g_vals)))
     if ach > eps:

@@ -373,6 +373,27 @@ class TestSigmoidCommands:
         assert out.splitlines() == want
         assert len(want) == 32
 
+    @pytest.mark.parametrize("start,stop,step,last", [
+        ("20000", "20010", "1", "20010"), ("20000", "20000", "1", "20000"),
+        ("0", "10", "1", "10"), ("0", "0.3", "0.1", "0.3"),
+        ("20000", "20000.3", "0.1", "20000.3"),
+        ("-1e6", "-1e6", "0.5", "-1e+06"), ("0", "3.5", "1", "3")])
+    def test_table_ends_at_the_last_step_within_to(self, capsys, start, stop,
+                                                   step, last):
+        # --to is a row whenever (to - from)/step is an integer up to
+        # rounding, at |x| >= 16,384 too, where a fixed slack of 1e-12 on
+        # --to is lost; every x is np.arange's for its row
+        code, out = run(capsys, "sigmoid", "table", "--d", "1", "--lambda",
+                        "0.25", "--from", start, "--to", stop, "--step", step)
+        assert code == 0
+        xs = [line.split(",")[0] for line in out.splitlines()[1:]]
+        assert xs[-1] == last
+        want = np.arange(float(start), float(stop) + float(step),
+                         float(step))[:len(xs)]
+        assert xs == [f"{x:g}" for x in want.tolist()]
+        assert len(xs) == math.floor(round(
+            (float(stop) - float(start)) / float(step), 6)) + 1
+
     @pytest.mark.parametrize("flags,flag", [
         (("--step", "0"), "--step"), (("--step", "-1"), "--step"),
         (("--step", "nan"), "--step"), (("--step", "inf"), "--step"),
@@ -385,8 +406,20 @@ class TestSigmoidCommands:
         assert code == 1
         assert flag in json.loads(out)["error"]["message"]
 
+    @pytest.mark.parametrize("start,step", [("20000", "1e-12"),
+                                            ("1", "1e-310")])
+    def test_table_refuses_a_step_that_cannot_move_x(self, capsys, start,
+                                                      step):
+        code, out = run(capsys, "sigmoid", "table", "--d", "1", "--lambda",
+                        "0.25", "--from", start, "--to", start,
+                        "--step", step)
+        assert code == 1
+        assert json.loads(out)["error"]["message"] == (
+            f"--step {float(step)!r} does not move x from --from "
+            f"{float(start)!r}")
+
     @pytest.mark.parametrize("to,step,rows", [
-        ("1e9", "1e-3", "1000000000000"), ("1000000.5", "1", "1000001")])
+        ("1e9", "1e-3", "1000000000001"), ("1000000.5", "1", "1000001")])
     def test_table_refuses_too_many_rows(self, capsys, monkeypatch, to, step,
                                          rows):
         # the row count is checked before any array is allocated, so the

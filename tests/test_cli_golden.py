@@ -1,6 +1,6 @@
-"""Golden CLI outputs: `cycles check`, `approx uniform`, `approx l2` and the
-`bolts` commands, compared with reports recorded in
-``tests/data/cli_golden.json``.
+"""Golden CLI outputs: `cycles check`, `approx uniform`, `approx l2`, the
+`bolts` commands and `sigmoid eval` and `sigmoid fit`, compared with
+reports recorded in ``tests/data/cli_golden.json``.
 
 Each case writes its input files to a temporary directory and runs
 ``ridgekit.cli.main``.  The exit code and the ``results`` (or, on a domain
@@ -66,6 +66,16 @@ def _bolts(shape, expr, geom, extra=()):
                    *extra]
 
 
+def _sigmoid_eval(d, lam, xs):
+    return {}, ["sigmoid", "eval", "--d", str(d), "--lambda", str(lam),
+                "--x", *map(repr, xs)]
+
+
+def _sigmoid_fit(expr, a, b, eps):
+    return {}, ["sigmoid", "fit", "--expr", expr, "--interval", str(a), str(b),
+                "--eps", str(eps)]
+
+
 H = "1/2"
 # a cycle-free staircase, a 2x3 grid (nullity 2), a skew pair carrying a
 # 6-point grid of fibers and a tree along it, three directions in the
@@ -108,6 +118,16 @@ RECT_GEOM = {"rect": [-0.5, 1.0, 0.0, 1.5]}
 RECT_V = "1.2*x2*sin(pi*(x1 + 0.5)/1.5) + 0.3*sin(x1) - 0.2*x2^2"
 RECT_U = "(-0.8)*x2*sin(pi*(x1 + 0.5)/1.5) + 0.3*sin(x1) - 0.2*x2^2"
 
+# sigma with d = 0.5: the left tail (x < d), main parts of segments 1, 5,
+# 77 and 2,469, the first and second half of the transition from segment 5
+# to 6 ((5, 5.25] and (5.25, 5.5]) and from 77 to 78; with d = 0.1, points
+# whose x/d overflows, beside a left-tail, a main and a transition point
+SIGMA_PARTS = [-3.0, 0.2, 0.75, 4.8, 5.1, 5.4, 76.9, 77.1, 77.45, 2468.7]
+SIGMA_OVERFLOW = [1.7e308, 0.05, 3.33, 1e308, 4.03, 1.7e308]
+# the exact polynomial path and the Chebyshev path of sigmoid fit
+FIT_POLY = "x1^3 - x1/2 + 1/3"
+FIT_CHEB = "sqrt(1 + x1)"
+
 CASES = {
     "cycles-stair-axes-solve": _cycles(STAIR, AXES2, [H, 3, -2, "7/3", 0]),
     "cycles-grid23-axes": _cycles(GRID23, AXES2),
@@ -148,6 +168,10 @@ CASES = {
     "bolts-octagonB-outside": _bolts("octagonB", OUTSIDE, OCT_GEOM),
     "bolts-stairs-inside": _bolts("stairs", INSIDE, STAIR_GEOM),
     "bolts-stairs-outside": _bolts("stairs", OUTSIDE, STAIR_GEOM),
+    "sigmoid-eval-parts": _sigmoid_eval(0.5, 0.25, SIGMA_PARTS),
+    "sigmoid-eval-overflow": _sigmoid_eval(0.1, 0.4, SIGMA_OVERFLOW),
+    "sigmoid-fit-poly": _sigmoid_fit(FIT_POLY, 0, 1, 1e-6),
+    "sigmoid-fit-chebyshev": _sigmoid_fit(FIT_CHEB, 0, 1, 0.1),
 }
 
 

@@ -35,6 +35,7 @@ from ridgekit.sigmoid import (
     _ln_big,
     _poly_sup_dev,
     _segment_coeffs,
+    _signed_float,
     _simplest_between,
     _taylor_truncate,
 )
@@ -136,6 +137,16 @@ class TestRunLengthCodec:
     def test_signed_round_trip_of_every_small_index(self):
         for k in range(5000):
             assert rational_index(rational_enum(k)) == k
+
+    def test_float_decode_of_every_small_index(self):
+        for k in range(1 << 16):
+            assert _signed_float(k) == float(rational_enum(k))
+
+    @given(st.integers(1, 4096), st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_float_decode_of_random_large_indices(self, bits, seed):
+        k = random.Random(seed).getrandbits(bits) | (1 << (bits - 1))
+        assert _signed_float(k) == float(rational_enum(k))
 
 
 # The Fraction formulation that the integer kernels replaced, kept as
@@ -415,6 +426,22 @@ class TestVectorisedSigma:
         assert sigma(np.array(xs), params).tolist() == want
         assert sigma(xs[0], params) == want[0]
         assert isinstance(sigma(xs[0], params), float)
+
+    @pytest.mark.parametrize("d", [0.1, 1e-300])
+    def test_overflowing_points_among_others(self, d):
+        # x/d overflows for the points from 1e9 up (with d = 1e-300) and
+        # near 1.7e308, some repeated; the others lie on the left tail, on
+        # main parts and in both halves of the transition from segment 4
+        xs = [1.7e308, 0.5 * d, 1.7e308, 7.3 * d, 1e308, 8.2 * d, 8.9 * d,
+              1.6e308, 1.7e308, 123456.7 * d, 2.0]
+        if d < 1e-290:
+            xs += [1e9, 1e9]
+        params = SigmoidParams(d, 0.4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sigma(np.array(xs), params).tolist()
+            want = [sigma(x, params) for x in xs]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def strip_bounds(x, params):
