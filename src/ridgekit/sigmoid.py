@@ -12,7 +12,6 @@ suitable weights and (astronomically large, exactly represented) shifts.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from functools import cached_property
 
@@ -38,7 +37,7 @@ def _ln_big(n):
     return math.log(n >> shift) + shift * _LN2
 
 
-_RUNS = re.compile("1+|0+")
+_WINDOW = 1 << 16   # characters of bin(y) that _index_terms splits at once
 
 
 def _index_terms(n):
@@ -47,11 +46,24 @@ def _index_terms(n):
     The run lengths of n's binary digits, least significant first and
     starting with the (possibly empty) run of ones, are the continued
     fraction of the n-th Calkin-Wilf rational; a trailing run of 1 merges
-    into the term before it, as in _continued_fraction.  One pass over
-    bin(n), so linear in the bit length; that string takes a byte per bit,
-    which is why the encode side (_index_of_terms) builds none.
+    into the term before it, as in _continued_fraction.
+
+    Bit i of y = n ^ (n >> 1) is set at the top of each run of n, so
+    bin(y), split at each 1 after its leading one, leaves a string of
+    zeros one shorter than each run, most significant first.  The split
+    goes _WINDOW characters at a time, the open run carried across each
+    edge, so no second copy of the digits is made.  Linear in the bit
+    length; the peak memory beyond n and the terms is two ints the size of
+    n (n >> 1 and y) and bin(y), a byte a bit, which is why the encode
+    side (_index_of_terms) builds no string.
     """
-    terms = [m.end() - m.start() for m in _RUNS.finditer(bin(n), 2)]
+    digits = bin(n ^ (n >> 1))
+    terms = [len(z) + 1 for z in digits[3:_WINDOW].split("1")]
+    for start in range(_WINDOW, len(digits), _WINDOW):
+        window = digits[start:start + _WINDOW]
+        more = [len(z) + 1 for z in window.split("1")]
+        more[0] += terms.pop() - 1      # the open run goes on
+        terms += more
     if not n & 1:
         terms.append(0)
     terms.reverse()
@@ -78,10 +90,20 @@ def _index_of_terms(terms, max_bits=300_000_000):
         # always ones); split the final term
         terms[-1] -= 1
         terms.append(1)
-    # binary digits: terms[-1] ones, then terms[-2] zeros, ... down to
-    # terms[0] ones at the least significant end
+    return _runs_int(terms)
+
+
+def _runs_int(terms):
+    """The int whose binary runs are ``terms``, terms[0] least significant,
+    with ones at even positions.  Past 64 runs the halves are built apart
+    and joined by one shift, O(L log r) for L bits in r runs, instead of
+    shifting the growing int up run by run, O(L r)."""
+    if len(terms) > 64:
+        mid = len(terms) // 4 * 2
+        return (_runs_int(terms[mid:]) << sum(terms[:mid])
+                | _runs_int(terms[:mid]))
     n = 0
-    ones = True
+    ones = len(terms) % 2       # whether terms[-1] is a run of ones
     for term in reversed(terms):
         n <<= term
         if ones:
@@ -248,7 +270,8 @@ def monic_enum(n):
     are 2, 2, 3.
 
     The terms c_i are read straight off the binary runs of n, in one pass;
-    q_n itself is never formed.
+    q_n itself is never formed.  Each distinct coefficient is normalised
+    once, as a Fraction, and the polynomial keeps them as they are.
     """
     n = int(n)
     if n < 1:
@@ -256,7 +279,9 @@ def monic_enum(n):
     ks = _coeff_indices(n)
     # coefficient indices repeat: decode each distinct one once
     coeff = {k: rational_enum(k) for k in set(ks)}
-    return MonicPoly([coeff[k] for k in ks])
+    u = MonicPoly.__new__(MonicPoly)    # Fractions already: no rational()
+    u.coeffs = tuple(map(coeff.__getitem__, ks))
+    return u
 
 
 def _coeff_indices(n):
@@ -265,7 +290,10 @@ def _coeff_indices(n):
     if n == 1:
         return []
     terms = _index_terms(n)
-    return [c - o for c, o in zip(terms, _offsets(len(terms)))]
+    terms[-1] -= 2      # _offsets, subtracted in place
+    for i in range(1, len(terms) - 1):
+        terms[i] -= 1
+    return terms
 
 
 def _offsets(degree):
@@ -337,10 +365,13 @@ def _placement(n, alpha, M):
     [(1+2M)/3, (2+M)/3], M = M(n); on segment 1, u_1 = 1 sits at (1+M)/2."""
     if n == 1:
         return 0.5, M / 2.0
-    B1 = (alpha[0] if alpha else 0.0) \
-        + sum((a - abs(a)) / 2.0 for a in alpha[1:])
-    B2 = (alpha[0] if alpha else 0.0) \
-        + sum((a + abs(a)) / 2.0 for a in alpha[1:]) + 1.0
+    low = high = 0      # both sums start at int 0 and add left to right
+    for a in alpha[1:]:
+        low += (a - abs(a)) / 2.0
+        high += (a + abs(a)) / 2.0
+    a_0 = alpha[0] if alpha else 0.0
+    B1 = a_0 + low
+    B2 = a_0 + high + 1.0
     a_n = ((1.0 + 2.0 * M) * B2 - (2.0 + M) * B1) / (3.0 * (B2 - B1))
     b_n = (1.0 - M) / (3.0 * (B2 - B1))
     return a_n, b_n

@@ -1,5 +1,7 @@
 import math
 import random
+import re
+import sys
 import time
 import warnings
 from decimal import Decimal
@@ -26,13 +28,19 @@ from ridgekit.sigmoid import (
     sigma_segment,
 )
 from ridgekit.sigmoid import (
+    _WINDOW,
     _beta,
     _beta_hat,
+    _canonical,
+    _coeff_indices,
     _continued_fraction,
     _exact_poly_coeffs,
+    _index_of_terms,
     _index_terms,
     _limited,
     _ln_big,
+    _offsets,
+    _placement,
     _poly_sup_dev,
     _segment_coeffs,
     _signed_float,
@@ -147,6 +155,154 @@ class TestRunLengthCodec:
     def test_float_decode_of_random_large_indices(self, bits, seed):
         k = random.Random(seed).getrandbits(bits) | (1 << (bits - 1))
         assert _signed_float(k) == float(rational_enum(k))
+
+
+# The decode kernels as they were before they split bin(n ^ (n >> 1)),
+# subtracted the offsets in place and summed B1 and B2 in one loop, kept
+# verbatim as their reference: a regex match per binary run, a zip with
+# _offsets, and one sum() per bound.
+
+_RUNS = re.compile("1+|0+")
+
+
+def reference_index_terms(n):
+    terms = [m.end() - m.start() for m in _RUNS.finditer(bin(n), 2)]
+    if not n & 1:
+        terms.append(0)
+    terms.reverse()
+    return _canonical(terms)
+
+
+def reference_coeff_indices(n):
+    if n == 1:
+        return []
+    terms = reference_index_terms(n)
+    return [c - o for c, o in zip(terms, _offsets(len(terms)))]
+
+
+def reference_placement(n, alpha, M):
+    if n == 1:
+        return 0.5, M / 2.0
+    B1 = (alpha[0] if alpha else 0.0) \
+        + sum((a - abs(a)) / 2.0 for a in alpha[1:])
+    B2 = (alpha[0] if alpha else 0.0) \
+        + sum((a + abs(a)) / 2.0 for a in alpha[1:]) + 1.0
+    a_n = ((1.0 + 2.0 * M) * B2 - (2.0 + M) * B1) / (3.0 * (B2 - B1))
+    b_n = (1.0 - M) / (3.0 * (B2 - B1))
+    return a_n, b_n
+
+
+def outcome(f, *args):
+    """f(*args) as the hex of each float, so that -0.0 and NaN compare
+    too, or the type of what it raised."""
+    try:
+        return tuple(x.hex() for x in f(*args))
+    except ArithmeticError as e:
+        return type(e)
+
+
+def window_edge_indices():
+    """Indices whose runs meet, straddle or end at an edge of the split
+    windows: one run of ones or a lone one over several windows, and
+    alternating bits, a single zero and a pair of zeros at each bit
+    that lands within three characters of a window edge in bin(y)."""
+    ns = [(1 << 70_000) - 1, 1 << 70_000, (1 << 140_000) - 1, 1 << 140_000]
+    for edge in (_WINDOW, 2 * _WINDOW):
+        for bits in range(edge - 4, edge + 5):
+            ones = (1 << bits) - 1
+            ns += [ones, 1 << (bits - 1), ones // 3 * 2 | 1 << (bits - 1),
+                   ones // 3 | 1 << (bits - 1)]
+        bits = edge + 4_000
+        ones = (1 << bits) - 1
+        # bit j of y sits at character 2 + (bits - 1 - j) of bin(y)
+        for j in range(bits + 1 - edge - 3, bits + 1 - edge + 4):
+            ns += [ones ^ (1 << j), ones ^ (3 << j), 1 << (bits - 1) | 1 << j,
+                   1 << (bits - 1) | 3 << j]
+    return ns
+
+
+# the sum() of the reference adds floats left to right only up to Python
+# 3.11; from 3.12 on it compensates, and _placement's loop does not
+LEFT_TO_RIGHT_SUM = pytest.mark.skipif(
+    sys.version_info >= (3, 12),
+    reason="sum() of floats is compensated from Python 3.12 on")
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                  1e308, -1e308, 1.7976931348623157e308, 1.0, -1.0, 0.5,
+                  1e-300, math.inf, -math.inf, math.nan]
+
+
+class TestDecodeKernelsMatchTheirReferences:
+    def test_every_index_below_2_to_the_16(self):
+        for n in range(1, 1 << 16):
+            assert _index_terms(n) == reference_index_terms(n)
+            assert _coeff_indices(n) == reference_coeff_indices(n)
+
+    @given(st.integers(1, 8192), st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_random_indices_up_to_8192_bits(self, bits, seed):
+        n = random.Random(seed).getrandbits(bits) | (1 << (bits - 1))
+        assert _index_terms(n) == reference_index_terms(n)
+        assert _coeff_indices(n) == reference_coeff_indices(n)
+
+    @given(st.integers(1, 2**8192))
+    @settings(max_examples=200, deadline=None)
+    def test_indices_hypothesis_draws_up_to_8192_bits(self, n):
+        assert _index_terms(n) == reference_index_terms(n)
+        assert _coeff_indices(n) == reference_coeff_indices(n)
+
+    def test_runs_across_the_window_edges(self):
+        for n in window_edge_indices():
+            assert _index_terms(n) == reference_index_terms(n), n.bit_length()
+            assert _coeff_indices(n) == reference_coeff_indices(n)
+
+    @LEFT_TO_RIGHT_SUM
+    @pytest.mark.parametrize("alpha", [
+        [], [0.0], [-0.0], [0.0, -0.0], [-0.0, 0.0, -0.0],
+        [5e-324, -5e-324, 5e-324], [1e308, 1e308], [-1e308, -1e308, 1e308],
+        [0.0, 1e308, -1e308], [1e308], [-1e308, 0.5], [1.0, 1e-17, 1e-17],
+        [0.1, 0.2, 0.3, -0.4, 0.7],
+    ])
+    @pytest.mark.parametrize("n, M", [(1, 0.8), (2, 0.8), (7, 0.95),
+                                      (2**80, 1 - 2**-53), (3, 5e-324)])
+    def test_placement_cases(self, n, alpha, M):
+        assert outcome(_placement, n, alpha, M) \
+            == outcome(reference_placement, n, alpha, M)
+
+    @LEFT_TO_RIGHT_SUM
+    @given(st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()),
+                    max_size=12),
+           st.integers(2, 2**64), st.floats(0.0, 1.0))
+    @settings(max_examples=400)
+    def test_placement_of_any_floats(self, alpha, n, M):
+        assert outcome(_placement, n, alpha, M) \
+            == outcome(reference_placement, n, alpha, M)
+
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=400)
+           .map(_canonical))
+    @settings(max_examples=200, deadline=None)
+    def test_encode_of_many_runs_is_the_shift_loop(self, terms):
+        assert _index_of_terms(terms) == fraction_index_of_terms(terms)
+
+    def test_encode_across_the_halving_threshold(self):
+        rng = random.Random(38)
+        for count in [63, 64, 65, 66, 127, 128, 129, 130, 4096, 4097]:
+            for terms in ([1] * count, [rng.randrange(1, 9)
+                                        for _ in range(count)]):
+                n = _index_of_terms(terms)
+                assert n == fraction_index_of_terms(terms)
+                assert _index_terms(n) == _canonical(list(terms))
+
+    @given(st.integers(1, 4096), st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_monic_enum_is_the_public_constructor(self, bits, seed):
+        n = random.Random(seed).getrandbits(bits) | (1 << (bits - 1))
+        u = monic_enum(n)
+        assert type(u.coeffs) is tuple
+        assert all(type(c) is Fraction for c in u.coeffs)
+        assert u == MonicPoly(list(u.coeffs))
+        assert u.row == MonicPoly(list(u.coeffs)).row
+        assert monic_index(u) == n
 
 
 # The Fraction formulation that the integer kernels replaced, kept as
