@@ -521,7 +521,9 @@ def random_bolt(H, rng, max_pairs=4):
 def sharp_bounds(f, H):
     """Two-sided bounds A <= E(f,H) <= B*C + 1.5*(B*|l(g,h)| - |l(f,h)|)
     with g = xy, B = max |d2f/dxdy| on a grid, and A, C the e-bolt maxima
-    of f and g."""
+    of f and g.  On a hexagon so thin that the grid's difference step h
+    has 4 h^2 below the smallest normal float, no difference quotient is
+    taken: B is unknown, inf, and the upper bound is not finite."""
     bolts = hexagon_ebolts(H)
     g = lambda x, y: np.asarray(x) * np.asarray(y)
     fvals = [abs(v) for v in _bolt_functionals(f, bolts)]
@@ -532,8 +534,11 @@ def sharp_bounds(f, H):
 
     xs, ys, _, _, inside = _union_grid(H.rectangles(), SHARP_N)
     h = min(xs[1] - xs[0], ys[1] - ys[0]) / 4.0
-    mixed = centred_differences(f, xs, ys, h, h) / (4.0 * h * h)
-    B = float(np.max(np.abs(np.where(inside, mixed, 0.0))))
+    if 4.0 * h * h < np.finfo(float).tiny:
+        B = float("inf")
+    else:
+        mixed = centred_differences(f, xs, ys, h, h) / (4.0 * h * h)
+        B = float(np.max(np.abs(np.where(inside, mixed, 0.0))))
     upper = B * C + 1.5 * (B * hex_l_g - hex_l_f)
     return {"lower": A, "upper": upper, "B": B, "C": C,
             "l_f": fvals, "l_g": gvals}

@@ -136,31 +136,78 @@ def _print_report(args, **fields):
 _encode = json.JSONEncoder(allow_nan=False).encode
 
 
-def _json_text(value, indent=""):
+def _float_text(value):
+    if not math.isfinite(value):
+        raise ValueError(f"{value!r} is not JSON")
+    return float.__repr__(value)
+
+
+# the text of each scalar of these exact types, as JSONEncoder writes it
+_SCALAR_TEXT = {
+    float: _float_text,
+    int: int.__repr__,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+    str: json.encoder.encode_basestring_ascii,
+}
+
+
+@functools.cache
+def _numbers_text(inner):
+    """The writer of a list of plain ints and floats with one item a line
+    at indent ``inner``: one C encoder, whose item separator carries the
+    newline and the indent."""
+    encoder = json.encoder.c_make_encoder(
+        None, None, json.encoder.encode_basestring_ascii, None, ": ",
+        ",\n" + inner, False, False, False)
+    return lambda value: "".join(encoder(value, 0))
+
+
+def _json_text(value):
     """``json.dumps(value, sort_keys=True, indent=2, allow_nan=False)``, for
     string keys.  With an indent ``json`` falls back to its pure-Python
-    encoder, so here only dicts and mixed lists are walked in Python: each
-    scalar, and each list of plain ints and floats, is written by the C
-    encoder, whose ", " separators never occur inside a number."""
+    encoder, so here the text is written in one pass and joined once:
+    each scalar by its exact type (any other type by ``JSONEncoder``),
+    each list of plain ints and floats by ``_numbers_text``, and dicts
+    and mixed lists walked in Python."""
+    out = []
+    _write_json(value, "", out)
+    return "".join(out)
+
+
+def _write_json(value, indent, out):
+    """Append the chunks of ``value`` at ``indent`` to ``out``."""
+    text = _SCALAR_TEXT.get(type(value))
+    if text is not None:
+        out.append(text(value))
+        return
     inner = indent + "  "
     if isinstance(value, dict):
         if not value:
-            return "{}"
-        items = [f"{_encode(k)}: {_json_text(v, inner)}"
-                 for k, v in sorted(value.items())]
-        ends = "{}"
+            out.append("{}")
+            return
+        out.append("{\n" + inner)
+        for k, (key, v) in enumerate(sorted(value.items())):
+            if k:
+                out.append(",\n" + inner)
+            out.append(_SCALAR_TEXT.get(type(key), _encode)(key) + ": ")
+            _write_json(v, inner, out)
+        out.append("\n" + indent + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
-            return "[]"
-        if set(map(type, value)) <= {float, int}:
-            items = [_encode(value)[1:-1].replace(", ", ",\n" + inner)]
+            out.append("[]")
+        elif set(map(type, value)) <= {float, int}:
+            out.append("[\n" + inner + _numbers_text(inner)(value)[1:-1]
+                       + "\n" + indent + "]")
         else:
-            items = [_json_text(v, inner) for v in value]
-        ends = "[]"
+            out.append("[\n" + inner)
+            for k, v in enumerate(value):
+                if k:
+                    out.append(",\n" + inner)
+                _write_json(v, inner, out)
+            out.append("\n" + indent + "]")
     else:
-        return _encode(value)
-    body = (",\n" + inner).join(items)
-    return f"{ends[0]}\n{inner}{body}\n{indent}{ends[1]}"
+        out.append(_encode(value))
 
 
 def _non_finite_field(value, path=""):

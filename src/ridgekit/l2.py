@@ -17,6 +17,10 @@ from .core import (RidgeSum, ScalarField, UnivariateTable,
                    parse_vector)
 
 
+TABLE_N = 129               # knots of each component's table
+MAX_GRID_POINTS = 2_000_000  # of a Gauss rule's matrix or of a Gauss grid
+
+
 class NotAnRSet(ValueError):
     pass
 
@@ -95,6 +99,21 @@ class L2Solution(RidgeSum):
         self.transform = transform
 
 
+def _check_nodes(t, nodes):
+    """Refuse a node count below 1, and, before anything is allocated, one
+    whose Gauss rule (an eigenproblem of a nodes x nodes matrix) or
+    largest grid (the slice grids at every knot, TABLE_N nodes^(n-1)
+    points, or the tensor grid, nodes^n) would hold more than
+    MAX_GRID_POINTS values.  The default of 24 nodes passes up to n = 4."""
+    if nodes < 1:
+        raise ValueError(f"the Gauss rule needs at least 1 node, got {nodes}")
+    points = max(nodes * nodes, TABLE_N * nodes ** (t.n - 1), nodes ** t.n)
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"{nodes} Gauss nodes per axis in {t.n}-D would "
+                         f"make {points} points, more than the maximum of "
+                         f"{MAX_GRID_POINTS}")
+
+
 def _slice_grid(t, j, yj_values, nodes):
     """The Gauss points of Y^(j) at every y_j at once: the y-coordinates,
     broadcast to shape ``(len(yj_values),) + mesh``, the weight grid and
@@ -115,17 +134,18 @@ def _average(vals, grid):
 
 
 def _integrals(fn, box, nodes):
-    """Integrals of fn and fn^2 over the box (tensor Gauss-Legendre), from
-    one evaluation of fn."""
+    """Integrals of fn and fn^2 over the box (tensor Gauss-Legendre), and
+    the values of fn on the tensor grid they come from."""
     mesh, wgrid = gauss_grid(box, nodes)
     vals = np.asarray(fn(*mesh), dtype=float)
-    return float(np.sum(vals * wgrid)), float(np.sum(vals**2 * wgrid))
+    return (float(np.sum(vals * wgrid)), float(np.sum(vals**2 * wgrid)),
+            vals)
 
 
 def best_l2(f, t, weights=None, nodes=24):
     """Best L2 ridge-sum approximant over the transform's directions.
 
-    Components are tables at 129 knots of Y_j, from Gauss slice averages
+    Components are tables at TABLE_N knots of Y_j, from Gauss slice averages
     over Y^(j) (``nodes`` per axis).  Unweighted: direct slice-average
     formulas (the first component absorbs the mean correction).  Weighted,
     one weight per direction: one least-squares solve of the orthogonality
@@ -139,14 +159,14 @@ def best_l2(f, t, weights=None, nodes=24):
     is singular and the minimum-norm solution is taken; its numerical rank
     is ``diagnostics["rank"]``.
     """
+    _check_nodes(t, nodes)
     fstar = t.pullback(f)
     r = t.r
     total_vol, omit_vols = t.volumes()
-    table_n = 129
-    knot_sets = [np.linspace(*t.ybox[j], table_n) for j in range(r)]
+    knot_sets = [np.linspace(*t.ybox[j], TABLE_N) for j in range(r)]
     grids = [_slice_grid(t, j, knot_sets[j], nodes) for j in range(r)]
 
-    A, norm_sq = _integrals(fstar, t.ybox, nodes)
+    A, norm_sq, fvals = _integrals(fstar, t.ybox, nodes)
 
     if weights is None:
         slice_avgs = [_average(fstar(*g[0]), g) for g in grids]
@@ -156,7 +176,7 @@ def best_l2(f, t, weights=None, nodes=24):
             if j == 0:
                 vals -= (r - 1) * A / total_vol
             comps.append(UnivariateTable(knot_sets[j], vals))
-        err, fi_norm_sq = _closed_form_error(fstar, t, nodes, A, norm_sq)
+        err, fi_norm_sq = _closed_form_error(t, nodes, A, norm_sq, fvals)
         diagnostics = {
             "A": A,
             "detJ": float(t.detJ),
@@ -170,8 +190,8 @@ def best_l2(f, t, weights=None, nodes=24):
         raise ValueError(f"need one weight per direction: {r}, not "
                          f"{len(weights)}")
     wstars = [t.pullback(w) for w in weights]
-    mat = np.zeros((r, table_n, r, table_n))
-    rhs = np.zeros((r, table_n))
+    mat = np.zeros((r, TABLE_N, r, TABLE_N))
+    rhs = np.zeros((r, TABLE_N))
     for j, grid in enumerate(grids):
         ys, wgrid, vol = grid
         wv = [np.broadcast_to(w(*ys), ys[0].shape) for w in wstars]
@@ -186,9 +206,9 @@ def best_l2(f, t, weights=None, nodes=24):
             k = np.indices(m.shape)[0]
             np.add.at(mat[j, :, i], (k, m), c * (1 - theta))
             np.add.at(mat[j, :, i], (k, m + 1), c * theta)
-    sol, _, rank, _ = np.linalg.lstsq(mat.reshape(r * table_n, -1),
+    sol, _, rank, _ = np.linalg.lstsq(mat.reshape(r * TABLE_N, -1),
                                       rhs.ravel(), rcond=None)
-    comps = sol.reshape(r, table_n)
+    comps = sol.reshape(r, TABLE_N)
     tabs = [UnivariateTable(knot_sets[j], comps[j]) for j in range(r)]
     diagnostics = {"A": A, "detJ": float(t.detJ), "rank": int(rank)}
     best = L2Solution(tabs, 0.0, diagnostics, t, weights)
@@ -206,22 +226,27 @@ def l2_error(f, t, nodes=24):
     where fbar_j(y_j) = integral of f* over Y^(j) and the middle norms are
     over all of Y.
     """
-    fstar = t.pullback(f)
-    return _closed_form_error(fstar, t, nodes,
-                              *_integrals(fstar, t.ybox, nodes))[0]
+    _check_nodes(t, nodes)
+    return _closed_form_error(t, nodes,
+                              *_integrals(t.pullback(f), t.ybox, nodes))[0]
 
 
-def _closed_form_error(fstar, t, nodes, A, norm_sq):
-    """(l2_error, fi_norm_sq) from the pullback f* and its integrals A and
-    ||f*||^2, with fbar_j at the Gauss nodes y_k of Y_j and fi_norm_sq[j]
-    = ||fbar_j||^2 over Y = |Y^(j)| sum_k fbar_j(y_k)^2 w_k."""
+def _closed_form_error(t, nodes, A, norm_sq, vals):
+    """(l2_error, fi_norm_sq) from the integrals A and ||f*||^2 of the
+    pullback f* and its values on their tensor Gauss grid, with fbar_j at
+    the Gauss nodes y_k of Y_j, read off that grid, and fi_norm_sq[j] =
+    ||fbar_j||^2 over Y = |Y^(j)| sum_k fbar_j(y_k)^2 w_k."""
     total_vol, omit_vols = t.volumes()
     radicand = norm_sq + (t.r - 1) * A**2 / total_vol
+    vals = np.broadcast_to(vals, (nodes,) * t.n)
     fi_norm_sq = []
     for j in range(t.r):
         yj, wj = gauss_nodes(*t.ybox[j], nodes)
         grid = _slice_grid(t, j, yj, nodes)
-        fbar = _average(fstar(*grid[0]), grid) * omit_vols[j]
+        # axis j of the tensor grid is y_j, and the others are the slice
+        # grid's axes in order
+        fbar = _average(np.ascontiguousarray(np.moveaxis(vals, j, 0)),
+                        grid) * omit_vols[j]
         fbar_sq = float(np.sum(fbar**2 * wj))
         radicand -= fbar_sq / omit_vols[j]
         fi_norm_sq.append(omit_vols[j] * fbar_sq)

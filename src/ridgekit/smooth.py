@@ -36,6 +36,12 @@ VERIFY_N = 41   # nodes per axis of the grid the residual is measured on
 
 
 class DecompProblem:
+    """f, its directions and its box.  A problem keeps the samples it has
+    taken: f on the residual grid, and each isolated series (``_isolated``)
+    by derivative kind and step, generator and directions, so that
+    ``decompose`` and ``crosscheck_highorder`` on one problem take each
+    once.  Its attributes are not to be changed after construction."""
+
     def __init__(self, f, directions, box):
         self.f = f
         dirs = [(float(a), float(b)) for a, b in directions]
@@ -55,6 +61,8 @@ class DecompProblem:
         if not (x0 < x1 and y0 < y1):
             raise ValueError("degenerate box")
         self.box = ((float(x0), float(x1)), (float(y0), float(y1)))
+        self._grid = None       # (X, Y, f(X, Y)) on the residual grid
+        self._isolations = {}   # the series of ``_isolated``, by key
 
 
 class DecompResult(RidgeSum):
@@ -164,15 +172,40 @@ def _series(values, mid, rad):
                      domain=[mid - rad, mid + rad])
 
 
-def _isolated(derivative, frame, i, dirs):
+def _isolated(problem, derivative, meta, frame, i, dirs):
     """The Chebyshev series, in generator i's argument a_i . x over its
     range on the box, of f's derivative along dirs, sampled on the
-    diagonal of the box for a_i; frame is ``_frame``'s tuple.  With dirs
+    diagonal of the box for a_i; derivative and meta are
+    ``_differentiator``'s pair and frame is ``_frame``'s tuple.  With dirs
     the perpendiculars of every direction but a_i, the series is the part
-    of that derivative that belongs to g_i."""
-    A, L, centre, half, mid, rad = frame
-    x, y = _line(centre, _diagonal(A[i], half), _offsets(rad[i]))
-    return _series(derivative(x, y, dirs), mid[i], rad[i])
+    of that derivative that belongs to g_i.  The problem keeps each series
+    and returns it again when asked under the same meta, i and dirs."""
+    key = (tuple(meta.items()), i, tuple(map(tuple, dirs)))
+    if key not in problem._isolations:
+        A, L, centre, half, mid, rad = frame
+        x, y = _line(centre, _diagonal(A[i], half), _offsets(rad[i]))
+        problem._isolations[key] = _series(derivative(x, y, dirs),
+                                           mid[i], rad[i])
+    return problem._isolations[key]
+
+
+def _chebint(c, lbnd, scl):
+    """numpy's ``chebint(c, lbnd=lbnd, scl=scl)`` of a 1-D float series,
+    its loop over the coefficients run as two array operations: each
+    division and subtraction is numpy's, in the same order, so the floats
+    are the same."""
+    from numpy.polynomial.chebyshev import chebval
+    c = np.array(c, dtype=float) * scl
+    n = len(c)
+    if n == 1 and c[0] == 0:
+        return c + 0    # the constant 0 that numpy adds makes -0.0 0.0
+    tmp = np.empty(n + 1)
+    tmp[0] = c[0] * 0
+    tmp[1] = c[0]
+    tmp[2:] = c[1:] / (2 * np.arange(2, n + 1))
+    tmp[1:n - 1] -= c[2:] / (2 * np.arange(1, n - 1))
+    tmp[0] += 0 - chebval(lbnd, tmp)
+    return tmp
 
 
 def _chain(first, a, perps, mid, anchor=None):
@@ -186,12 +219,11 @@ def _chain(first, a, perps, mid, anchor=None):
     on the coefficients, in first's window variable off + scl (a . x), so
     that each link is built as a series only once."""
     from numpy.polynomial import Chebyshev
-    from numpy.polynomial.chebyshev import chebint
     off, scl = first.mapparms()
     lbnd = off + scl * (mid if anchor is None else anchor)
     coefs = [first.coef]
     for l in perps:
-        coefs.append(chebint(coefs[-1], lbnd=lbnd, scl=1 / (scl * (a @ l))))
+        coefs.append(_chebint(coefs[-1], lbnd, 1 / (scl * (a @ l))))
     return [Chebyshev(c, domain=first.domain) for c in coefs[::-1]]
 
 
@@ -204,13 +236,16 @@ def _chopped(G):
 def _residual(problem, comps, meta, deg=None):
     """The DecompResult of comps, with the sup of f less their sum on a
     41 x 41 grid of the box; with deg, after removing the best-fit
-    bivariate polynomial of total degree <= deg from that difference."""
-    (x0, x1), (y0, y1) = problem.box
-    X, Y = np.meshgrid(np.linspace(x0, x1, VERIFY_N),
-                       np.linspace(y0, y1, VERIFY_N), indexing="ij")
+    bivariate polynomial of total degree <= deg from that difference.  The
+    problem keeps f on the grid."""
+    if problem._grid is None:
+        (x0, x1), (y0, y1) = problem.box
+        X, Y = np.meshgrid(np.linspace(x0, x1, VERIFY_N),
+                           np.linspace(y0, y1, VERIFY_N), indexing="ij")
+        problem._grid = X, Y, np.asarray(problem.f(X, Y), dtype=float)
+    X, Y, fvals = problem._grid
     result = DecompResult(comps, problem.directions, 0.0, meta=meta)
-    resid = (np.asarray(problem.f(X, Y), dtype=float)
-             - np.asarray(result(X, Y), dtype=float))
+    resid = fvals - np.asarray(result(X, Y), dtype=float)
     if deg is not None:
         cols = [X.ravel()**i * Y.ravel()**j
                 for i in range(deg + 1) for j in range(deg + 1 - i)]
@@ -249,7 +284,8 @@ def decompose(problem, fd_step=None, anchor=None):
     at_centre = float(derivative(*centre, perps))
     chains = {}
     for i, j, c in ((P, P + 1, at_centre), (P + 1, P, 0.0)):
-        once = _chain(_isolated(derivative, frame, i, perps + [L[j]]),
+        once = _chain(_isolated(problem, derivative, meta, frame, i,
+                                perps + [L[j]]),
                       A[i], [L[j]], mid[i])[0]
         chains[i] = _chain(once + c, A[i], perps, mid[i], anchor)
 
@@ -270,15 +306,18 @@ def decompose(problem, fd_step=None, anchor=None):
 
 
 def crosscheck_highorder(problem):
-    """Independent decomposition for s >= n-1: isolate each generator's
+    """A second decomposition for s >= n-1: isolate each generator's
     (n-1)-th derivative by differentiating perpendicular to all other
-    directions, then integrate n-1 times.  Generators agree with
-    ``decompose`` only up to a polynomial of degree <= n-2 per term; the
-    reported residual, on a 41 x 41 grid of the box, is computed after
-    removing the best-fit bivariate polynomial of total degree <= n-2.
-    Derivatives are taken as in ``decompose`` (differences of step 1e-3
-    times the longer side of the box for a plain callable), and each
-    generator is a Chebyshev series in its own argument over that
+    directions, then integrate n-1 times.  After ``decompose`` on the same
+    problem it shares that call's isolations of generators n-2 and n-1,
+    which are the same series, and f on the residual grid; it recomputes
+    the isolations of the other n-2 generators and every integration.
+    Generators agree with ``decompose`` only up to a polynomial of degree
+    <= n-2 per term; the reported residual, on a 41 x 41 grid of the box,
+    is computed after removing the best-fit bivariate polynomial of total
+    degree <= n-2.  Derivatives are taken as in ``decompose`` (differences
+    of step 1e-3 times the longer side of the box for a plain callable),
+    and each generator is a Chebyshev series in its own argument over that
     argument's range on the box, sampled on a diagonal of the box.
     """
     n = problem.n
@@ -292,7 +331,7 @@ def crosscheck_highorder(problem):
         sines = [A[i] @ l / np.hypot(*A[i]) for l in others]
         if abs(np.prod(sines)) < 1e-14:
             raise ValueError("degenerate perpendicular system")
-        first = _isolated(derivative, frame, i, others)
+        first = _isolated(problem, derivative, meta, frame, i, others)
         comps.append(_chopped(_chain(first, A[i], others, mid[i])[0]))
     return _residual(problem, comps, meta, deg=n - 2)
 

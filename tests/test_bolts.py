@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from ridgekit.bolts import (
     class_check,
     ebolts,
     golomb_lower_bound,
+    hexagon_ebolts,
     hexagon_error,
     l,
     maximize_bolt,
@@ -176,6 +180,17 @@ class TestPolygons:
                  + np.asarray(f(X - h, Y - h))) / (4.0 * h * h)
         want = float(np.max(np.abs(np.where(inside, mixed, 0.0))))
         assert sharp_bounds(f, H)["B"] == want
+
+    @pytest.mark.parametrize("f", [lambda x, y: 0 * x * y, xy])
+    def test_sharp_bounds_on_a_hexagon_too_thin_for_a_difference(self, f):
+        # 8e-216 high: 4 h^2 underflows, and 0 / 0 made a NaN B with a
+        # RuntimeWarning; B and the upper bound are unknown, inf
+        H = Hexagon((0.0, 1.0, 2.0), (0.0, 1.4e-281, 8.4e-216))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bd = sharp_bounds(f, H)
+        assert bd["B"] == bd["upper"] == math.inf
+        assert bd["l_f"] == [abs(l(f, p)) for p in hexagon_ebolts(H)]
 
 
     @pytest.mark.parametrize("P", [

@@ -874,6 +874,46 @@ def test_weighted_l2_takes_one_weight_per_direction(capsys, xy_dirs_csv,
         assert "one weight per direction" in report["error"]["message"]
 
 
+def _l2_on_the_unit_cube(capsys, tmp_path, n, nodes):
+    """Exit code and report of `approx l2` along the axes of [0, 1]^n."""
+    dfile = tmp_path / "dirs.csv"
+    dfile.write_text("".join(",".join(str(int(i == j)) for j in range(n))
+                             + "\n" for i in range(n)))
+    yfile = tmp_path / "ybox.json"
+    yfile.write_text(json.dumps([[0, 1]] * n))
+    code, out = run(capsys, "approx", "l2", "--expr", "x1^2",
+                    "--dirs-file", str(dfile), "--ybox", str(yfile),
+                    "--nodes", nodes)
+    return code, json.loads(out)
+
+
+@pytest.mark.parametrize("n,nodes,points", [
+    (2, "100000", "10000000000"), (1, "1415", "2002225"),
+    (4, "25", "2015625")])
+def test_l2_refuses_too_many_nodes(capsys, monkeypatch, tmp_path, n, nodes,
+                                   points):
+    # the grid is checked before the Gauss rule is made, so the refusal
+    # does not depend on how the machine overcommits memory
+    def leggauss(*args):
+        raise AssertionError("leggauss called")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", leggauss)
+    code, report = _l2_on_the_unit_cube(capsys, tmp_path, n, nodes)
+    assert code == 1
+    assert report["error"] == {
+        "type": "ValueError",
+        "message": f"{nodes} Gauss nodes per axis in {n}-D would make "
+                   f"{points} points, more than the maximum of 2000000"}
+
+
+@pytest.mark.parametrize("nodes", ["0", "-3"])
+def test_l2_refuses_fewer_than_one_node(capsys, tmp_path, nodes):
+    code, report = _l2_on_the_unit_cube(capsys, tmp_path, 1, nodes)
+    assert code == 1
+    assert report["error"]["message"] == (
+        f"the Gauss rule needs at least 1 node, got {nodes}")
+
+
 def test_weight_vanishing_at_a_knot_reports_finite_values(capsys, tmp_path):
     # the weight x1 is 0 at the knot 0 of [0, 1]: every table value and the
     # error are finite numbers, so the report is valid JSON

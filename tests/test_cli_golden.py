@@ -1,6 +1,6 @@
 """Golden CLI outputs: `cycles check`, `approx uniform`, `approx l2`, the
-`bolts` commands and `sigmoid eval` and `sigmoid fit`, compared with
-reports recorded in ``tests/data/cli_golden.json``.
+`bolts` commands, `smooth decompose`, and `sigmoid eval` and `sigmoid fit`,
+compared with reports recorded in ``tests/data/cli_golden.json``.
 
 Each case writes its input files to a temporary directory and runs
 ``ridgekit.cli.main``.  The exit code and the ``results`` (or, on a domain
@@ -53,11 +53,20 @@ def _uniform(expr, dirs, bounds, extra=()):
                 *extra]
 
 
-def _l2(expr, ybox, extra=(), dirs="0,2\n1,1\n"):
+def _l2(expr, ybox, extra=(), dirs="0,2\n1,1\n", comp=None, nodes=12):
     files = {"dirs.csv": dirs, "ybox.json": json.dumps(ybox)}
     argv = ["approx", "l2", "--expr", expr, "--dirs-file", "{dirs.csv}",
-            "--ybox", "{ybox.json}", "--nodes", "12", *extra]
+            "--ybox", "{ybox.json}", "--nodes", str(nodes), *extra]
+    if comp is not None:
+        files["comp.csv"] = comp
+        argv += ["--completion-file", "{comp.csv}"]
     return files, argv
+
+
+def _smooth(expr, dirs, box):
+    return {"dirs.csv": dirs}, ["smooth", "decompose", "--expr", expr,
+                                "--dirs", "{dirs.csv}",
+                                "--box", *map(str, box), "--crosscheck"]
 
 
 def _bolts(shape, expr, geom, extra=()):
@@ -118,6 +127,17 @@ RECT_GEOM = {"rect": [-0.5, 1.0, 0.0, 1.5]}
 RECT_V = "1.2*x2*sin(pi*(x1 + 0.5)/1.5) + 0.3*sin(x1) - 0.2*x2^2"
 RECT_U = "(-0.8)*x2*sin(pi*(x1 + 0.5)/1.5) + 0.3*sin(x1) - 0.2*x2^2"
 
+# a 3-D r-set of two directions and a completion, and the 4-D quartic of
+# two-plane geometry, whose error along these three directions is
+# sqrt(94)/576
+L2_3D = "x1*x2*x3 + 0.7*x3^2 + sin(x1 - x3)"
+QUARTIC = ("8*x1*x2*x3*x4 - (x1^4+x2^4+x3^4+x4^4) + 2*(x1^2*x2^2+x1^2*x3^2"
+           "+x1^2*x4^2+x2^2*x3^2+x2^2*x4^2+x3^2*x4^2)")
+# ridge sums of transcendental generators along 3 and 5 skew directions
+SMOOTH3 = "sin(0.8*(x1 + 2*x2)) + exp(0.5*(x1 - x2)) + cos(2*x1 + x2)"
+SMOOTH5 = ("sin(0.8*(x1 + 2*x2)) + exp(0.5*(x1 - x2)) + cos(2*x1 + x2)"
+           " + 0.6*(x1 - 2*x2)^3 + exp(0.3*(x1 + x2))")
+
 # sigma with d = 0.5: the left tail (x < d), main parts of segments 1, 5,
 # 77 and 2,469, the first and second half of the transition from segment 5
 # to 6 ((5, 5.25] and (5.25, 5.5]) and from 77 to 78; with d = 0.1, points
@@ -150,6 +170,16 @@ CASES = {
     "l2-skew-box": _l2("cos(x1 - 2*x2) + x1^2*x2", [[-1, 2], [0, 3]]),
     "l2-weighted-1d": _l2("exp(x1)", [[0, 1]], dirs="1\n",
                           extra=("--weights", "1+x1")),
+    "l2-rset3d-completion": _l2(L2_3D, [[0, 1], [-0.5, 0.7], [0, 1.1]],
+                                dirs="1,1,0\n0,1,1\n", comp="1,0,1\n",
+                                nodes=8),
+    "l2-quartic-4d": _l2(QUARTIC, [[0, 1]] * 4,
+                         dirs="1,1,1,-1\n1,1,-1,1\n1,-1,1,1\n",
+                         comp="-1,1,1,1\n", nodes=5),
+    "smooth-skew3-crosscheck": _smooth(SMOOTH3, "1,2\n1,-1\n2,1\n",
+                                       (-1, 1, -0.5, 1.2)),
+    "smooth-skew5-crosscheck": _smooth(
+        SMOOTH5, "1,2\n1,-1\n2,1\n1,-2\n1,1\n", (-0.8, 1, -1, 0.6)),
     "uniform-axes-closed": _uniform(UNI_AXES, (1, 0, 0, 1), (0, 1, -0.5, 1.5)),
     "uniform-skew-closed-verify": _uniform(
         UNI_SKEW, (2, 1, 1, -1), (-0.5, 1, 0, 1.2),

@@ -3,7 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from ridgekit import l2
+from ridgekit.core import gauss_nodes, parse_expression
 from ridgekit.l2 import NotAnRSet, best_l2, build_rset, l2_error
 
 # 4-D example: directions e1, e2, e3, e3+e4 with empty completion
@@ -198,3 +202,111 @@ class TestBestL2:
         sol = best_l2(product4, t, nodes=16)
         assert "A" in sol.diagnostics and "detJ" in sol.diagnostics
         assert sol.error >= 0.0
+
+
+def _closed_form_error_reevaluated(fstar, t, nodes, A, norm_sq):
+    """The closed-form error as it was computed before fbar_j was read off
+    the tensor grid: f* evaluated again on each slice grid."""
+    total_vol, omit_vols = t.volumes()
+    radicand = norm_sq + (t.r - 1) * A**2 / total_vol
+    fi_norm_sq = []
+    for j in range(t.r):
+        yj, wj = gauss_nodes(*t.ybox[j], nodes)
+        grid = l2._slice_grid(t, j, yj, nodes)
+        fbar = l2._average(fstar(*grid[0]), grid) * omit_vols[j]
+        fbar_sq = float(np.sum(fbar**2 * wj))
+        radicand -= fbar_sq / omit_vols[j]
+        fi_norm_sq.append(omit_vols[j] * fbar_sq)
+    if radicand < -1e-12:
+        raise ArithmeticError(
+            f"negative radicand {radicand:.3e}: quadrature failure")
+    return (max(radicand, 0.0) / abs(float(t.detJ))) ** 0.5, fi_norm_sq
+
+
+def _outcome(fn):
+    """(error, fi_norm_sq) as float hex, or the exception raised."""
+    try:
+        err, fi = fn()
+    except ArithmeticError as exc:
+        return repr(exc)
+    return err.hex(), [v.hex() for v in fi]
+
+
+TARGETS = ["sin(x1 + 2*x{n}) * exp(0.3*x2)",
+           "exp(x1*x2) + log(1 + x1^2 + x{n}^2)",
+           "log(2 + sin(x{n})) * cos(x1 - x2)",
+           "x1*x2*x{n} + exp(-x{n}^2)"]
+
+
+@st.composite
+def rset_problems(draw):
+    """A random r-set in 2-4 D (integer rows, r of them directions), its
+    image box, a target with sin, exp or log, and a node count."""
+    n = draw(st.integers(2, 4))
+    r = draw(st.integers(1, n))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n,
+                                  max_size=n), min_size=n, max_size=n))
+    assume(round(np.linalg.det(np.array(rows, dtype=float))) != 0)
+    ybox = [(lo, lo + w) for lo, w in draw(st.lists(
+        st.tuples(st.floats(-1, 1), st.floats(0.25, 1.5)),
+        min_size=n, max_size=n))]
+    expr = draw(st.sampled_from(TARGETS)).format(n=n)
+    nodes = draw(st.integers(2, 6 if n == 4 else 9))
+    return build_rset(rows[:r], rows[r:], ybox), expr, nodes
+
+
+class TestClosedFormOffTheTensorGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(rset_problems())
+    def test_matches_the_reevaluating_code_bit_for_bit(self, case):
+        t, expr, nodes = case
+        fstar = t.pullback(parse_expression(expr, t.n))
+        A, norm_sq, vals = l2._integrals(fstar, t.ybox, nodes)
+        want = _outcome(lambda: _closed_form_error_reevaluated(
+            fstar, t, nodes, A, norm_sq))
+        got = _outcome(lambda: l2._closed_form_error(t, nodes, A, norm_sq,
+                                                     vals))
+        assert got == want
+        if isinstance(want, tuple):
+            f = parse_expression(expr, t.n)
+            assert l2_error(f, t, nodes=nodes).hex() == want[0]
+            sol = best_l2(f, t, nodes=nodes)
+            assert sol.error.hex() == want[0]
+            assert [v.hex() for v in sol.diagnostics["fi_norm_sq"]] \
+                == want[1]
+
+    def test_a_callable_that_returns_a_scalar(self):
+        # its values on the tensor grid are one number, broadcast
+        t = build_rset([(1, 1), (1, -1)], [], [(0, 1), (0, 2)])
+        fstar = t.pullback(lambda x, y: 3.0)
+        A, norm_sq, vals = l2._integrals(fstar, t.ybox, 4)
+        assert np.shape(vals) == ()
+        want = _outcome(lambda: _closed_form_error_reevaluated(
+            fstar, t, 4, A, norm_sq))
+        assert _outcome(lambda: l2._closed_form_error(
+            t, 4, A, norm_sq, vals)) == want
+        # fi_norm_sq[j] = |Y^(j)| * |Y_j| * (3 |Y^(j)|)^2
+        assert [float.fromhex(v) for v in want[1]] == \
+            pytest.approx([72.0, 18.0])
+
+
+class TestNodeBudget:
+    @pytest.mark.parametrize("n,admitted", [(1, 1414), (2, 1414), (3, 124),
+                                            (4, 24)])
+    def test_the_largest_admitted_count(self, n, admitted):
+        t = build_rset([[int(i == j) for j in range(n)] for i in range(n)],
+                       [], [(0, 1)] * n)
+        l2._check_nodes(t, admitted)
+        with pytest.raises(ValueError, match=f"^{admitted + 1} Gauss nodes"):
+            l2._check_nodes(t, admitted + 1)
+
+    @pytest.mark.parametrize("fn", [best_l2, l2_error])
+    def test_library_calls_refuse_before_the_rule_is_made(self, fn,
+                                                          monkeypatch):
+        def leggauss(*args):
+            raise AssertionError("leggauss called")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", leggauss)
+        t = build_rset(DIRS, [], YBOX)
+        with pytest.raises(ValueError, match="more than the maximum"):
+            fn(product4, t, nodes=25)

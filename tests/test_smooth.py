@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.polynomial.chebyshev import chebint
 
 from ridgekit import core, smooth
 from ridgekit.cli import main
@@ -215,3 +218,107 @@ class TestSamplesInTheBox:
         crosscheck_highorder(problem)
         assert points
         assert float(np.max(np.abs(np.concatenate(points, axis=1)))) <= 1.0
+
+
+# a ridge sum of transcendental generators along five skew directions
+SKEW5 = [(1.0, 2.0), (1.0, -1.0), (2.0, 1.0), (1.0, -2.0), (1.0, 1.0)]
+T_SKEW5 = ("sin(0.8*(x1 + 2*x2)) + exp(0.5*(x1 - x2)) + cos(2*x1 + x2)"
+           " + 0.6*(x1 - 2*x2)^3 + exp(0.3*(x1 + x2))")
+
+
+def _same_result(got, want):
+    """Components (Chebyshev coefficients and domains) and residual equal
+    bit for bit."""
+    assert len(got.components) == len(want.components)
+    for g, w in zip(got.components, want.components):
+        assert g.coef.tobytes() == w.coef.tobytes()
+        assert g.domain.tobytes() == w.domain.tobytes()
+    assert got.residual.hex() == want.residual.hex()
+
+
+class TestSharedSamples:
+    """``decompose`` and ``crosscheck_highorder`` on one problem share the
+    isolations of the last two generators and f on the residual grid, and
+    give what each gives on a problem of its own."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.just(([0.0], 0.0, 1.0)),
+        st.tuples(
+            st.integers(1, 45).flatmap(lambda n: st.lists(
+                st.floats(-1.0, 1.0), min_size=n, max_size=n)),
+            st.floats(-1.0, 1.0),
+            st.floats(-8.0, 8.0).filter(lambda v: v != 0.0)),
+    ), st.integers(-30, 30))
+    # the constant term's sign of zero: numpy adds -chebval(lbnd) to
+    # c[0] * 0 as 0 - chebval(lbnd), and 0 to a zero series
+    @example(([-1.0], -0.0, 1.0), 0)
+    @example(([1.0, 0.0], 0.0, 1.0), 0)
+    def test_chebint_is_numpys_bit_for_bit(self, case, exponent):
+        coef, lbnd, scl = case
+        c = np.array(coef) * 2.0 ** exponent
+        for s in (scl, -scl):
+            want = chebint(c, lbnd=lbnd, scl=s)
+            got = smooth._chebint(c, lbnd, s)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("f,dirs", [
+        (parse_expression(T_SKEW5, 2), SKEW5[:2]),
+        (parse_expression(T_SKEW5, 2), SKEW5[:3]),
+        (parse_expression(T_SKEW5, 2), SKEW5),
+        (three_term, DIRS3)], ids=["jet2", "jet3", "jet5", "stencil3"])
+    def test_shared_samples_give_what_fresh_problems_give(self, f, dirs):
+        problem = DecompProblem(f, dirs, BOX)
+        both = decompose(problem), crosscheck_highorder(problem)
+        _same_result(both[0], decompose(DecompProblem(f, dirs, BOX)))
+        _same_result(both[1],
+                     crosscheck_highorder(DecompProblem(f, dirs, BOX)))
+
+    @pytest.mark.parametrize("count", [2, 3, 4, 5])
+    def test_crosscheck_isolates_n_minus_2_generators_after_decompose(
+            self, count, monkeypatch):
+        calls = []
+
+        def counting_jet(ast, xs, dirs):
+            calls.append(len(dirs))
+            return core.jet(ast, xs, dirs)
+
+        monkeypatch.setattr(smooth, "jet", counting_jet)
+        f = parse_expression(T_SKEW5, 2)
+        crosscheck_highorder(DecompProblem(f, SKEW5[:count], BOX))
+        assert calls == [count - 1] * count
+        problem = DecompProblem(f, SKEW5[:count], BOX)
+        decompose(problem)
+        del calls[:]
+        crosscheck_highorder(problem)
+        assert calls == [count - 1] * (count - 2)
+
+    def test_residual_grid_is_sampled_once(self):
+        seen = []
+
+        def counting(x, y):
+            seen.append(np.shape(x))
+            return three_term(x, y)
+
+        problem = DecompProblem(counting, DIRS3, BOX)
+        decompose(problem)
+        grids = seen.count((smooth.VERIFY_N, smooth.VERIFY_N))
+        crosscheck_highorder(problem)
+        assert grids == 1
+        assert seen.count((smooth.VERIFY_N, smooth.VERIFY_N)) == 1
+
+    def test_another_fd_step_lends_no_samples(self):
+        def fresh():
+            return DecompProblem(three_term, DIRS3, BOX)
+
+        problem = fresh()
+        decompose(problem, fd_step=1e-2)
+        _same_result(crosscheck_highorder(problem),
+                     crosscheck_highorder(fresh()))
+        # and the step shows in the samples: had crosscheck reused those of
+        # step 1e-2, it could not have matched the fresh problem
+        coarse = decompose(fresh(), fd_step=1e-2)
+        fine = decompose(fresh())
+        assert any(c.coef.tobytes() != d.coef.tobytes()
+                   for c, d in zip(coarse.components, fine.components))
