@@ -360,8 +360,8 @@ def _monotone_on_grid(f, rects):
     grids = [np.meshgrid(np.linspace(R.a1, R.b1, CHECK_N),
                          np.linspace(R.a2, R.b2, CHECK_N), indexing="ij")
              for R in rects]
-    F = np.asarray(f(np.array([X for X, _ in grids]),
-                     np.array([Y for _, Y in grids])), dtype=float)
+    X, Y = map(np.array, zip(*grids))
+    F = np.broadcast_to(np.asarray(f(X, Y), dtype=float), X.shape)
     worst = min([np.inf] + [float(np.min(D)) for D in cell_differences(F)])
     scale = max(abs(float(G[0, 0])) + abs(float(G[-1, -1])) for G in F)
     return worst >= -1e-10 * (1.0 + scale), worst

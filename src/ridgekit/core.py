@@ -21,6 +21,7 @@ import io
 import itertools
 import math
 import numbers
+import operator
 import re
 from fractions import Fraction
 
@@ -242,8 +243,11 @@ def _read_csv_rows(data, name):
 # factor := ('-')? base ('^' factor)?
 # base   := number | ident | func '(' expr ')' | '(' expr ')'
 # number := (digit | '.')+ (('e'|'E') ('+'|'-')? digit+)?, read by Fraction
-# ident  := 'x' digit+ | 'pi' | 'e'
+# ident  := 'x' decimal+ | 'pi' | 'e'
 #                            func in {sin, cos, exp, log, abs, sqrt}
+# tokens: one regex tries an operator, a number, then a name (a str.isalpha
+# character, then str.isalnum ones) at each non-space character; any other
+# character is an error
 
 _FUNCS = {
     "sin": np.sin, "cos": np.cos, "exp": np.exp,
@@ -252,7 +256,11 @@ _FUNCS = {
 
 _CONSTS = {"pi": math.pi, "e": math.e}
 
-_NUMBER = re.compile(r"[\d.]+([eE][+-]?\d+)?")
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "^": operator.pow}
+
+_TOKEN = re.compile(r"(?P<op>[-+*/^()])|(?P<num>[\d.]+(?:[eE][+-]?\d+)?)"
+                    r"|(?P<name>[^\W_]+)|(?P<bad>\S)")
 
 
 class ExprError(ValueError):
@@ -263,95 +271,73 @@ class ExprError(ValueError):
         self.pos = pos
 
 
-class _Tokenizer:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-        self.tokens = []
-        self._scan()
-        self.i = 0
+def _tokens(text):
+    """The tokens (kind, text, position) of ``text``, then ("end", "", n);
+    an operator is its own kind."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        kind, val, pos = m.lastgroup, m.group(), m.start()
+        if kind == "bad" or kind == "name" and not val[0].isalpha():
+            raise ExprError(f"unexpected character {val[0]!r}", pos)
+        tokens.append((val if kind == "op" else kind, val, pos))
+    tokens.append(("end", "", len(text)))
+    return tokens
 
-    def _scan(self):
-        t, n = self.text, len(self.text)
-        i = 0
-        while i < n:
-            c = t[i]
-            if c.isspace():
-                i += 1
-                continue
-            if c in "+-*/^()":
-                self.tokens.append((c, c, i))
-                i += 1
-                continue
-            number = _NUMBER.match(t, i)
-            if number:
-                self.tokens.append(("num", number.group(), i))
-                i = number.end()
-                continue
-            if c.isalpha():
-                j = i
-                while j < n and t[j].isalnum():
-                    j += 1
-                self.tokens.append(("name", t[i:j], i))
-                i = j
-                continue
-            raise ExprError(f"unexpected character {c!r}", i)
-        self.tokens.append(("end", "", n))
+
+class _Parser:
+    def __init__(self, text, dim):
+        self.tokens, self.i, self.dim = _tokens(text), 0, dim
 
     def peek(self):
         return self.tokens[self.i]
 
     def next(self):
-        tok = self.tokens[self.i]
         self.i += 1
-        return tok
+        return self.tokens[self.i - 1]
 
-
-class _Parser:
-    def __init__(self, text, dim):
-        self.tz = _Tokenizer(text)
-        self.dim = dim
+    def expect(self, kind, message):
+        got, _, pos = self.next()
+        if got != kind:
+            raise ExprError(message, pos)
 
     def parse(self):
         node = self.expr()
-        kind, val, pos = self.tz.peek()
+        kind, val, pos = self.peek()
         if kind != "end":
             raise ExprError(f"unexpected token {val!r}", pos)
         return node
 
     def expr(self):
         node = self.term()
-        while self.tz.peek()[0] in "+-":
-            op = self.tz.next()[0]
-            node = (op, node, self.term())
+        while self.peek()[0] in "+-":
+            node = (self.next()[0], node, self.term())
         return node
 
     def term(self):
         node = self.factor()
-        while self.tz.peek()[0] in "*/":
-            op = self.tz.next()[0]
-            node = (op, node, self.factor())
+        while self.peek()[0] in "*/":
+            node = (self.next()[0], node, self.factor())
         return node
 
     def factor(self):
-        if self.tz.peek()[0] == "-":
-            self.tz.next()
+        if self.peek()[0] == "-":
+            self.next()
             return ("neg", self.factor())
         node = self.base()
-        if self.tz.peek()[0] == "^":
-            self.tz.next()
+        if self.peek()[0] == "^":
+            self.next()
             node = ("^", node, self.factor())
         return node
 
     def base(self):
-        kind, val, pos = self.tz.next()
+        kind, val, pos = self.next()
         if kind == "num":
             try:
                 return ("const", float(Fraction(val)))
             except ValueError:
                 raise ExprError(f"bad number {val!r}", pos)
         if kind == "name":
-            if val.startswith("x") and val[1:].isdigit():
+            if val.startswith("x") and val[1:].isdecimal():
                 k = int(val[1:])
                 if not 1 <= k <= self.dim:
                     raise ExprError(f"variable {val} out of range 1..{self.dim}", pos)
@@ -359,47 +345,36 @@ class _Parser:
             if val in _CONSTS:
                 return ("const", _CONSTS[val])
             if val in _FUNCS:
-                kind2, val2, pos2 = self.tz.next()
-                if kind2 != "(":
-                    raise ExprError(f"expected '(' after {val}", pos2)
+                self.expect("(", f"expected '(' after {val}")
                 arg = self.expr()
-                kind3, val3, pos3 = self.tz.next()
-                if kind3 != ")":
-                    raise ExprError("expected ')'", pos3)
+                self.expect(")", "expected ')'")
                 return ("call", val, arg)
             raise ExprError(f"unknown identifier {val!r}", pos)
         if kind == "(":
             node = self.expr()
-            kind2, _, pos2 = self.tz.next()
-            if kind2 != ")":
-                raise ExprError("expected ')'", pos2)
+            self.expect(")", "expected ')'")
             return node
         raise ExprError(f"unexpected token {val!r}", pos)
 
 
-def _eval_ast(node, xs):
+def _compile(node):
+    """The expression ``node`` as a function of the coordinate tuple xs:
+    closures built once, applying ``_BINARY`` and ``_FUNCS`` to operands
+    computed left before right."""
     op = node[0]
     if op == "const":
-        return node[1]
+        value = node[1]
+        return lambda xs: value
     if op == "var":
-        return xs[node[1]]
+        return operator.itemgetter(node[1])
     if op == "neg":
-        return -_eval_ast(node[1], xs)
+        arg = _compile(node[1])
+        return lambda xs: -arg(xs)
     if op == "call":
-        return _FUNCS[node[1]](_eval_ast(node[2], xs))
-    a = _eval_ast(node[1], xs)
-    b = _eval_ast(node[2], xs)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    if op == "^":
-        return a ** b
-    raise AssertionError(op)
+        fn, arg = _FUNCS[node[1]], _compile(node[2])
+        return lambda xs: fn(arg(xs))
+    fn, a, b = _BINARY[op], _compile(node[1]), _compile(node[2])
+    return lambda xs: fn(a(xs), b(xs))
 
 
 def _has_var(node):
@@ -444,19 +419,19 @@ class ScalarField:
     def from_expression(cls, text, dim):
         try:
             ast = _Parser(text, dim).parse()
-            variable = _has_var(ast)
+            variable, fn = _has_var(ast), _compile(ast)
         except RecursionError:
             # _has_var spends two frames or more on each level of the tree,
-            # _eval_ast and jet one, so a tree it walks they can walk too
+            # _compile, fn and jet one, so a tree it walks they can walk too
             raise ExprError("expression nested too deeply", 0) from None
         if variable:
-            return cls(dim, lambda *xs: _eval_ast(ast, xs), ast=ast)
+            return cls(dim, lambda *xs: fn(xs), ast=ast)
 
         def constant(*xs):
             # broadcast to the arguments' shape, as an expression in the
             # variables would be; scalar arguments give a scalar
             shape = np.broadcast_shapes(*(np.shape(x) for x in xs))
-            value = _eval_ast(ast, xs)
+            value = fn(xs)
             return np.full(shape, value) if shape else value
 
         return cls(dim, constant, ast=ast)
@@ -475,7 +450,7 @@ def parse_expression(text, dim):
 # with e_i^2 = 0, so the coefficient of prod_{i in S} e_i is D_S f(x)
 # (Griewank & Walther, "Evaluating Derivatives", 2nd ed., SIAM 2008, ch. 13;
 # Fike & Alonso, AIAA 2011-886).  A subtree without variables stays a plain
-# number, evaluated as ``_eval_ast`` would.
+# number, computed by ``_BINARY`` and ``_FUNCS`` as a compiled tree does.
 
 def jet(ast, xs, dirs):
     """Mixed directional derivatives of the expression ``ast`` at points.
@@ -526,7 +501,7 @@ def _jet_node(node, ctx):
             else _jet_call(node[1], a, ctx)
     a, b = _jet_node(node[1], ctx), _jet_node(node[2], ctx)
     if np.ndim(a) == 0 and np.ndim(b) == 0:
-        return _eval_ast((op, ("const", a), ("const", b)), ())
+        return _BINARY[op](a, b)
     if op in "+-":
         if op == "-":
             b = -b
@@ -763,7 +738,8 @@ def double_differences(f, xs, ys):
     hx, hy it is hx * hy times the mixed partial of f at a point inside.
     """
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    return cell_differences(np.asarray(f(X, Y), dtype=float))
+    return cell_differences(
+        np.broadcast_to(np.asarray(f(X, Y), dtype=float), X.shape))
 
 
 def cell_differences(F):
@@ -863,7 +839,10 @@ def grid_minimax_oracle(f, directions, grid, return_tables=False):
     it is: float points that are only near one level line lie on different
     fibers.  One variable per fiber, numbered as ``Fibers.columns``, plus
     the error variable; each table's knots are its direction's fiber
-    values, keys[i] / scales[i], in increasing order.
+    values, keys[i] / scales[i], in increasing order.  f is called once per
+    point on Python floats, so a scalar-only callable serves; for an
+    expression with '^' a value may then differ in the last bit from the
+    same expression evaluated on an array of points.
     """
     from scipy.optimize import linprog
     from .cycles import Fibers

@@ -506,6 +506,9 @@ def cycle_functional(cert, f, points=None):
     """G(f) = sum lambda_j f(x_j) with weights normalized to sum|lambda|=1.
 
     Vanishes on every sum of the form g_1(h_1(x)) + ... + g_r(h_r(x)).
+    f is called once per point on Python floats, so a scalar-only callable
+    serves; for an expression with '^' a value may then differ in the last
+    bit from the same expression evaluated on an array of points.
     """
     pts = points if points is not None else cert.points
     if pts is None:

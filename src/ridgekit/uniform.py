@@ -192,7 +192,7 @@ def diliberto_straus(f, dom, iters=100):
         raise ValueError(f"iters must be >= 0, got {iters}")
     g = dom.grid(DS_N)
     y1, y2, X, Y = g.y1, g.y2, g.X, g.Y
-    resid = np.asarray(f(X, Y), dtype=float).copy()
+    resid = np.broadcast_to(np.asarray(f(X, Y), dtype=float), X.shape).copy()
     g1 = np.zeros(DS_N)
     g2 = np.zeros(DS_N)
     norms = [float(np.max(np.abs(resid)))]

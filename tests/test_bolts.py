@@ -133,6 +133,15 @@ class TestClassCheck:
         with pytest.raises(ValueError):
             class_check(xy, AxisRect(0, 1, 0, 1), c, which)
 
+    def test_a_callable_returning_a_scalar_is_a_constant(self):
+        one = lambda x, y: 1.0
+        assert class_check(one, AxisRect(0, 1, 0, 1), 0.5, "V")["passed"]
+        assert polygon_error(one, AxisRect(0, 1, 0, 1))["error"] == 0.0
+        hexagon = Hexagon((0, 1, 2), (0, 1, 2))
+        assert polygon_error(one, hexagon)["error"] == 0.0
+        assert np.array_equal(double_differences(one, [0, 1, 2], [0, 1]),
+                              np.zeros((2, 1)))
+
 
 class TestPolygons:
     HEX = Hexagon((0, 1, 2), (0, 1, 2))

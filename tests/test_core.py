@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -198,6 +199,20 @@ class TestExpressions:
     ])
     def test_the_constant_e_reads_as_before(self, text, ast):
         assert parse_expression(text, 1).ast == ast
+
+    @pytest.mark.parametrize("text, name, pos", [
+        ("x1²", "x1²", 0), ("x²", "x²", 0), ("2 + x1²*x2", "x1²", 4),
+        ("x2Ⅻ", "x2Ⅻ", 0)])
+    def test_x_with_non_decimal_digits_is_an_unknown_identifier(
+            self, text, name, pos):
+        # superscripts are digits to str.isdigit but not to int()
+        with pytest.raises(ExprError, match=re.escape(
+                f"unknown identifier {name!r} (at position {pos})")):
+            parse_expression(text, 2)
+
+    def test_every_decimal_variable_still_reads(self):
+        assert parse_expression("x٣", 3).ast == ("var", 2)
+        assert parse_expression("x02", 2).ast == ("var", 1)
 
 
 class TestUnivariateTable:

@@ -111,6 +111,13 @@ class TestDilibertoStraus:
         with pytest.raises(ValueError, match="iters must be >= 0, got -4"):
             diliberto_straus(xy, UNIT, iters=-4)
 
+    def test_a_callable_returning_a_scalar_is_a_constant(self):
+        one = lambda x, y: 1.0
+        norms, (g1, g2) = diliberto_straus(one, UNIT, iters=2)
+        assert norms == [1.0, 0.0, 0.0]
+        assert float(g1(0.5) + g2(0.5)) == 1.0
+        assert best_uniform(one, UNIT).error == 0.0
+
 
 def mixed_condition_check_oracle(f, dom, grid_n=21, tol=None):
     """The three-stencil check that ``mixed_condition_check`` replaced:
