@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 
 from .core import (UnivariateTable, cell_differences, centred_differences,
-                   double_differences, max_cycle_mean, values_at)
+                   max_cycle_mean, values_at)
 
 CHECK_N = 33    # nodes per axis of the class checks and the grid fallback
 TABLE_N = 257   # knots of the extremal pair's tables
@@ -192,20 +192,21 @@ def class_check(f, R, c, which):
         raise ValueError("U-class needs c in [a1, b1)")
     if which not in ("V", "U"):
         raise ValueError("which must be 'V' or 'U'")
-    ys = np.linspace(a2, b2, CHECK_N)
-    scale = max(map(abs, values_at(f, [(x, y) for x in (a1, c, b1)
-                                       for y in (a2, b2)])))
+    # one call of f; rows 0, CHECK_N - 1 and -1 hold x = a1, c and b1
+    xs = np.r_[np.linspace(a1, c, CHECK_N), np.linspace(c, b1, CHECK_N)]
+    X, Y = np.meshgrid(xs, np.linspace(a2, b2, CHECK_N), indexing="ij")
+    F = np.broadcast_to(np.asarray(f(X, Y), dtype=float), X.shape)
+    scale = max(map(abs, F[[0, CHECK_N - 1, -1]][:, [0, -1]].ravel().tolist()))
     tol = 1e-10 * (1.0 + scale)
 
-    # double differences are additive, so sub-rectangle signs reduce to
-    # cell signs
+    # double differences add up, so sub-rectangle signs are cell signs
     sign = 1.0 if which == "V" else -1.0
     failures = []
-    for name, xs, s in [("left", np.linspace(a1, c, CHECK_N), sign),
-                        ("right", np.linspace(c, b1, CHECK_N), -sign),
-                        ("strips", np.array([a1, b1]), 1.0)]:
-        if xs[0] < xs[-1]:
-            worst = float(np.min(s * double_differences(f, xs, ys)))
+    for name, G, s, wide in [("left", F[:CHECK_N], sign, a1 < c),
+                             ("right", F[CHECK_N:], -sign, c < b1),
+                             ("strips", F[[0, -1]], 1.0, a1 < b1)]:
+        if wide:
+            worst = float(np.min(s * cell_differences(G)))
             if worst < -tol:
                 failures.append((name, worst))
     return {"passed": not failures, "failures": failures, "tol": tol,

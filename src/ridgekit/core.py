@@ -242,7 +242,7 @@ def _read_csv_rows(data, name):
 # term   := factor (('*'|'/') factor)*
 # factor := ('-')? base ('^' factor)?
 # base   := number | ident | func '(' expr ')' | '(' expr ')'
-# number := (digit | '.')+ (('e'|'E') ('+'|'-')? digit+)?, read by Fraction
+# number := (digit | '.')+ (('e'|'E') ('+'|'-')? digit+)?, read by float
 # ident  := 'x' decimal+ | 'pi' | 'e'
 #                            func in {sin, cos, exp, log, abs, sqrt}
 # tokens: one regex tries an operator, a number, then a name (a str.isalpha
@@ -333,9 +333,12 @@ class _Parser:
         kind, val, pos = self.next()
         if kind == "num":
             try:
-                return ("const", float(Fraction(val)))
+                value = float(val)
             except ValueError:
                 raise ExprError(f"bad number {val!r}", pos)
+            if value == math.inf:
+                raise ExprError(f"number {val!r} too large", pos)
+            return ("const", value)
         if kind == "name":
             if val.startswith("x") and val[1:].isdecimal():
                 k = int(val[1:])
@@ -378,8 +381,8 @@ def _compile(node):
 
 
 def _has_var(node):
-    return node[0] == "var" or any(
-        isinstance(child, tuple) and _has_var(child) for child in node[1:])
+    return node[0] == "var" or max((_has_var(c) for c in node[1:]
+                                    if isinstance(c, tuple)), default=False)
 
 
 def format_ast(node):
@@ -421,8 +424,8 @@ class ScalarField:
             ast = _Parser(text, dim).parse()
             variable, fn = _has_var(ast), _compile(ast)
         except RecursionError:
-            # _has_var spends two frames or more on each level of the tree,
-            # _compile, fn and jet one, so a tree it walks they can walk too
+            # _has_var's max walks every subtree, at 2 frames a level or more,
+            # and _compile, fn, jet and _read_poly at 1: they walk what it can
             raise ExprError("expression nested too deeply", 0) from None
         if variable:
             return cls(dim, lambda *xs: fn(xs), ast=ast)

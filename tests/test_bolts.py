@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ridgekit.bolts import (
+    CHECK_N,
     AxisRect,
     ClassViolated,
     ClosedBolt,
@@ -34,7 +35,8 @@ from ridgekit.bolts import (
     uc_best,
     vc_best,
 )
-from ridgekit.core import double_differences, grid_minimax_oracle, max_cycle_mean
+from ridgekit.core import (double_differences, grid_minimax_oracle,
+                           max_cycle_mean, parse_expression, values_at)
 
 
 def xy(x, y):
@@ -540,6 +542,37 @@ def monotone_on_grid_reference(f, rects):
     return worst >= -1e-10 * (1.0 + scale), worst
 
 
+def class_check_reference(f, R, c, which):
+    """The former class_check: f at the corners, then on each side's grid
+    and on the strips, four calls."""
+    a1, b1, a2, b2 = R.bounds
+    c = float(c)
+    if which == "V" and not (a1 < c <= b1):
+        raise ValueError("V-class needs c in (a1, b1]")
+    if which == "U" and not (a1 <= c < b1):
+        raise ValueError("U-class needs c in [a1, b1)")
+    if which not in ("V", "U"):
+        raise ValueError("which must be 'V' or 'U'")
+    ys = np.linspace(a2, b2, CHECK_N)
+    scale = max(map(abs, values_at(f, [(x, y) for x in (a1, c, b1)
+                                       for y in (a2, b2)])))
+    tol = 1e-10 * (1.0 + scale)
+
+    # double differences are additive, so sub-rectangle signs reduce to
+    # cell signs
+    sign = 1.0 if which == "V" else -1.0
+    failures = []
+    for name, xs, s in [("left", np.linspace(a1, c, CHECK_N), sign),
+                        ("right", np.linspace(c, b1, CHECK_N), -sign),
+                        ("strips", np.array([a1, b1]), 1.0)]:
+        if xs[0] < xs[-1]:
+            worst = float(np.min(s * double_differences(f, xs, ys)))
+            if worst < -tol:
+                failures.append((name, worst))
+    return {"passed": not failures, "failures": failures, "tol": tol,
+            "which": which, "c": c}
+
+
 def class_function(c, g, k1, k2, al, be):
     """c x y + g exp(k1 x + k2 y) + al sin(x) + be y^2, with y^2 as y*y:
     numpy's array and scalar paths agree bit for bit on it.  A power would
@@ -631,6 +664,26 @@ class TestOneArrayCallPerPointSet:
     def test_monotone_on_grid_is_the_per_rectangle_loop(self, f, rects):
         assert _monotone_on_grid(f, rects) == \
             monotone_on_grid_reference(f, rects)
+
+    @given(st.one_of(fields, st.sampled_from([
+               "x1*x2 - 0.3*x2^3", "sin(3*x1)*cos(2*x2)", "-x1*x2",
+               "x2*sin(pi*x1)", "exp(x1 - x2)", "(x1 - 0.5)^2*x2"]).map(
+                   lambda e: parse_expression(e, 2))),
+           rectangles(), st.one_of(st.just(0.0), st.just(1.0),
+                                   st.floats(0, 1)), st.sampled_from("VU"))
+    @settings(max_examples=200, deadline=None)
+    def test_class_check_is_the_four_call_check(self, f, R, s, which):
+        # s = 0 puts c on a1 and s = 1 on b1, where one side is empty (or
+        # the class refuses the split)
+        c = R.a1 if s == 0 else R.b1 if s == 1 else R.a1 + s * (R.b1 - R.a1)
+
+        def verdict(check):
+            try:
+                return repr(check(f, R, c, which))
+            except ValueError as exc:
+                return repr(exc)
+
+        assert verdict(class_check) == verdict(class_check_reference)
 
     def test_monotone_on_grid_scales_by_the_corners(self):
         # -5xy has cell differences -5/32^2 on the unit square, within

@@ -836,6 +836,17 @@ def test_sigmoid_fit_refuses_a_bad_eps(capsys, expr, eps):
     assert error["message"].startswith("eps must be finite and >= 0")
 
 
+def test_sigmoid_fit_reports_an_exhausted_polynomial_budget(capsys):
+    # cos is no polynomial, and the Chebyshev path runs out of degrees
+    # before its rounded coefficients come within eps/2
+    code, out = run(capsys, "sigmoid", "fit", "--expr", "cos(x1)",
+                    "--interval", "-1", "1", "--eps", "0.01")
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error == {"type": "ArithmeticError", "message":
+                     "polynomial budget exhausted before reaching eps/2"}
+
+
 def test_sigmoid_fit_refuses_a_network_that_misses_eps(capsys):
     code, out = run(capsys, "sigmoid", "fit", "--expr", "x1",
                     "--interval", "1e20", "3e20", "--eps", "1")
@@ -856,6 +867,35 @@ def test_deeply_nested_expression_is_a_domain_error(capsys, expr):
     report = json.loads(out)
     assert report["error"]["type"] == "ExprError"
     assert "nested too deeply" in report["error"]["message"]
+
+
+def test_a_power_chain_of_985_to_989_terms_is_refused_from_a_fresh_stack():
+    # the guard stopped at each '^''s base, so from a fresh interpreter
+    # parse_expression accepted these chains and approx uniform ended in a
+    # RecursionError traceback; under pytest the deeper stack hid it
+    proc = _python("""
+import contextlib, io, json
+from ridgekit.cli import main
+from ridgekit.core import ExprError, parse_expression
+deep = "expression nested too deeply (at position 0)"
+for n in range(985, 990):
+    text = "^".join(["x1"] * n)
+    try:
+        parse_expression(text, 2)
+        raise SystemExit(f"{n} terms accepted")
+    except ExprError as exc:
+        assert str(exc) == deep, exc
+    for bounds in (["0", "1", "0", "1"], ["0.5", "1", "0.5", "1"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["approx", "uniform", "--expr", text, "--dirs", "1",
+                         "0", "0", "1", "--bounds", *bounds])
+        assert code == 1, code
+        error = json.loads(out.getvalue())["error"]
+        assert error == {"type": "ExprError", "message": deep}, error
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_weighted_l2_takes_one_weight_per_direction(capsys, xy_dirs_csv,

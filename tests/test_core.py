@@ -165,6 +165,10 @@ class TestExpressions:
         assert np.array_equal(f(xs, ys), g(xs, ys))
         assert f(xs, ys).shape == (3, 4)
 
+    def test_one_point_is_its_coordinates(self):
+        f = parse_expression("x1 - 3*x2", 2)
+        assert f((0.5, 0.25)) == f(0.5, 0.25) == -0.25
+
     @given(st.floats(-3, 3), st.floats(-3, 3))
     @settings(max_examples=50)
     def test_matches_reference(self, x, y):
@@ -568,6 +572,9 @@ class TestMaxCycleMean:
         F = np.sin(np.arange(5.0))[:, None] + np.arange(7.0)[None, :] ** 2
         err, cycle = max_cycle_mean(*np.indices(F.shape).reshape(2, -1), F)
         assert err == pytest.approx(0.0, abs=1e-12)
+
+    def test_an_empty_set_has_error_zero_and_no_cycle(self):
+        assert max_cycle_mean([], [], []) == (0.0, [])
 
 
 def row_reduce(rows, ncols):

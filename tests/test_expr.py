@@ -1,7 +1,11 @@
 """The token regex, the parser and the compiled expression against the
 character loop and the tree walk they replaced: the same tokens, the same
-ASTs, the same ExprError text and the same values of the same types."""
+ASTs, the same ExprError text and the same values of the same types.  Then
+the reader's two rules: a literal is float(text), refused past the largest
+float, and a tree is refused where a reading of it could overflow the
+stack."""
 
+import json
 import math
 import re
 import warnings
@@ -12,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ridgekit.cli import main
 from ridgekit.core import (
     _BINARY,
     _CONSTS,
@@ -27,6 +32,7 @@ from ridgekit.core import (
     jet,
     parse_expression,
 )
+from ridgekit.sigmoid import _exact_poly_coeffs
 
 
 # --- the replaced code, verbatim: the references -------------------------
@@ -247,6 +253,12 @@ class TestTokens:
             assert got[0] is ExprError
             assert re.fullmatch(r"unknown identifier 'x\w+' "
                                 r"\(at position \d+\)", got[1])
+        elif want[0] is OverflowError:
+            # a literal past the largest float, as '1e3' '1' '1' gives: an
+            # ExprError at the literal's position, not Fraction's overflow
+            assert got[0] is ExprError
+            assert re.fullmatch(r"number '[\d.]+[eE][+-]?\d+' too large "
+                                r"\(at position \d+\)", got[1])
         else:
             assert_same(got, want)
 
@@ -315,3 +327,161 @@ class TestJetNumbers:
         out = jet(ast, (x, y), [(1.0, 0.0)])
         assert np.array_equal(out[0], x + 2.0 ** 0.5 * 3.0 - 0.25)
         assert np.array_equal(out[1], np.ones(2))
+
+
+# --- number literals: float(text), refused past the largest float ---------
+
+class TestLiterals:
+    @pytest.mark.parametrize("text, pos", [
+        ("1e400*x1", 0), ("1e9999999*x1", 0), ("x1 + 2*1E309", 7),
+        ("1" * 5000 + "*x1", 0)])
+    def test_a_literal_past_the_largest_float_is_refused_at_its_position(
+            self, text, pos):
+        # Fraction built 10^k for these: seconds for 1e9999999, then an
+        # OverflowError without a position, and 'bad number' past Python's
+        # 4,300-digit limit
+        literal = re.match(r"[\d.eE]+", text[pos:]).group()
+        with pytest.raises(ExprError) as info:
+            parse_expression(text, 1)
+        assert str(info.value) == \
+            f"number {literal!r} too large (at position {pos})"
+        assert info.value.pos == pos
+
+    def test_a_long_finite_literal_reads_as_its_nearest_float(self):
+        f = parse_expression("0." + "1" * 5000 + "*x1", 1)
+        assert f.ast == ("*", ("const", float("0." + "1" * 20)), ("var", 0))
+
+    def test_no_fraction_is_built_for_a_literal(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a Fraction was built")
+
+        monkeypatch.setattr("ridgekit.core.Fraction", refuse)
+        f = parse_expression("2.5e-1*x1 + 1e0 - .5", 1)
+        assert f.ast == ("-", ("+", ("*", ("const", 0.25), ("var", 0)),
+                               ("const", 1.0)), ("const", 0.5))
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.text("0123456789", min_size=1, max_size=20),
+           st.integers(0, 21), st.sampled_from(["", ".", "lead"]),
+           st.one_of(st.none(), st.integers(-330, 310)),
+           st.sampled_from(["e", "E", "e+", "E-"]))
+    def test_float_of_the_text_is_float_of_its_fraction(self, digits, cut,
+                                                        dot, exp, mark):
+        if dot == ".":
+            digits = digits[:cut] + "." + digits[cut:]
+        elif dot == "lead":
+            digits = "." + digits
+        text = digits
+        if exp is not None:
+            sign = "-" if exp < 0 else mark[1:]
+            text += mark[0] + sign + str(abs(exp))
+        try:
+            want = float(Fraction(text))
+        except OverflowError:
+            want = math.inf
+        if want == math.inf:
+            with pytest.raises(ExprError, match="too large"):
+                parse_expression(text, 1)
+        else:
+            assert parse_expression(text, 1).ast == ("const", want)
+
+
+# --- nesting depth: refused where every later reading could not go ---------
+
+# each shape at depth n, and the first n the parser or the guard refused,
+# called from a script, before the guard walked every subtree: it stopped
+# at the first variable, so it never walked the last two shapes
+SHAPES = {
+    "sum": (lambda n: "+".join(["x1"] * n), 333),
+    "minus chain": (lambda n: "-" * n + "x1", 332),
+    "parentheses": (lambda n: "(" * n + "x1" + ")" * n, 248),
+    "calls": (lambda n: "sin(" * n + "x1" + ")" * n, 248),
+    "x1+ then a minus chain": (lambda n: "x1+" + "-" * n + "x1", 990),
+    "power chain": (lambda n: "^".join(["x1"] * n), 991),
+}
+DEEP = "expression nested too deeply (at position 0)"
+
+
+def _refused(text):
+    try:
+        parse_expression(text, 1)
+    except ExprError as exc:
+        assert str(exc) == DEEP
+        return True
+    return False
+
+
+def _deepest_accepted(shape):
+    """The largest n whose expression parse_expression accepts from here,
+    by bisection below the shape's threshold."""
+    make, refused_from = SHAPES[shape]
+    lo, hi = 1, refused_from
+    assert not _refused(make(lo)) and _refused(make(hi))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _refused(make(mid)) else (mid, hi)
+    return lo
+
+
+class TestDepth:
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_each_shape_is_refused_at_its_threshold(self, shape):
+        make, refused_from = SHAPES[shape]
+        assert _refused(make(refused_from))
+        assert _refused(make(refused_from + 700))
+
+    def test_the_chains_the_guard_never_walked_are_refused_as_a_sum_is(self):
+        # 333 levels, where a sum is refused
+        assert _refused("^".join(["x1"] * 333))
+        assert _refused("x1+" + "-" * 331 + "x1")
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_the_deepest_accepted_expression_is_read_by_every_reader(
+            self, shape):
+        text = SHAPES[shape][0](_deepest_accepted(shape))
+        f = parse_expression(text, 1)
+        x = np.array([0.5, 0.75, 1.0])
+        value = f(x)
+        assert value.shape == (3,) and np.all(np.isfinite(value))
+        out = jet(f.ast, (x,), [(1.0,), (1.0,)])
+        assert out.shape == (4, 3) and np.all(np.isfinite(out))
+        np.testing.assert_array_equal(out[0], value)
+        coeffs = _exact_poly_coeffs(f, 0.0, 1.0)
+        assert (coeffs is None) == (shape in ("calls", "power chain"))
+
+
+def _cli_outcome(capsys, command, text):
+    """cli.main on ``text``: "ok" on exit 0, else the JSON error's type and
+    message; a traceback fails the test."""
+    code = main([*command[:2], "--expr", text, *command[2:]])
+    report = json.loads(capsys.readouterr().out)
+    if code == 0:
+        return "ok"
+    assert code == 1
+    return report["error"]["type"], report["error"]["message"]
+
+
+UNIFORM = ["approx", "uniform", "--dirs", "1", "0", "0", "1",
+           "--bounds", "0.5", "1", "0.5", "1"]
+
+
+class TestDepthThroughTheCli:
+    @pytest.mark.parametrize("text, message", [
+        ("^".join(["x1"] * 988), DEEP),
+        ("1e99999999*x1*x2", "number '1e99999999' too large (at position 0)")])
+    def test_refused_with_a_json_error(self, capsys, text, message):
+        assert _cli_outcome(capsys, UNIFORM, text) == ("ExprError", message)
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_no_accepted_expression_overflows_the_stack(self, capsys, shape):
+        # bisect on the CLI's own verdicts: every depth up to the old
+        # threshold either runs or is refused as nested too deeply
+        make, hi = SHAPES[shape]
+        lo = 1
+        assert _cli_outcome(capsys, UNIFORM, make(lo)) == "ok"
+        assert _cli_outcome(capsys, UNIFORM, make(hi)) == ("ExprError", DEEP)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            got = _cli_outcome(capsys, UNIFORM, make(mid))
+            assert got in ("ok", ("ExprError", DEEP))
+            lo, hi = (mid, hi) if got == "ok" else (lo, mid)

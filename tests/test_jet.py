@@ -137,3 +137,23 @@ def test_abs_and_sqrt_at_zero_along_a_direction_that_does_not_move_them():
     out = jet(f.ast, (np.zeros(2), np.array([1.0, 2.0])), [(0.0, 1.0)] * 2)
     np.testing.assert_array_equal(out[-1], [2.0, 2.0])
     assert np.all(np.isfinite(out))
+
+
+@pytest.mark.parametrize("expr, closed_form", [
+    # a jet over a nonzero number: each coefficient divided by it
+    ("x1/2", lambda x, y: [x / 2, 0.5, 0.0, 0.0]),
+    # a variable exponent on a number base: exp(x1 log 2)
+    ("2^x1", lambda x, y: [2**x, math.log(2) * 2**x, 0.0, 0.0]),
+    # a variable exponent on a variable base: exp(x2 log x1)
+    ("x1^x2", lambda x, y: [x**y, y * x**(y - 1), x**y * math.log(x),
+                            x**(y - 1) * (1 + y * math.log(x))]),
+])
+def test_quotients_and_variable_exponents_match_their_closed_forms(
+        expr, closed_form):
+    # entries f, D_x f, D_y f and D_x D_y f at points with x, y > 0
+    f = parse_expression(expr, 2)
+    x, y = np.array([0.5, 1.5, 3.0]), np.array([0.25, 2.0, 1.0])
+    out = jet(f.ast, (x, y), [(1.0, 0.0), (0.0, 1.0)])
+    want = np.array([[closed_form(a, b)[k] for a, b in zip(x, y)]
+                     for k in range(4)])
+    np.testing.assert_allclose(out, want, rtol=1e-14, atol=0)

@@ -1042,6 +1042,11 @@ class TestExactPolynomialReader:
         net, achieved = fit_two_neuron(f, 0.5, 1.5, 1e-6)
         assert achieved <= 1e-6
 
+    def test_a_sum_with_a_call_on_the_right_reads_as_none(self):
+        # the left operand reads, the right one is refused
+        f = parse_expression("x1 + sin(x1)", 1)
+        assert _exact_poly_coeffs(f, -1.0, 1.0) is None
+
     def test_literals_are_read_as_rationals(self):
         # every literal is Fraction(v).limit_denominator(10**12), e and
         # 1.4142135623730951 too, where sympy's nsimplify saw E and sqrt(2)
