@@ -13,7 +13,6 @@ usage error, help or version text.
 import argparse
 import functools
 import hashlib
-import io
 import json
 import math
 import os
@@ -28,6 +27,7 @@ from .core import (
     DirectionSet,
     PointConfig,
     UnivariateTable,
+    _decode_text,
     _frac,
     _read_csv_rows,
     max_cycle_mean,
@@ -94,8 +94,8 @@ def _table(tab, stride=1):
 
 def _read_input(args, path):
     """The bytes of an input file, kept for the digest of the report."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.readall()
     args._inputs.append(data)
     return data
 
@@ -105,7 +105,7 @@ def _read_rows(args, path):
 
 
 def _read_json(args, path):
-    return json.load(io.TextIOWrapper(io.BytesIO(_read_input(args, path))))
+    return json.loads(_decode_text(_read_input(args, path)))
 
 
 def _digest(args):
@@ -261,7 +261,7 @@ def _cmd_cycles_check(args):
         results["representation"] = {
             "free_unknowns": free,
             "tables": [
-                {_frac(k): _frac(v) for k, v in sorted(tab.items())}
+                {_frac(k): _frac(v) for k, v in tab.items()}
                 for tab in tables
             ],
         }

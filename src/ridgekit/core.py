@@ -4,7 +4,7 @@ evaluable-function abstractions.
 Exact rationals back everything combinatorial: deciding whether two points
 lie on the same level line of a direction is ill-posed in floating point,
 so all fiber logic upstream works over Q.  Each input coordinate is read
-once and exactly: an integer literal as an int, any other number as a
+exactly: an integer literal as an int, any other number as a
 ``fractions.Fraction``.  The exact layer then holds rationals as integers
 over one common denominator, converted by ``_integer_coordinates`` alone:
 ``PointConfig`` and ``DirectionSet`` hold them so, and ``bareiss``
@@ -17,8 +17,8 @@ doubles.
 from __future__ import annotations
 
 import functools
-import io
 import itertools
+import locale
 import math
 import numbers
 import operator
@@ -219,17 +219,32 @@ def bareiss(rows, ncols):
     return mat, pivots, last, sign * last if len(pivots) == ncols else 0
 
 
+def _decode_text(data):
+    """The text of a file's bytes as ``open`` reads the file in text mode:
+    decoded strictly in ``locale.getpreferredencoding(False)``, the encoding
+    ``io.TextIOWrapper`` picks (``locale.getencoding()`` ignores UTF-8
+    mode), with ``\\r\\n`` and ``\\r`` read as ``\\n``."""
+    text = data.decode(locale.getpreferredencoding(False))
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def _read_csv_rows(data, name):
     """The rows of numbers in the bytes of a CSV file named ``name``: fields
-    split at commas and whitespace, ``#`` to the end of a line a comment.
-    Each field is read once by ``_read_number``, so an integer stays an
-    int.  The bytes are decoded as ``open`` decodes a file in text mode."""
+    split at commas and whitespace, ``#`` to the end of a line a comment,
+    lines ended by ``\\n``, ``\\r\\n`` or ``\\r``.  The bytes are decoded in
+    the encoding ``open`` uses for text.  Each line is read by ``int``;
+    a line with any other field is read again by ``_read_number``, so an
+    integer stays an int and any other number is a Fraction."""
     rows = []
-    text = io.TextIOWrapper(io.BytesIO(data)).read().replace(",", " ")
-    for line in text.split("\n"):
+    for line in _decode_text(data).replace(",", " ").split("\n"):
         fields = line.split("#", 1)[0].split()
         if fields:
-            rows.append(tuple(map(_read_number, fields)))
+            try:
+                rows.append(tuple(map(int, fields)))
+            except ValueError:
+                rows.append(tuple(map(_read_number, fields)))
     if not rows:
         raise ValueError(f"no data rows in {name}")
     return rows

@@ -953,14 +953,20 @@ def _taylor_truncate(coeffs, eps, tgrid, g_vals):
     r = _taylor_shift([c << (m - i) for i, c in enumerate(ints)])
     dens = [den << (m - i) for i in range(m + 1)]
     w, row = [], [1]                 # row: the ints of (v - 1)^k
+    j = 0                            # where the last full check missed most
     for k in range(m + 1):
         w.append(0)
         for i, c in enumerate(row):
             w[i] += r[k] * c
         # c / d is the correctly rounded float of c/d, reduced or not
-        if _poly_sup_dev([c / d for c, d in zip(w, dens)],
-                         g_vals, tgrid) <= 0.5 * eps:
-            return [Fraction(c, d) for c, d in zip(w, dens)]
+        fl = [c / d for c, d in zip(w, dens)]
+        # Horner on one float is bit for bit its value on the grid, so a
+        # truncation that misses at point j (or is NaN there) misses on it
+        if abs(_horner(fl, float(tgrid[j])) - g_vals[j]) <= 0.5 * eps:
+            dev = np.abs(_horner(fl, tgrid) - g_vals)
+            if dev.max() <= 0.5 * eps:
+                return [Fraction(c, d) for c, d in zip(w, dens)]
+            j = int(np.argmax(dev))
         row = [p - q for p, q in zip([0] + row, row + [0])]
     return list(coeffs)
 
