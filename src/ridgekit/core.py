@@ -302,6 +302,7 @@ def _tokens(text):
 class _Parser:
     def __init__(self, text, dim):
         self.tokens, self.i, self.dim = _tokens(text), 0, dim
+        self.variable = False  # whether a variable was read
 
     def peek(self):
         return self.tokens[self.i]
@@ -359,6 +360,7 @@ class _Parser:
                 k = int(val[1:])
                 if not 1 <= k <= self.dim:
                     raise ExprError(f"variable {val} out of range 1..{self.dim}", pos)
+                self.variable = True
                 return ("var", k - 1)
             if val in _CONSTS:
                 return ("const", _CONSTS[val])
@@ -375,44 +377,60 @@ class _Parser:
         raise ExprError(f"unexpected token {val!r}", pos)
 
 
-def _compile(node):
-    """The expression ``node`` as a function of the coordinate tuple xs:
-    closures built once, applying ``_BINARY`` and ``_FUNCS`` to operands
-    computed left before right."""
+def _fold(node, step, room=332):
+    """The one walk of an AST: each node's children are folded left before
+    right, then ``step(tag, *payload, *children's results)`` gives the
+    node's.  A tree of 333 levels or more (parentheses add none) is an
+    ExprError from any stack; every reading of a shallower one fits in it."""
+    if not room:
+        raise ExprError("expression nested too deeply", 0)
     op = node[0]
-    if op == "const":
-        value = node[1]
-        return lambda xs: value
-    if op == "var":
-        return operator.itemgetter(node[1])
+    if op == "const" or op == "var":
+        return step(op, node[1])
+    room -= 1
     if op == "neg":
-        arg = _compile(node[1])
-        return lambda xs: -arg(xs)
+        return step(op, _fold(node[1], step, room))
     if op == "call":
-        fn, arg = _FUNCS[node[1]], _compile(node[2])
-        return lambda xs: fn(arg(xs))
-    fn, a, b = _BINARY[op], _compile(node[1]), _compile(node[2])
+        return step(op, node[1], _fold(node[2], step, room))
+    return step(op, _fold(node[1], step, room), _fold(node[2], step, room))
+
+
+def _closure(op, a, b=None):
+    """The compile step: a closure of the coordinate tuple xs."""
+    if op == "const":
+        return lambda xs: a
+    if op == "var":
+        return operator.itemgetter(a)
+    if op == "neg":
+        return lambda xs: -a(xs)
+    if op == "call":
+        fn = _FUNCS[a]
+        return lambda xs: fn(b(xs))
+    fn = _BINARY[op]
     return lambda xs: fn(a(xs), b(xs))
 
 
-def _has_var(node):
-    return node[0] == "var" or max((_has_var(c) for c in node[1:]
-                                    if isinstance(c, tuple)), default=False)
+def _compile(node):
+    """The expression ``node`` as a function of the coordinate tuple xs."""
+    return _fold(node, _closure)
+
+
+def _text(op, a, b=None):
+    if op == "const":
+        return repr(a)
+    if op == "var":
+        return f"x{a + 1}"
+    if op == "neg":
+        return f"(-{a})"
+    if op == "call":
+        return f"{a}({b})"
+    return f"({a}{op}{b})"
 
 
 def format_ast(node):
-    """Pretty-print an AST back to the grammar (parse(format(ast)) == ast)."""
-    op = node[0]
-    if op == "const":
-        v = node[1]
-        return repr(v)
-    if op == "var":
-        return f"x{node[1] + 1}"
-    if op == "neg":
-        return f"(-{format_ast(node[1])})"
-    if op == "call":
-        return f"{node[1]}({format_ast(node[2])})"
-    return f"({format_ast(node[1])}{op}{format_ast(node[2])})"
+    """Pretty-print an AST back to the grammar: parse(format(ast)) == ast
+    for the trees the parser builds, whose constants are finite and >= 0."""
+    return _fold(node, _text)
 
 
 class ScalarField:
@@ -435,14 +453,14 @@ class ScalarField:
 
     @classmethod
     def from_expression(cls, text, dim):
+        parser = _Parser(text, dim)
         try:
-            ast = _Parser(text, dim).parse()
-            variable, fn = _has_var(ast), _compile(ast)
+            ast = parser.parse()
+            fn = _compile(ast)
         except RecursionError:
-            # _has_var's max walks every subtree, at 2 frames a level or more,
-            # and _compile, fn, jet and _read_poly at 1: they walk what it can
+            # the parser's 4 frames a parenthesis or call, or a deep caller
             raise ExprError("expression nested too deeply", 0) from None
-        if variable:
+        if parser.variable:
             return cls(dim, lambda *xs: fn(xs), ast=ast)
 
         def constant(*xs):
@@ -488,7 +506,7 @@ def jet(ast, xs, dirs):
     xs = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in xs))
     dirs = [[float(c) for c in l] for l in dirs]
     ctx = (xs, dirs, 1 << len(dirs))
-    out = _jet_node(ast, ctx)
+    out = _fold(ast, functools.partial(_jet_step, ctx))
     if np.ndim(out) == 0:  # a constant: broadcast like a variable's jet
         return _constant_jet(out, (ctx[2],) + xs[0].shape)
     return out
@@ -500,24 +518,21 @@ def _constant_jet(value, shape):
     return out
 
 
-def _jet_node(node, ctx):
-    op = node[0]
+def _jet_step(ctx, op, a, b=None):
+    """The jet step: a jet, or a number where no variable is below."""
     if op == "const":
-        return node[1]
+        return a
     if op == "var":
         xs, dirs, size = ctx
         out = np.zeros((size,) + xs[0].shape)
-        out[0] = xs[node[1]]
+        out[0] = xs[a]
         for i, l in enumerate(dirs):
-            out[1 << i] = l[node[1]]
+            out[1 << i] = l[a]
         return out
     if op == "neg":
-        return -_jet_node(node[1], ctx)
+        return -a
     if op == "call":
-        a = _jet_node(node[2], ctx)
-        return _FUNCS[node[1]](a) if np.ndim(a) == 0 \
-            else _jet_call(node[1], a, ctx)
-    a, b = _jet_node(node[1], ctx), _jet_node(node[2], ctx)
+        return _FUNCS[a](b) if np.ndim(b) == 0 else _jet_call(a, b, ctx)
     if np.ndim(a) == 0 and np.ndim(b) == 0:
         return _BINARY[op](a, b)
     if op in "+-":

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
-from .core import _integer_coordinates, rational
+from .core import _fold, _integer_coordinates, rational
 
 _LN2 = math.log(2.0)
 FIT_GRID_N = 1001   # nodes of the grid on which a fit's error is measured
@@ -830,10 +830,10 @@ def _exact_poly_coeffs(f, a, b):
         return None
     a, b = rational(a), rational(b)
     (x,), den = _integer_coordinates([[a, b - a]])
-    p = _read_poly(ast, _poly(list(x), den))
-    if p is None:
+    try:
+        ints, den = _fold(ast, partial(_poly_step, _poly(list(x), den)))
+    except _NotPolynomial:
         return None
-    ints, den = p
     return [Fraction(c, den) for c in ints]
 
 
@@ -847,26 +847,23 @@ def _poly(ints, den):
     return ints, den
 
 
-def _read_poly(node, x):
-    """The AST ``node``, with x1 the polynomial ``x``, as a pair from _poly;
-    None where the node is not a polynomial or would pass the bounds."""
-    op = node[0]
+class _NotPolynomial(Exception):
+    """A node that is not a polynomial, or would pass the bounds."""
+
+
+def _poly_step(x, op, p, q=None):
+    """The polynomial step: the node, with x1 the polynomial ``x``, as a
+    pair from _poly, from its children's pairs p and q."""
     if op == "const":
-        n, d = _limited(node[1], 10**12)
+        n, d = _limited(p, 10**12)
         return [n], d
     if op == "var":
         return x
     if op == "call":
-        return None
-    p = _read_poly(node[1], x)
-    if p is None:
-        return None
+        raise _NotPolynomial
     ps, dp = p
     if op == "neg":
         return [-c for c in ps], dp
-    q = _read_poly(node[2], x)
-    if q is None:
-        return None
     qs, dq = q
     if op in "+-":
         den = math.lcm(dp, dq)
@@ -877,25 +874,23 @@ def _read_poly(node, x):
         return _poly(out, den)
     if op == "*":
         if len(ps) + len(qs) - 2 > MAX_EXACT_DEGREE:
-            return None
+            raise _NotPolynomial
         return _poly(_convolve(ps, qs), dp * dq)
-    if len(qs) > 1:
-        return None                  # divisor or exponent not a constant
+    if len(qs) > 1 or op == "/" and qs[0] == 0:
+        raise _NotPolynomial         # divisor or exponent not a constant, or 0
     c = qs[0]
     if op == "/":
-        if c == 0:
-            return None
         s = dq if c > 0 else -dq     # p / (c/dq) = p*dq / (dp*c)
         return _poly([v * s for v in ps], dp * abs(c))
     if dq != 1:
-        return None                  # exponent not an integer
+        raise _NotPolynomial         # exponent not an integer
     k = abs(c)
     bits = k * max(map(int.bit_length, [dp, *ps]))
     if (len(ps) - 1) * k > MAX_EXACT_DEGREE or bits > MAX_EXACT_BITS:
-        return None
+        raise _NotPolynomial
     if c < 0:
         if len(ps) > 1 or ps[0] == 0:
-            return None
+            raise _NotPolynomial
         v = ps[0]                    # (v/dp)^c = (dp/v)^k
         return [(dp if v > 0 else -dp) ** k], abs(v) ** k
     out, den = [1], dp ** k

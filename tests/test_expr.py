@@ -3,13 +3,15 @@ character loop and the tree walk they replaced: the same tokens, the same
 ASTs, the same ExprError text and the same values of the same types.  Then
 the reader's two rules: a literal is float(text), refused past the largest
 float, and a tree is refused where a reading of it could overflow the
-stack."""
+stack.  Last, each reading of core._fold against the walk it replaced
+(tests/expr_references.py), and the fold's one depth rule: 333 levels."""
 
 import json
 import math
 import re
 import warnings
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,15 +26,20 @@ from ridgekit.core import (
     ExprError,
     ScalarField,
     _compile,
-    _has_var,
-    _jet_node,
+    _fold,
+    _integer_coordinates,
+    _jet_step,
     _Parser,
     _tokens,
     format_ast,
     jet,
     parse_expression,
 )
-from ridgekit.sigmoid import _exact_poly_coeffs
+from ridgekit.sigmoid import (_exact_poly_coeffs, _NotPolynomial, _poly,
+                              _poly_step)
+
+import expr_references as ref
+from expr_references import _has_var, _jet_node
 
 
 # --- the replaced code, verbatim: the references -------------------------
@@ -388,9 +395,12 @@ class TestLiterals:
 
 # --- nesting depth: refused where every later reading could not go ---------
 
-# each shape at depth n, and the first n the parser or the guard refused,
-# called from a script, before the guard walked every subtree: it stopped
-# at the first variable, so it never walked the last two shapes
+# each shape at depth n, and an n at which it is refused: the top of the
+# bisections below.  Parentheses and calls add no level to the tree; the
+# parser's own recursion refuses them, from 248 in a fresh interpreter.  The
+# other four are refused from 333 levels of the tree (LEVELS); the two
+# chains' numbers are where an older guard, which stopped at the first
+# variable, refused them
 SHAPES = {
     "sum": (lambda n: "+".join(["x1"] * n), 333),
     "minus chain": (lambda n: "-" * n + "x1", 332),
@@ -485,3 +495,166 @@ class TestDepthThroughTheCli:
             got = _cli_outcome(capsys, UNIFORM, make(mid))
             assert got in ("ok", ("ExprError", DEEP))
             lo, hi = (mid, hi) if got == "ok" else (lo, mid)
+
+
+# --- the fold's readings against the walks they replaced -----------------
+
+# polynomial-shaped trees in x1: integer and other literals, +, -, *, unary
+# minus, divisions by constant trees (0 among them), integer powers (negative
+# ones among them) and a few that are not, and calls
+INTEGERS = st.integers(0, 4).map(lambda v: ("const", float(v)))
+DIVISORS = st.recursive(
+    st.one_of(INTEGERS, CONSTS),
+    lambda c: st.tuples(st.sampled_from("+-*"), c, c), max_leaves=3)
+EXPONENTS = st.one_of(
+    INTEGERS, INTEGERS.map(lambda c: ("neg", c)),
+    st.sampled_from([("const", 0.5), ("var", 0),
+                     ("-", ("const", 3.0), ("const", 1.0))]))
+
+
+def _poly_trees(children):
+    return st.one_of(
+        children.map(lambda a: ("neg", a)),
+        st.tuples(st.sampled_from("+-*"), children, children),
+        st.tuples(st.just("/"), children, st.one_of(DIVISORS, children)),
+        st.tuples(st.just("^"), children, EXPONENTS),
+        st.tuples(st.just("call"), st.sampled_from(sorted(_FUNCS)), children))
+
+
+POLY_ASTS = st.recursive(st.one_of(INTEGERS, CONSTS, st.just(("var", 0))),
+                         _poly_trees, max_leaves=8)
+# x1 as a polynomial (ints, den) in t, as _exact_poly_coeffs passes it
+X_POLYS = st.builds(lambda a, b, d: _poly([a, b], d),
+                    st.integers(-5, 5), st.integers(-5, 5), st.integers(1, 6))
+DIRECTIONS = st.lists(st.tuples(st.sampled_from([-1.0, 0.0, 0.5, 2.0]),
+                                st.sampled_from([-1.0, 0.0, 1.0, 0.25])),
+                      max_size=3)
+
+
+def _one_variable(op, a, b=None):
+    """A fold step that rebuilds the tree with x2 read as x1."""
+    if op == "var":
+        return ("var", 0)
+    return (op, a) if b is None else (op, a, b)
+
+
+def _poly_reading(ast, x):
+    try:
+        return _fold(ast, partial(_poly_step, x))
+    except _NotPolynomial:
+        return None
+
+
+class TestFoldReadings:
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(ASTS, CONSTANT_ASTS, POLY_ASTS), SCALARS, SCALARS,
+           st.sampled_from(["scalars", "numpy scalars", "arrays",
+                            "broadcast"]))
+    def test_closures_and_text_match_the_walks(self, ast, x, y, kind):
+        xs = _arguments(kind, x, y)
+        assert_same(outcome(_compile(ast), xs),
+                    outcome(ref._compile(ast), xs))
+        assert format_ast(ast) == ref.format_ast(ast)
+        parser = _Parser(format_ast(ast), 2)
+        assert parser.parse() == ast
+        assert parser.variable == _has_var(ast)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(ASTS, CONSTANT_ASTS, POLY_ASTS), SCALARS, SCALARS,
+           st.sampled_from(["scalars", "arrays", "broadcast"]), DIRECTIONS)
+    def test_jets_match_the_walk(self, ast, x, y, kind, dirs):
+        xs = _arguments(kind, x, y)
+        assert_same(outcome(jet, ast, xs, dirs),
+                    outcome(ref.jet, ast, xs, dirs))
+
+    def test_the_left_operand_is_read_first(self):
+        # both operands have no jet at (1, 1): the left one's error is
+        # reported, as the walk reported it
+        ast = parse_expression("log(-x1) + sqrt(-x2)", 2).ast
+        with pytest.raises(ValueError, match="log of a value <= 0"):
+            jet(ast, (1.0, 1.0), [(1.0, 0.0)])
+        with pytest.raises(ValueError, match="log of a value <= 0"):
+            ref.jet(ast, (1.0, 1.0), [(1.0, 0.0)])
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.sampled_from(sorted(_BINARY)),
+           st.one_of(st.floats(-4, 4), st.sampled_from([0.0, -1.0, 2.0])),
+           st.one_of(st.floats(-4, 4), st.sampled_from([0.0, 0.5, 3.0])),
+           st.booleans())
+    def test_the_jet_step_on_numbers_is_the_operator(self, op, a, b, numpy):
+        if numpy:
+            a, b = np.float64(a), np.float64(b)
+        ctx = ([np.zeros(2), np.zeros(2)], [[1.0, 0.0]], 2)
+        node = (op, ("const", a), ("const", b))
+        assert_same(outcome(_fold, node, partial(_jet_step, ctx)),
+                    outcome(_jet_node, node, ctx))
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.one_of(POLY_ASTS, ASTS.map(lambda t: _fold(t, _one_variable))),
+           X_POLYS)
+    def test_the_polynomial_reading_matches_the_walk(self, ast, x):
+        # the same (ints, den), or None where the walk refuses
+        assert outcome(_poly_reading, ast, x) == \
+            outcome(ref._read_poly, ast, x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(POLY_ASTS, st.sampled_from([(0, 1), (-1, 1), (0.5, 2), (-3, -2)]))
+    def test_exact_coefficients_match_the_walk(self, ast, box):
+        f = parse_expression(format_ast(ast), 1)
+        a, b = map(Fraction, box)
+        (x,), den = _integer_coordinates([[a, b - a]])
+        p = ref._read_poly(f.ast, _poly(list(x), den))
+        want = None if p is None else [Fraction(c, p[1]) for c in p[0]]
+        assert outcome(_exact_poly_coeffs, f, *box) == ("value", want)
+
+
+class TestFormatAst:
+    def test_the_round_trip_needs_a_finite_non_negative_constant(self):
+        assert parse_expression(format_ast(("const", 2.5)), 1).ast == \
+            ("const", 2.5)
+        assert parse_expression(format_ast(("const", -1.0)), 1).ast == \
+            ("neg", ("const", 1.0))
+        with pytest.raises(ExprError, match="unknown identifier 'inf'"):
+            parse_expression(format_ast(("const", math.inf)), 1)
+
+
+# --- one depth rule: 333 levels, from any stack ---------------------------
+
+# the first n at which each tree shape has 333 levels
+LEVELS = {"sum": 333, "minus chain": 332, "power chain": 333,
+          "x1+ then a minus chain": 331}
+
+
+def _deeper(frames, fn):
+    """fn() called ``frames`` frames deeper in the stack."""
+    return fn() if frames == 0 else _deeper(frames - 1, fn)
+
+
+class TestLevels:
+    @pytest.mark.parametrize("frames", [0, 300])
+    @pytest.mark.parametrize("shape", sorted(LEVELS))
+    def test_332_levels_are_accepted_and_333_refused(self, shape, frames):
+        make, n = SHAPES[shape][0], LEVELS[shape]
+        assert not _deeper(frames, lambda: _refused(make(n - 1)))
+        assert _deeper(frames, lambda: _refused(make(n)))
+
+    @pytest.mark.parametrize("shape", sorted(LEVELS))
+    def test_the_deepest_tree_is_read_by_every_reading_from_deeper(
+            self, shape):
+        x = np.array([0.5, 0.75, 1.0])
+
+        def read():
+            f = parse_expression(SHAPES[shape][0](LEVELS[shape] - 1), 1)
+            return (f, f(x), _compile(f.ast)((x,)),
+                    jet(f.ast, (x,), [(1.0,), (1.0,)]),
+                    _exact_poly_coeffs(f, 0.0, 1.0), format_ast(f.ast))
+
+        f, value, compiled, out, coeffs, text = _deeper(300, read)
+        assert value.shape == (3,) and np.all(np.isfinite(value))
+        np.testing.assert_array_equal(compiled, value)
+        assert out.shape == (4, 3) and np.all(np.isfinite(out))
+        np.testing.assert_array_equal(out, ref.jet(f.ast, (x,),
+                                                   [(1.0,), (1.0,)]))
+        p = ref._read_poly(f.ast, _poly([0, 1], 1))
+        assert (coeffs is None) == (p is None) == (shape == "power chain")
+        assert text == ref.format_ast(f.ast)
