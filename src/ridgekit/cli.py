@@ -5,9 +5,13 @@ violated class hypothesis, ...), 2 usage error (bad arguments, an input file
 that cannot be read), 141 standard output closed by its reader, after which
 nothing more is written (128 + SIGPIPE, the code a shell reports for it).
 
-A command's own parser reads its options, in one argparse pass; the full
-parser tree reads only input that is not a valid command, and reports its
-usage error, help or version text.
+Options are read as argparse reads them: ``--opt value`` or
+``--opt=value``, any unique prefix of an option, the last value of an
+option given twice, and negative numbers and ``-inf`` as values.  A valid
+command's options are read in one pass over its own parser's actions
+(``_read_leaf``); what that pass declines goes to that parser's argparse,
+and input that is not a valid command to the full parser tree, which
+reports its usage error, help or version text.
 """
 
 import argparse
@@ -601,18 +605,95 @@ def _attach_expr_values(argv):
     return out
 
 
+def _read_leaf(leaf, tokens):
+    """The Namespace ``leaf.parse_known_args(tokens)`` gives when it reads
+    every token, read in one pass over the leaf's own actions; None for
+    anything this pass does not read exactly as argparse does.  It reads
+    ``--opt value`` and ``--opt=value``, the values of ``nargs`` None, N
+    and "+", converted by ``type`` and checked against ``choices``, and
+    ``store_true`` flags.  It declines an unknown or abbreviated option, a
+    repeated one, ``--``, ``-h``, a missing or surplus value, a value that
+    ``type`` or ``choices`` refuses, a missing required option, a
+    positional, and any other action class or nargs, or a string
+    default."""
+    out = {}
+    for action in leaf._actions:
+        if not action.option_strings:
+            return None                  # a positional
+        if argparse.SUPPRESS in (action.dest, action.default):
+            continue                     # -h
+        if isinstance(action.default, str):
+            return None                  # argparse would convert it
+        out.setdefault(action.dest, action.default)
+    for dest, value in leaf._defaults.items():
+        out.setdefault(dest, value)
+    options = leaf._option_string_actions
+    number = leaf._negative_number_matcher.match
+    negatives = not leaf._has_negative_number_optionals
+    heads = {o[:2] for o in options}
+    seen = set()
+    i, n = 0, len(tokens)
+    while i < n:
+        token = tokens[i]
+        i += 1
+        action, explicit = options.get(token), None
+        if action is None and "=" in token:
+            name, _, explicit = token.partition("=")
+            action = options.get(name)
+        if action is None or action in seen:
+            return None
+        seen.add(action)
+        kind, nargs = type(action), action.nargs
+        if kind is not argparse._StoreAction:
+            if kind is not argparse._StoreTrueAction or explicit is not None:
+                return None      # -h, or a flag given a value
+            out[action.dest] = True
+            continue
+        if explicit is None:
+            # the tokens argparse reads as arguments: no leading "-", a
+            # lone "-", or a negative number whose first two characters
+            # start no option string
+            start = i
+            while i < n and (tokens[i][:1] != "-" or tokens[i] == "-"
+                             or negatives and number(tokens[i])
+                             and tokens[i][:2] not in heads):
+                i += 1
+            strings = tokens[start:i]
+        else:
+            strings = [explicit]
+        if not strings or nargs != "+" and len(strings) != (nargs or 1):
+            return None
+        try:
+            values = [s if action.type is None else action.type(s)
+                      for s in strings]
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and any(v not in action.choices
+                                              for v in values):
+            return None
+        out[action.dest] = values[0] if nargs is None else values
+    if any(action.required and action not in seen
+           for action in leaf._actions):
+        return None
+    return argparse.Namespace(**out)
+
+
 def _parse(argv):
     """The options of ``argv``.  argparse hands every token after a
     command's two words to that command's parser, ``-h`` and ``--version``
-    too, so that parser alone reads a valid command.  Input that names no
-    command, or that leaves tokens unread, goes through the full tree,
-    which prints its usage error, help or version text and raises
-    SystemExit."""
+    too, so that parser alone reads a valid command: ``_read_leaf`` reads
+    it, or, where that declines, the parser's ``parse_known_args``.  Input
+    that names no command, or that leaves tokens unread, goes through the
+    full tree, which prints its usage error, help or version text and
+    raises SystemExit."""
     parser = _build_parser()
     dest, leaf = parser.leaves.get(tuple(argv[:2]), (None, None))
     if leaf is not None:
-        args, extra = leaf.parse_known_args(argv[2:])
-        if not extra:
+        args = _read_leaf(leaf, argv[2:])
+        if args is None:
+            args, extra = leaf.parse_known_args(argv[2:])
+            args = None if extra else args
+        if args is not None:
             args.command = argv[0]
             setattr(args, dest, argv[1])
             return args

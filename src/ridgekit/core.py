@@ -303,6 +303,7 @@ class _Parser:
     def __init__(self, text, dim):
         self.tokens, self.i, self.dim = _tokens(text), 0, dim
         self.variable = False  # whether a variable was read
+        self.call = False      # whether a function call was read
 
     def peek(self):
         return self.tokens[self.i]
@@ -365,6 +366,7 @@ class _Parser:
             if val in _CONSTS:
                 return ("const", _CONSTS[val])
             if val in _FUNCS:
+                self.call = True
                 self.expect("(", f"expected '(' after {val}")
                 arg = self.expr()
                 self.expect(")", "expected ')'")
@@ -461,16 +463,18 @@ class ScalarField:
             # the parser's 4 frames a parenthesis or call, or a deep caller
             raise ExprError("expression nested too deeply", 0) from None
         if parser.variable:
-            return cls(dim, lambda *xs: fn(xs), ast=ast)
+            field = cls(dim, lambda *xs: fn(xs), ast=ast)
+        else:
+            def constant(*xs):
+                # broadcast to the arguments' shape, as an expression in
+                # the variables would be; scalar arguments give a scalar
+                shape = np.broadcast_shapes(*(np.shape(x) for x in xs))
+                value = fn(xs)
+                return np.full(shape, value) if shape else value
 
-        def constant(*xs):
-            # broadcast to the arguments' shape, as an expression in the
-            # variables would be; scalar arguments give a scalar
-            shape = np.broadcast_shapes(*(np.shape(x) for x in xs))
-            value = fn(xs)
-            return np.full(shape, value) if shape else value
-
-        return cls(dim, constant, ast=ast)
+            field = cls(dim, constant, ast=ast)
+        field._call = parser.call   # read by sigmoid._exact_poly_coeffs
+        return field
 
 
 def parse_expression(text, dim):

@@ -826,7 +826,9 @@ def _exact_poly_coeffs(f, a, b):
     Fraction(v).limit_denominator(10**12).
     """
     ast = getattr(f, "ast", None)
-    if ast is None or f.dim != 1:
+    # a parsed expression records whether it read a call: refuse it before
+    # the fold expands the call's argument
+    if ast is None or f.dim != 1 or getattr(f, "_call", False):
         return None
     a, b = rational(a), rational(b)
     (x,), den = _integer_coordinates([[a, b - a]])

@@ -12,13 +12,13 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ridgekit
 from ridgekit import cycles
-from ridgekit.cli import (_build_parser, _json_text, _parse, _print_report,
-                          main)
+from ridgekit.cli import (_attach_expr_values, _build_parser, _json_text,
+                          _parse, _print_report, _read_leaf, main)
 from ridgekit.sigmoid import SigmoidParams, sigma
 
 
@@ -680,6 +680,142 @@ def test_valid_commands_never_reach_the_full_tree(capsys, monkeypatch,
         assert code in (0, 1), leaf
         if leaf != ("sigmoid", "table"):
             assert json.loads(out)["command"] == "ridgekit " + " ".join(argv)
+
+
+# value tokens by an option's type: negative numbers, exponents, -inf and
+# NaN in any case among the floats, and values each type refuses
+_FLOAT_TOKENS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["-1e2", "-.5", "-1e-1", "-inf", "-Infinity", "-NAN",
+                     "inf", "1E3", "-0", " 7", "x", "1,5", "--1"]))
+_INT_TOKENS = st.one_of(st.integers(-5, 40).map(str),
+                        st.sampled_from(["x", "1.5", "-1", "+3", "1e2"]))
+_TEXT_TOKENS = st.sampled_from(["p.csv", "x1*x2", "-x1^2", "--x1", "-1",
+                                "-", "", "a b", "exp(x1)", "-inf"])
+_BREAKS = ["unknown", "--", "-h", "abbreviation", "repeat", "missing value",
+           "surplus value", "value for a flag", "drop an option"]
+
+
+def _value_tokens(action):
+    if action.choices is not None:
+        return st.sampled_from([*action.choices, "W"])
+    if action.type is float:
+        return _FLOAT_TOKENS
+    return _TEXT_TOKENS if action.type is None else _INT_TOKENS
+
+
+@st.composite
+def command_argvs(draw):
+    """An argv of one command built from its parser's option table: the
+    required options and some others, in any order, each as ``--opt
+    value`` or ``--opt=value``, and at times broken in one or two ways."""
+    parser = _build_parser()
+    words = draw(st.sampled_from(sorted(parser.leaves)))
+    leaf = parser.leaves[words][1]
+    actions = [a for a in leaf._actions if a.dest != "help"]
+    chosen = draw(st.permutations(
+        [a for a in actions if a.required or draw(st.booleans())]))
+    groups = []
+    for action in chosen:
+        option = action.option_strings[0]
+        count = {None: 1, "+": draw(st.integers(1, 3))}.get(action.nargs,
+                                                            action.nargs)
+        values = [draw(_value_tokens(action)) for _ in range(count)]
+        if count == 1 and draw(st.booleans()):
+            groups.append([f"{option}={values[0]}"])
+        else:
+            groups.append([option, *values])
+    flags = {a.option_strings[0] for a in actions if a.nargs == 0}
+    for broken in draw(st.lists(st.sampled_from(_BREAKS), max_size=2)):
+        # the groups each break applies to
+        pool = {"missing value": [g for g in groups if len(g) > 1],
+                "surplus value": [g for g in groups if len(g) > 1],
+                "value for a flag": [g for g in groups if g[0] in flags],
+                }.get(broken, groups)
+        if broken in ("unknown", "--", "-h"):
+            token = "--bogus" if broken == "unknown" else broken
+            groups.insert(draw(st.integers(0, len(groups))), [token])
+        elif pool:
+            group = pool[draw(st.integers(0, len(pool) - 1))]
+            if broken == "abbreviation":
+                name, eq, value = group[0].partition("=")
+                size = draw(st.integers(3, max(3, len(name))))
+                group[0] = name[:size] + eq + value
+            elif broken == "repeat":
+                groups.append(list(group))
+            elif broken == "missing value":
+                group.pop()
+            elif broken == "surplus value":
+                group.append("1")
+            elif broken == "value for a flag":
+                group[0] += "=1"
+            else:
+                groups.remove(group)
+    return [*words, *(token for group in groups for token in group)]
+
+
+@settings(max_examples=600, deadline=None)
+@given(command_argvs())
+@example(CHECK + ["--minimal=1"])
+@example(CHECK + ["--cap", "3", "--cap=4"])
+@example(["cycles", "check", "--poi", "p.csv", "--directions", "d.csv"])
+@example(["approx", "uniform", "--expr", "x1", "--dirs", "1", "0", "0",
+          "--bounds", "0", "1", "0", "1"])
+@example(["sigmoid", "fit", "--expr", "x1", "--interval", "0", "1", "2",
+          "--eps", "0.1"])
+@example(["sigmoid", "fit", "--expr", "x1", "--interval=0", "1",
+          "--eps", "0.1"])
+@example(["sigmoid", "eval", "--d", "1", "--lambda", "0.5", "--x=-1", "2"])
+@example(["bolts", "rect", "--expr", "x1", "--geom", "g.json", "--c", "-1"])
+def test_leaf_reading_matches_the_full_tree_on_built_commands(argv):
+    # each command's argv, valid or not, reads as the full tree reads it:
+    # the same options, or the same usage error, help text and exit code;
+    # NaN != NaN, so the options are compared by their text
+    argv = _attach_expr_values(argv)
+    got, want = [_parse_outcome(parse, argv)
+                 for parse in (_parse, _build_parser().parse_args)]
+    assert got[:3] == want[:3]
+    assert str(sorted((got[3] or {}).items())) == \
+        str(sorted((want[3] or {}).items()))
+
+
+def test_valid_commands_are_read_without_argparse(monkeypatch, tmp_path):
+    # every valid command of these tests and of the golden recordings is
+    # read by _read_leaf alone: the argparse fallback, each command
+    # parser's parse_known_args, raises
+    from test_cli_golden import CASES
+    argvs = [_attach_expr_values(argv) for argv in [
+        *_leaf_argvs(tmp_path).values(), *(a for _, a in CASES.values())]]
+    want = [vars(_build_parser().parse_args(argv)) for argv in argvs]
+
+    def parse_known_args(*args, **kwargs):
+        raise AssertionError("argparse read a valid command")
+
+    for _, leaf in _build_parser().leaves.values():
+        monkeypatch.setattr(leaf, "parse_known_args", parse_known_args)
+    for argv, options in zip(argvs, want):
+        assert vars(_parse(argv)) == options, argv
+
+
+def test_a_number_that_could_be_an_option_is_left_to_argparse():
+    # argparse reads "-inf" as the option -i with the value "nf" where -i
+    # exists, and "-2" as an unknown option where an option looks like a
+    # negative number; the one pass declines both, and reads "-inf" as a
+    # value where neither holds
+    matcher = _build_parser()._negative_number_matcher
+    leaves = []
+    for extra in ([], ["-i"], ["-1"]):
+        leaf = argparse.ArgumentParser()
+        leaf.add_argument("--x", type=float, nargs="+")
+        for option in extra:
+            leaf.add_argument(option, action="store_true")
+        leaf._negative_number_matcher = matcher
+        leaves.append(leaf)
+    plain, short_i, minus_one = leaves
+    assert vars(_read_leaf(plain, ["--x", "-inf", "-2"])) == \
+        vars(plain.parse_known_args(["--x", "-inf", "-2"])[0])
+    assert _read_leaf(short_i, ["--x", "-inf"]) is None
+    assert _read_leaf(minus_one, ["--x", "-2"]) is None
 
 
 def test_cheap_commands_never_load_scipy(square_csv, xy_dirs_csv, tmp_path):

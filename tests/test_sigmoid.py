@@ -13,6 +13,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ridgekit import sigmoid as sigmoid_module
 from ridgekit.sigmoid import (
     MonicPoly,
     SigmoidParams,
@@ -1046,6 +1047,18 @@ class TestExactPolynomialReader:
         # the left operand reads, the right one is refused
         f = parse_expression("x1 + sin(x1)", 1)
         assert _exact_poly_coeffs(f, -1.0, 1.0) is None
+
+    @pytest.mark.parametrize("expr", ["sin((123456789*x1+1)^256)",
+                                      "x1 + sin(x1^3 - 2*x1 + 1)"])
+    def test_a_call_is_refused_before_any_node_is_read(self, monkeypatch,
+                                                       expr):
+        # the parser records that it read a call, so the argument of sin,
+        # a power of about 65,000 bits, is never expanded
+        steps = []
+        monkeypatch.setattr(sigmoid_module, "_poly_step",
+                            lambda *args: steps.append(args[1]))
+        assert _exact_poly_coeffs(parse_expression(expr, 1), 0.0, 1.0) is None
+        assert steps == []
 
     def test_literals_are_read_as_rationals(self):
         # every literal is Fraction(v).limit_denominator(10**12), e and
