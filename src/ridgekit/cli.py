@@ -7,11 +7,8 @@ nothing more is written (128 + SIGPIPE, the code a shell reports for it).
 
 Options are read as argparse reads them: ``--opt value`` or
 ``--opt=value``, any unique prefix of an option, the last value of an
-option given twice, and negative numbers and ``-inf`` as values.  A valid
-command's options are read in one pass over its own parser's actions
-(``_read_leaf``); what that pass declines goes to that parser's argparse,
-and input that is not a valid command to the full parser tree, which
-reports its usage error, help or version text.
+option given twice, and negative numbers and ``-inf`` as values.  Usage
+errors, ``-h`` and ``--version`` come from argparse.
 """
 
 import argparse
@@ -681,23 +678,19 @@ def _read_leaf(leaf, tokens):
 def _parse(argv):
     """The options of ``argv``.  argparse hands every token after a
     command's two words to that command's parser, ``-h`` and ``--version``
-    too, so that parser alone reads a valid command: ``_read_leaf`` reads
-    it, or, where that declines, the parser's ``parse_known_args``.  Input
-    that names no command, or that leaves tokens unread, goes through the
-    full tree, which prints its usage error, help or version text and
-    raises SystemExit."""
+    too, so ``_read_leaf`` reads a valid command in one pass over that
+    parser's actions.  Whatever it declines (input that names no command,
+    a prefix or a repeat of an option, ``--``, a usage error, ``-h`` or
+    ``--version``) goes through the full tree, which reads it or prints
+    its usage error, help or version text and raises SystemExit."""
     parser = _build_parser()
     dest, leaf = parser.leaves.get(tuple(argv[:2]), (None, None))
-    if leaf is not None:
-        args = _read_leaf(leaf, argv[2:])
-        if args is None:
-            args, extra = leaf.parse_known_args(argv[2:])
-            args = None if extra else args
-        if args is not None:
-            args.command = argv[0]
-            setattr(args, dest, argv[1])
-            return args
-    return parser.parse_args(argv)
+    args = None if leaf is None else _read_leaf(leaf, argv[2:])
+    if args is None:
+        return parser.parse_args(argv)
+    args.command = argv[0]
+    setattr(args, dest, argv[1])
+    return args
 
 
 def _run(argv):

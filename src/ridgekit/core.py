@@ -439,10 +439,11 @@ class ScalarField:
     """An evaluable d-variate function: a parsed expression or a wrapped
     callable."""
 
-    def __init__(self, dim, fn, ast=None):
+    def __init__(self, dim, fn, ast=None, _call=False):
         self.dim = int(dim)
         self._fn = fn
         self.ast = ast
+        self._call = _call      # set when the parser read a call in ast
 
     def __call__(self, *xs):
         """Evaluate; accepts d scalars or d numpy arrays, or one point."""
@@ -463,18 +464,16 @@ class ScalarField:
             # the parser's 4 frames a parenthesis or call, or a deep caller
             raise ExprError("expression nested too deeply", 0) from None
         if parser.variable:
-            field = cls(dim, lambda *xs: fn(xs), ast=ast)
-        else:
-            def constant(*xs):
-                # broadcast to the arguments' shape, as an expression in
-                # the variables would be; scalar arguments give a scalar
-                shape = np.broadcast_shapes(*(np.shape(x) for x in xs))
-                value = fn(xs)
-                return np.full(shape, value) if shape else value
+            return cls(dim, lambda *xs: fn(xs), ast=ast, _call=parser.call)
 
-            field = cls(dim, constant, ast=ast)
-        field._call = parser.call   # read by sigmoid._exact_poly_coeffs
-        return field
+        def constant(*xs):
+            # broadcast to the arguments' shape, as an expression in the
+            # variables would be; scalar arguments give a scalar
+            shape = np.broadcast_shapes(*(np.shape(x) for x in xs))
+            value = fn(xs)
+            return np.full(shape, value) if shape else value
+
+        return cls(dim, constant, ast=ast, _call=parser.call)
 
 
 def parse_expression(text, dim):

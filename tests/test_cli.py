@@ -767,6 +767,7 @@ def command_argvs(draw):
           "--eps", "0.1"])
 @example(["sigmoid", "eval", "--d", "1", "--lambda", "0.5", "--x=-1", "2"])
 @example(["bolts", "rect", "--expr", "x1", "--geom", "g.json", "--c", "-1"])
+@example(["bolts", "octagonA", "--=1", "--expr", "x1", "--geom", "g.json"])
 def test_leaf_reading_matches_the_full_tree_on_built_commands(argv):
     # each command's argv, valid or not, reads as the full tree reads it:
     # the same options, or the same usage error, help text and exit code;
@@ -781,8 +782,8 @@ def test_leaf_reading_matches_the_full_tree_on_built_commands(argv):
 
 def test_valid_commands_are_read_without_argparse(monkeypatch, tmp_path):
     # every valid command of these tests and of the golden recordings is
-    # read by _read_leaf alone: the argparse fallback, each command
-    # parser's parse_known_args, raises
+    # read by _read_leaf alone: each command parser's parse_known_args,
+    # through which the full tree reads a command, raises
     from test_cli_golden import CASES
     argvs = [_attach_expr_values(argv) for argv in [
         *_leaf_argvs(tmp_path).values(), *(a for _, a in CASES.values())]]
