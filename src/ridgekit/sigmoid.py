@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -755,7 +755,8 @@ def fit_two_neuron(f, a, b, eps):
     polynomial within eps/2 of g gives an equally valid network with
     another n.
 
-    Returns (NetworkParams, achieved_error).  Raises ArithmeticError when
+    Returns (NetworkParams, achieved_error).  Raises ValueError when f is
+    not finite on the grid or at a Chebyshev node, and ArithmeticError when
     no polynomial within eps/2 is found, and when the network, evaluated in
     floats, misses eps: with huge weights c1 and -c2 cancel.
     """
@@ -767,11 +768,7 @@ def fit_two_neuron(f, a, b, eps):
     d = b - a
     params = SigmoidParams(d, 0.25)
     tgrid = np.linspace(0.0, 1.0, FIT_GRID_N)
-    g_vals = np.asarray(f(a + d * tgrid), dtype=float)
-    bad = np.flatnonzero(~np.isfinite(g_vals))
-    if bad.size:
-        raise ValueError(
-            f"target is not finite at x = {float(a + d * tgrid[bad[0]])!r}")
+    g_vals = _finite_values(f, a + d * tgrid)
 
     exact = _exact_poly_coeffs(f, a, b)
     if exact is not None:
@@ -995,25 +992,73 @@ def _finalize_coeffs(raw, eps, tgrid, g_vals, max_bits=200_000_000):
     return None
 
 
+def _finite_values(f, x):
+    """f at the points x as floats; refuses a value that is not finite."""
+    vals = np.asarray(f(x), dtype=float)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise ValueError(f"target is not finite at x = {float(x[bad[0]])!r}")
+    return vals
+
+
+@cache
+def _cheb_design(deg):
+    """Degree deg's nodes t in [0, 1] and chebfit's design at s = 2t - 1,
+    as its _fit builds it: column-scaled Vandermonde matrix, scales, rcond."""
+    s = np.cos((2 * np.arange(deg + 1) + 1) * np.pi / (2 * (deg + 1)))
+    t = 0.5 + 0.5 * s
+    lhs = np.polynomial.chebyshev.chebvander(s, deg).T
+    scl = np.sqrt(np.square(lhs).sum(1))
+    design = lhs.T / scl
+    t.flags.writeable = design.flags.writeable = scl.flags.writeable = False
+    return t, design, scl, (deg + 1) * np.finfo(float).eps
+
+
+# row k: the coefficients of (2t - 1)^k, integers that floats hold exactly
+_SHIFT_ROWS = [[float(math.comb(k, j) * (-1) ** (k - j) << j)
+                for j in range(k + 1)] for k in range(MAX_DEGREE + 1)]
+
+
+def _float_add(p, q):
+    """numpy.polynomial's polyadd of two trimmed float lists."""
+    if len(p) < len(q):
+        p, q = q, p
+    return _trim([x + y for x, y in zip(p, q)] + p[len(q):])
+
+
+def _cheb2poly(c):
+    """numpy.polynomial's cheb2poly on Python floats: its operations in its
+    order, trimmed at every step, every zero's sign kept.  c1 ends in c's
+    last coefficient, doubled, so polymulx never meets its lone zero."""
+    c = _trim(list(c))
+    if len(c) < 3:
+        return c
+    c0, c1 = [c[-2]], [c[-1]]
+    for i in range(len(c) - 1, 1, -1):
+        c0, c1 = (_float_add([c[i - 2]], [-y for y in c1]),
+                  _float_add(c0, [y * 2.0 for y in [c1[0] * 0.0] + c1]))
+    return _float_add(c0, [c1[0] * 0.0] + c1)
+
+
+def _power_coeffs(cheb):
+    """The coefficients in t of the Chebyshev series cheb in s = 2t - 1, as
+    cheb2poly and then polyadd and polymul give them, bit for bit."""
+    raw = [0.0]
+    for c, row in zip(_cheb2poly(cheb), _SHIFT_ROWS):
+        raw = _float_add(raw, _trim([c * p for p in row]))
+    return raw
+
+
 def _chebyshev_rational(f, a, b, eps, tgrid, g_vals):
     """Chebyshev interpolant of adaptive degree, coefficients rationalized
     as simply as the budget allows; returns power-basis Fractions."""
-    from numpy.polynomial import chebyshev as C
-    from numpy.polynomial import polynomial as P
     for deg in range(1, MAX_DEGREE + 1):
-        k = np.arange(deg + 1)
-        s_nodes = np.cos((2 * k + 1) * np.pi / (2 * (deg + 1)))  # in [-1,1]
-        t_nodes = 0.5 + 0.5 * s_nodes
-        vals = np.asarray(f(a + (b - a) * t_nodes), dtype=float)
-        cheb = C.chebfit(s_nodes, vals, deg)
-        poly_s = C.cheb2poly(cheb)          # powers of s = 2t - 1
-        raw = [0.0]
-        power = [1.0]
-        for c in poly_s:                    # compose with s(t) = 2t - 1
-            raw = P.polyadd(raw, c * np.asarray(power))
-            power = P.polymul(power, [-1.0, 2.0])
-        raw = list(np.atleast_1d(raw))
-        coeffs = _finalize_coeffs(raw, eps, tgrid, g_vals)
+        t, design, scl, rcond = _cheb_design(deg)
+        vals = _finite_values(f, a + (b - a) * t)
+        # + 0.0 turns -0.0 into 0.0, as chebfit does
+        cheb = np.linalg.lstsq(design, vals + 0.0, rcond)[0] / scl
+        coeffs = _finalize_coeffs(_power_coeffs(cheb.tolist()), eps, tgrid,
+                                  g_vals)
         if coeffs is not None:
             return coeffs
     return None
