@@ -1014,9 +1014,12 @@ def _cheb_design(deg):
     return t, design, scl, (deg + 1) * np.finfo(float).eps
 
 
-# row k: the coefficients of (2t - 1)^k, integers that floats hold exactly
-_SHIFT_ROWS = [[float(math.comb(k, j) * (-1) ** (k - j) << j)
-                for j in range(k + 1)] for k in range(MAX_DEGREE + 1)]
+@cache
+def _shift_rows():
+    """Row k: the coefficients of (2t - 1)^k, integers that floats hold
+    exactly.  Built at the first fit, so no other command pays for it."""
+    return [[float(math.comb(k, j) * (-1) ** (k - j) << j)
+             for j in range(k + 1)] for k in range(MAX_DEGREE + 1)]
 
 
 def _float_add(p, q):
@@ -1044,7 +1047,7 @@ def _power_coeffs(cheb):
     """The coefficients in t of the Chebyshev series cheb in s = 2t - 1, as
     cheb2poly and then polyadd and polymul give them, bit for bit."""
     raw = [0.0]
-    for c, row in zip(_cheb2poly(cheb), _SHIFT_ROWS):
+    for c, row in zip(_cheb2poly(cheb), _shift_rows()):
         raw = _float_add(raw, _trim([c * p for p in row]))
     return raw
 

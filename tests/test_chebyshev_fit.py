@@ -107,7 +107,7 @@ def test_power_coeffs_match_polyadd_and_polymul_bit_for_bit(cheb):
 
 def test_shift_rows_are_the_powers_polymul_makes():
     power = [1.0]
-    for row in S._SHIFT_ROWS:
+    for row in S._shift_rows():
         same_floats(row, list(power))
         power = P.polymul(power, [-1.0, 2.0])
 

@@ -144,10 +144,11 @@ SMOOTH5 = ("sin(0.8*(x1 + 2*x2)) + exp(0.5*(x1 - x2)) + cos(2*x1 + x2)"
 # whose x/d overflows, beside a left-tail, a main and a transition point
 SIGMA_PARTS = [-3.0, 0.2, 0.75, 4.8, 5.1, 5.4, 76.9, 77.1, 77.45, 2468.7]
 SIGMA_OVERFLOW = [1.7e308, 0.05, 3.33, 1e308, 4.03, 1.7e308]
-# the exact polynomial path and the Chebyshev path of sigmoid fit; on
-# [-1, 1], an odd target and one whose fit takes degree 3
+# the exact polynomial path and the Chebyshev path of sigmoid fit
 FIT_POLY = "x1^3 - x1/2 + 1/3"
 FIT_CHEB = "sqrt(1 + x1)"
+# the Chebyshev path on [-1, 1]: an odd target and one whose fit takes
+# degree 3
 FIT_CHEB_ODD = "sin(x1)"
 FIT_CHEB_DEG3 = "4*x1/(4+x1^2)"
 
