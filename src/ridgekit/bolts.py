@@ -213,11 +213,11 @@ def class_check(f, R, c, which):
             "which": which, "c": c}
 
 
-def _bisect_half_level(g, lo, hi, target, iters=80):
-    """Smallest y with g(y) >= target, assuming g monotone nondecreasing.
-    Once a midpoint rounds to lo or hi, no later step can move hi, so the
-    loop stops after evaluating that step."""
-    for _ in range(iters):
+def _bisect_half_level(g, lo, hi, target):
+    """Smallest y with g(y) >= target, assuming g monotone nondecreasing,
+    in at most 80 steps.  Once a midpoint rounds to lo or hi, no later step
+    can move hi, so the loop stops after evaluating that step."""
+    for _ in range(80):
         mid = 0.5 * (lo + hi)
         last = mid == lo or mid == hi
         if g(mid) >= target:

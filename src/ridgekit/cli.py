@@ -20,6 +20,7 @@ import os
 import re
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .core import (
     _decode_text,
     _frac,
     _read_csv_rows,
-    max_cycle_mean,
     parse_expression,
 )
 from .cycles import (
@@ -44,11 +44,11 @@ from .cycles import (
     tau_closure,
 )
 from .uniform import (
-    DS_N,
     HypothesisViolated,
     ParallelogramDomain,
     best_uniform,
     diliberto_straus,
+    grid_minimax,
     verify_extremal,
 )
 from .l2 import best_l2, build_rset
@@ -64,13 +64,7 @@ from .bolts import (
     vc_best,
 )
 from .smooth import DecompProblem, crosscheck_highorder, decompose, tabulate
-from .sigmoid import (
-    SigmoidParams,
-    _log10_abs,
-    _scientific,
-    fit_two_neuron,
-    sigma,
-)
+from .sigmoid import SigmoidParams, fit_two_neuron, sigma
 
 # CycleExists, ClassViolated, HypothesisViolated and NotAnRSet are
 # ValueErrors
@@ -286,12 +280,9 @@ def _cmd_approx_uniform(args):
             results["witness_path"] = rep.get("witness")
             results["verified"] = rep["verdict"]
     except HypothesisViolated:
-        # the exact minimax on the pulled-back grid of diliberto_straus:
-        # each fiber is one grid row or column, whatever the directions
-        g = dom.grid(DS_N)
-        F = f(g.X, g.Y)
-        err, _ = max_cycle_mean(*np.indices(F.shape).reshape(2, -1), F)
-        results = {"error": err, "method": "numerical (no closed form)"}
+        # the exact minimax on the pulled-back grid of diliberto_straus
+        results = {"error": grid_minimax(f, dom)[0],
+                   "method": "numerical (no closed form)"}
     if args.ds_iters:
         norms, tables = diliberto_straus(f, dom, iters=args.ds_iters)
         results["ds_norms"] = [float(v) for v in norms]
@@ -446,14 +437,13 @@ def _cmd_sigmoid_fit(args):
     f = parse_expression(args.expr, 1)
     a, b = args.interval
     net, achieved = fit_two_neuron(f, a, b, args.eps)
-    theta1 = net.theta1_exact            # formed once, a big Fraction
-    l10 = _log10_abs(theta1)
-    exact = theta1.denominator == 1 and abs(l10) < 4000
+    theta1 = net.theta1_exact
+    exact = theta1.denominator == 1 and abs(net.theta1_log10()) < 4000
     results = {
         "c1": float(net.c1),
         "c2": float(net.c2),
         "n": str(net.n),
-        "theta1": {"decimal": _scientific(theta1, l10),
+        "theta1": {"decimal": net.theta1_decimal(),
                    "exact": _frac(theta1) if exact else None},
         "theta2": _frac(net.theta2),
         "achieved_error": float(achieved),
@@ -563,39 +553,34 @@ def _build_parser():
     gf.set_defaults(func=_cmd_sigmoid_fit)
     # each two-word command's own parser, with the attribute its middle
     # level sets: (command, name) -> (dest, parser)
-    p.leaves = {(command, name): (action.dest, leaf)
-                for command, middle in sub.choices.items()
-                for action in middle._actions
-                if isinstance(action, argparse._SubParsersAction)
-                for name, leaf in action.choices.items()}
+    p.leaves = {(command, name): (middle.dest, leaf)
+                for command, middle in (("cycles", csub), ("approx", asub),
+                                        ("bolts", bsub), ("smooth", ssub),
+                                        ("sigmoid", gsub))
+                for name, leaf in middle.choices.items()}
+    leaves = [leaf for _, leaf in p.leaves.values()]
+    # every option string of the tree: a middle level's only options, -h
+    # and --help, are every leaf's too
+    p.option_strings = {option for parser in (p, *leaves)
+                        for option in parser._option_string_actions}
     # every parser reads "-1e2", "-.5" and "-inf" as numbers, not as
     # options, so that a leaf and the full tree read a valid command alike,
     # and a non-finite value is refused as "inf" is
     negative_number = re.compile(r"-\.?\d|-(inf|infinity|nan)$",
                                  re.IGNORECASE)
-    for parser in (p, *sub.choices.values(),
-                   *(leaf for _, leaf in p.leaves.values())):
+    for parser in (p, *sub.choices.values(), *leaves):
         parser._negative_number_matcher = negative_number
     return p
-
-
-@functools.cache
-def _option_strings():
-    """Every option string of the parser and of its subparsers: a middle
-    level's only options, -h and --help, are every leaf's too."""
-    parser = _build_parser()
-    leaves = [leaf for _, leaf in parser.leaves.values()]
-    return {option for p in [parser, *leaves] for action in p._actions
-            for option in action.option_strings}
 
 
 def _attach_expr_values(argv):
     """``--expr -x1^2`` as ``--expr=-x1^2``: argparse reads a separate
     value with a leading minus as an option.  Any token after ``--expr``
     but the parser's own option strings is its value, ``--x1`` too."""
+    options = _build_parser().option_strings
     out = []
     for tok in argv:
-        if out and out[-1] == "--expr" and tok not in _option_strings():
+        if out and out[-1] == "--expr" and tok not in options:
             out[-1] = f"--expr={tok}"
         else:
             out.append(tok)
@@ -726,7 +711,10 @@ def main(argv=None):
 
 
 def _script():
-    """The ``ridgekit`` command, in a process of its own."""
+    """The ``ridgekit`` command, in a process of its own.  numpy's
+    RuntimeWarnings stay off stderr, as the report says what went wrong;
+    appended last, the filter yields to ``-W error::RuntimeWarning``."""
+    warnings.filterwarnings("ignore", category=RuntimeWarning, append=True)
     code = main()
     if code == _CLOSED_PIPE:
         # the report is still in stdout's buffer: point stdout's fd at

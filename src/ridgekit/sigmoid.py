@@ -579,9 +579,9 @@ class NetworkParams:
         self.a_n, self.b_n, self.poly = _segment_coeffs(self.n, params, poly)
         self.theta2 = 2 * self.a - self.b
 
-    @property
+    @cached_property
     def theta1_exact(self):
-        """b - 2n(b-a) as an exact Fraction."""
+        """b - 2n(b-a) as an exact Fraction, formed on first use and kept."""
         return rational(self.b) - 2 * self.n * (rational(self.b)
                                                 - rational(self.a))
 
@@ -659,19 +659,6 @@ def _limited(x, max_den):
     return p, q
 
 
-def _simplest_within(value, tol):
-    """The simplest rational (least denominator) between value - tol and
-    value + tol, each end first rounded to the nearest rational with a
-    denominator <= 1e9 (_limited).  That rounding can move an end outward,
-    so the result may lie up to about 1e-9 outside +-tol; _finalize_coeffs'
-    check on the grid is what bounds the error.  With tol <= 0, the value
-    itself, rounded the same way."""
-    if tol <= 0:
-        return Fraction(*_limited(value, 10**9))
-    return _simplest_between(_limited(value - tol, 10**9),
-                             _limited(value + tol, 10**9))
-
-
 def _simplest_between(lo, hi):
     """Simplest rational in [lo, hi], the ends given as (num, den) pairs
     with den > 0, in either order: the Stern-Brocot descent, on ints."""
@@ -698,13 +685,19 @@ def _simplest_between(lo, hi):
 
 
 def _rationalize(coeffs, budget):
-    """Per-coefficient simplest-rational rounding within the budget.  With
-    no budget, an exact coefficient stays as it is and a float goes to the
-    nearest rational with a denominator <= 1e9."""
+    """Each coefficient c as the simplest rational (least denominator)
+    between c - budget and c + budget, each end first rounded to the
+    nearest rational with a denominator <= 1e9 (_limited).  That rounding
+    can move an end outward, so the result may lie up to about 1e-9
+    outside +-budget; _finalize_coeffs' check on the grid is what bounds
+    the error.  With no budget, an exact coefficient stays as it is and a
+    float goes to the nearest rational with a denominator <= 1e9."""
     if budget > 0:
-        return [_simplest_within(float(c), budget) for c in coeffs]
-    return [c if isinstance(c, Fraction) else _simplest_within(float(c), 0)
-            for c in coeffs]
+        return [_simplest_between(_limited(v - budget, 10**9),
+                                  _limited(v + budget, 10**9))
+                for v in map(float, coeffs)]
+    return [c if isinstance(c, Fraction)
+            else Fraction(*_limited(float(c), 10**9)) for c in coeffs]
 
 
 def _index_bits_estimate(monic_coeffs):
@@ -792,11 +785,10 @@ def fit_two_neuron(f, a, b, eps):
 
     p0 = coeffs[-1]
     monic = MonicPoly([c / p0 for c in coeffs[:-1]])
-    n = monic_index(monic)
-    a_n, b_n, u = _segment_coeffs(n, params, poly=monic)
-    c1 = float(p0) / b_n
-    c2 = -float(p0) * a_n / (b_n * params.tail)
-    net = NetworkParams(c1, c2, n, a, b, params, monic)
+    net = NetworkParams(0.0, 0.0, monic_index(monic), a, b, params, monic)
+    # the weights that place the network's segment back onto p
+    net.c1 = float(p0) / net.b_n
+    net.c2 = -float(p0) * net.a_n / (net.b_n * params.tail)
     ach = float(np.max(np.abs(eval_network(net, a + d * tgrid) - g_vals)))
     if ach > eps:
         raise ArithmeticError(
@@ -965,13 +957,13 @@ def _taylor_truncate(coeffs, eps, tgrid, g_vals):
     return list(coeffs)
 
 
-def _finalize_coeffs(raw, eps, tgrid, g_vals, max_bits=200_000_000):
+def _finalize_coeffs(raw, eps, tgrid, g_vals):
     """Rationalize a coefficient list, as coarsely as the error budget
     allows, while keeping the induced segment index constructible.
 
     Tries per-coefficient tolerances from the full remaining budget down;
     accepts the first set that stays within eps/2 on the grid and whose
-    estimated index bit length is manageable.  Returns None on failure.
+    estimated index has at most 2e8 bits.  Returns None on failure.
     """
     dev = _poly_sup_dev(raw, g_vals, tgrid)
     remaining = 0.5 * eps - dev
@@ -986,7 +978,7 @@ def _finalize_coeffs(raw, eps, tgrid, g_vals, max_bits=200_000_000):
         p0 = coeffs[-1]
         if p0 != 0:
             monic = [c / p0 for c in coeffs[:-1]]
-            if _index_bits_estimate(monic) > max_bits:
+            if _index_bits_estimate(monic) > 200_000_000:
                 continue
         return coeffs
     return None

@@ -21,7 +21,7 @@ PulledBackGrid = namedtuple("PulledBackGrid", "y1 y2 Y1 Y2 X Y")
 CHECK_N = 21        # nodes per axis of the hypothesis check
 VERIFY_N = 33       # nodes per axis of verify_extremal's grid
 VERIFY_TOL = 1e-6   # slack of verify_extremal's norm against e*
-DS_N = 41           # nodes per axis of diliberto_straus's grid (the CLI's too)
+DS_N = 41           # nodes per axis of diliberto_straus's and grid_minimax's
 
 
 class HypothesisViolated(ValueError):
@@ -121,13 +121,13 @@ def best_uniform(f, dom):
     pullback f1; the extremal pair mixes f1 along the edges of the
     pulled-back rectangle.  The hypothesis is checked first, on the 21 x 21
     grid of ``mixed_condition_check``; raises HypothesisViolated when it
-    fails (use core.max_cycle_mean on a pulled-back grid then).
+    fails (use ``grid_minimax`` then).
     """
     verdict = mixed_condition_check(f, dom)
     if not verdict["passed"]:
         raise HypothesisViolated(
             "second-order hypothesis fails; no closed form "
-            "(fall back to the grid minimax error, core.max_cycle_mean)",
+            "(fall back to the grid minimax error, uniform.grid_minimax)",
             worst_point=verdict["worst_point"],
             worst_value=verdict["worst_value"],
         )
@@ -152,10 +152,21 @@ def best_uniform(f, dom):
     return ExtremalPair(g1, g2, error, dom)
 
 
+def grid_minimax(f, dom, n=DS_N):
+    """The exact minimax error e* of f on the pulled-back n x n grid
+    (``core.max_cycle_mean``, with the constant-y1 fibers as rows and the
+    constant-y2 fibers as columns, whatever the directions), from one
+    sampling of f.  Returns (e*, the critical cycle as flat grid indices,
+    the grid, f on it)."""
+    g = dom.grid(n)
+    F = np.broadcast_to(np.asarray(f(g.X, g.Y), dtype=float), g.X.shape)
+    err, cycle = max_cycle_mean(*np.indices(F.shape).reshape(2, -1), F)
+    return err, cycle, g, F
+
+
 def verify_extremal(f, candidate, dom):
     """Check a candidate pair against the exact minimax error e* of f on
-    the pulled-back 33 x 33 grid (``core.max_cycle_mean``, with the
-    constant-y1 fibers as rows and the constant-y2 fibers as columns).
+    the pulled-back 33 x 33 grid (``grid_minimax``).
 
     The pair is extremal when the sup-norm of f - candidate on the grid is
     at most e* + 1e-6; the witness is then the critical cycle, a closed
@@ -165,11 +176,9 @@ def verify_extremal(f, candidate, dom):
 
     Returns a dict: ``verdict``, ``norm``, ``grid_error`` (e*), ``witness``.
     """
-    g = dom.grid(VERIFY_N)
-    F = np.broadcast_to(np.asarray(f(g.X, g.Y), dtype=float), g.X.shape)
+    err, cycle, g, F = grid_minimax(f, dom, VERIFY_N)
     resid = F - np.asarray(candidate(g.X, g.Y), dtype=float)
     norm = float(np.max(np.abs(resid)))
-    err, cycle = max_cycle_mean(*np.indices(F.shape).reshape(2, -1), F)
     verdict = "extremal"
     if norm > err + VERIFY_TOL:
         verdict, cycle = (f"not best on the grid: norm {norm:.6g} exceeds "
