@@ -576,11 +576,13 @@ def _build_parser():
 def _attach_expr_values(argv):
     """``--expr -x1^2`` as ``--expr=-x1^2``: argparse reads a separate
     value with a leading minus as an option.  Any token after ``--expr``
-    but the parser's own option strings is its value, ``--x1`` too."""
+    but ``--`` and the parser's own option strings is its value, ``--x1``
+    too; argparse drops ``--`` from a value, so ``--expr --`` stays a
+    usage error."""
     options = _build_parser().option_strings
     out = []
     for tok in argv:
-        if out and out[-1] == "--expr" and tok not in options:
+        if out and out[-1] == "--expr" and tok not in options and tok != "--":
             out[-1] = f"--expr={tok}"
         else:
             out.append(tok)
@@ -594,10 +596,10 @@ def _read_leaf(leaf, tokens):
     ``--opt value`` and ``--opt=value``, the values of ``nargs`` None, N
     and "+", converted by ``type`` and checked against ``choices``, and
     ``store_true`` flags.  It declines an unknown or abbreviated option, a
-    repeated one, ``--``, ``-h``, a missing or surplus value, a value that
-    ``type`` or ``choices`` refuses, a missing required option, a
-    positional, and any other action class or nargs, or a string
-    default."""
+    repeated one, ``--`` as a token or as a value, ``-h``, a missing or
+    surplus value, a value that ``type`` or ``choices`` refuses, a missing
+    required option, a positional, and any other action class or nargs,
+    or a string default."""
     out = {}
     for action in leaf._actions:
         if not action.option_strings:
@@ -641,6 +643,8 @@ def _read_leaf(leaf, tokens):
                              and tokens[i][:2] not in heads):
                 i += 1
             strings = tokens[start:i]
+        elif explicit == "--":
+            return None          # argparse drops it: --opt=-- reads as []
         else:
             strings = [explicit]
         if not strings or nargs != "+" and len(strings) != (nargs or 1):

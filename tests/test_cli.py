@@ -768,6 +768,7 @@ def command_argvs(draw):
 @example(["sigmoid", "eval", "--d", "1", "--lambda", "0.5", "--x=-1", "2"])
 @example(["bolts", "rect", "--expr", "x1", "--geom", "g.json", "--c", "-1"])
 @example(["bolts", "octagonA", "--=1", "--expr", "x1", "--geom", "g.json"])
+@example(["bolts", "octagonA", "--expr", "--", "--geom", "p.csv"])
 def test_leaf_reading_matches_the_full_tree_on_built_commands(argv):
     # each command's argv, valid or not, reads as the full tree reads it:
     # the same options, or the same usage error, help text and exit code;
